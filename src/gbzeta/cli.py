@@ -28,7 +28,11 @@ def _base_parser() -> argparse.ArgumentParser:
         description="generalized Bernoulli polynomials of level m, zeta relations, "
                     "and Euler-Maclaurin machinery",
     )
-    default_prec = int(os.environ.get(ENV_PRECISION, "256"))
+    env_prec = os.environ.get(ENV_PRECISION, "256")
+    try:
+        default_prec = int(env_prec)
+    except ValueError:
+        ap.error(f"{ENV_PRECISION} must be an integer, got {env_prec!r}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=int, default=default_prec,
                         help="mantissa bits for float output (default 256)")
@@ -238,6 +242,10 @@ def main(argv=None) -> int:
                                      digits),
                 })
             _emit({"m": m, "n": n, "samples": rows}, fmt, rows=rows)
+    except ValueError as exc:
+        # values the library rejects (a level, point, cell count or exponent
+        # out of range) are usage errors
+        ap.error(str(exc))
     except series.TailNotCertifiableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -62,32 +62,31 @@ def fourier_a0(m: int, n: int) -> Fraction:
     return 2 * _jumps(m, n)[n + 1]
 
 
-def fourier_coeffs(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION) -> FourierCoeffs:
-    """Coefficients a_k, b_k for k = 1..K from the boundary-jump formulas.
+def jump_terms(m: int, n: int) -> tuple[list, list]:
+    """Exact (power, coeff) lists with a_k = sum c/(2 pi k)^power, b_k likewise.
 
     a_k = sum_{j=0}^{floor(n/2)-1} (-1)^j  2/(2 pi k)^(2j+2) J_{n-2j-1}
     b_k = sum_{j=0}^{floor(n/2)}   (-1)^(j+1) 2/(2 pi k)^(2j+1) J_{n-2j}
 
-    where indices that fall to 0 contribute nothing (J_0 = 0).
+    where indices that fall to 0 contribute nothing (J_0 = 0), nor do zero jumps.
     """
+    J = _jumps(m, n)
+    a_terms = [(2 * j + 2, (-1) ** j * 2 * J[n - 2 * j - 1])
+               for j in range(0, n // 2) if J[n - 2 * j - 1]]
+    b_terms = [(2 * j + 1, (-1) ** (j + 1) * 2 * J[n - 2 * j])
+               for j in range(0, n // 2 + 1) if J[n - 2 * j]]
+    return a_terms, b_terms
+
+
+def fourier_coeffs(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION) -> FourierCoeffs:
+    """Coefficients a_k, b_k for k = 1..K from the boundary-jump formulas of jump_terms."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    J = _jumps(m, n)
+    a_terms, b_terms = jump_terms(m, n)
     with mp.workprec(prec):
         twopi = 2 * mp.pi
-        # exact rational weights attached to each power of 1/(2 pi k)
-        a_terms = []  # (power, coefficient)
-        for j in range(0, n // 2):
-            idx = n - 2 * j - 1
-            if idx >= 1 and J[idx]:
-                a_terms.append((2 * j + 2, (-1) ** j * 2 * J[idx]))
-        b_terms = []
-        for j in range(0, n // 2 + 1):
-            idx = n - 2 * j
-            if idx >= 1 and J[idx]:
-                b_terms.append((2 * j + 1, (-1) ** (j + 1) * 2 * J[idx]))
         a_list, b_list = [], []
         for k in range(1, K + 1):
             inv = 1 / (twopi * k)

@@ -2,9 +2,11 @@
 
 The unit-interval rule expresses int_0^1 f through boundary derivative terms
 weighted by B_k and B_k(1) plus an integral remainder against B_r; the
-composite rule tiles [a,b] with it. Remainder integrals are smooth on each
-cell, so a fixed 32-node Gauss-Legendre rule per cell (with nodes generated
-at working precision) integrates them to full accuracy.
+composite rule tiles [a,b] with it. Remainder integrals use a fixed
+32-node Gauss-Legendre rule per cell, with nodes generated at working
+precision. Its quadrature error is not bounded and enters no remainder
+bound; it is small where f^(r) is smooth across a cell, but near a pole of f
+(x^-s on the cells next to 0) it can exceed the reported bound.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Optional
 
 import mpmath as mp
 
-from . import bernoulli
+from . import bernoulli, periodic
 from .bigfloat import DEFAULT_PRECISION, to_mpf, truncated_power_sum
 from .polyrat import Poly
 
@@ -189,14 +191,6 @@ class QuadratureReport:
         }
 
 
-def _cell_gauss(g: Callable, poly_vals, nodes):
-    # int_0^1 g(u) B(u) du with B pre-evaluated at the nodes
-    acc = mp.mpf(0)
-    for (u, w), bv in zip(nodes, poly_vals):
-        acc += w * g(u) * bv
-    return acc
-
-
 def _bound_inflation(x):
     # Gauss values enter certified bounds only after this safety margin
     return x * (1 + mp.mpf(2) ** -20) + mp.mpf(2) ** -60 * abs(x)
@@ -207,33 +201,10 @@ def em_unit(fs: FunctionStack, m: int, r: int, prec: int = DEFAULT_PRECISION) ->
 
     main_sum = (1/m!) sum_{k=1}^r ((-1)^k/k!)(f^(k-1)(0) B_k - f^(k-1)(1) B_k(1))
     remainder = (1/m!)((-1)^r/r!) int_0^1 f^(r)(t) B_r(t) dt
+
+    This is the composite rule on [0,1] with a single cell.
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if r > fs.r_max:
-        raise ValueError(f"r={r} exceeds the stack's r_max={fs.r_max}")
-    fam = bernoulli.family(m)
-    mf = factorial(m)
-    with mp.workprec(prec):
-        main = mp.mpf(0)
-        for k in range(1, r + 1):
-            fk = fs.deriv(k - 1)
-            ak = (fk(mp.mpf(0)) * to_mpf(fam.number(k), prec)
-                  - fk(mp.mpf(1)) * to_mpf(fam.boundary(k), prec))
-            main += (-1) ** k / mp.factorial(k) * ak
-        main /= mf
-        nodes = gauss_legendre_01(GAUSS_NODES, prec)
-        br = fam.polynomial(r)
-        bvals = [br.eval_mpf(u, prec) for u, _ in nodes]
-        fr = fs.deriv(r)
-        integ = _cell_gauss(fr, bvals, nodes)
-        rem = (-1) ** r / (mf * mp.factorial(r)) * integ
-        mu = sup_norm(m, r, prec)
-        absint = _cell_gauss(lambda u: abs(fr(u)), [mp.mpf(1)] * len(nodes), nodes)
-        bound = _bound_inflation(mu / (mf * mp.factorial(r)) * absint) + mp.mpf(2) ** (
-            8 - prec
-        )
-        return QuadratureReport(+main, +rem, +bound, +(main + rem))
+    return em_composite(fs, 0, 1, 1, m, r, prec)
 
 
 def em_composite(
@@ -328,47 +299,31 @@ def l2_norm_sq(m: int, n: int) -> Fraction:
 
 
 def parseval_rhs(m: int, n: int) -> Fraction:
-    """Exact value of sum_{k>=1} (A_k^2 + B_k^2) for the jump sums of p_n.
+    """Exact value of sum_{k>=1} (A_k^2 + B_k^2), with A_k = a_k/2, B_k = b_k/2.
 
-    Parseval applied to p_n: (|B_n|_{L2}^2 - a0^2 (n!)^-2 /4 ... ) rearranged;
-    equals l2_norm_sq/(2 (n!)^2) minus the squared mean term.
+    Parseval applied to p_n = B_n/n! reads
+    |p_n|_{L2}^2 = (a0/2)^2 + (1/2) sum_{k>=1} (a_k^2 + b_k^2), where
+    a0/2 = (B_{n+1}(1) - B_{n+1})/(n+1)! is the mean of p_n; so the sum is
+    (l2_norm_sq/(n!)^2 - (a0/2)^2)/2.
     """
     fam = bernoulli.family(m)
     j = fam.jump(n + 1)
     return (l2_norm_sq(m, n) / factorial(n) ** 2 - Fraction(j * j, factorial(n + 1) ** 2)) / 2
 
 
-def _parseval_jump_terms(m: int, n: int):
-    # A_k = sum over (power p, coeff c): c * (2 pi k)^-p ; likewise B_k
-    fam = bernoulli.family(m)
-    fam.numbers(n + 1)
-    J = [Fraction(0)] + [Fraction(fam.jump(i), factorial(i)) for i in range(1, n + 1)]
-    a_terms = []
-    for j in range(0, n // 2):
-        idx = n - 2 * j - 1
-        if idx >= 1 and J[idx]:
-            a_terms.append((2 * j + 2, Fraction((-1) ** j) * J[idx]))
-    b_terms = []
-    for j in range(0, n // 2 + 1):
-        idx = n - 2 * j
-        if idx >= 1 and J[idx]:
-            b_terms.append((2 * j + 1, Fraction((-1) ** (j + 1)) * J[idx]))
-    return a_terms, b_terms
-
-
 def parseval_partial_sum(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION):
     """sum_{k=1}^{K} (A_k^2 + B_k^2), expanded over powers of 1/(2 pi k).
 
-    Squaring turns the jump sums into a polynomial in 1/k^2 with exact
-    rational coefficients; each power then needs one truncated power sum,
-    which is summed deterministically in scaled integer arithmetic.
+    Squaring the jump-term sums of a_k = 2 A_k and b_k = 2 B_k turns them into
+    a polynomial in 1/k^2 with exact rational coefficients; each power then
+    needs one truncated power sum, which is summed deterministically in scaled
+    integer arithmetic.
     """
-    a_terms, b_terms = _parseval_jump_terms(m, n)
     powers: dict[int, Fraction] = {}
-    for terms in (a_terms, b_terms):
+    for terms in periodic.jump_terms(m, n):
         for p1, c1 in terms:
             for p2, c2 in terms:
-                powers[p1 + p2] = powers.get(p1 + p2, Fraction(0)) + c1 * c2
+                powers[p1 + p2] = powers.get(p1 + p2, Fraction(0)) + c1 * c2 / 4
     with mp.workprec(prec):
         inv2pi = 1 / (2 * mp.pi)
         total = mp.mpf(0)

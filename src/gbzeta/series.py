@@ -253,19 +253,22 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
     _check_order(fs, r)
     if q2 <= q1:
         raise ValueError("need q1 < q2")
-    fam = bernoulli.family(m)
     with mp.workprec(prec):
-        weights = [
-            (k, (-1) ** (k + 1) * Fraction(fam.jump(k), factorial(m) * factorial(k)))
-            for k in range(2, r + 1)
-        ]
-        weights = [(k, to_mpf(c, prec)) for k, c in weights if c]
+        weights = [(k, to_mpf(c, prec)) for k, c in _jump_weights(m, range(2, r + 1))]
         total = mp.mpf(0)
         for j in range(q1 + 1, q2):
             xj = mp.mpf(j)
             for k, w in weights:
                 total += w * fs.deriv(k - 1)(xj)
         return +total
+
+
+def _jump_weights(m: int, orders) -> list[tuple[int, Fraction]]:
+    # [(k, (-1)^(k+1) (B_k(1)-B_k)/(m! k!))] over the orders with a nonzero jump
+    fam = bernoulli.family(m)
+    weights = [(k, (-1) ** (k + 1) * Fraction(fam.jump(k), factorial(m) * factorial(k)))
+               for k in orders]
+    return [(k, c) for k, c in weights if c]
 
 
 def _check_order(fs, r):
@@ -290,6 +293,25 @@ def _coeff_abs_sum(m: int, r: int) -> Fraction:
     return _abs_coeff_sums[key]
 
 
+def _far_bound(pf: PowerFunction, m: int, orders, J: int, tol, prec: int):
+    """(order, bound) for the level-m remainder of f = x^-s beyond J.
+
+    The bound is (coeff-sum of B_r)/(m! r!) * int_J^inf |f^(r)|. The first
+    order in `orders` whose bound is at most tol/4 is taken, otherwise the one
+    with the smallest bound.
+    """
+    mf = factorial(m)
+    best = None
+    for r in orders:
+        c = Fraction(_coeff_abs_sum(m, r), mf * factorial(r)) * pf.pochhammer(r) / (pf.s + r - 1)
+        bound = to_mpf(c, prec) * pf._pow(J, 1 - pf.s - r)
+        if best is None or bound < best[1]:
+            best = (r, bound)
+        if bound <= tol / 4:
+            break
+    return best
+
+
 def power_tail_sum(t: Fraction, J: int, prec: int = DEFAULT_PRECISION,
                    tol=None) -> CertifiedValue:
     """Certified sum_{j>=J} j^(-t) for rational t > 1.
@@ -309,30 +331,31 @@ def power_tail_sum(t: Fraction, J: int, prec: int = DEFAULT_PRECISION,
         direct = mp.mpf(0)
         for j in range(J, J0):
             direct += pf._pow(j, -t)
-        # pick the correction order
-        best_r, best_bound = None, None
-        for r in range(8, 97, 8):
-            c = Fraction(_coeff_abs_sum(1, r), factorial(r)) * pf.pochhammer(r) / (t + r - 1)
-            bound = to_mpf(c, prec) * pf._pow(J0, 1 - t - r)
-            if best_bound is None or bound < best_bound:
-                best_r, best_bound = r, bound
-            if bound <= tol / 4:
-                break
-        r = best_r
+        r, bound = _far_bound(pf, 1, range(8, 97, 8), J0, tol, prec)
         integral = pf._pow(J0, 1 - t) / to_mpf(t - 1, prec)
         st = sigma_tilde(pf, 1, r, J0, prec)
         value = direct + integral + st
-        return CertifiedValue(+value, +(best_bound + _rounding_slack(value, prec)))
+        return CertifiedValue(+value, +(bound + _rounding_slack(value, prec)))
 
 
-def _power_deriv_tail_sum(pf: PowerFunction, k: int, J: int, prec: int,
-                          tol) -> CertifiedValue:
-    """Certified sum_{j>=J} f^(k)(j) for f = x^-s (signed, closed form)."""
-    c = (-1) ** k * pf.pochhammer(k)
-    inner = power_tail_sum(pf.s + k, J, prec, tol)
-    with mp.workprec(prec):
-        cf = to_mpf(c, prec)
-        return CertifiedValue(+(cf * inner.value), +(abs(cf) * inner.bound))
+def _jump_tail(pf: PowerFunction, m: int, orders, J: int, tol, prec: int) -> CertifiedValue:
+    """Certified sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for f = x^-s.
+
+    w_k are the jump weights of rho; each order with a nonzero jump is one
+    power tail sum certified to an equal share of tol. No rounding slack is
+    added here.
+    """
+    weights = _jump_weights(m, orders)
+    per = tol / max(len(weights), 1)
+    total = mp.mpf(0)
+    bound = mp.mpf(0)
+    for k, c in weights:
+        # f^(k-1)(j) = (-1)^(k-1) (s)_(k-1) j^-(s+k-1)
+        cf = to_mpf(c * (-1) ** (k - 1) * pf.pochhammer(k - 1), prec)
+        ts = power_tail_sum(pf.s + k - 1, J, prec, per)
+        total += cf * ts.value
+        bound += abs(cf) * ts.bound
+    return CertifiedValue(total, bound)
 
 
 def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
@@ -347,28 +370,12 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
-        if r == 1:
-            return CertifiedValue(mp.mpf(0), mp.mpf(0))
-        fam = bernoulli.family(m)
-        weights = [
-            (k, (-1) ** (k + 1) * Fraction(fam.jump(k), factorial(m) * factorial(k)))
-            for k in range(2, r + 1)
-        ]
-        weights = [(k, c) for k, c in weights if c]
+        weights = _jump_weights(m, range(2, r + 1))
         if not weights:
             return CertifiedValue(mp.mpf(0), mp.mpf(0))
         if isinstance(fs, PowerFunction):
-            total = mp.mpf(0)
-            bound = mp.mpf(0)
-            per = tol / (2 * len(weights))
-            for k, c in weights:
-                # weight c = (-1)^(k+1) (B_k(1)-B_k)/(m! k!) against the
-                # signed tail sum of f^(k-1)
-                part = _power_deriv_tail_sum(fs, k - 1, q1 + 1, prec, per)
-                cf = to_mpf(c, prec)
-                total += cf * part.value
-                bound += abs(cf) * part.bound
-            return CertifiedValue(+total, +(bound + _rounding_slack(total, prec)))
+            e = _jump_tail(fs, m, range(2, r + 1), q1 + 1, tol / 2, prec)
+            return CertifiedValue(+e.value, +(e.bound + _rounding_slack(e.value, prec)))
         # generic: direct summation with an integral-test envelope
         if fs.abs_deriv_tail is None:
             raise TailNotCertifiableError("tail not certifiable")
@@ -399,8 +406,9 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
                 prec: int = DEFAULT_PRECISION):
     """R_r(q1,q2) = (1/m!)((-1)^r/r!) int f^(r)(t) B_r(t - floor t) dt.
 
-    Integrated cell by cell with the shared Gauss rule; the integrand is
-    smooth inside each unit cell.
+    Integrated cell by cell with the shared 32-node Gauss rule. Its error is
+    not bounded here: it is small where f^(r) is smooth across a cell, but
+    not on cells next to a pole of f (x^-s near 0).
     """
     _check_order(fs, r)
     if q2 < q1:
@@ -439,41 +447,21 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
         if isinstance(fs, PowerFunction):
             s = fs.s
             ext = 64
-            choice = None
             while True:
                 Q = q1 + ext
-                for rp in range(r + 8, r + 97, 8):
-                    c = Fraction(_coeff_abs_sum(m, rp), mf * factorial(rp)) \
-                        * fs.pochhammer(rp) / (s + rp - 1)
-                    far_bound = to_mpf(c, prec) * fs._pow(Q, 1 - s - rp)
-                    if far_bound <= tol / 4:
-                        choice = (Q, rp, far_bound)
-                        break
-                    if choice is None or far_bound < choice[2]:
-                        choice = (Q, rp, far_bound)
-                if choice[2] <= tol / 4 or ext >= 512:
+                rp, far_bound = _far_bound(fs, m, range(r + 8, r + 97, 8), Q, tol, prec)
+                if far_bound <= tol / 4 or ext >= 512:
                     break
                 ext *= 2
-            Q, rp, far_bound = choice
             direct = remainder_R(fs, m, r, q1, Q, prec)
             # sigma~ difference: the orders r+1..rp seen from Q
-            fam = bernoulli.family(m)
             sdiff = mp.mpf(0)
-            for k in range(r + 1, rp + 1):
-                ck = fs.pochhammer(k - 1) * Fraction(fam.number(k), mf * factorial(k))
+            for k, ck in fs.sigma_coefficients(m, rp, boundary=False)[r:]:
                 sdiff -= to_mpf(ck, prec) * fs._pow(Q, -(s + k - 1))
             # e difference: certified tail sums of the new jump orders
-            ediff = mp.mpf(0)
-            ebound = mp.mpf(0)
-            new_orders = [k for k in range(r + 1, rp + 1) if fam.jump(k)]
-            per = tol / (4 * max(len(new_orders), 1))
-            for k in new_orders:
-                ck = fs.pochhammer(k - 1) * Fraction(fam.jump(k), mf * factorial(k))
-                ts = power_tail_sum(s + k - 1, Q + 1, prec, per)
-                ediff += to_mpf(ck, prec) * ts.value
-                ebound += abs(to_mpf(ck, prec)) * ts.bound
-            value = direct + sdiff + ediff
-            bound = far_bound + ebound + _rounding_slack(value, prec)
+            e = _jump_tail(fs, m, range(r + 1, rp + 1), Q + 1, tol / 4, prec)
+            value = direct + sdiff + e.value
+            bound = far_bound + e.bound + _rounding_slack(value, prec)
             return CertifiedValue(+value, +bound)
         # generic: integrate cells until the remaining tail bound is small
         if fs.abs_deriv_tail is None:
@@ -601,20 +589,16 @@ def convergence_verdict(fs: FunctionStack, m: int, r: int,
     _check_order(fs, r)
     if fs.limit_at_infinity is None:
         return UNDETERMINED
-    if fs.abs_deriv_tail is None and not isinstance(fs, PowerFunction):
+    if fs.abs_deriv_tail is None:
         return UNDETERMINED
     try:
         # existence only: a finite envelope at the first point certifies
         # absolute convergence of the rho tail
-        if not isinstance(fs, PowerFunction):
-            fam = bernoulli.family(m)
-            with mp.workprec(prec):
-                for k in range(2, r + 1):
-                    if fam.jump(k):
-                        v = fs.abs_deriv_tail(k - 1, 2, prec)
-                        if not mp.isfinite(v):
-                            return UNDETERMINED
-            fs.abs_deriv_tail(r, 2, prec)
+        with mp.workprec(prec):
+            for k, _ in _jump_weights(m, range(2, r + 1)):
+                if not mp.isfinite(fs.abs_deriv_tail(k - 1, 2, prec)):
+                    return UNDETERMINED
+        fs.abs_deriv_tail(r, 2, prec)
     except TailNotCertifiableError:
         return UNDETERMINED
     converges = fs.integral_converges

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from . import bernoulli
 from .bigfloat import DEFAULT_PRECISION, decimal_str, pi_const
@@ -47,8 +47,15 @@ def euler_zeta(r: int) -> PiMultiple:
     return PiMultiple(r, q)
 
 
-def _delta_from_jumps(m: int, r: int) -> Fraction:
-    # boundary-difference form: jumps (B_i(1) - B_i) against classical B_2j
+def delta_term(m: int, r: int) -> PiMultiple:
+    """Level-m correction Delta_r in the generalized Euler relation.
+
+    Computed from the boundary jumps B_i(1) - B_i against the classical B_2j.
+    The tests check it against a second route that expands every boundary
+    value into level-m numbers.
+    """
+    if m < 1 or r < 1:
+        raise ValueError("need m >= 1 and r >= 1")
     fam = bernoulli.family(m)
     Bcl = bernoulli.classical_bernoulli(2 * r)
     s = Fraction(fam.jump(2 * r), 2 * factorial(2 * r))
@@ -56,40 +63,7 @@ def _delta_from_jumps(m: int, r: int) -> Fraction:
     for j in range(1, r):
         i = 2 * r - 2 * j + 1
         s -= Fraction(fam.jump(i), factorial(i)) * Fraction(Bcl[2 * j], factorial(2 * j))
-    return Fraction((-1) ** (r - 1) * 2 ** (2 * r - 1), factorial(m)) * s
-
-
-def _delta_from_numbers(m: int, r: int) -> Fraction:
-    # same quantity with every boundary value expanded by the summation
-    # formula, so only level-m numbers appear
-    B = bernoulli.gb_numbers(m, 2 * r + 1)
-    Bcl = bernoulli.classical_bernoulli(2 * r)
-    t1 = Fraction(sum(comb(2 * r, k) * B[k] for k in range(2 * r)), 2 * factorial(2 * r))
-    t2 = Fraction(
-        sum(comb(2 * r + 1, k) * B[k] for k in range(2 * r + 1)), factorial(2 * r + 1)
-    )
-    t3 = Fraction(0)
-    for j in range(1, r):
-        i = 2 * r - 2 * j + 1
-        t3 += Fraction(sum(comb(i, k) * B[k] for k in range(i)), factorial(i)) * Fraction(
-            Bcl[2 * j], factorial(2 * j)
-        )
-    return Fraction((-1) ** (r - 1) * 2 ** (2 * r - 1), factorial(m)) * (t1 - t2 - t3)
-
-
-def delta_term(m: int, r: int) -> PiMultiple:
-    """Level-m correction Delta_r in the generalized Euler relation.
-
-    Computed through both the boundary-difference route and the pure-number
-    route; the two must coincide exactly (this is asserted on every call).
-    """
-    if m < 1 or r < 1:
-        raise ValueError("need m >= 1 and r >= 1")
-    qa = _delta_from_jumps(m, r)
-    qb = _delta_from_numbers(m, r)
-    if qa != qb:
-        raise AssertionError(f"delta routes disagree for m={m}, r={r}: {qa} vs {qb}")
-    return PiMultiple(r, qa)
+    return PiMultiple(r, Fraction((-1) ** (r - 1) * 2 ** (2 * r - 1), factorial(m)) * s)
 
 
 def zeta_even_via_gb(m: int, r: int) -> PiMultiple:

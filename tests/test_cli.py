@@ -4,15 +4,21 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from gbzeta import cli
 
+# the directory that holds the imported package, so child processes find it
+# without an install
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -152,6 +158,22 @@ def test_usage_errors_exit_two():
     # digits must fit in the mantissa
     assert run_cli("numbers", "--m", "1", "--nmax", "2",
                    "--digits", "100", "--precision-bits", "128").returncode == 2
+
+
+@pytest.mark.parametrize("args,env_extra", [
+    (("poly", "--m", "0", "--n", "2"), None),
+    (("eval", "--m", "1", "--n", "2", "--x", "foo"), None),
+    (("quad", "--f", "exp", "--a", "0", "--b", "1", "--nsub", "0", "--m", "2", "--r", "2"),
+     None),
+    (("zeta-odd", "--s", "1/2", "--m", "2", "--r", "2", "--p", "10"), None),
+    (("numbers", "--m", "1", "--nmax", "3"), {"GBZETA_PRECISION_BITS": "abc"}),
+])
+def test_invalid_values_exit_two(args, env_extra):
+    # values the library rejects are usage errors: a message, no traceback
+    proc = run_cli(*args, env_extra=env_extra)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_uncertifiable_tail_exits_three():

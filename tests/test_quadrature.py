@@ -176,6 +176,20 @@ def test_parseval_consistency_with_l2():
             assert abs(lhs - ref) <= abs(ref) * mp.mpf("1e-3")
 
 
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_parseval_partial_sum_matches_fourier_coeffs(m, n):
+    # both are built from periodic.jump_terms; A_k = a_k/2, B_k = b_k/2
+    from gbzeta.periodic import fourier_coeffs
+
+    K = 50
+    with mp.workprec(P):
+        fc = fourier_coeffs(m, n, K, P)
+        ref = sum((a * a + b * b for a, b in zip(fc.a, fc.b)), mp.mpf(0)) / 4
+        partial = quadrature.parseval_partial_sum(m, n, K, P)
+        assert abs(partial - ref) <= mp.mpf(2) ** (16 - P) * ref
+
+
 def test_sup_norm_examples():
     with mp.workprec(P):
         tol = mp.mpf(2) ** (8 - P)

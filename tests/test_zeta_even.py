@@ -1,14 +1,14 @@
 """Even zeta values: Euler's relation and its level-m generalization."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import mpmath as mp
 import pytest
 
+from gbzeta import bernoulli
 from gbzeta.zeta_even import (
     PiMultiple,
-    _delta_from_jumps,
-    _delta_from_numbers,
     delta_term,
     euler_zeta,
     zeta2_via_peri12,
@@ -16,6 +16,24 @@ from gbzeta.zeta_even import (
 )
 
 F = Fraction
+
+
+def _delta_from_numbers(m: int, r: int) -> Fraction:
+    # Delta_r with every jump expanded by the Appell property,
+    # B_i(1) - B_i = sum_{k<i} C(i,k) B_k, so only level-m numbers appear
+    B = bernoulli.gb_numbers(m, 2 * r + 1)
+    Bcl = bernoulli.classical_bernoulli(2 * r)
+    t1 = Fraction(sum(comb(2 * r, k) * B[k] for k in range(2 * r)), 2 * factorial(2 * r))
+    t2 = Fraction(
+        sum(comb(2 * r + 1, k) * B[k] for k in range(2 * r + 1)), factorial(2 * r + 1)
+    )
+    t3 = Fraction(0)
+    for j in range(1, r):
+        i = 2 * r - 2 * j + 1
+        t3 += Fraction(sum(comb(i, k) * B[k] for k in range(i)), factorial(i)) * Fraction(
+            Bcl[2 * j], factorial(2 * j)
+        )
+    return Fraction((-1) ** (r - 1) * 2 ** (2 * r - 1), factorial(m)) * (t1 - t2 - t3)
 
 
 def test_euler_zeta_small():
@@ -38,7 +56,7 @@ def test_delta_m2_r1_closes_the_relation():
 def test_delta_two_routes_agree():
     for m in range(1, 7):
         for r in range(1, 9):
-            assert _delta_from_jumps(m, r) == _delta_from_numbers(m, r)
+            assert delta_term(m, r).q == _delta_from_numbers(m, r)
 
 
 def test_via_gb_examples():
