@@ -84,14 +84,15 @@ def fourier_coeffs(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION) -> Fou
         raise ValueError("n must be at least 1")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    a_terms, b_terms = jump_terms(m, n)
     with mp.workprec(prec):
+        # the exact coefficients are converted once, not once per k
+        a_terms, b_terms = ([(p, to_mpf(c, prec)) for p, c in terms] for terms in jump_terms(m, n))
         twopi = 2 * mp.pi
         a_list, b_list = [], []
         for k in range(1, K + 1):
             inv = 1 / (twopi * k)
-            a_list.append(+sum((to_mpf(c, prec) * inv**p for p, c in a_terms), mp.mpf(0)))
-            b_list.append(+sum((to_mpf(c, prec) * inv**p for p, c in b_terms), mp.mpf(0)))
+            a_list.append(+sum((c * inv**p for p, c in a_terms), mp.mpf(0)))
+            b_list.append(+sum((c * inv**p for p, c in b_terms), mp.mpf(0)))
     return FourierCoeffs(m, n, fourier_a0(m, n), a_list, b_list)
 
 

@@ -25,6 +25,7 @@ from .polyrat import Poly
 GAUSS_NODES = 32
 
 _gauss_cache: dict = {}
+_sup_norm_cache: dict = {}
 
 
 def gauss_legendre_01(n: int = GAUSS_NODES, prec: int = DEFAULT_PRECISION):
@@ -443,9 +444,15 @@ def critical_points(p: Poly, prec: int = DEFAULT_PRECISION) -> list[Fraction]:
 
 
 def sup_norm(m: int, r: int, prec: int = DEFAULT_PRECISION):
-    """mu_r = max |B_r(x)| on [0,1], from exact critical points plus endpoints."""
+    """mu_r = max |B_r(x)| on [0,1], from exact critical points plus endpoints.
+
+    Cached per (m, r, prec), like the Gauss nodes.
+    """
     if r < 0:
         raise ValueError("r must be nonnegative")
+    key = (m, r, prec)
+    if key in _sup_norm_cache:
+        return _sup_norm_cache[key]
     fam = bernoulli.family(m)
     p = fam.polynomial(r)
     candidates = [Fraction(0), Fraction(1)]
@@ -458,4 +465,6 @@ def sup_norm(m: int, r: int, prec: int = DEFAULT_PRECISION):
             if v > best:
                 best = v
     with mp.workprec(prec):
-        return +best
+        best = +best
+    _sup_norm_cache[key] = best
+    return best

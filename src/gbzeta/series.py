@@ -44,6 +44,11 @@ def _rounding_slack(value, prec: int):
     return abs(value) * mp.mpf(2) ** (12 - prec) + mp.mpf(2) ** (-prec)
 
 
+def _exponent(e: Fraction, prec: int):
+    # an integer exponent stays an int, so x**e takes mpmath's integer power
+    return int(e) if e.denominator == 1 else to_mpf(e, prec)
+
+
 class PowerFunction(FunctionStack):
     """f(x) = x^(-s) for rational s >= 1, with everything in closed form.
 
@@ -80,17 +85,19 @@ class PowerFunction(FunctionStack):
         return self._poch_cache[k]
 
     def _pow(self, x, e: Fraction):
-        # x**e with a fast path for integer exponents
-        if e.denominator == 1:
-            return mp.mpf(x) ** int(e)
-        return mp.mpf(x) ** to_mpf(e, mp.mp.prec)
+        return mp.mpf(x) ** _exponent(e, mp.mp.prec)
 
     def _make_deriv(self, k: int):
         c = (-1) ** k * self.pochhammer(k)
         e = -(self.s + k)
+        consts: dict = {}  # working precision -> (c, e) converted once
 
-        def ev(x, c=c, e=e):
-            return to_mpf(c, mp.mp.prec) * self._pow(x, e)
+        def ev(x):
+            prec = mp.mp.prec
+            ce = consts.get(prec)
+            if ce is None:
+                ce = consts[prec] = (to_mpf(c, prec), _exponent(e, prec))
+            return ce[0] * mp.mpf(x) ** ce[1]
 
         return ev
 
@@ -293,18 +300,24 @@ def _coeff_abs_sum(m: int, r: int) -> Fraction:
     return _abs_coeff_sums[key]
 
 
-def _far_bound(pf: PowerFunction, m: int, orders, J: int, tol, prec: int):
-    """(order, bound) for the level-m remainder of f = x^-s beyond J.
+def _far_bound(pf: PowerFunction, k: int, m: int, orders, J: int, Jt, tol, prec: int):
+    """(order, bound) for the level-m remainder of f = x^-t beyond J, t = s+k-1.
 
-    The bound is (coeff-sum of B_r)/(m! r!) * int_J^inf |f^(r)|. The first
-    order in `orders` whose bound is at most tol/4 is taken, otherwise the one
-    with the smallest bound.
+    pf is x^-s and Jt = J^(1-t) is the caller's power of J. The bound is
+    (coeff-sum of B_r)/(m! r!) * int_J^inf |f^(r)|, where the integral is
+    (t)_r/(t+r-1) J^(1-t-r) with (t)_r = (s)_(k-1+r)/(s)_(k-1) from pf's cache;
+    only an integer power of J is formed per order. The first order in
+    `orders` whose bound is at most tol/4 is taken, otherwise the one with the
+    smallest bound.
     """
     mf = factorial(m)
+    t = pf.s + k - 1
+    base = pf.pochhammer(k - 1)
     best = None
     for r in orders:
-        c = Fraction(_coeff_abs_sum(m, r), mf * factorial(r)) * pf.pochhammer(r) / (pf.s + r - 1)
-        bound = to_mpf(c, prec) * pf._pow(J, 1 - pf.s - r)
+        c = (Fraction(_coeff_abs_sum(m, r), mf * factorial(r))
+             * pf.pochhammer(k - 1 + r) / (base * (t + r - 1)))
+        bound = to_mpf(c, prec) * Jt / J**r
         if best is None or bound < best[1]:
             best = (r, bound)
         if bound <= tol / 4:
@@ -312,13 +325,65 @@ def _far_bound(pf: PowerFunction, m: int, orders, J: int, tol, prec: int):
     return best
 
 
+_TAIL_ORDERS = range(8, 97, 8)
+
+_tail_weights: dict = {}
+
+
+def _level_one_weights(prec: int) -> list:
+    # [B_i/i!] at level 1 for i <= the largest tail order, as mpf per precision
+    if prec not in _tail_weights:
+        fam = bernoulli.family(1)
+        _tail_weights[prec] = [to_mpf(Fraction(fam.number(i), factorial(i)), prec)
+                               for i in range(_TAIL_ORDERS[-1] + 1)]
+    return _tail_weights[prec]
+
+
+def _power_tails(pf: PowerFunction, ks, J: int, tol, prec: int) -> list[CertifiedValue]:
+    """Certified sum_{j>=J} j^-(s+k-1) for each k in ks, for pf = x^-s.
+
+    Every tail has t = s+k-1 > 1 and the same J0 = max(J, 64); they share one
+    fractional power J0^(1-s), whose quotients by integer powers of J0 give
+    each J0^(1-t), and the terms j^-s for J <= j < J0, which are summed
+    directly. Beyond J0 each tail is the level-1 rule at the order that
+    _far_bound picks for tol: the integral J0^(1-t)/(t-1) plus sigma~, a
+    running product P_i = P_(i-1) (t+i-2)/J0 from P_1 = J0^-t weighted by the
+    B_i/i! of _level_one_weights. Each bound is its far bound plus rounding
+    slack.
+    """
+    s = pf.s
+    J0 = max(J, 64)
+    bk = _level_one_weights(prec)
+    es = _exponent(-s, prec)
+    near = [(j, mp.mpf(j) ** es) for j in range(J, J0)]
+    J0s = pf._pow(J0, 1 - s)
+    out = []
+    for k in ks:
+        Jt = J0s / J0 ** (k - 1)
+        r, bound = _far_bound(pf, k, 1, _TAIL_ORDERS, J0, Jt, tol, prec)
+        direct = mp.mpf(0)
+        for j, v in near:
+            direct += v / j ** (k - 1)
+        tm1 = to_mpf(s + k - 2, prec)
+        term = Jt / J0
+        st = term
+        for i in range(1, r + 1):
+            st += bk[i] * term
+            term = term * (tm1 + i) / J0
+        value = direct + Jt / tm1 + st
+        out.append(CertifiedValue(+value, +(bound + _rounding_slack(value, prec))))
+    return out
+
+
 def power_tail_sum(t: Fraction, J: int, prec: int = DEFAULT_PRECISION,
                    tol=None) -> CertifiedValue:
     """Certified sum_{j>=J} j^(-t) for rational t > 1.
 
-    Terms up to J0 = max(J, 64) are summed directly; the rest is the level-1
-    rule at an order r chosen so that the sup-norm remainder bound
-    (coeff-sum of B_r / r!) * int_{J0}^inf |f^(r)| falls below tol.
+    The one-exponent case of the batched tails: terms up to J0 = max(J, 64)
+    are summed directly; the rest is the level-1 rule at an order r chosen so
+    that the sup-norm remainder bound (coeff-sum of B_r / r!) *
+    int_{J0}^inf |f^(r)| falls below tol, with sigma~ built from the powers of
+    J0 as a running product.
     """
     t = Fraction(t)
     if t <= 1:
@@ -326,33 +391,24 @@ def power_tail_sum(t: Fraction, J: int, prec: int = DEFAULT_PRECISION,
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
-        J0 = max(J, 64)
-        pf = PowerFunction(t, prec)
-        direct = mp.mpf(0)
-        for j in range(J, J0):
-            direct += pf._pow(j, -t)
-        r, bound = _far_bound(pf, 1, range(8, 97, 8), J0, tol, prec)
-        integral = pf._pow(J0, 1 - t) / to_mpf(t - 1, prec)
-        st = sigma_tilde(pf, 1, r, J0, prec)
-        value = direct + integral + st
-        return CertifiedValue(+value, +(bound + _rounding_slack(value, prec)))
+        return _power_tails(PowerFunction(t, prec), [1], J, tol, prec)[0]
 
 
 def _jump_tail(pf: PowerFunction, m: int, orders, J: int, tol, prec: int) -> CertifiedValue:
     """Certified sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for f = x^-s.
 
-    w_k are the jump weights of rho; each order with a nonzero jump is one
-    power tail sum certified to an equal share of tol. No rounding slack is
-    added here.
+    w_k are the jump weights of rho; the orders with a nonzero jump give power
+    tails sum_{j>=J} j^-(s+k-1) at the same J, evaluated in one batch from one
+    fractional power of J0 (see _power_tails), each certified to an equal
+    share of tol. No rounding slack is added here beyond that of the tails.
     """
     weights = _jump_weights(m, orders)
-    per = tol / max(len(weights), 1)
+    tails = _power_tails(pf, [k for k, _ in weights], J, tol / max(len(weights), 1), prec)
     total = mp.mpf(0)
     bound = mp.mpf(0)
-    for k, c in weights:
+    for (k, c), ts in zip(weights, tails):
         # f^(k-1)(j) = (-1)^(k-1) (s)_(k-1) j^-(s+k-1)
         cf = to_mpf(c * (-1) ** (k - 1) * pf.pochhammer(k - 1), prec)
-        ts = power_tail_sum(pf.s + k - 1, J, prec, per)
         total += cf * ts.value
         bound += abs(cf) * ts.bound
     return CertifiedValue(total, bound)
@@ -380,11 +436,11 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
         if fs.abs_deriv_tail is None:
             raise TailNotCertifiableError("tail not certifiable")
         wfl = [(k, to_mpf(c, prec)) for k, c in weights]
+        wabs = [(k, abs(w)) for k, w in wfl]
 
         def envelope(J):
             env = mp.mpf(0)
-            for k, c in weights:
-                cmag = abs(to_mpf(c, prec))
+            for k, cmag in wabs:
                 env += cmag * (abs(fs.deriv(k - 1)(mp.mpf(J))) + fs.abs_deriv_tail(k - 1, J, prec))
             return env
 
@@ -406,24 +462,26 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
                 prec: int = DEFAULT_PRECISION):
     """R_r(q1,q2) = (1/m!)((-1)^r/r!) int f^(r)(t) B_r(t - floor t) dt.
 
-    Integrated cell by cell with the shared 32-node Gauss rule. Its error is
-    not bounded here: it is small where f^(r) is smooth across a cell, but
-    not on cells next to a pole of f (x^-s near 0).
+    Integrated cell by cell with the shared 32-node Gauss rule. Each Gauss
+    weight is multiplied by B_r at its node once, before the cell loop, so a
+    cell costs one evaluation of f^(r) per node (a power stack's evaluator
+    converts its constants once per precision). The Gauss error is not
+    bounded here: it is small where f^(r) is smooth across a cell, but not on
+    cells next to a pole of f (x^-s near 0).
     """
     _check_order(fs, r)
     if q2 < q1:
         raise ValueError("need q1 <= q2")
     fam = bernoulli.family(m)
     with mp.workprec(prec):
-        nodes = gauss_legendre_01(GAUSS_NODES, prec)
         br = fam.polynomial(r)
-        bvals = [br.eval_mpf(u, prec) for u, _ in nodes]
+        wb = [(u, w * br.eval_mpf(u, prec)) for u, w in gauss_legendre_01(GAUSS_NODES, prec)]
         fr = fs.deriv(r)
         total = mp.mpf(0)
         for c in range(q1, q2):
             acc = mp.mpf(0)
-            for (u, w), bv in zip(nodes, bvals):
-                acc += w * fr(c + u) * bv
+            for u, w in wb:
+                acc += w * fr(c + u)
             total += acc
         return +((-1) ** r / (factorial(m) * mp.factorial(r)) * total)
 
@@ -449,15 +507,16 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
             ext = 64
             while True:
                 Q = q1 + ext
-                rp, far_bound = _far_bound(fs, m, range(r + 8, r + 97, 8), Q, tol, prec)
+                Qs = fs._pow(Q, 1 - s)
+                rp, far_bound = _far_bound(fs, 1, m, range(r + 8, r + 97, 8), Q, Qs, tol, prec)
                 if far_bound <= tol / 4 or ext >= 512:
                     break
                 ext *= 2
             direct = remainder_R(fs, m, r, q1, Q, prec)
-            # sigma~ difference: the orders r+1..rp seen from Q
+            # sigma~ difference: the orders r+1..rp seen from Q, Q^-(s+k-1) = Qs/Q^k
             sdiff = mp.mpf(0)
             for k, ck in fs.sigma_coefficients(m, rp, boundary=False)[r:]:
-                sdiff -= to_mpf(ck, prec) * fs._pow(Q, -(s + k - 1))
+                sdiff -= to_mpf(ck, prec) * Qs / Q**k
             # e difference: certified tail sums of the new jump orders
             e = _jump_tail(fs, m, range(r + 1, rp + 1), Q + 1, tol / 4, prec)
             value = direct + sdiff + e.value

@@ -1,6 +1,7 @@
 """Series estimator: notation pieces, certified tails, worked examples."""
 
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -113,6 +114,68 @@ def test_power_tail_sum_certified():
         brute = sum(mp.mpf(j) ** -4 for j in range(21, 40000))
         cv = power_tail_sum(F(4), 21, 300)
         assert abs(cv.value - brute) <= mp.mpf("1e-13")
+    # non-integer and integer exponents; J < 64 exercises the direct terms
+    for prec in (256, 1024):
+        for t in (F(3, 2), F(7, 2), F(5, 3), F(2), F(5)):
+            for J in (1, 21, 64, 165):
+                cv = power_tail_sum(t, J, prec)
+                with mp.workprec(prec + 64):
+                    ref = mp.zeta(mp.mpf(t.numerator) / t.denominator, J)
+                    assert abs(cv.value - ref) <= cv.bound, (prec, t, J)
+
+
+def _far_bound_reference(pf, m, orders, J, tol, prec):
+    # the per-exponent order choice: one fractional power of J per order tried
+    mf = factorial(m)
+    best = None
+    for r in orders:
+        c = Fraction(series._coeff_abs_sum(m, r), mf * factorial(r)) * pf.pochhammer(r) / (pf.s + r - 1)
+        bound = to_mpf(c, prec) * pf._pow(J, 1 - pf.s - r)
+        if best is None or bound < best[1]:
+            best = (r, bound)
+        if bound <= tol / 4:
+            break
+    return best
+
+
+def _power_tail_reference(t, J, tol, prec):
+    # one exponent at a time: a fresh PowerFunction(t) and the generic sigma~
+    J0 = max(J, 64)
+    pf = PowerFunction(t, prec)
+    direct = mp.mpf(0)
+    for j in range(J, J0):
+        direct += pf._pow(j, -t)
+    r, bound = _far_bound_reference(pf, 1, range(8, 97, 8), J0, tol, prec)
+    integral = pf._pow(J0, 1 - t) / to_mpf(t - 1, prec)
+    value = direct + integral + sigma_tilde(pf, 1, r, J0, prec)
+    return value, bound + series._rounding_slack(value, prec)
+
+
+def _jump_tail_reference(pf, m, orders, J, tol, prec):
+    weights = series._jump_weights(m, orders)
+    per = tol / max(len(weights), 1)
+    total = mp.mpf(0)
+    bound = mp.mpf(0)
+    for k, c in weights:
+        cf = to_mpf(c * (-1) ** (k - 1) * pf.pochhammer(k - 1), prec)
+        value, b = _power_tail_reference(pf.s + k - 1, J, per, prec)
+        total += cf * value
+        bound += abs(cf) * b
+    return total, bound
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("s", [F(3, 2), F(2), F(3), F(7, 2), F(5)])
+def test_batched_jump_tail_matches_per_exponent_route(s, prec):
+    pf = PowerFunction(s, prec)
+    with mp.workprec(prec):
+        tol = series._default_tol(prec) / 2
+        for J in (2, 21, 165):
+            got = series._jump_tail(pf, 2, range(2, 41), J, tol, prec)
+            value, bound = _jump_tail_reference(pf, 2, range(2, 41), J, tol, prec)
+            # equal bounds up to rounding mean the same orders were chosen
+            assert abs(got.bound - bound) <= bound * mp.mpf(2) ** (16 - prec), J
+            assert abs(got.value - value) <= series._rounding_slack(value, prec), J
 
 
 def test_rho_tail_example_one(pf3):
@@ -149,7 +212,6 @@ def test_rho_level_one_vanishes(pf3):
 
 def test_rho_matches_brute_force(pf3):
     from gbzeta.bernoulli import family
-    from math import factorial
 
     fam = family(2)
     with mp.workprec(P):
@@ -266,6 +328,22 @@ def test_estimate_zeta5_example_three(pf5):
         assert abs(est.value - mp.zeta(5)) <= mp.mpf("1e-30")
 
 
+@pytest.fixture(scope="module")
+def zeta_1088():
+    # independent reference at prec+64 for the 1024-bit estimates
+    with mp.workprec(1088):
+        return {s: mp.zeta(mp.mpf(s.numerator) / s.denominator) for s in (F(3, 2), F(3), F(7, 2))}
+
+
+@pytest.mark.parametrize("r", [2, 6])
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("s", [F(3, 2), F(3), F(7, 2)])
+def test_estimate_1024_bits_contains_zeta(s, m, r, zeta_1088):
+    est = estimate_series(PowerFunction(s, 1024), m, r, 100, 1024)
+    with mp.workprec(1088):
+        assert abs(est.value - zeta_1088[s]) <= est.error_bound
+
+
 def test_estimate_exponential_series_via_generic_tails():
     # sum_{j>=1} e^-j = 1/(e-1): exercises the generic envelope/cell paths
     fs = exp_decay_stack(P)
@@ -322,7 +400,6 @@ def test_generic_rho_tail_matches_brute_force():
     fs = exp_decay_stack(P)
     cv = rho_tail(fs, 2, 3, 5, mp.mpf("1e-40"), P)
     from gbzeta.bernoulli import family
-    from math import factorial
 
     fam = family(2)
     with mp.workprec(P):
