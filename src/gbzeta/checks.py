@@ -216,6 +216,7 @@ def check_quad(prec: int = DEFAULT_PRECISION) -> list:
         ok = abs(mu - to_mpf(Fraction(1700, 21), prec)) <= mp.mpf(2) ** (8 - prec) * mu
         mu2 = quadrature.sup_norm(1, 1, prec)
         ok &= abs(mu2 - mp.mpf("0.5")) <= mp.mpf(2) ** (8 - prec)
+        # the label names the method sup_norm used once; check stdout keeps it
         out.append(_result("sup norms at exact critical points", ok))
     return out
 

@@ -99,11 +99,12 @@ def _base_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_point(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text or ("." not in text and "e" not in text.lower()):
+def _parse_rational(text: str) -> Fraction:
+    """'p/q', an integer or a decimal; a zero denominator is a usage error."""
+    try:
         return rational(text)
-    return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _emit(payload, fmt: str, rows=None) -> None:
@@ -115,7 +116,8 @@ def _emit(payload, fmt: str, rows=None) -> None:
             print(f"{k} = {v}")
     else:
         buf = io.StringIO()
-        table = rows if rows is not None else [payload]
+        # an empty table (fourier --K 0) still writes the payload row
+        table = rows or [payload]
         writer = csv.DictWriter(buf, fieldnames=list(table[0].keys()))
         writer.writeheader()
         for row in table:
@@ -129,6 +131,8 @@ def main(argv=None) -> int:
     prec, digits, fmt = args.precision_bits, args.digits, args.format
     if prec < 64:
         ap.error("precision must be at least 64 bits")
+    if digits < 1:
+        ap.error("--digits must be at least 1")
     if digits > 0.3 * prec:
         ap.error(f"{digits} digits is more than {prec} bits can carry")
 
@@ -145,7 +149,7 @@ def main(argv=None) -> int:
             _emit({"m": args.m, "n": args.n, "coeffs": cs}, fmt,
                   rows=[{"degree": i, "coeff": c} for i, c in enumerate(cs)])
         elif args.command == "eval":
-            x = _parse_point(args.x)
+            x = _parse_rational(args.x)
             if args.periodic:
                 from .bigfloat import to_mpf
 
@@ -170,7 +174,7 @@ def main(argv=None) -> int:
             if args.at is not None:
                 from .bigfloat import to_mpf
 
-                x = to_mpf(_parse_point(args.at), prec)
+                x = to_mpf(_parse_rational(args.at), prec)
                 payload["partial_sum"] = decimal_str(
                     periodic.fourier_partial_sum(args.m, args.n, x, args.K, prec), digits)
                 payload["periodic_value"] = decimal_str(
@@ -189,23 +193,26 @@ def main(argv=None) -> int:
                    "q": format_rational(pm.q),
                    "decimal": pm.decimal(digits, prec)}, fmt)
         elif args.command == "zeta-odd":
-            s = rational(args.s)
+            s = _parse_rational(args.s)
             fs = series.PowerFunction(s, prec)
             est = series.estimate_series(fs, args.m, args.r, args.p, prec)
             payload = {"s": args.s, "m": args.m, "r": args.r, "p": args.p}
             payload.update(est.as_dict(digits))
             _emit(payload, fmt)
         elif args.command == "quad":
+            from .bigfloat import to_mpf
+
+            a, b = _parse_rational(args.a), _parse_rational(args.b)
             if args.f == "exp":
                 fs = quadrature.exp_stack(prec)
             elif args.f.startswith("power:"):
-                fs = series.PowerFunction(rational(args.f[6:]), prec)
+                if a <= 0:
+                    ap.error("power:S is defined for x > 0, so --a must be positive")
+                fs = series.PowerFunction(_parse_rational(args.f[6:]), prec)
             else:
                 ap.error("--f must be 'exp' or 'power:S'")
-            from .bigfloat import to_mpf
-
-            a, b = to_mpf(_parse_point(args.a), prec), to_mpf(_parse_point(args.b), prec)
-            rep = quadrature.em_composite(fs, a, b, args.nsub, args.m, args.r, prec)
+            rep = quadrature.em_composite(fs, to_mpf(a, prec), to_mpf(b, prec),
+                                          args.nsub, args.m, args.r, prec)
             _emit(rep.as_dict(digits), fmt)
         elif args.command == "norms":
             l2 = quadrature.l2_norm_sq(args.m, args.n)

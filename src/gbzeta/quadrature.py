@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Optional
 
 import mpmath as mp
+from mpmath.libmp import from_rational, round_ceiling
 
 from . import bernoulli, periodic
 from .bigfloat import DEFAULT_PRECISION, to_mpf, truncated_power_sum
@@ -342,129 +343,58 @@ def parseval_residual(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION):
 
 
 # ---------------------------------------------------------------------------
-# exact sup norm via critical points
+# sup norm by Bernstein range bounding
 
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
+def _halves(c: list) -> tuple[list, list]:
+    """Integer de Casteljau split at 1/2; both halves are scaled by 2^n.
 
-
-def _rem(a: list, b: list) -> list:
-    # remainder of polynomial division, coefficient lists over Fraction
-    a = a[:]
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        q = a[-1] / lead
-        off = len(a) - 1 - db
-        for i in range(len(b)):
-            a[off + i] -= q * b[i]
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _sturm_chain(p: Poly) -> list[list]:
-    c0 = list(p.coeffs)
-    c1 = list(p.derivative().coeffs)
-    chain = [c0, c1]
-    while len(chain[-1]) > 1:
-        r = _rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-x for x in r])
-    return chain
-
-
-def _variations(chain, x: Fraction) -> int:
-    signs = []
-    for cs in chain:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        s = _sign(acc)
-        if s:
-            signs.append(s)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
-
-
-def _squarefree(p: Poly) -> Poly:
-    # p / gcd(p, p'), enough for root isolation
-    a, b = list(p.coeffs), list(p.derivative().coeffs)
-    while b:
-        a, b = b, _rem(a, b)
-    if len(a) <= 1:
-        return p
-    g = Poly(a)
-    # exact division by the gcd
-    num = list(p.coeffs)
-    q = [Fraction(0)] * (len(num) - len(a) + 1)
-    while len(num) >= len(a) and num:
-        c = num[-1] / a[-1]
-        off = len(num) - len(a)
-        q[off] = c
-        for i in range(len(a)):
-            num[off + i] -= c * a[i]
-        num.pop()
-        while num and num[-1] == 0:
-            num.pop()
-    return Poly(q)
-
-
-def critical_points(p: Poly, prec: int = DEFAULT_PRECISION) -> list[Fraction]:
-    """Rational approximations (within 2^-(prec//2)) of the roots of p in (0,1]."""
-    if p.degree < 1:
-        return []
-    sf = _squarefree(p)
-    chain = _sturm_chain(sf)
-    var = lambda x: _variations(chain, x)
-    width = Fraction(1, 2 ** (prec // 2 + 4))
-    roots: list[Fraction] = []
-    work = [(Fraction(0), Fraction(1))]
-    while work:
-        a, b = work.pop()
-        count = var(a) - var(b)
-        if count == 0:
-            continue
-        mid = (a + b) / 2
-        if count == 1:
-            # Sturm bisection keeps the single root inside (a, b]
-            while b - a > width:
-                mid = (a + b) / 2
-                if var(a) - var(mid) == 1:
-                    b = mid
-                else:
-                    a = mid
-            roots.append((a + b) / 2)
-            continue
-        if sf(mid) == 0:
-            roots.append(mid)
-        work.append((a, mid))
-        work.append((mid, b))
-    return roots
+    Row j of the triangle holds sums instead of averages, so it carries
+    2^j times the true value; the shifts bring every entry to 2^n.
+    """
+    n = len(c) - 1
+    left, right = [c[0] << n], [c[-1] << n]
+    row = c
+    for j in range(1, n + 1):
+        row = [row[i] + row[i + 1] for i in range(n + 1 - j)]
+        left.append(row[0] << (n - j))
+        right.append(row[-1] << (n - j))
+    return left, right[::-1]
 
 
 def sup_norm(m: int, r: int, prec: int = DEFAULT_PRECISION):
-    """mu_r = max |B_r(x)| on [0,1], from exact critical points plus endpoints.
+    """mu_r = max |B_r(x)| on [0,1], an upper bound within 2^(2-prec) relative.
 
-    Cached per (m, r, prec), like the Gauss nodes.
+    The Bernstein coefficients of a polynomial on an interval enclose its
+    range there (Garloff 1985; Farouki-Rajan 1987). They are kept as integers
+    over one common denominator, and every piece is halved until the largest
+    |coefficient| left is within 2^-prec relative of the best value at a piece
+    end, which is exact; a piece goes once its largest |coefficient| is at most
+    that value. The result is rounded up. Cached per (m, r, prec), like the
+    Gauss nodes.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     key = (m, r, prec)
     if key in _sup_norm_cache:
         return _sup_norm_cache[key]
-    fam = bernoulli.family(m)
-    p = fam.polynomial(r)
-    candidates = [Fraction(0), Fraction(1)]
-    if r >= 2:
-        candidates += critical_points(fam.polynomial(r - 1), prec)
-    with mp.workprec(prec + 16):
-        best = mp.mpf(0)
-        for c in candidates:
-            v = abs(p.eval_mpf(c, prec + 16))
-            if v > best:
-                best = v
-    with mp.workprec(prec):
-        best = +best
-    _sup_norm_cache[key] = best
-    return best
+    a = bernoulli.family(m).polynomial(r).coeffs
+    n = len(a) - 1
+    # Bernstein coefficients on [0,1], then integers over their common denominator
+    b = [sum(Fraction(comb(k, i), comb(n, i)) * a[i] for i in range(k + 1))
+         for k in range(n + 1)]
+    den = lcm(*(q.denominator for q in b))
+    c = [int(q * den) for q in b]
+    # the pieces all have one depth d; a coefficient u stands for u / (den * 2^scale),
+    # scale = n d, and best and top are kept on the same scale
+    pieces, scale = [c], 0
+    best, top = max(abs(c[0]), abs(c[-1])), max(map(abs, c))
+    while top << prec > best * ((1 << prec) + 1):
+        halves = [h for p in pieces for h in _halves(p)]
+        scale += n
+        best = max(best << n, *(abs(h[0]) for h in halves))
+        bounds = [max(map(abs, h)) for h in halves]
+        top = max(best, *bounds)
+        pieces = [h for h, u in zip(halves, bounds) if u > best]
+    mu = mp.make_mpf(from_rational(top, den << scale, prec, round_ceiling))
+    _sup_norm_cache[key] = mu
+    return mu

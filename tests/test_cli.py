@@ -15,6 +15,10 @@ from gbzeta import cli
 # without an install
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
+# argv, exit code and stdout of a fixed set of calls, recorded from cli.main;
+# re-record them only for an intended change of output
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -127,6 +131,11 @@ def test_csv_and_plain_formats(capsys):
     assert code == 0 and lines[0] == "x,B,p" and len(lines) == 4
     code, out = run_main(capsys, "poly", "--m", "2", "--n", "1", "--format", "plain")
     assert code == 0 and "coeffs" in out
+    # K = 0 leaves no coefficient rows; csv writes the payload row, like json
+    code, out = run_main(capsys, "fourier", "--m", "1", "--n", "2", "--K", "0",
+                         "--format", "csv")
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[0] == "m,n,a0,a,b,K" and len(lines) == 2
 
 
 def test_check_suite_passes(capsys):
@@ -141,6 +150,20 @@ def test_check_suite_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(checks.SUITES, "zeta", lambda prec: [("forced", False, "")])
     code, out = run_main(capsys, "check", "--suite", "zeta")
     assert code == 1 and "[FAIL]" in out
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_golden_stdout(case, capsys, monkeypatch):
+    # stdout must stay byte-identical to the recorded output at the default
+    # precision: the README commands (check --suite quad for all), norms and
+    # quad over the benchmark's (m, r) pairs, and zeta-odd at p = 2, 10, 100
+    monkeypatch.delenv(cli.ENV_PRECISION, raising=False)
+    try:
+        code = cli.main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    assert capsys.readouterr().out == case["stdout"]
+    assert code == case["exit"]
 
 
 def test_output_determinism():
@@ -167,6 +190,15 @@ def test_usage_errors_exit_two():
      None),
     (("zeta-odd", "--s", "1/2", "--m", "2", "--r", "2", "--p", "10"), None),
     (("numbers", "--m", "1", "--nmax", "3"), {"GBZETA_PRECISION_BITS": "abc"}),
+    (("eval", "--m", "1", "--n", "2", "--x", "1/0"), None),
+    (("fourier", "--m", "1", "--n", "2", "--K", "3", "--at", "1/0"), None),
+    (("quad", "--f", "power:3", "--a", "0", "--b", "1", "--nsub", "2", "--m", "2", "--r", "2"),
+     None),
+    (("quad", "--f", "power:3/2", "--a", "-2", "--b", "-1", "--nsub", "2", "--m", "2",
+      "--r", "2"), None),
+    (("norms", "--m", "1", "--n", "2", "--digits", "0"), None),
+    (("numbers", "--m", "1", "--nmax", "3", "--digits", "-3"), None),
+    (("zeta-odd", "--s", "1/0", "--m", "2", "--r", "2", "--p", "10"), None),
 ])
 def test_invalid_values_exit_two(args, env_extra):
     # values the library rejects are usage errors: a message, no traceback

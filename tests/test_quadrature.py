@@ -7,8 +7,9 @@ import mpmath as mp
 import pytest
 
 from gbzeta import quadrature
-from gbzeta.bernoulli import classical_bernoulli
+from gbzeta.bernoulli import classical_bernoulli, gb_polynomial
 from gbzeta.bigfloat import to_mpf
+from gbzeta.periodic import fourier_a0, fourier_coeffs
 from gbzeta.polyrat import Poly
 from gbzeta.quadrature import (
     FunctionStack,
@@ -163,8 +164,6 @@ def test_parseval_residual_small(m, n):
 
 def test_parseval_consistency_with_l2():
     # l2 = (n!)^2 [a0^2/4 + (1/2) sum (a_k^2+b_k^2)] up to the K-truncation
-    from gbzeta.periodic import fourier_a0
-
     for m, n in ((2, 1), (2, 2)):
         with mp.workprec(P):
             K = 20000
@@ -180,8 +179,6 @@ def test_parseval_consistency_with_l2():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_parseval_partial_sum_matches_fourier_coeffs(m, n):
     # both are built from periodic.jump_terms; A_k = a_k/2, B_k = b_k/2
-    from gbzeta.periodic import fourier_coeffs
-
     K = 50
     with mp.workprec(P):
         fc = fourier_coeffs(m, n, K, P)
@@ -200,15 +197,43 @@ def test_sup_norm_examples():
         assert abs(sup_norm(3, 0, P) - 6) <= tol * 6
 
 
-def test_sup_norm_dominates_samples():
-    with mp.workprec(P):
-        for m, r in ((2, 3), (4, 5), (1, 4)):
-            mu = sup_norm(m, r, P)
-            from gbzeta.bernoulli import gb_polynomial
+def _exact(x) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
-            p = gb_polynomial(m, r)
-            for i in range(101):
-                assert abs(p.eval_mpf(mp.mpf(i) / 100, P)) <= mu * (1 + mp.mpf(2) ** -40)
+
+def _interior_max(p, wp):
+    # max |p| over the real roots of p' in (0, 1), located by mpmath.polyroots
+    d = p.derivative()
+    best = mp.mpf(0)
+    if d.degree < 1:
+        return best
+    with mp.workprec(wp):
+        for z in mp.polyroots([to_mpf(q, wp) for q in reversed(d.coeffs)],
+                              maxsteps=200, extraprec=wp):
+            if abs(mp.im(z)) < mp.mpf(2) ** (-wp // 2) and 0 < mp.re(z) < 1:
+                best = max(best, abs(p.eval_mpf(mp.re(z), wp)))
+    return best
+
+
+def test_sup_norm_dominates_samples():
+    # an upper bound: exactly at the points i/200, which include both ends, and
+    # against the largest |B_r| at a critical point; tight: within 2^(2-prec).
+    # (3,6), (5,12) and (5,16) have interior maxima that need more than 100
+    # halvings at 256 bits
+    grid = [(m, r, P) for m in (1, 2, 3, 5, 7) for r in (*range(13), 16, 20)]
+    grid += [(1, 3, 1024), (3, 6, 1024), (5, 12, 1024), (5, 16, 1024)]
+    for m, r, prec in grid:
+        mu = sup_norm(m, r, prec)
+        p = gb_polynomial(m, r)
+        mu_exact = _exact(mu)
+        assert all(abs(p(F(i, 200))) <= mu_exact for i in range(201)), (m, r, prec)
+        wp = 2 * prec + 64
+        with mp.workprec(wp):
+            ends = max(abs(to_mpf(p(0), wp)), abs(to_mpf(p(1), wp)))
+            inner = _interior_max(p, wp)
+            assert inner <= mu, (m, r, prec)
+            assert mu <= max(ends, inner) * (1 + mp.mpf(2) ** (2 - prec)), (m, r, prec)
 
 
 def test_function_stack_spot_check_rejects_bad_derivative():

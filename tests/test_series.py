@@ -8,7 +8,7 @@ import pytest
 
 from gbzeta import series
 from gbzeta.bigfloat import to_mpf
-from gbzeta.quadrature import FunctionStack
+from gbzeta.quadrature import FunctionStack, sup_norm
 from gbzeta.series import (
     BOTH_CONVERGE,
     BOTH_DIVERGE,
@@ -246,8 +246,6 @@ def test_delta_example_one_value_and_bound(pf3):
     bound_exact = F(850, 7) / F(120) / 10**8
     with mp.workprec(P):
         tail = pf3.abs_deriv_tail(2, 100, P)
-        from gbzeta.quadrature import sup_norm
-
         mu = sup_norm(5, 2, P)
         cdr3 = mu / (120 * 2) * tail
         assert abs(cdr3 - to_mpf(bound_exact, P)) <= to_mpf(bound_exact, P) * mp.mpf(2) ** -40
