@@ -206,8 +206,6 @@ def main(argv=None) -> int:
             if args.f == "exp":
                 fs = quadrature.exp_stack(prec)
             elif args.f.startswith("power:"):
-                if a <= 0:
-                    ap.error("power:S is defined for x > 0, so --a must be positive")
                 fs = series.PowerFunction(_parse_rational(args.f[6:]), prec)
             else:
                 ap.error("--f must be 'exp' or 'power:S'")

@@ -6,7 +6,9 @@ composite rule tiles [a,b] with it. Remainder integrals use a fixed
 32-node Gauss-Legendre rule per cell, with nodes generated at working
 precision. Its quadrature error is not bounded and enters no remainder
 bound; it is small where f^(r) is smooth across a cell, but near a pole of f
-(x^-s on the cells next to 0) it can exceed the reported bound.
+(x^-s on the cells next to 0) it can exceed the reported bound. The routes
+that still carry it are em_composite here and, in series, remainder_R and
+delta_tail on generic stacks; delta_tail on x^-s takes its block exactly.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ class FunctionStack:
       exact_integral(a, b, prec)     -> int_a^b f
       abs_deriv_tail(k, p, prec)     -> upper bound for int_p^inf |f^(k)|
 
+    domain_lo is an exclusive lower end of the domain (None: unbounded); the
+    rules refuse a cell that reaches down to it (see check_domain).
+
     A finite-difference spot check of the first few derivatives runs at
     construction (relative tolerance 1e-6 at three sample points).
     """
@@ -86,6 +91,7 @@ class FunctionStack:
         limit_at_infinity=None,
         derivatives_vanish: bool = False,
         integral_converges: Optional[bool] = None,
+        domain_lo=None,
         check: bool = True,
         check_points=(0.3, 0.55, 0.8),
         prec: int = DEFAULT_PRECISION,
@@ -99,6 +105,7 @@ class FunctionStack:
         self.limit_at_infinity = limit_at_infinity
         self.derivatives_vanish = derivatives_vanish
         self.integral_converges = integral_converges
+        self.domain_lo = domain_lo
         if check:
             self._spot_check(check_points, prec)
 
@@ -108,6 +115,12 @@ class FunctionStack:
         if k > self.r_max:
             raise ValueError(f"derivative order {k} exceeds r_max={self.r_max}")
         return self._derivs(k)
+
+    def check_domain(self, a) -> None:
+        """Raise ValueError unless a cell starting at a lies inside the domain."""
+        if self.domain_lo is not None and a <= self.domain_lo:
+            raise ValueError(f"the stack is defined for x > {self.domain_lo}, "
+                             f"so a cell cannot start at {a}")
 
     def _spot_check(self, points, prec: int) -> None:
         # central difference of f^(k-1) against f^(k); h chosen so both the
@@ -224,6 +237,7 @@ def em_composite(
         b = mp.mpf(b)
         if not a < b:
             raise ValueError("need a < b")
+        fs.check_domain(a)
         h = (b - a) / n_sub
         xs = [a + j * h for j in range(n_sub + 1)]
         Bk = [to_mpf(fam.number(k), prec) for k in range(r + 1)]

@@ -74,6 +74,7 @@ class PowerFunction(FunctionStack):
             limit_at_infinity=0,
             derivatives_vanish=True,
             integral_converges=s > 1,
+            domain_lo=0,
             check=False,
         )
 
@@ -291,12 +292,15 @@ def _check_order(fs, r):
 _abs_coeff_sums: dict = {}
 
 
-# _far_bound keeps this loose sum although quadrature.sup_norm is tight and
-# fast: the slack covers the 32-node Gauss error of remainder_R, which no bound
-# counts. With sup_norm here, 4 of the 80 estimates at 1024 bits and p = 100
-# (m = 1, r = 6, s in {3/2, 2, 3, 7/2}) miss zeta(s) by 5.4e-162 to 4.8e-161
-# against bounds of 9.2e-164 to 1.7e-162, while the Gauss error on [100, 101]
-# alone is 2.6e-162 to 2.3e-161. Swap it in once that error is bounded.
+# _far_bound keeps this loose sum although quadrature.sup_norm is tight. It
+# was kept first because its slack hid the unbounded Gauss error of the direct
+# block; that reason is gone, since delta_tail now takes the block of x^-s
+# exactly from the identity. It stays for two others: sup_norm at the orders
+# _far_bound tries (up to r + 96) is slow from a cold cache (the 80 estimates
+# at 1024 bits and p = 100 took 130 s with it against 7.5 s, one run each,
+# with 0 bound violations either way), and it changes the reported error
+# bounds (zeta-odd --s 3 --m 5 --r 2 --p 100: 1.6239025e-42 -> 8.3280271e-42,
+# since _far_bound then stops at a lower order whose bound just meets tol/4).
 def _coeff_abs_sum(m: int, r: int) -> Fraction:
     # sum |coeffs of B_r| >= max_{[0,1]} |B_r|
     key = (m, r)
@@ -472,11 +476,13 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
     cell costs one evaluation of f^(r) per node (a power stack's evaluator
     converts its constants once per precision). The Gauss error is not
     bounded here: it is small where f^(r) is smooth across a cell, but not on
-    cells next to a pole of f (x^-s near 0).
+    cells next to a pole of f (x^-s near 0). delta_tail uses this rule only
+    for generic stacks; for power stacks it takes the exact _remainder_block.
     """
     _check_order(fs, r)
     if q2 < q1:
         raise ValueError("need q1 <= q2")
+    fs.check_domain(q1)
     fam = bernoulli.family(m)
     with mp.workprec(prec):
         br = fam.polynomial(r)
@@ -491,18 +497,94 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
         return +((-1) ** r / (factorial(m) * mp.factorial(r)) * total)
 
 
+def _horner_inv(coeffs: list, x: int):
+    # sum_i coeffs[i] x^-i, dividing by the integer x once per step
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc / x + c
+    return acc
+
+
+def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
+                     prec: int) -> tuple:
+    """(R_r(q1, Q), bound on its rounding error) for f = x^-s, from the identity.
+
+    The finite identity between q1 and Q, solved for the remainder:
+    R_r(q1,Q) = int_q1^Q f - sum_{q1<j<Q} j^-s (1 + sum_k a_k j^-(k-1))
+                - sigma_r(Q) + [sigma~_r(q1) - f(q1)],
+    with a_k = w_k (-1)^(k-1) (s)_(k-1) from the jump weights w_k of rho. Each
+    integer costs one power j^-s and a Horner step in 1/j per jump order; the
+    sigma pieces are Horner sums in 1/Q and 1/q1 of the exact sigma
+    coefficients, and the integral reuses the powers of q1 and Q. Everything
+    is summed at w = prec + 64 bits against the cancellation between the
+    integral and the sum, and the value is returned at w bits.
+    """
+    w = prec + 64
+    s = pf.s
+    with mp.workprec(w):
+        es = _exponent(-s, w)
+        a = [mp.mpf(1)] + [mp.mpf(0)] * (r - 1)
+        for k, c in _jump_weights(m, range(2, r + 1)):
+            a[k - 1] = to_mpf(c * (-1) ** (k - 1) * pf.pochhammer(k - 1), w)
+        while len(a) > 1 and not a[-1]:
+            a.pop()
+        ctil = [to_mpf(c, w) for _, c in pf.sigma_coefficients(m, r, boundary=False)]
+        cbar = [to_mpf(c, w) for _, c in pf.sigma_coefficients(m, r, boundary=True)]
+        powers = mp.mpf(0)
+        total = mp.mpf(0)
+        for j in range(q1 + 1, Q):
+            v = mp.mpf(j) ** es
+            powers += v
+            total += v * _horner_inv(a, j)
+        q1s, Qs = mp.mpf(q1) ** es, mp.mpf(Q) ** es
+        # an antiderivative of x^-s at q1 and at Q
+        if s == 1:
+            near, far = mp.log(q1), mp.log(Q)
+        else:
+            sm1 = to_mpf(s - 1, w)
+            near, far = -(q1 * q1s) / sm1, -(Q * Qs) / sm1
+        sigma_far = Qs * _horner_inv(cbar, Q)
+        sigma_near = q1s * _horner_inv(ctil, q1)
+        value = far - near - total - sigma_far + sigma_near
+        # Rounding: +, -, *, / are correctly rounded, |delta| <= u = 2^-w; a
+        # power or log of an integer below 2^w is taken to be within 4u (mpmath
+        # works with at least 10 guard bits); converting an exact rational to
+        # w bits costs u. The w-bit exponent -s is off by
+        # at most |s| u, which moves j^-s by at most |s| ln(Q) u <= |s| L u,
+        # L = bit length of Q. So every power is within (5 + |s| L) u. A
+        # Horner sum of degree d < r at the integer x, with rounded
+        # coefficients, is within gamma_(2d+1) sum_i |c_i| x^-i (Higham, ASNA,
+        # 5.1), and one product follows. Every summand above is thus within
+        # (2r + 7 + |s| L) u (1 + O(ru)) of its value relative to A_t, its
+        # power times the Horner sum of |coefficients|. Recursive summation of
+        # its N = Q - q1 + 3 summands adds gamma_N sum_t A_t. With
+        # gamma_n <= 1.01 n u for n u <= 0.01, the error is at most
+        # 1.01 (N + 2r + 7 + |s| L) u A (1 + O(ru)), A = sum_t A_t, which the
+        # factor 2 below covers with room for the w-bit rounding of A itself.
+        # A is bounded with j^-(k-1) <= (q1+1)^-(k-1) and 1/q1, 1/Q <= 1.
+        habs = _horner_inv([abs(c) for c in a], q1 + 1)
+        A = (habs * powers + abs(near) + abs(far)
+             + Qs * sum(map(abs, cbar)) + q1s * sum(map(abs, ctil)))
+        K = (Q - q1 + 3) + 2 * r + 7 + abs(s) * Q.bit_length()
+        err = 2 * to_mpf(K, w) * A * mp.mpf(2) ** -w
+        return value, err
+
+
 def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
                tol=None, prec: int = DEFAULT_PRECISION) -> CertifiedValue:
     """delta_r(q1) = R_r(q1, infinity) with a certified bound.
 
-    A block of unit cells from q1 is integrated directly. For power stacks
-    the far tail is then rewritten through the identity at a higher order r':
+    The block R_r(q1, Q) is taken directly. For power stacks it comes exactly
+    from the finite identity (_remainder_block), with its rounding bounded, and
+    the far tail is rewritten through the identity at a higher order r':
     delta_r(Q) = [sigma~_r(Q) - sigma~_r'(Q)] + [e_r'(Q) - e_r(Q)] + delta_r'(Q),
     and r', Q are raised until the sup-norm bound on delta_r'(Q) is below tol.
-    Generic stacks keep integrating cells until the bound
-    mu_r/(m! r!) int_Q^inf |f^(r)| (from abs_deriv_tail) drops below tol.
+    Generic stacks integrate cells with remainder_R, whose Gauss error is not
+    bounded, until the bound mu_r/(m! r!) int_Q^inf |f^(r)| (from
+    abs_deriv_tail) drops below tol.
     """
     _check_order(fs, r)
+    fs.check_domain(q1)
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
@@ -517,7 +599,7 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
                 if far_bound <= tol / 4 or ext >= 512:
                     break
                 ext *= 2
-            direct = remainder_R(fs, m, r, q1, Q, prec)
+            direct, direct_err = _remainder_block(fs, m, r, q1, Q, prec)
             # sigma~ difference: the orders r+1..rp seen from Q, Q^-(s+k-1) = Qs/Q^k
             sdiff = mp.mpf(0)
             for k, ck in fs.sigma_coefficients(m, rp, boundary=False)[r:]:
@@ -525,7 +607,7 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
             # e difference: certified tail sums of the new jump orders
             e = _jump_tail(fs, m, range(r + 1, rp + 1), Q + 1, tol / 4, prec)
             value = direct + sdiff + e.value
-            bound = far_bound + e.bound + _rounding_slack(value, prec)
+            bound = far_bound + e.bound + direct_err + _rounding_slack(value, prec)
             return CertifiedValue(+value, +bound)
         # generic: integrate cells until the remaining tail bound is small
         if fs.abs_deriv_tail is None:

@@ -208,6 +208,17 @@ def test_invalid_values_exit_two(args, env_extra):
     assert proc.stdout == ""
 
 
+def test_zeta_odd_p1_value_within_its_bound(capsys):
+    # p = 1 puts the direct block next to the pole of x^-3
+    code, out = run_main(capsys, "zeta-odd", "--s", "3", "--m", "1", "--r", "6", "--p", "1",
+                         "--digits", "70")
+    assert code == 0
+    payload = json.loads(out)
+    with mp.workprec(320):
+        err = abs(mp.mpf(payload["value"]) - mp.zeta(3))
+        assert err <= mp.mpf(payload["error_bound"])
+
+
 def test_uncertifiable_tail_exits_three():
     # s = 1: the tail integral diverges, the estimator must refuse
     proc = run_cli("zeta-odd", "--s", "1", "--m", "2", "--r", "2", "--p", "10")

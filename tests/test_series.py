@@ -6,9 +6,9 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from gbzeta import series
+from gbzeta import bernoulli, series
 from gbzeta.bigfloat import to_mpf
-from gbzeta.quadrature import FunctionStack, sup_norm
+from gbzeta.quadrature import FunctionStack, em_composite, exp_stack, sup_norm
 from gbzeta.series import (
     BOTH_CONVERGE,
     BOTH_DIVERGE,
@@ -340,6 +340,90 @@ def test_estimate_1024_bits_contains_zeta(s, m, r, zeta_1088):
     est = estimate_series(PowerFunction(s, 1024), m, r, 100, 1024)
     with mp.workprec(1088):
         assert abs(est.value - zeta_1088[s]) <= est.error_bound
+
+
+SWEEP_S = (F(3, 2), F(2), F(3), F(7, 2), F(5))
+
+
+@pytest.fixture(scope="module")
+def zeta_sweep_refs():
+    # mpmath.zeta at prec+64, once per precision of the sweep
+    refs = {}
+    for prec in (256, 512):
+        with mp.workprec(prec + 64):
+            refs[prec] = {s: mp.zeta(mp.mpf(s.numerator) / s.denominator) for s in SWEEP_S}
+    return refs
+
+
+@pytest.mark.parametrize("prec", [256, 512])
+@pytest.mark.parametrize("s", SWEEP_S)
+def test_estimate_contains_zeta_on_the_grid(s, prec, zeta_sweep_refs):
+    # every cell of m, r and p, including p = 1 next to the pole of x^-s
+    misses = []
+    for m in (1, 2, 3, 5):
+        for r in (1, 2, 3, 6):
+            for p in (1, 2, 10, 100):
+                est = estimate_series(PowerFunction(s, prec), m, r, p, prec)
+                with mp.workprec(prec + 64):
+                    err = abs(est.value - zeta_sweep_refs[prec][s])
+                if err > est.error_bound:
+                    misses.append((m, r, p, mp.nstr(err, 5), mp.nstr(est.error_bound, 5)))
+    assert misses == []
+
+
+def _remainder_quad_reference(s, m, r, q1, Q, wp):
+    # R_r(q1, Q) cell by cell with mp.quad at wp bits
+    pf = PowerFunction(s, wp)
+    br = bernoulli.family(m).polynomial(r)
+    with mp.workprec(wp):
+        fr = pf.deriv(r)
+        total = mp.mpf(0)
+        for c in range(q1, Q):
+            total += mp.quad(lambda x, c=c: fr(x) * br.eval_mpf(x - c, wp), [c, c + 1])
+        return total * (-1) ** r / (factorial(m) * mp.factorial(r))
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("s,m,r,q1", [
+    (F(1), 2, 3, 1),
+    (F(5, 3), 3, 2, 2),
+    (F(3), 1, 1, 1),
+    (F(7, 2), 5, 6, 100),
+    (F(1), 2, 1, 100),
+])
+def test_remainder_block_matches_quad_reference(s, m, r, q1, prec):
+    value, err = series._remainder_block(PowerFunction(s, prec), m, r, q1, q1 + 3, prec)
+    ref = _remainder_quad_reference(s, m, r, q1, q1 + 3, prec + 192)
+    with mp.workprec(prec + 192):
+        assert abs(value - ref) <= err
+    # the rounding term is of the order of the w = prec + 64 bit unit
+    assert err <= abs(ref) * mp.mpf(2) ** (24 - prec - 64) + mp.mpf(2) ** (24 - prec - 64)
+
+
+@pytest.mark.parametrize("s,m,r", [(F(3, 2), 1, 6), (F(3), 2, 3), (F(7, 2), 5, 1), (F(1), 3, 2)])
+def test_remainder_R_agrees_with_block_far_out(s, m, r):
+    # far from the pole the Gauss cells and the identity agree to rounding
+    pf = PowerFunction(s, P)
+    value, _ = series._remainder_block(pf, m, r, 100, 164, P)
+    gauss = remainder_R(pf, m, r, 100, 164, P)
+    with mp.workprec(P):
+        assert abs(value - gauss) <= series._rounding_slack(value, P)
+
+
+def test_power_stack_rejects_cells_at_or_below_zero():
+    # x^-s is defined for x > 0 only; cells reaching 0 are argument errors
+    with pytest.raises(ValueError):
+        em_composite(PowerFunction(F(3, 2), P), -2, -1, 2, 1, 2, P)
+    with pytest.raises(ValueError):
+        remainder_R(PowerFunction(3, P), 1, 2, 0, 3, P)
+    with pytest.raises(ValueError):
+        em_composite(PowerFunction(3, P), 0, 1, 1, 2, 2, P)
+    with pytest.raises(ValueError):
+        delta_tail(PowerFunction(3, P), 1, 2, 0, None, P)
+    # a stack without a domain end still takes cells below 0
+    rep = em_composite(exp_stack(P), -2, -1, 2, 1, 2, P)
+    with mp.workprec(P):
+        assert abs(rep.total - (mp.e ** -1 - mp.e ** -2)) <= rep.remainder_bound
 
 
 def test_estimate_exponential_series_via_generic_tails():
