@@ -74,7 +74,8 @@ class FunctionStack:
       abs_deriv_tail(k, p, prec)     -> upper bound for int_p^inf |f^(k)|
 
     domain_lo is an exclusive lower end of the domain (None: unbounded); the
-    rules refuse a cell that reaches down to it (see check_domain).
+    rules refuse a cell that reaches down to it, and the point sums a point at
+    or below it (see check_domain).
 
     A finite-difference spot check of the first few derivatives runs at
     construction (relative tolerance 1e-6 at three sample points).
@@ -116,11 +117,14 @@ class FunctionStack:
             raise ValueError(f"derivative order {k} exceeds r_max={self.r_max}")
         return self._derivs(k)
 
-    def check_domain(self, a) -> None:
-        """Raise ValueError unless a cell starting at a lies inside the domain."""
+    def check_domain(self, a, point: bool = False) -> None:
+        """Raise ValueError unless a cell starting at a lies inside the domain.
+
+        With point=True, a is a point where f or a derivative is evaluated.
+        """
         if self.domain_lo is not None and a <= self.domain_lo:
-            raise ValueError(f"the stack is defined for x > {self.domain_lo}, "
-                             f"so a cell cannot start at {a}")
+            what = "f cannot be evaluated at" if point else "a cell cannot start at"
+            raise ValueError(f"the stack is defined for x > {self.domain_lo}, so {what} {a}")
 
     def _spot_check(self, points, prec: int) -> None:
         # central difference of f^(k-1) against f^(k); h chosen so both the
@@ -225,7 +229,11 @@ def em_unit(fs: FunctionStack, m: int, r: int, prec: int = DEFAULT_PRECISION) ->
 def em_composite(
     fs: FunctionStack, a, b, n_sub: int, m: int, r: int, prec: int = DEFAULT_PRECISION
 ) -> QuadratureReport:
-    """Composite rule on [a,b] with n_sub equal cells of width h = (b-a)/n_sub."""
+    """Composite rule on [a,b] with n_sub equal cells of width h = (b-a)/n_sub.
+
+    The ends may be ints, Fractions or mpmath numbers; they are rounded to
+    prec bits as to_mpf does.
+    """
     if n_sub < 1:
         raise ValueError("n_sub must be at least 1")
     if r < 1 or r > fs.r_max:
@@ -233,8 +241,8 @@ def em_composite(
     fam = bernoulli.family(m)
     mf = factorial(m)
     with mp.workprec(prec):
-        a = mp.mpf(a)
-        b = mp.mpf(b)
+        a = to_mpf(a, prec)
+        b = to_mpf(b, prec)
         if not a < b:
             raise ValueError("need a < b")
         fs.check_domain(a)

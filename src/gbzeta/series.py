@@ -225,6 +225,7 @@ def partial_sum(fs: FunctionStack, l: int, prec: int = DEFAULT_PRECISION):
 def sigma_tilde(fs: FunctionStack, m: int, r: int, q, prec: int = DEFAULT_PRECISION):
     """f(q) + (1/m!) sum_{k=1}^r ((-1)^(k+1)/k!) f^(k-1)(q) B_k."""
     _check_order(fs, r)
+    fs.check_domain(q, point=True)
     fam = bernoulli.family(m)
     with mp.workprec(prec):
         q = mp.mpf(q)
@@ -239,6 +240,7 @@ def sigma_tilde(fs: FunctionStack, m: int, r: int, q, prec: int = DEFAULT_PRECIS
 def sigma(fs: FunctionStack, m: int, r: int, q, prec: int = DEFAULT_PRECISION):
     """(1/m!) sum_{k=1}^r ((-1)^(k+1)/k!) f^(k-1)(q) B_k(1)."""
     _check_order(fs, r)
+    fs.check_domain(q, point=True)
     fam = bernoulli.family(m)
     with mp.workprec(prec):
         q = mp.mpf(q)
@@ -261,6 +263,7 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
     _check_order(fs, r)
     if q2 <= q1:
         raise ValueError("need q1 < q2")
+    fs.check_domain(q1 + 1, point=True)
     with mp.workprec(prec):
         weights = [(k, to_mpf(c, prec)) for k, c in _jump_weights(m, range(2, r + 1))]
         total = mp.mpf(0)
@@ -289,98 +292,135 @@ def _check_order(fs, r):
 # ---------------------------------------------------------------------------
 # certified tails
 
-_abs_coeff_sums: dict = {}
-
-
 # _far_bound keeps this loose sum although quadrature.sup_norm is tight. It
 # was kept first because its slack hid the unbounded Gauss error of the direct
 # block; that reason is gone, since delta_tail now takes the block of x^-s
 # exactly from the identity. It stays for two others: sup_norm at the orders
 # _far_bound tries (up to r + 96) is slow from a cold cache (the 80 estimates
-# at 1024 bits and p = 100 took 130 s with it against 7.5 s, one run each,
-# with 0 bound violations either way), and it changes the reported error
-# bounds (zeta-odd --s 3 --m 5 --r 2 --p 100: 1.6239025e-42 -> 8.3280271e-42,
-# since _far_bound then stops at a lower order whose bound just meets tol/4).
+# at 1024 bits and p = 100, on the shared _RisingPowers sequence, took 161 s
+# with it against 3.3 s, one cold run each, with 0 bound violations either
+# way), and it changes the reported error bounds (zeta-odd --s 3 --m 5 --r 2
+# --p 100: 1.6239025e-42 -> 8.3280271e-42, since _far_bound then stops at a
+# lower order whose bound just meets tol/4).
 def _coeff_abs_sum(m: int, r: int) -> Fraction:
     # sum |coeffs of B_r| >= max_{[0,1]} |B_r|
-    key = (m, r)
-    if key not in _abs_coeff_sums:
-        _abs_coeff_sums[key] = bernoulli.gb_polynomial(m, r).coeff_abs_sum()
-    return _abs_coeff_sums[key]
+    return bernoulli.gb_polynomial(m, r).coeff_abs_sum()
 
 
-def _far_bound(pf: PowerFunction, k: int, m: int, orders, J: int, Jt, tol, prec: int):
-    """(order, bound) for the level-m remainder of f = x^-t beyond J, t = s+k-1.
+_far_coeffs: dict = {}
 
-    pf is x^-s and Jt = J^(1-t) is the caller's power of J. The bound is
-    (coeff-sum of B_r)/(m! r!) * int_J^inf |f^(r)|, where the integral is
-    (t)_r/(t+r-1) J^(1-t-r) with (t)_r = (s)_(k-1+r)/(s)_(k-1) from pf's cache;
-    only an integer power of J is formed per order. The first order in
+
+def _far_coeff(m: int, r: int, prec: int):
+    # A_r = coeff-sum(B_r)/(m! r!) as an mpf, converted once per (m, r, prec)
+    key = (m, r, prec)
+    if key not in _far_coeffs:
+        _far_coeffs[key] = to_mpf(Fraction(_coeff_abs_sum(m, r), factorial(m) * factorial(r)), prec)
+    return _far_coeffs[key]
+
+
+class _RisingPowers:
+    """U_n = (s)_n J^-(s+n) and P_n = (s)_n for f = x^-s at one integer J.
+
+    U_n is |f^(n)(J)|, and J U_n/(s+n-1) is int_J^inf |f^(n)|. With s = a/b,
+    U_0 = J^(1-s)/J, U_(n+1) = U_n (a+nb)/(bJ) and P_(n+1) = P_n (a+nb)/b, so
+    a step multiplies and divides by integers and builds no Fraction. Entries
+    are made on demand at the working precision; entry n is within about 2n
+    roundings of its value, which the 2^12 relative rounding slack of the
+    tails covers for n < 2000. One sequence serves every tail of one call.
+    """
+
+    def __init__(self, s: Fraction, J: int, Js):
+        self.a, self.b, self.J = s.numerator, s.denominator, J
+        self.U = [Js / J]
+        self.P = [mp.mpf(1)]
+
+    def u(self, n: int):
+        a, b, U = self.a, self.b, self.U
+        for i in range(len(U) - 1, n):
+            U.append(U[i] * (a + i * b) / (b * self.J))
+        return U[n]
+
+    def p(self, n: int):
+        a, b, P = self.a, self.b, self.P
+        for i in range(len(P) - 1, n):
+            P.append(P[i] * (a + i * b) / b)
+        return P[n]
+
+    def integral(self, n: int):
+        """int_J^inf |f^(n)| = J U_n/(s+n-1), for s+n > 1."""
+        return self.u(n) * (self.b * self.J) / (self.a + (n - 1) * self.b)
+
+
+def _far_bound(pw: _RisingPowers, k: int, m: int, orders, tol, prec: int):
+    """(order, bound) for the level-m remainder of sum_{j>=J} |f^(k-1)(j)|.
+
+    pw holds f = x^-s at J. The bound of order r is A_r int_J^inf |f^(k-1+r)|
+    = A_r J U_(k-1+r)/(s+k+r-2), with A_r from _far_coeff: three operations on
+    the shared sequence, no Fraction per order. tol applies to
+    sum_{j>=J} j^-(s+k-1), the tail divided by (s)_(k-1). The first order in
     `orders` whose bound is at most tol/4 is taken, otherwise the one with the
     smallest bound.
     """
-    mf = factorial(m)
-    t = pf.s + k - 1
-    base = pf.pochhammer(k - 1)
+    limit = tol / 4 * pw.p(k - 1)
     best = None
     for r in orders:
-        c = (Fraction(_coeff_abs_sum(m, r), mf * factorial(r))
-             * pf.pochhammer(k - 1 + r) / (base * (t + r - 1)))
-        bound = to_mpf(c, prec) * Jt / J**r
+        bound = _far_coeff(m, r, prec) * pw.integral(k - 1 + r)
         if best is None or bound < best[1]:
             best = (r, bound)
-        if bound <= tol / 4:
+        if bound <= limit:
             break
     return best
 
 
 _TAIL_ORDERS = range(8, 97, 8)
 
-_tail_weights: dict = {}
+_sigma_weights: dict = {}
 
 
-def _level_one_weights(prec: int) -> list:
-    # [B_i/i!] at level 1 for i <= the largest tail order, as mpf per precision
-    if prec not in _tail_weights:
-        fam = bernoulli.family(1)
-        _tail_weights[prec] = [to_mpf(Fraction(fam.number(i), factorial(i)), prec)
-                               for i in range(_TAIL_ORDERS[-1] + 1)]
-    return _tail_weights[prec]
+def _sigma_weight_list(m: int, n: int, prec: int) -> list:
+    # [B_k/(m! k!)] at level m for k <= n as mpf, converted once per (m, prec)
+    ws = _sigma_weights.setdefault((m, prec), [])
+    if len(ws) <= n:
+        fam = bernoulli.family(m)
+        mf = factorial(m)
+        ws.extend(to_mpf(Fraction(fam.number(k), mf * factorial(k)), prec)
+                  for k in range(len(ws), n + 1))
+    return ws
 
 
 def _power_tails(pf: PowerFunction, ks, J: int, tol, prec: int) -> list[CertifiedValue]:
-    """Certified sum_{j>=J} j^-(s+k-1) for each k in ks, for pf = x^-s.
+    """Certified sum_{j>=J} |f^(k-1)(j)| for each k in ks, for pf = f = x^-s.
 
-    Every tail has t = s+k-1 > 1 and the same J0 = max(J, 64); they share one
-    fractional power J0^(1-s), whose quotients by integer powers of J0 give
-    each J0^(1-t), and the terms j^-s for J <= j < J0, which are summed
-    directly. Beyond J0 each tail is the level-1 rule at the order that
-    _far_bound picks for tol: the integral J0^(1-t)/(t-1) plus sigma~, a
-    running product P_i = P_(i-1) (t+i-2)/J0 from P_1 = J0^-t weighted by the
-    B_i/i! of _level_one_weights. Each bound is its far bound plus rounding
-    slack.
+    That is (s)_(k-1) sum_{j>=J} j^-(s+k-1), each with t = s+k-1 > 1; tol
+    applies to the sum without the (s)_(k-1). All tails share J0 = max(J, 64),
+    the terms j^-s for J <= j < J0, which are summed directly, and one
+    _RisingPowers sequence U_n = (s)_n J0^-(s+n) from one fractional power
+    J0^(1-s). Beyond J0 each tail is the level-1 rule at the order r that
+    _far_bound picks for tol: the integral J0 U_(k-1)/(s+k-2) plus sigma~,
+    which is one fdot of U_(k-1), ..., U_(k-2+r) with the nonzero level-1
+    B_i/i! (those of odd i >= 3 are 0 and left out). Each bound is its far
+    bound plus the rounding slack of the tail without the (s)_(k-1), times
+    (s)_(k-1).
     """
     s = pf.s
     J0 = max(J, 64)
-    bk = _level_one_weights(prec)
+    bw = _sigma_weight_list(1, _TAIL_ORDERS[-1], prec)
+    # B_i/i!, plus 1 at i = 1 for the f(J0) term; B_i = 0 for odd i >= 3
+    weights = [(i, bw[i] + 1 if i == 1 else bw[i])
+               for i in range(1, _TAIL_ORDERS[-1] + 1) if bw[i]]
     es = _exponent(-s, prec)
     near = [(j, mp.mpf(j) ** es) for j in range(J, J0)]
-    J0s = pf._pow(J0, 1 - s)
+    pw = _RisingPowers(s, J0, pf._pow(J0, 1 - s))
     out = []
     for k in ks:
-        Jt = J0s / J0 ** (k - 1)
-        r, bound = _far_bound(pf, k, 1, _TAIL_ORDERS, J0, Jt, tol, prec)
+        r, bound = _far_bound(pw, k, 1, _TAIL_ORDERS, tol, prec)
         direct = mp.mpf(0)
         for j, v in near:
             direct += v / j ** (k - 1)
-        tm1 = to_mpf(s + k - 2, prec)
-        term = Jt / J0
-        st = term
-        for i in range(1, r + 1):
-            st += bk[i] * term
-            term = term * (tm1 + i) / J0
-        value = direct + Jt / tm1 + st
-        out.append(CertifiedValue(+value, +(bound + _rounding_slack(value, prec))))
+        P = pw.p(k - 1)
+        st = mp.fdot((g, pw.u(k - 2 + i)) for i, g in weights if i <= r)
+        value = P * direct + pw.integral(k - 1) + st
+        out.append(CertifiedValue(value, bound + P * _rounding_slack(value / P, prec)))
     return out
 
 
@@ -388,11 +428,11 @@ def power_tail_sum(t: Fraction, J: int, prec: int = DEFAULT_PRECISION,
                    tol=None) -> CertifiedValue:
     """Certified sum_{j>=J} j^(-t) for rational t > 1.
 
-    The one-exponent case of the batched tails: terms up to J0 = max(J, 64)
-    are summed directly; the rest is the level-1 rule at an order r chosen so
-    that the sup-norm remainder bound (coeff-sum of B_r / r!) *
-    int_{J0}^inf |f^(r)| falls below tol, with sigma~ built from the powers of
-    J0 as a running product.
+    The one-exponent case of the batched tails (k = 1 in _power_tails): terms
+    up to J0 = max(J, 64) are summed directly; the rest is the level-1 rule at
+    an order r chosen so that the sup-norm remainder bound (coeff-sum of B_r /
+    r!) * int_{J0}^inf |f^(r)| falls below tol, with sigma~ one fdot of the
+    shared sequence (t)_n J0^-(t+n) over the nonzero B_i/i!.
     """
     t = Fraction(t)
     if t <= 1:
@@ -406,18 +446,19 @@ def power_tail_sum(t: Fraction, J: int, prec: int = DEFAULT_PRECISION,
 def _jump_tail(pf: PowerFunction, m: int, orders, J: int, tol, prec: int) -> CertifiedValue:
     """Certified sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for f = x^-s.
 
-    w_k are the jump weights of rho; the orders with a nonzero jump give power
-    tails sum_{j>=J} j^-(s+k-1) at the same J, evaluated in one batch from one
-    fractional power of J0 (see _power_tails), each certified to an equal
-    share of tol. No rounding slack is added here beyond that of the tails.
+    w_k are the jump weights of rho, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|.
+    The orders with a nonzero jump take their tails of |f^(k-1)| from one
+    _power_tails call at the same J, which builds them all from one shared
+    sequence, each certified to an equal share of tol; so an order costs one
+    conversion of its weight. No rounding slack is added here beyond that of
+    the tails.
     """
     weights = _jump_weights(m, orders)
     tails = _power_tails(pf, [k for k, _ in weights], J, tol / max(len(weights), 1), prec)
     total = mp.mpf(0)
     bound = mp.mpf(0)
     for (k, c), ts in zip(weights, tails):
-        # f^(k-1)(j) = (-1)^(k-1) (s)_(k-1) j^-(s+k-1)
-        cf = to_mpf(c * (-1) ** (k - 1) * pf.pochhammer(k - 1), prec)
+        cf = to_mpf((-1) ** (k - 1) * c, prec)
         total += cf * ts.value
         bound += abs(cf) * ts.bound
     return CertifiedValue(total, bound)
@@ -432,6 +473,7 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
     abs_deriv_tail for every order below r.
     """
     _check_order(fs, r)
+    fs.check_domain(q1 + 1, point=True)
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
@@ -594,16 +636,16 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
             ext = 64
             while True:
                 Q = q1 + ext
-                Qs = fs._pow(Q, 1 - s)
-                rp, far_bound = _far_bound(fs, 1, m, range(r + 8, r + 97, 8), Q, Qs, tol, prec)
+                pw = _RisingPowers(s, Q, fs._pow(Q, 1 - s))
+                rp, far_bound = _far_bound(pw, 1, m, range(r + 8, r + 97, 8), tol, prec)
                 if far_bound <= tol / 4 or ext >= 512:
                     break
                 ext *= 2
             direct, direct_err = _remainder_block(fs, m, r, q1, Q, prec)
-            # sigma~ difference: the orders r+1..rp seen from Q, Q^-(s+k-1) = Qs/Q^k
-            sdiff = mp.mpf(0)
-            for k, ck in fs.sigma_coefficients(m, rp, boundary=False)[r:]:
-                sdiff -= to_mpf(ck, prec) * Qs / Q**k
+            # sigma~ difference: the orders r+1..rp seen from Q, where the term
+            # (s)_(k-1) B_k/(m! k!) Q^-(s+k-1) is B_k/(m! k!) U_(k-1)
+            bw = _sigma_weight_list(m, rp, prec)
+            sdiff = -mp.fdot((bw[k], pw.u(k - 1)) for k in range(r + 1, rp + 1))
             # e difference: certified tail sums of the new jump orders
             e = _jump_tail(fs, m, range(r + 1, rp + 1), Q + 1, tol / 4, prec)
             value = direct + sdiff + e.value

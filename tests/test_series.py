@@ -178,6 +178,32 @@ def test_batched_jump_tail_matches_per_exponent_route(s, prec):
             assert abs(got.value - value) <= series._rounding_slack(value, prec), J
 
 
+@pytest.mark.parametrize("s", [F(3, 2), F(3)])
+def test_batched_jump_tail_over_delta_tail_orders(s):
+    # delta_tail's widest jump tail: orders up to r + 96 = 102 from
+    # J = q1 + 512 + 1 = 613. At the default tolerance the chosen orders stay
+    # below the cap; at 2^-1325 the order-96 cap binds for most orders, so
+    # the shared sequence runs past index 190.
+    prec = 1024
+    # sigma~ leaves out the odd level-1 weights, which must all be 0
+    fam = bernoulli.family(1)
+    assert all(fam.number(i) == 0 for i in range(3, 96, 2))
+    pf = PowerFunction(s, prec)
+    orders = range(2, 103)
+    with mp.workprec(prec):
+        tiny = mp.mpf(2) ** -1325
+        n = len(series._jump_weights(2, orders))
+        pw = series._RisingPowers(s, 613, pf._pow(613, 1 - s))
+        chosen = {series._far_bound(pw, k, 1, series._TAIL_ORDERS, tiny / n, prec)[0]
+                  for k in orders}
+        assert 96 in chosen and min(chosen) < 96 and len(pw.U) > 191
+        for tol in (series._default_tol(prec) / 2, tiny):
+            got = series._jump_tail(pf, 2, orders, 613, tol, prec)
+            value, bound = _jump_tail_reference(pf, 2, orders, 613, tol, prec)
+            assert abs(got.bound - bound) <= bound * mp.mpf(2) ** (16 - prec)
+            assert abs(got.value - value) <= series._rounding_slack(value, prec)
+
+
 def test_rho_tail_example_one(pf3):
     e = rho_tail(pf3, 5, 2, 100, None, P)
     with mp.workprec(300):
@@ -424,6 +450,25 @@ def test_power_stack_rejects_cells_at_or_below_zero():
     rep = em_composite(exp_stack(P), -2, -1, 2, 1, 2, P)
     with mp.workprec(P):
         assert abs(rep.total - (mp.e ** -1 - mp.e ** -2)) <= rep.remainder_bound
+
+
+def test_power_stack_rejects_points_at_or_below_zero():
+    # the point sums evaluate x^-s at q1 + 1 (rho, rho_tail) or at q (sigmas)
+    pf = PowerFunction(3, P)
+    with pytest.raises(ValueError):
+        rho(pf, 2, 3, -3, 4, P)
+    with pytest.raises(ValueError):
+        rho_tail(pf, 2, 3, -3, None, P)
+    with pytest.raises(ValueError):
+        sigma_tilde(pf, 2, 3, 0, P)
+    with pytest.raises(ValueError):
+        sigma(pf, 2, 3, 0, P)
+
+
+def test_em_composite_takes_fraction_ends():
+    pf = PowerFunction(F(3, 2), P)
+    got = em_composite(pf, F(1, 10), 1, 4, 2, 3, P)
+    assert got == em_composite(pf, to_mpf(F(1, 10), P), 1, 4, 2, 3, P)
 
 
 def test_estimate_exponential_series_via_generic_tails():
