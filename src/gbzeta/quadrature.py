@@ -2,13 +2,16 @@
 
 The unit-interval rule expresses int_0^1 f through boundary derivative terms
 weighted by B_k and B_k(1) plus an integral remainder against B_r; the
-composite rule tiles [a,b] with it. Remainder integrals use a fixed
-32-node Gauss-Legendre rule per cell, with nodes generated at working
-precision. Its quadrature error is not bounded and enters no remainder
-bound; it is small where f^(r) is smooth across a cell, but near a pole of f
-(x^-s on the cells next to 0) it can exceed the reported bound. The routes
-that still carry it are em_composite here and, in series, remainder_R and
-delta_tail on generic stacks; delta_tail on x^-s takes its block exactly.
+composite rule tiles [a,b] with it, and its main sum is sigma(b) -
+[sigma~(a) - f(a)] + rho over the interior nodes, with step h. Each piece is
+one _derivative_sum over a row of the level-m weight table. Remainder
+integrals use a fixed 32-node Gauss-Legendre rule per cell, with nodes
+generated at working precision. Its quadrature error is not bounded and
+enters no remainder bound; it is small where f^(r) is smooth across a cell,
+but near a pole of f (x^-s on the cells next to 0) it can exceed the reported
+bound. The routes that still carry it are em_composite here and, in series,
+remainder_R and delta_tail on generic stacks; delta_tail on x^-s takes its
+block exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +32,33 @@ GAUSS_NODES = 32
 
 _gauss_cache: dict = {}
 _sup_norm_cache: dict = {}
+_weight_rows: dict = {}
+
+
+def _weight_row(m: int, kind: str, n: int, prec: int) -> list:
+    """[W_k/(m! k!)] for k <= n (at least) as mpf, at level m.
+
+    W_k is B_k, B_k(1) or B_k(1) - B_k for kind "number", "boundary" or
+    "jump". Entries are to_mpf of the exact rational, converted once per
+    (m, kind, prec); each row grows on its own, as far as a caller asks.
+    """
+    row = _weight_rows.setdefault((m, kind, prec), [])
+    if len(row) <= n:
+        fam = bernoulli.family(m)
+        w, mf = getattr(fam, kind), factorial(m)
+        row.extend(to_mpf(Fraction(w(k), mf * factorial(k)), prec)
+                   for k in range(len(row), n + 1))
+    return row
+
+
+def _derivative_sum(fs: FunctionStack, row: list, orders, xs, h=1):
+    """sum_{k in orders} (-1)^(k+1) row[k] h^k sum_{x in xs} f^(k-1)(x).
+
+    At the working precision; an order with a zero weight is skipped, any
+    other fetches its evaluator f^(k-1) once.
+    """
+    return mp.fsum((-1) ** (k + 1) * row[k] * h**k * mp.fsum(map(fs.deriv(k - 1), xs))
+                   for k in orders if row[k])
 
 
 def gauss_legendre_01(n: int = GAUSS_NODES, prec: int = DEFAULT_PRECISION):
@@ -232,7 +262,9 @@ def em_composite(
     """Composite rule on [a,b] with n_sub equal cells of width h = (b-a)/n_sub.
 
     The ends may be ints, Fractions or mpmath numbers; they are rounded to
-    prec bits as to_mpf does.
+    prec bits as to_mpf does. Summed over the cells, the boundary terms give
+    main_sum = sigma(b) - [sigma~(a) - f(a)] + rho over the interior nodes
+    a + jh, 0 < j < n_sub, with step h; rho here starts at its k = 1 weight, 1.
     """
     if n_sub < 1:
         raise ValueError("n_sub must be at least 1")
@@ -248,16 +280,10 @@ def em_composite(
         fs.check_domain(a)
         h = (b - a) / n_sub
         xs = [a + j * h for j in range(n_sub + 1)]
-        Bk = [to_mpf(fam.number(k), prec) for k in range(r + 1)]
-        Bk1 = [to_mpf(fam.boundary(k), prec) for k in range(r + 1)]
-        main = mp.mpf(0)
-        for j in range(n_sub):
-            cell = mp.mpf(0)
-            for k in range(1, r + 1):
-                fk = fs.deriv(k - 1)
-                cell += ((-1) ** (k + 1) / (mf * mp.factorial(k)) * h**k
-                         * (fk(xs[j + 1]) * Bk1[k] - fk(xs[j]) * Bk[k]))
-            main += cell
+        orders = range(1, r + 1)
+        main = (_derivative_sum(fs, _weight_row(m, "boundary", r, prec), orders, [b], h)
+                - _derivative_sum(fs, _weight_row(m, "number", r, prec), orders, [a], h)
+                + _derivative_sum(fs, _weight_row(m, "jump", r, prec), orders, xs[1:-1], h))
         nodes = gauss_legendre_01(GAUSS_NODES, prec)
         br = fam.polynomial(r)
         bvals = [br.eval_mpf(u, prec) for u, _ in nodes]

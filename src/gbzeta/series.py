@@ -21,7 +21,8 @@ import mpmath as mp
 
 from . import bernoulli
 from .bigfloat import DEFAULT_PRECISION, decimal_str, to_mpf
-from .quadrature import GAUSS_NODES, FunctionStack, gauss_legendre_01, sup_norm
+from .quadrature import (GAUSS_NODES, FunctionStack, _derivative_sum, _weight_row,
+                         gauss_legendre_01, sup_norm)
 
 
 class TailNotCertifiableError(RuntimeError):
@@ -226,29 +227,20 @@ def sigma_tilde(fs: FunctionStack, m: int, r: int, q, prec: int = DEFAULT_PRECIS
     """f(q) + (1/m!) sum_{k=1}^r ((-1)^(k+1)/k!) f^(k-1)(q) B_k."""
     _check_order(fs, r)
     fs.check_domain(q, point=True)
-    fam = bernoulli.family(m)
     with mp.workprec(prec):
-        q = mp.mpf(q)
-        acc = mp.mpf(0)
-        for k in range(1, r + 1):
-            acc += ((-1) ** (k + 1) / mp.factorial(k)
-                    * fs.deriv(k - 1)(q) * to_mpf(fam.number(k), prec))
+        q = to_mpf(q, prec)
         # the k >= 1 terms carry the 1/m!; f(q) does not
-        return +(fs.f(q) + acc / factorial(m))
+        return +(fs.f(q) + _derivative_sum(fs, _weight_row(m, "number", r, prec),
+                                           range(1, r + 1), [q]))
 
 
 def sigma(fs: FunctionStack, m: int, r: int, q, prec: int = DEFAULT_PRECISION):
     """(1/m!) sum_{k=1}^r ((-1)^(k+1)/k!) f^(k-1)(q) B_k(1)."""
     _check_order(fs, r)
     fs.check_domain(q, point=True)
-    fam = bernoulli.family(m)
     with mp.workprec(prec):
-        q = mp.mpf(q)
-        total = mp.mpf(0)
-        for k in range(1, r + 1):
-            total += ((-1) ** (k + 1) / mp.factorial(k)
-                      * fs.deriv(k - 1)(q) * to_mpf(fam.boundary(k), prec))
-        return +(total / factorial(m))
+        q = to_mpf(q, prec)
+        return +_derivative_sum(fs, _weight_row(m, "boundary", r, prec), range(1, r + 1), [q])
 
 
 def sigma_infinity(fs: FunctionStack, m: int, r: int, prec: int = DEFAULT_PRECISION):
@@ -265,21 +257,8 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
         raise ValueError("need q1 < q2")
     fs.check_domain(q1 + 1, point=True)
     with mp.workprec(prec):
-        weights = [(k, to_mpf(c, prec)) for k, c in _jump_weights(m, range(2, r + 1))]
-        total = mp.mpf(0)
-        for j in range(q1 + 1, q2):
-            xj = mp.mpf(j)
-            for k, w in weights:
-                total += w * fs.deriv(k - 1)(xj)
-        return +total
-
-
-def _jump_weights(m: int, orders) -> list[tuple[int, Fraction]]:
-    # [(k, (-1)^(k+1) (B_k(1)-B_k)/(m! k!))] over the orders with a nonzero jump
-    fam = bernoulli.family(m)
-    weights = [(k, (-1) ** (k + 1) * Fraction(fam.jump(k), factorial(m) * factorial(k)))
-               for k in orders]
-    return [(k, c) for k, c in weights if c]
+        xs = [mp.mpf(j) for j in range(q1 + 1, q2)]
+        return +_derivative_sum(fs, _weight_row(m, "jump", r, prec), range(2, r + 1), xs)
 
 
 def _check_order(fs, r):
@@ -374,20 +353,6 @@ def _far_bound(pw: _RisingPowers, k: int, m: int, orders, tol, prec: int):
 
 _TAIL_ORDERS = range(8, 97, 8)
 
-_sigma_weights: dict = {}
-
-
-def _sigma_weight_list(m: int, n: int, prec: int) -> list:
-    # [B_k/(m! k!)] at level m for k <= n as mpf, converted once per (m, prec)
-    ws = _sigma_weights.setdefault((m, prec), [])
-    if len(ws) <= n:
-        fam = bernoulli.family(m)
-        mf = factorial(m)
-        ws.extend(to_mpf(Fraction(fam.number(k), mf * factorial(k)), prec)
-                  for k in range(len(ws), n + 1))
-    return ws
-
-
 def _power_tails(pf: PowerFunction, ks, J: int, tol, prec: int) -> list[CertifiedValue]:
     """Certified sum_{j>=J} |f^(k-1)(j)| for each k in ks, for pf = f = x^-s.
 
@@ -404,7 +369,7 @@ def _power_tails(pf: PowerFunction, ks, J: int, tol, prec: int) -> list[Certifie
     """
     s = pf.s
     J0 = max(J, 64)
-    bw = _sigma_weight_list(1, _TAIL_ORDERS[-1], prec)
+    bw = _weight_row(1, "number", _TAIL_ORDERS[-1], prec)
     # B_i/i!, plus 1 at i = 1 for the f(J0) term; B_i = 0 for odd i >= 3
     weights = [(i, bw[i] + 1 if i == 1 else bw[i])
                for i in range(1, _TAIL_ORDERS[-1] + 1) if bw[i]]
@@ -437,6 +402,8 @@ def power_tail_sum(t: Fraction, J: int, prec: int = DEFAULT_PRECISION,
     t = Fraction(t)
     if t <= 1:
         raise ValueError("need t > 1")
+    if J < 1:
+        raise ValueError("need J >= 1")
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
@@ -446,21 +413,21 @@ def power_tail_sum(t: Fraction, J: int, prec: int = DEFAULT_PRECISION,
 def _jump_tail(pf: PowerFunction, m: int, orders, J: int, tol, prec: int) -> CertifiedValue:
     """Certified sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for f = x^-s.
 
-    w_k are the jump weights of rho, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|.
-    The orders with a nonzero jump take their tails of |f^(k-1)| from one
+    w_k are the jump weights of rho, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|,
+    so an order adds (B_k(1)-B_k)/(m! k!) from the weight table times its tail
+    of |f^(k-1)|. The orders with a nonzero jump take those tails from one
     _power_tails call at the same J, which builds them all from one shared
-    sequence, each certified to an equal share of tol; so an order costs one
-    conversion of its weight. No rounding slack is added here beyond that of
-    the tails.
+    sequence, each certified to an equal share of tol. No rounding slack is
+    added here beyond that of the tails.
     """
-    weights = _jump_weights(m, orders)
-    tails = _power_tails(pf, [k for k, _ in weights], J, tol / max(len(weights), 1), prec)
+    row = _weight_row(m, "jump", max(orders, default=0), prec)
+    ks = [k for k in orders if row[k]]
+    tails = _power_tails(pf, ks, J, tol / max(len(ks), 1), prec)
     total = mp.mpf(0)
     bound = mp.mpf(0)
-    for (k, c), ts in zip(weights, tails):
-        cf = to_mpf((-1) ** (k - 1) * c, prec)
-        total += cf * ts.value
-        bound += abs(cf) * ts.bound
+    for k, ts in zip(ks, tails):
+        total += row[k] * ts.value
+        bound += abs(row[k]) * ts.bound
     return CertifiedValue(total, bound)
 
 
@@ -477,35 +444,29 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
-        weights = _jump_weights(m, range(2, r + 1))
-        if not weights:
+        row = _weight_row(m, "jump", r, prec)
+        orders = range(2, r + 1)
+        if not any(row[k] for k in orders):
             return CertifiedValue(mp.mpf(0), mp.mpf(0))
         if isinstance(fs, PowerFunction):
-            e = _jump_tail(fs, m, range(2, r + 1), q1 + 1, tol / 2, prec)
+            e = _jump_tail(fs, m, orders, q1 + 1, tol / 2, prec)
             return CertifiedValue(+e.value, +(e.bound + _rounding_slack(e.value, prec)))
         # generic: direct summation with an integral-test envelope
         if fs.abs_deriv_tail is None:
             raise TailNotCertifiableError("tail not certifiable")
-        wfl = [(k, to_mpf(c, prec)) for k, c in weights]
-        wabs = [(k, abs(w)) for k, w in wfl]
+        terms = [(abs(row[k]), k - 1, fs.deriv(k - 1)) for k in orders if row[k]]
 
         def envelope(J):
             env = mp.mpf(0)
-            for k, cmag in wabs:
-                env += cmag * (abs(fs.deriv(k - 1)(mp.mpf(J))) + fs.abs_deriv_tail(k - 1, J, prec))
+            for w, n, fn in terms:
+                env += w * (abs(fn(mp.mpf(J))) + fs.abs_deriv_tail(n, J, prec))
             return env
 
-        total = mp.mpf(0)
+        # sum directly up to the first J whose envelope is within tol
         J = q1 + 1
-        cap = 200000
-        while J - q1 <= cap:
-            env = envelope(J)
-            if env <= tol:
-                break
-            xj = mp.mpf(J)
-            for k, w in wfl:
-                total += w * fs.deriv(k - 1)(xj)
+        while J - q1 <= 200000 and envelope(J) > tol:
             J += 1
+        total = _derivative_sum(fs, row, orders, [mp.mpf(j) for j in range(q1 + 1, J)])
         return CertifiedValue(+total, +(envelope(J) + _rounding_slack(total, prec)))
 
 
@@ -552,9 +513,10 @@ def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
     """(R_r(q1, Q), bound on its rounding error) for f = x^-s, from the identity.
 
     The finite identity between q1 and Q, solved for the remainder:
-    R_r(q1,Q) = int_q1^Q f - sum_{q1<j<Q} j^-s (1 + sum_k a_k j^-(k-1))
+    R_r(q1,Q) = int_q1^Q f - sum_{q1<j<Q} j^-s sum_{k=1}^r a_k j^-(k-1)
                 - sigma_r(Q) + [sigma~_r(q1) - f(q1)],
-    with a_k = w_k (-1)^(k-1) (s)_(k-1) from the jump weights w_k of rho. Each
+    with a_k = cbar_k - ctil_k, the exact difference of the sigma and sigma~
+    coefficients: (s)_(k-1) (B_k(1)-B_k)/(m! k!), so a_1 = 1. Each
     integer costs one power j^-s and a Horner step in 1/j per jump order; the
     sigma pieces are Horner sums in 1/Q and 1/q1 of the exact sigma
     coefficients, and the integral reuses the powers of q1 and Q. Everything
@@ -565,13 +527,13 @@ def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
     s = pf.s
     with mp.workprec(w):
         es = _exponent(-s, w)
-        a = [mp.mpf(1)] + [mp.mpf(0)] * (r - 1)
-        for k, c in _jump_weights(m, range(2, r + 1)):
-            a[k - 1] = to_mpf(c * (-1) ** (k - 1) * pf.pochhammer(k - 1), w)
+        ctil = [c for _, c in pf.sigma_coefficients(m, r, boundary=False)]
+        cbar = [c for _, c in pf.sigma_coefficients(m, r, boundary=True)]
+        a = [to_mpf(cb - ct, w) for cb, ct in zip(cbar, ctil)]
         while len(a) > 1 and not a[-1]:
             a.pop()
-        ctil = [to_mpf(c, w) for _, c in pf.sigma_coefficients(m, r, boundary=False)]
-        cbar = [to_mpf(c, w) for _, c in pf.sigma_coefficients(m, r, boundary=True)]
+        ctil = [to_mpf(c, w) for c in ctil]
+        cbar = [to_mpf(c, w) for c in cbar]
         powers = mp.mpf(0)
         total = mp.mpf(0)
         for j in range(q1 + 1, Q):
@@ -644,7 +606,7 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
             direct, direct_err = _remainder_block(fs, m, r, q1, Q, prec)
             # sigma~ difference: the orders r+1..rp seen from Q, where the term
             # (s)_(k-1) B_k/(m! k!) Q^-(s+k-1) is B_k/(m! k!) U_(k-1)
-            bw = _sigma_weight_list(m, rp, prec)
+            bw = _weight_row(m, "number", rp, prec)
             sdiff = -mp.fdot((bw[k], pw.u(k - 1)) for k in range(r + 1, rp + 1))
             # e difference: certified tail sums of the new jump orders
             e = _jump_tail(fs, m, range(r + 1, rp + 1), Q + 1, tol / 4, prec)
@@ -783,8 +745,9 @@ def convergence_verdict(fs: FunctionStack, m: int, r: int,
         # existence only: a finite envelope at the first point certifies
         # absolute convergence of the rho tail
         with mp.workprec(prec):
-            for k, _ in _jump_weights(m, range(2, r + 1)):
-                if not mp.isfinite(fs.abs_deriv_tail(k - 1, 2, prec)):
+            row = _weight_row(m, "jump", r, prec)
+            for k in range(2, r + 1):
+                if row[k] and not mp.isfinite(fs.abs_deriv_tail(k - 1, 2, prec)):
                     return UNDETERMINED
         fs.abs_deriv_tail(r, 2, prec)
     except TailNotCertifiableError:

@@ -83,11 +83,17 @@ def test_sigma_values_example_one(pf3):
 
 
 def test_sigma_values_example_two(pf3):
-    # sigma_2^[1](p) = 2/(3p^3) + 7/(12p^4)
+    # sigma_2^[1](p) = 2/(3p^3) + 7/(12p^4), also at a Fraction point
     with mp.workprec(P):
-        sig = sigma(pf3, 2, 2, 20, P)
-        ref = to_mpf(F(2, 3) / 20**3 + F(7, 12) / 20**4, P)
-        assert abs(sig - ref) <= abs(ref) * mp.mpf(2) ** (16 - P)
+        for p in (20, F(5, 2)):
+            sig = sigma(pf3, 2, 2, p, P)
+            ref = to_mpf(F(2, 3) / p**3 + F(7, 12) / p**4, P)
+            assert abs(sig - ref) <= abs(ref) * mp.mpf(2) ** (16 - P)
+        # sigma~ at the Fraction point: f(q) plus the exact coefficients
+        q = F(5, 2)
+        til = pf3.sigma_coefficients(2, 2, boundary=False)
+        ref = to_mpf(q**-3 + sum(c / q ** (k + 2) for k, c in til), P)
+        assert abs(sigma_tilde(pf3, 2, 2, q, P) - ref) <= abs(ref) * mp.mpf(2) ** (16 - P)
 
 
 def test_sigma_coefficients_example_three(pf5):
@@ -124,6 +130,13 @@ def test_power_tail_sum_certified():
                     assert abs(cv.value - ref) <= cv.bound, (prec, t, J)
 
 
+def test_power_tail_sum_rejects_start_below_one():
+    # the j = 0 term of sum_{j>=J} j^-t does not exist
+    for J in (0, -3):
+        with pytest.raises(ValueError):
+            power_tail_sum(F(3), J, P)
+
+
 def _far_bound_reference(pf, m, orders, J, tol, prec):
     # the per-exponent order choice: one fractional power of J per order tried
     mf = factorial(m)
@@ -151,8 +164,16 @@ def _power_tail_reference(t, J, tol, prec):
     return value, bound + series._rounding_slack(value, prec)
 
 
+def _jump_weights(m, orders):
+    # exact [(k, (-1)^(k+1) (B_k(1)-B_k)/(m! k!))] over the orders with a nonzero jump
+    fam = bernoulli.family(m)
+    weights = [(k, (-1) ** (k + 1) * Fraction(fam.jump(k), factorial(m) * factorial(k)))
+               for k in orders]
+    return [(k, c) for k, c in weights if c]
+
+
 def _jump_tail_reference(pf, m, orders, J, tol, prec):
-    weights = series._jump_weights(m, orders)
+    weights = _jump_weights(m, orders)
     per = tol / max(len(weights), 1)
     total = mp.mpf(0)
     bound = mp.mpf(0)
@@ -192,7 +213,7 @@ def test_batched_jump_tail_over_delta_tail_orders(s):
     orders = range(2, 103)
     with mp.workprec(prec):
         tiny = mp.mpf(2) ** -1325
-        n = len(series._jump_weights(2, orders))
+        n = len(_jump_weights(2, orders))
         pw = series._RisingPowers(s, 613, pf._pow(613, 1 - s))
         chosen = {series._far_bound(pw, k, 1, series._TAIL_ORDERS, tiny / n, prec)[0]
                   for k in orders}
@@ -248,6 +269,75 @@ def test_rho_matches_brute_force(pf3):
                 w = to_mpf(F((-1) ** (k + 1) * fam.jump(k), factorial(2) * factorial(k)), P)
                 brute += w * pf3.deriv(k - 1)(mp.mpf(j))
         assert abs(got - brute) <= abs(brute) * mp.mpf(2) ** (16 - P)
+
+
+def _per_term_sigma(fs, m, r, q, prec, boundary):
+    # the per-term formula: (1/m!) sum_k ((-1)^(k+1)/k!) f^(k-1)(q) W_k
+    fam = bernoulli.family(m)
+    with mp.workprec(prec):
+        q = to_mpf(q, prec)
+        acc = mp.mpf(0)
+        for k in range(1, r + 1):
+            w = fam.boundary(k) if boundary else fam.number(k)
+            acc += (-1) ** (k + 1) / mp.factorial(k) * fs.deriv(k - 1)(q) * to_mpf(w, prec)
+        return acc / factorial(m) + (0 if boundary else fs.f(q))
+
+
+def _per_term_rho(fs, m, r, q1, q2, prec):
+    # one weight and one fresh evaluator per (j, k)
+    with mp.workprec(prec):
+        total = mp.mpf(0)
+        for j in range(q1 + 1, q2):
+            for k, c in _jump_weights(m, range(2, r + 1)):
+                total += to_mpf(c, prec) * fs.deriv(k - 1)(mp.mpf(j))
+        return total
+
+
+def _per_cell_main_sum(fs, a, b, n_sub, m, r, prec):
+    # the per-cell boundary terms, each node evaluated from both of its cells
+    fam = bernoulli.family(m)
+    with mp.workprec(prec):
+        a, b = to_mpf(a, prec), to_mpf(b, prec)
+        h = (b - a) / n_sub
+        xs = [a + j * h for j in range(n_sub + 1)]
+        main = mp.mpf(0)
+        for j in range(n_sub):
+            for k in range(1, r + 1):
+                fk = fs.deriv(k - 1)
+                main += ((-1) ** (k + 1) / (factorial(m) * mp.factorial(k)) * h**k
+                         * (fk(xs[j + 1]) * to_mpf(fam.boundary(k), prec)
+                            - fk(xs[j]) * to_mpf(fam.number(k), prec)))
+        return main
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_weight_table_and_weighted_derivative_sums(prec):
+    from gbzeta.quadrature import _weight_row
+
+    # the rows are the exact level-m weights over m! k!, each rounded once
+    for m in (1, 2, 3, 5):
+        fam = bernoulli.family(m)
+        for kind in ("number", "boundary", "jump"):
+            row = _weight_row(m, kind, 40, prec)
+            for k in range(41):
+                exact = Fraction(getattr(fam, kind)(k), factorial(m) * factorial(k))
+                assert row[k] == to_mpf(exact, prec), (m, kind, k)
+    # the one weighted sum against the per-term and per-cell formulas
+    pf = PowerFunction(F(3, 2), prec)
+    tol = mp.mpf(2) ** (16 - prec)
+
+    def close(got, ref):
+        return abs(got - ref) <= abs(ref) * tol
+
+    for m in (1, 2, 3, 5):
+        for r in range(1, 9):
+            assert close(sigma(pf, m, r, F(7, 3), prec), _per_term_sigma(pf, m, r, F(7, 3), prec, True))
+            assert close(sigma_tilde(pf, m, r, 3, prec), _per_term_sigma(pf, m, r, 3, prec, False))
+            assert close(rho(pf, m, r, 2, 9, prec), _per_term_rho(pf, m, r, 2, 9, prec))
+            for fs, a, b in ((pf, 1, F(5, 2)), (exp_stack(prec), -1, 1)):
+                for n_sub in (1, 3, 8):
+                    got = em_composite(fs, a, b, n_sub, m, r, prec).main_sum
+                    assert close(got, _per_cell_main_sum(fs, a, b, n_sub, m, r, prec)), (m, r, n_sub)
 
 
 def test_remainder_zero_for_low_degree_poly():
