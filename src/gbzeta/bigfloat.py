@@ -3,11 +3,14 @@
 Every function takes the mantissa precision in bits explicitly; results are
 rounded to that precision. mpmath's context is process-global, so the float
 paths are single-threaded by design (the CLI runs one process; see README).
+Sums that need more than rounding per operation are done in scaled integers
+(fixed point) with one rounding at the end: truncated_power_sum here, and the
+Fourier kernel of periodic, which needs no trigonometric helper from this
+module.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -49,26 +52,6 @@ def decimal_str(x, digits: int = 30) -> str:
 def frac_part(x):
     """x - floor(x), in [0, 1)."""
     return x - mp.floor(x)
-
-
-def cos_sin_2pi(t, prec: int = DEFAULT_PRECISION):
-    """(cos(2*pi*t), sin(2*pi*t)) for t in [0, 1), with exact quarter angles.
-
-    The reduction mod 1 must happen before multiplying by 2*pi, otherwise
-    large arguments lose the fractional information that carries the phase.
-    """
-    with mp.workprec(prec):
-        t = mp.mpf(t)
-        if t == 0:
-            return mp.mpf(1), mp.mpf(0)
-        if 2 * t == 1:
-            return mp.mpf(-1), mp.mpf(0)
-        if 4 * t == 1:
-            return mp.mpf(0), mp.mpf(1)
-        if 4 * t == 3:
-            return mp.mpf(0), mp.mpf(-1)
-        ang = 2 * mp.pi * t
-        return +mp.cos(ang), +mp.sin(ang)
 
 
 def truncated_power_sum(t: int, K: int, prec: int = DEFAULT_PRECISION):

@@ -3,6 +3,14 @@
 p_n(x) = B_n(x)/n! on [0,1), extended 1-periodically. For m > 1 these jump at
 the integers, and every Fourier coefficient is a short sum of the boundary
 jumps (B_i(1) - B_i)/i! against powers of 1/(2 pi k).
+
+Coefficients and partial sums share one fixed-point kernel: the constants
+c (2 pi)^-p of jump_terms become integers scaled by 2^W, W = prec plus guard
+bits derived from the largest power and K, and a_k, b_k follow by Horner in
+1/k^2 with integer floor division. A partial sum takes cos and sin of 2 pi x
+once, with exact argument reduction, advances the phase of k x by an integer
+rotation, and sums exactly in integers; fourier_partial_sum states the
+resulting bound. Each returned value is rounded once, to nearest at prec.
 """
 
 from __future__ import annotations
@@ -12,18 +20,28 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
+from mpmath.libmp import MPZ, from_rational, normalize, round_nearest
 
 from . import bernoulli, zeta_even
-from .bigfloat import DEFAULT_PRECISION, cos_sin_2pi, frac_part, to_mpf
+from .bigfloat import DEFAULT_PRECISION, frac_part, to_mpf
+
+
+def _finite(x, prec: int):
+    # x rounded to prec bits; inf and nan have no phase
+    xf = to_mpf(x, prec)
+    if not mp.isfinite(xf):
+        raise ValueError("x must be finite")
+    return xf
 
 
 def periodic_eval(m: int, n: int, x, prec: int = DEFAULT_PRECISION):
-    """p_n(x) at level m; at integers this is the right limit B_n(0)/n!."""
+    """p_n(x) at level m, x finite; at integers this is the right limit B_n(0)/n!."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     p = bernoulli.gb_polynomial(m, n)
+    xf = _finite(x, prec)
     with mp.workprec(prec):
-        u = frac_part(mp.mpf(x))
+        u = frac_part(xf)
         return +(p.eval_mpf(u, prec) / mp.factorial(n))
 
 
@@ -78,35 +96,116 @@ def jump_terms(m: int, n: int) -> tuple[list, list]:
     return a_terms, b_terms
 
 
-def fourier_coeffs(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION) -> FourierCoeffs:
-    """Coefficients a_k, b_k for k = 1..K from the boundary-jump formulas of jump_terms."""
+def _fixed_table(terms: list, W: int) -> list:
+    # round(c (2 pi)^-p 2^W) at index (p - 1) // 2, zero in the gaps. With
+    # |c| < 2^e the quotient is taken at wp = W + e + bitlen(p) + 16 bits with
+    # relative error below (p + 5) 2^-wp, so it is within 2^-13 of its true
+    # value before the rounding and each entry is within one unit
+    table = [0] * max(((p + 1) // 2 for p, _ in terms), default=0)
+    for p, c in terms:
+        e = max(0, c.numerator.bit_length() - c.denominator.bit_length() + 1)
+        wp = W + e + p.bit_length() + 16
+        with mp.workprec(wp):
+            table[(p - 1) // 2] = int(mp.nint(mp.ldexp(to_mpf(c, wp), W) / (2 * mp.pi) ** p))
+    return table
+
+
+def _fixed_kernel(m: int, n: int, K: int, prec: int) -> tuple:
+    """(W, a table, b table): the jump_terms constants as integers scaled by 2^W.
+
+    W = prec + guard with guard = p_max (bitlen(K) + 3) + 8, p_max the largest
+    power: (2 pi K)^p_max < 2^(guard - 8), so every term c/(2 pi k)^p, k <= K,
+    is at least |c| 2^(8 - guard), and an error of a few units of 2^-W is
+    about 2^-prec of it.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    with mp.workprec(prec):
-        # the exact coefficients are converted once, not once per k
-        a_terms, b_terms = ([(p, to_mpf(c, prec)) for p, c in terms] for terms in jump_terms(m, n))
-        twopi = 2 * mp.pi
-        a_list, b_list = [], []
-        for k in range(1, K + 1):
-            inv = 1 / (twopi * k)
-            a_list.append(+sum((c * inv**p for p, c in a_terms), mp.mpf(0)))
-            b_list.append(+sum((c * inv**p for p, c in b_terms), mp.mpf(0)))
+    a_terms, b_terms = jump_terms(m, n)
+    top = max((p for p, _ in a_terms + b_terms), default=0)
+    W = prec + top * (K.bit_length() + 3) + 8
+    return W, _fixed_table(a_terms, W), _fixed_table(b_terms, W)
+
+
+def _coeff_ints(a_tab: list, b_tab: list, K: int):
+    # (a_k 2^W, b_k 2^W) for k = 1..K: Horner in 1/k^2 with floor division,
+    # then one more 1/k^2 for a and 1/k for b. A floor errs by less than one
+    # unit and a constant by at most one, and each step divides the error so
+    # far by k^2 >= 1, so a_k is within 2 L_a <= n units and b_k within
+    # 2 L_b <= n + 1 units, L the length of its table.
+    for k in range(1, K + 1):
+        k2 = k * k
+        a = b = 0
+        for c in reversed(a_tab):
+            a = c + a // k2
+        for c in reversed(b_tab):
+            b = c + b // k2
+        yield a // k2, b // k
+
+
+def _round_fixed(v: int, W: int, prec: int):
+    # v 2^-W rounded once, to nearest at prec
+    u = abs(v)
+    return mp.make_mpf(normalize(int(v < 0), MPZ(u), -W, u.bit_length(), prec, round_nearest))
+
+
+def fourier_coeffs(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION) -> FourierCoeffs:
+    """Coefficients a_k, b_k for k = 1..K from the boundary-jump formulas of jump_terms.
+
+    Each value comes from the fixed-point kernel and is rounded once, to
+    nearest at prec: |a_k - exact| <= n 2^-W + 2^-prec |exact|, and b_k
+    likewise with n + 1 units, W > prec + p_max (bitlen(K) + 3) the kernel's
+    width.
+    """
+    W, a_tab, b_tab = _fixed_kernel(m, n, K, prec)
+    a_list, b_list = [], []
+    for a, b in _coeff_ints(a_tab, b_tab, K):
+        a_list.append(_round_fixed(a, W, prec))
+        b_list.append(_round_fixed(b, W, prec))
     return FourierCoeffs(m, n, fourier_a0(m, n), a_list, b_list)
 
 
 def fourier_partial_sum(m: int, n: int, x, K: int, prec: int = DEFAULT_PRECISION):
-    """a0/2 + sum_{k<=K} a_k cos(2 pi k x) + b_k sin(2 pi k x)."""
-    fc = fourier_coeffs(m, n, K, prec)
+    """a0/2 + sum_{k<=K} a_k cos(2 pi k x) + b_k sin(2 pi k x), x finite.
+
+    x is rounded to prec bits; the sum is that of the binary x. cos and sin of
+    2 pi x are taken once, with exact argument reduction, and the phase of k x
+    advances by an integer rotation at the kernel's width W; a_k c_k + b_k s_k
+    is summed exactly as an integer, and the one rounding is the last. The
+    result is within
+        2^-W sum_{k<=K} [2 (n + 1) + 3 k (|a_k| + |b_k|)] + 2^-prec |sum|
+    of the exact partial sum; quarter angles x in {0, 1/4, 1/2, 3/4} rotate
+    exactly.
+    """
+    W, a_tab, b_tab = _fixed_kernel(m, n, K, prec)
+    xf = _finite(x, prec)
+    # Error bound. The unit is 2^-W. X, Y are within 1/2 + 2^-14 of
+    # 2^W cos(2 pi x), 2^W sin(2 pi x) (cospi/sinpi at W + 16 bits), so the
+    # vector error |(X, Y) - 2^W e^(2 pi i x)| is below 0.71, and the rotation
+    # M = (X + iY)/2^W has norm below 1 + 0.71 2^-W. The first step from
+    # (2^W, 0) gives (X, Y) exactly; each later step multiplies the error e_k
+    # of (c_k, s_k) by |M|, adds |M - e^(2 pi i x)| 2^W < 0.71 and adds the
+    # two floors, |.| < sqrt(2). So e_(k+1) <= (1 + 2^-W) e_k + 2.13 and
+    # e_k <= 3 k for k <= K, far below 2^W. Then, with the coefficient
+    # errors of _coeff_ints (|alpha| <= n, |beta| <= n + 1 units),
+    # |a^ c^ + b^ s^ - 2^2W (a cos + b sin)|
+    #     <= |(alpha, beta)| |(c^, s^)| + 2^W |(a, b)| e_k
+    #     <= sqrt(2) (n + 1) (2^W + 3k) + 2^W 3k (|a_k| + |b_k|),
+    # which is 2^-W [2 (n + 1) + 3 k (|a_k| + |b_k|)] once divided by 2^2W.
+    # The integer sum and a0/2 are exact; rounding to nearest at prec adds
+    # 2^-prec |sum|. At quarter angles X, Y are 0 or +-2^W, so e_k = 0.
+    with mp.workprec(W + 16):
+        X = int(mp.nint(mp.ldexp(mp.cospi(2 * xf), W)))
+        Y = int(mp.nint(mp.ldexp(mp.sinpi(2 * xf), W)))
+    c, s, total = 1 << W, 0, 0
+    for a, b in _coeff_ints(a_tab, b_tab, K):
+        c, s = (c * X - s * Y) >> W, (s * X + c * Y) >> W
+        total += a * c + b * s
+    a0 = fourier_a0(m, n)
+    num = (a0.numerator << 2 * W) + 2 * a0.denominator * total
     with mp.workprec(prec):
-        xf = mp.mpf(x)
-        total = to_mpf(fc.a0, prec) / 2
-        for k in range(1, K + 1):
-            t = frac_part(k * xf)
-            c, s = cos_sin_2pi(t, prec)
-            total += fc.a[k - 1] * c + fc.b[k - 1] * s
-        return +total
+        return mp.make_mpf(from_rational(num, a0.denominator << (2 * W + 1), prec, round_nearest))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from gbzeta.periodic import (
     fourier_a0,
     fourier_coeffs,
     fourier_partial_sum,
+    jump_terms,
     periodic_eval,
     zeta_expansion,
     zeta_expansion_exact_oracle,
@@ -201,6 +202,123 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         fourier_coeffs(2, 0, 5, P)
     with pytest.raises(ValueError):
+        fourier_coeffs(2, 2, -1, P)
+    with pytest.raises(ValueError):
         periodic_eval(2, -1, mp.mpf(0), P)
     with pytest.raises(ValueError):
         zeta_expansion(2, 0, P)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fourier_partial_sum(1, 2, mp.inf, 5, P),
+    lambda: periodic_eval(2, 2, mp.nan, P),
+    lambda: fourier_partial_sum(2, 0, mp.mpf("0.3"), 5, P),
+    lambda: fourier_partial_sum(2, 2, mp.mpf("0.3"), -1, P),
+], ids=["partial-sum-inf", "eval-nan", "partial-sum-n0", "partial-sum-K-negative"])
+def test_partial_sum_and_eval_reject_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def _ref_coeffs(m, n, ks, wp):
+    # {k: (a_k, b_k, sum of |terms|)}: c/(2 pi k)^p summed directly at wp bits
+    a_terms, b_terms = jump_terms(m, n)
+    out = {}
+    with mp.workprec(wp):
+        a_w = [(p, to_mpf(c, wp)) for p, c in a_terms]
+        b_w = [(p, to_mpf(c, wp)) for p, c in b_terms]
+        twopi = 2 * mp.pi
+        for k in ks:
+            inv = 1 / (twopi * k)
+            ta = [c * inv**p for p, c in a_w]
+            tb = [c * inv**p for p, c in b_w]
+            out[k] = (mp.fsum(ta), mp.fsum(tb), mp.fsum(map(abs, ta + tb)))
+    return out
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_fourier_coeffs_within_fixed_point_bound(prec):
+    # |a_k - exact| <= n 2^-W + 2^-prec |exact|, b_k likewise with n + 1
+    # units; the reference at prec + 64 is within 2^-(prec+56) of its sum of
+    # |terms|
+    for m in (1, 2, 3, 5):
+        for n in range(1, 9):
+            a_terms, b_terms = jump_terms(m, n)
+            for K in (40, 3000):
+                W, a_tab, b_tab = periodic._fixed_kernel(m, n, K, prec)
+                if m == 1 and n >= 3:
+                    # level 1 has one jump, so its Horner list has gaps
+                    assert 0 in a_tab + b_tab
+                fc = fourier_coeffs(m, n, K, prec)
+                assert fc.K == K
+                ks = sorted({*range(1, min(K, 40) + 1), *range(K, 0, -97)})
+                with mp.workprec(prec + 64):
+                    unit = mp.mpf(2) ** -W
+                    for k, (ra, rb, mass) in _ref_coeffs(m, n, ks, prec + 64).items():
+                        slack = mass * mp.mpf(2) ** -(prec + 56)
+                        bound_a = n * unit + abs(ra) * mp.mpf(2) ** -prec + slack
+                        bound_b = (n + 1) * unit + abs(rb) * mp.mpf(2) ** -prec + slack
+                        assert abs(fc.a[k - 1] - ra) <= bound_a, (m, n, K, k)
+                        assert abs(fc.b[k - 1] - rb) <= bound_b, (m, n, K, k)
+                        # the guard bits keep prec bits against the terms
+                        near = mass * mp.mpf(2) ** (1 - prec)
+                        assert abs(fc.a[k - 1] - ra) <= near and abs(fc.b[k - 1] - rb) <= near
+                        if not a_terms:
+                            assert fc.a[k - 1] == 0
+                        if not b_terms:
+                            assert fc.b[k - 1] == 0
+
+
+XS = [F(0), F(1, 2), F(1, 4), F(3, 4), F(1, 3), F(2, 5), F(1, 7), F(-3, 7), 10**6 + F(2, 5)]
+KS = (0, 1, 37, 1000, 3000)
+
+
+def _ref_partial_sums(m, n, x, coeffs, wp):
+    # {K: S_K} with the phase of k x from k p mod q, exactly reduced
+    p, q = x.numerator, x.denominator
+    out = {}
+    with mp.workprec(wp):
+        phase = [(mp.cospi(mp.mpf(2 * j) / q), mp.sinpi(mp.mpf(2 * j) / q)) for j in range(q)]
+        total = to_mpf(fourier_a0(m, n), wp) / 2
+        out[0] = total
+        for k in range(1, KS[-1] + 1):
+            c, s = phase[k * p % q]
+            a, b, _ = coeffs[k]
+            total += a * c + b * s
+            if k in KS:
+                out[k] = total
+    return out
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 4)])
+def test_partial_sum_within_rotation_bound(m, n, prec):
+    # the bound of fourier_partial_sum for its binary x,
+    #     2^-W sum_{k<=K} [2 (n + 1) + 3 k (|a_k| + |b_k|)] + 2^-prec |S_K|,
+    # plus 2 pi |x - x_prec| sum_k k (|a_k| + |b_k|) for rounding x to prec
+    # bits; quarter angles rotate exactly, so their 3 k term is dropped
+    wp = prec + 64
+    coeffs = _ref_coeffs(m, n, range(1, KS[-1] + 1), wp)
+    for x in XS:
+        ref = _ref_partial_sums(m, n, x, coeffs, wp)
+        xf = to_mpf(x, prec)
+        quarter = (4 * x).denominator == 1
+        for K in KS:
+            got = fourier_partial_sum(m, n, xf, K, prec)
+            W = periodic._fixed_kernel(m, n, K, prec)[0]
+            with mp.workprec(wp):
+                moment = mp.fsum(k * (abs(coeffs[k][0]) + abs(coeffs[k][1]))
+                                 for k in range(1, K + 1))
+                mass = mp.fsum(coeffs[k][2] for k in range(1, K + 1))
+                rotation = 0 if quarter else 3 * moment
+                bound = (mp.mpf(2) ** -W * (2 * (n + 1) * K + rotation)
+                         + abs(ref[K]) * mp.mpf(2) ** -prec
+                         + 2 * mp.pi * abs(xf - to_mpf(x, wp)) * moment
+                         + (1 + mass) * mp.mpf(2) ** -(prec + 48))
+                assert abs(got - ref[K]) <= bound, (x, K)
+    # every a_k is 0 at level 1 and odd n, and the phases at 0 and 1/2 are
+    # exact, so these partial sums are exactly 0
+    if (m, n) == (1, 1):
+        for K in KS:
+            assert fourier_partial_sum(1, 1, 0, K, prec) == 0
+            assert fourier_partial_sum(1, 1, F(1, 2), K, prec) == 0
