@@ -1,23 +1,35 @@
 """Generalized Bernoulli numbers and polynomials of level m, exactly.
 
-For a fixed level m >= 1 the family starts from B_0 = m! and is generated by
-the triangular system obtained from the inversion formula
+For a fixed level m >= 1 the family has the generating function
 
-    x^n = sum_{k=0}^{n} C(n,k) k!/(m+k)! B_{n-k}(x)
+    sum_n B_n(x) z^n/n! = z^m e^(xz) / (e^z - T_(m-1)(z)),
 
-at x = 0, which gives for n >= 1
+T_(m-1) the Taylor polynomial of e^z of degree m-1. Since
+e^z - T_(m-1)(z) = z^m sum_k z^k/(m+k)!, the scaled numbers b_n = B_n/n!
+are the coefficients of the reciprocal of sum_k z^k/(m+k)!, so b_0 = m! and,
+with R_k = (m+1)(m+2)...(m+k),
 
-    B_n = -m! sum_{k=1}^{n} C(n,k) k!/(m+k)! B_{n-k}.
+    b_n = -sum_{k=1}^{n} b_(n-k) / R_k        (n >= 1).
 
-Level m = 1 reproduces the classical Bernoulli numbers and polynomials.
-Boundary values B_n(1) come from the summation formula at x = 1.
+This is the inversion formula x^n = sum_k C(n,k) k!/(m+k)! B_(n-k)(x) at
+x = 0, divided by n!. The b_n are kept as integers over one common
+denominator, so a step is one integer sum (Horner in k, multiplying by
+m+k) and one gcd; B_n = n! b_n. Level m = 1 reproduces the classical
+Bernoulli numbers and polynomials.
+
+Boundary values: at x = 1, z^m e^z = z^m (e^z - T_(m-1)) + z^m T_(m-1), so
+the generating function is z^m + T_(m-1)(z) sum_n B_n z^n/n!, which reads
+
+    B_n(1) = n! [n = m] + sum_{i=0}^{min(m-1, n)} C(n,i) B_(n-i),
+
+O(m) work per n in place of the full sum_j C(n,j) B_j.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .polyrat import Poly
 
@@ -26,29 +38,77 @@ class GBFamily:
     """Grow-on-demand cache of one level's numbers and boundary values.
 
     Extension is serialized by a lock; the cached lists are append-only and
-    their elements are immutable, so concurrent readers are safe.
+    their elements are immutable, so concurrent readers are safe. The scaled
+    table (a, d), b_n = a[n]/d, is replaced as a whole when d grows, so a
+    reader holding one pair keeps a consistent table.
     """
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("level m must be a positive integer")
         self.m = m
-        self._numbers = [Fraction(factorial(m))]
-        self._boundary = [Fraction(factorial(m))]
+        mf = factorial(m)
+        self._numbers = [Fraction(mf)]
+        self._boundary = [Fraction(mf)]
+        self._table = ([mf], 1)
+        # (m-1)!/i! for i < m: the boundary identity over the denominator (m-1)! d
+        self._fact_ratios = [factorial(m - 1) // factorial(i) for i in range(m)]
         self._lock = threading.Lock()
 
     def _extend(self, nmax: int) -> None:
         with self._lock:
-            m, B = self.m, self._numbers
-            mf = factorial(m)
-            for n in range(len(B), nmax + 1):
-                s = Fraction(0)
-                for k in range(1, n + 1):
-                    s += comb(n, k) * Fraction(factorial(k), factorial(m + k)) * B[n - k]
-                B.append(-mf * s)
+            m = self.m
+            a, d = self._table
+            n0 = len(a)
+            nf, R = factorial(n0 - 1), factorial(m + n0 - 1) // factorial(m)
+            mm1f = self._fact_ratios[0]
+            for n in range(n0, nmax + 1):
+                R *= m + n
+                nf *= n
+                # sum_{k=1}^{n} a[n-k] R_n/R_k, Horner in k
+                acc = a[n - 1]
+                for k in range(2, n + 1):
+                    acc = acc * (m + k) + a[n - k]
+                # b_n = -acc/(d R_n) = p/q in lowest terms; d grows to lcm(d, q)
+                q = d * R
+                g = gcd(acc, q)
+                p, q = -acc // g, q // g
+                f = q // gcd(q, d)
+                if f > 1:
+                    a = [x * f for x in a]
+                    d *= f
+                a.append(p * (d // q))
+                self._table = (a, d)
+                self._numbers.append(Fraction(nf * p, q))
                 self._boundary.append(
-                    sum((comb(n, j) * B[j] for j in range(n + 1)), Fraction(0))
-                )
+                    Fraction(nf * (a[n] * mm1f + self._jump_scaled(a, d, n)), mm1f * d))
+
+    def _jump_scaled(self, a: list[int], d: int, n: int) -> int:
+        """(m-1)! d (B_n(1) - B_n)/n! = (m-1)! d ([n = m] + sum_{1<=i<m} b_(n-i)/i!)."""
+        w = self._fact_ratios
+        acc = sum(a[n - i] * w[i] for i in range(1, min(self.m - 1, n) + 1))
+        return acc + w[0] * d if n == self.m else acc
+
+    def _scaled(self, nmax: int) -> tuple[list[int], int]:
+        """(a, d) with B_n/n! = a[n]/d for every n <= nmax, one common d."""
+        if nmax >= len(self._numbers):
+            self._extend(nmax)
+        return self._table
+
+    def _weights(self, kind: str, nmax: int) -> tuple[list[int], int]:
+        """(c, e) with W_k/(m! k!) = c[k]/e for k <= nmax, W_k = B_k, B_k(1)
+        or B_k(1) - B_k for kind "number", "boundary" or "jump"."""
+        a, d = self._scaled(nmax)
+        mf = factorial(self.m)
+        if kind == "number":
+            return a[: nmax + 1], mf * d
+        mm1f = self._fact_ratios[0]
+        c = [self._jump_scaled(a, d, k) for k in range(nmax + 1)]
+        if kind == "boundary":
+            c = [x * mm1f + y for x, y in zip(a, c)]
+        elif kind != "jump":
+            raise ValueError(f"unknown weight kind {kind!r}")
+        return c, mf * mm1f * d
 
     def numbers(self, nmax: int) -> list[Fraction]:
         """[B_0, ..., B_nmax] for this level."""
@@ -59,10 +119,16 @@ class GBFamily:
         return self._numbers[: nmax + 1]
 
     def number(self, n: int) -> Fraction:
-        return self.numbers(n)[n]
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if n >= len(self._numbers):
+            self._extend(n)
+        return self._numbers[n]
 
     def boundary(self, n: int) -> Fraction:
-        """B_n(1) = sum_j C(n,j) B_j."""
+        """B_n(1), from the O(m) boundary identity."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         if n >= len(self._boundary):
             self._extend(n)
         return self._boundary[n]

@@ -151,9 +151,7 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             x = _parse_rational(args.x)
             if args.periodic:
-                from .bigfloat import to_mpf
-
-                val = periodic.periodic_eval(args.m, args.n, to_mpf(x, prec), prec)
+                val = periodic.periodic_eval(args.m, args.n, x, prec)
                 _emit({"m": args.m, "n": args.n, "x": args.x, "periodic": True,
                        "value": decimal_str(val, digits)}, fmt)
             else:
@@ -172,9 +170,7 @@ def main(argv=None) -> int:
             rows = [{"k": k + 1, "a_k": payload["a"][k], "b_k": payload["b"][k]}
                     for k in range(args.K)]
             if args.at is not None:
-                from .bigfloat import to_mpf
-
-                x = to_mpf(_parse_rational(args.at), prec)
+                x = _parse_rational(args.at)
                 payload["partial_sum"] = decimal_str(
                     periodic.fourier_partial_sum(args.m, args.n, x, args.K, prec), digits)
                 payload["periodic_value"] = decimal_str(
@@ -243,8 +239,7 @@ def main(argv=None) -> int:
                 rows.append({
                     "x": decimal_str(to_mpf(x, prec), digits),
                     "B": decimal_str(to_mpf(p(x), prec), digits),
-                    "p": decimal_str(periodic.periodic_eval(m, n, to_mpf(x, prec), prec),
-                                     digits),
+                    "p": decimal_str(periodic.periodic_eval(m, n, x, prec), digits),
                 })
             _emit({"m": m, "n": n, "samples": rows}, fmt, rows=rows)
     except ValueError as exc:

@@ -35,13 +35,21 @@ def _finite(x, prec: int):
 
 
 def periodic_eval(m: int, n: int, x, prec: int = DEFAULT_PRECISION):
-    """p_n(x) at level m, x finite; at integers this is the right limit B_n(0)/n!."""
+    """p_n(x) at level m, x finite; at integers this is the right limit B_n(0)/n!.
+
+    An int or Fraction x is reduced mod 1 exactly and then rounded to prec
+    bits; any other x is rounded to prec bits and reduced as that binary x.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     p = bernoulli.gb_polynomial(m, n)
-    xf = _finite(x, prec)
+    if isinstance(x, (int, Fraction)):
+        u = to_mpf(x % 1, prec)
+    else:
+        xf = _finite(x, prec)
+        with mp.workprec(prec):
+            u = frac_part(xf)
     with mp.workprec(prec):
-        u = frac_part(xf)
         return +(p.eval_mpf(u, prec) / mp.factorial(n))
 
 
@@ -169,8 +177,10 @@ def fourier_coeffs(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION) -> Fou
 def fourier_partial_sum(m: int, n: int, x, K: int, prec: int = DEFAULT_PRECISION):
     """a0/2 + sum_{k<=K} a_k cos(2 pi k x) + b_k sin(2 pi k x), x finite.
 
-    x is rounded to prec bits; the sum is that of the binary x. cos and sin of
-    2 pi x are taken once, with exact argument reduction, and the phase of k x
+    An int or Fraction x is reduced mod 1 exactly before its angle is rounded
+    (at W + 32 bits); any other x is rounded to prec bits, and the sum is that
+    of the binary x. cos and sin of 2 pi x are taken once, with exact argument
+    reduction, and the phase of k x
     advances by an integer rotation at the kernel's width W; a_k c_k + b_k s_k
     is summed exactly as an integer, and the one rounding is the last. The
     result is within
@@ -179,10 +189,15 @@ def fourier_partial_sum(m: int, n: int, x, K: int, prec: int = DEFAULT_PRECISION
     exactly.
     """
     W, a_tab, b_tab = _fixed_kernel(m, n, K, prec)
-    xf = _finite(x, prec)
+    if isinstance(x, (int, Fraction)):
+        t = to_mpf(2 * (x % 1), W + 32)
+    else:
+        t = mp.ldexp(_finite(x, prec), 1)
     # Error bound. The unit is 2^-W. X, Y are within 1/2 + 2^-14 of
-    # 2^W cos(2 pi x), 2^W sin(2 pi x) (cospi/sinpi at W + 16 bits), so the
-    # vector error |(X, Y) - 2^W e^(2 pi i x)| is below 0.71, and the rotation
+    # 2^W cos(2 pi x), 2^W sin(2 pi x) (cospi/sinpi of t = 2 x at W + 16
+    # bits; an exact x puts t within 2^-(W+30) of 2 (x mod 1), which moves
+    # them by under 2^-28 units), so the vector error
+    # |(X, Y) - 2^W e^(2 pi i x)| is below 0.71, and the rotation
     # M = (X + iY)/2^W has norm below 1 + 0.71 2^-W. The first step from
     # (2^W, 0) gives (X, Y) exactly; each later step multiplies the error e_k
     # of (c_k, s_k) by |M|, adds |M - e^(2 pi i x)| 2^W < 0.71 and adds the
@@ -196,8 +211,8 @@ def fourier_partial_sum(m: int, n: int, x, K: int, prec: int = DEFAULT_PRECISION
     # The integer sum and a0/2 are exact; rounding to nearest at prec adds
     # 2^-prec |sum|. At quarter angles X, Y are 0 or +-2^W, so e_k = 0.
     with mp.workprec(W + 16):
-        X = int(mp.nint(mp.ldexp(mp.cospi(2 * xf), W)))
-        Y = int(mp.nint(mp.ldexp(mp.sinpi(2 * xf), W)))
+        X = int(mp.nint(mp.ldexp(mp.cospi(t), W)))
+        Y = int(mp.nint(mp.ldexp(mp.sinpi(t), W)))
     c, s, total = 1 << W, 0, 0
     for a, b in _coeff_ints(a_tab, b_tab, K):
         c, s = (c * X - s * Y) >> W, (s * X + c * Y) >> W

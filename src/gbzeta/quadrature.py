@@ -39,15 +39,14 @@ def _weight_row(m: int, kind: str, n: int, prec: int) -> list:
     """[W_k/(m! k!)] for k <= n (at least) as mpf, at level m.
 
     W_k is B_k, B_k(1) or B_k(1) - B_k for kind "number", "boundary" or
-    "jump". Entries are to_mpf of the exact rational, converted once per
-    (m, kind, prec); each row grows on its own, as far as a caller asks.
+    "jump". Entries are to_mpf of the exact rational, read from the level's
+    scaled integer table and converted once per (m, kind, prec); each row
+    grows on its own, as far as a caller asks.
     """
     row = _weight_rows.setdefault((m, kind, prec), [])
     if len(row) <= n:
-        fam = bernoulli.family(m)
-        w, mf = getattr(fam, kind), factorial(m)
-        row.extend(to_mpf(Fraction(w(k), mf * factorial(k)), prec)
-                   for k in range(len(row), n + 1))
+        c, e = bernoulli.family(m)._weights(kind, n)
+        row.extend(to_mpf(Fraction(c[k], e), prec) for k in range(len(row), n + 1))
     return row
 
 

@@ -126,13 +126,8 @@ class PowerFunction(FunctionStack):
         boundary=True weights with B_k(1) (the sigma of the far endpoint),
         False with B_k (the sigma~ of the near endpoint, without the f(q)).
         """
-        fam = bernoulli.family(m)
-        out = []
-        for k in range(1, r + 1):
-            w = fam.boundary(k) if boundary else fam.number(k)
-            c = self.pochhammer(k - 1) * Fraction(w, factorial(m) * factorial(k))
-            out.append((k, c))
-        return out
+        c, e = bernoulli.family(m)._weights("boundary" if boundary else "number", r)
+        return [(k, self.pochhammer(k - 1) * Fraction(c[k], e)) for k in range(1, r + 1)]
 
 
 def exp_decay_stack(prec: int = DEFAULT_PRECISION) -> FunctionStack:
@@ -280,10 +275,17 @@ def _check_order(fs, r):
 # with it against 3.3 s, one cold run each, with 0 bound violations either
 # way), and it changes the reported error bounds (zeta-odd --s 3 --m 5 --r 2
 # --p 100: 1.6239025e-42 -> 8.3280271e-42, since _far_bound then stops at a
-# lower order whose bound just meets tol/4).
+# lower order whose bound just meets tol/4). So it stays loose on purpose
+# until a 64-bit sup bound replaces it (ROADMAP item 3), but it builds no
+# polynomial: it is one integer sum over the level's scaled number table.
 def _coeff_abs_sum(m: int, r: int) -> Fraction:
-    # sum |coeffs of B_r| >= max_{[0,1]} |B_r|
-    return bernoulli.gb_polynomial(m, r).coeff_abs_sum()
+    # sum_k C(r,k) |B_k| >= max_{[0,1]} |B_r|; with B_k = k! a_k/d this is
+    # sum_k |a_k| r!/(r-k)! over d, Horner in k
+    a, d = bernoulli.family(m)._scaled(r)
+    acc = abs(a[r])
+    for k in range(r - 1, -1, -1):
+        acc = acc * (r - k) + abs(a[k])
+    return Fraction(acc, d)
 
 
 _far_coeffs: dict = {}

@@ -1,5 +1,6 @@
 """Generalized Bernoulli numbers/polynomials: tables, identities, caching."""
 
+import sys
 import threading
 from fractions import Fraction
 from math import comb, factorial
@@ -139,6 +140,12 @@ def test_argument_validation():
         gb_polynomial(3, -2)
     with pytest.raises(ValueError):
         recurrence_residual(2, 0)
+    # a negative index must not wrap around the cached lists
+    fam = GBFamily(2)
+    fam.numbers(5)
+    for get in (fam.number, fam.boundary, fam.jump):
+        with pytest.raises(ValueError):
+            get(-1)
 
 
 def test_concurrent_growth():
@@ -158,3 +165,87 @@ def test_concurrent_growth():
         t.join()
     assert not errs
     assert fam.numbers(60) == bernoulli.family(3).numbers(60)
+
+
+def test_scaled_table_consistent_under_concurrent_growth():
+    # readers of the scaled table (a, d) race writers that rescale it; each
+    # pair a reader holds must give the numbers of the level exactly
+    ref = GBFamily(2).numbers(120)
+    fam = GBFamily(2)
+    errs = []
+
+    def work(i):
+        try:
+            for n in range(10 + i, 121, 7):
+                a, d = fam._scaled(n)
+                for k in (0, n // 2, n):
+                    if F(factorial(k) * a[k], d) != ref[k]:
+                        errs.append((i, n, k))
+        except Exception as exc:  # pragma: no cover
+            errs.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errs
+
+
+def _inversion_reference(m, nmax):
+    # the inversion formula at x = 0, term by term in Fractions:
+    # B_n = -m! sum_{k=1}^{n} C(n,k) k!/(m+k)! B_{n-k}
+    mf = factorial(m)
+    B = [F(mf)]
+    for n in range(1, nmax + 1):
+        s = F(0)
+        for k in range(1, n + 1):
+            s += comb(n, k) * F(factorial(k), factorial(m + k)) * B[n - k]
+        B.append(-mf * s)
+    return B
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_scaled_recurrence_equals_inversion_formula(m):
+    assert GBFamily(m).numbers(150) == _inversion_reference(m, 150)
+
+
+def test_level_one_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    B = GBFamily(1).numbers(200)
+    assert B[1] == F(-1, 2)  # sympy's B_1 is +1/2
+    for n in (0, *range(2, 201)):
+        ref = sympy.Rational(sympy.bernoulli(n))
+        assert B[n] == F(int(ref.p), int(ref.q)), n
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_boundary_identity_equals_full_sum(m):
+    # B_n(1) from the O(m) identity against sum_j C(n,j) B_j
+    fam = GBFamily(m)
+    B = fam.numbers(120)
+    for n in range(121):
+        assert fam.boundary(n) == sum((comb(n, j) * B[j] for j in range(n + 1)), F(0)), n
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 5, 7))
+def test_coeff_abs_sum_from_table(m):
+    from gbzeta import series
+
+    for r in range(131):
+        assert series._coeff_abs_sum(m, r) == gb_polynomial(m, r).coeff_abs_sum(), r
+
+
+@pytest.mark.parametrize("m", (1, 4))
+def test_growth_in_steps_equals_cold(m):
+    stepped, cold = GBFamily(m), GBFamily(m)
+    stepped.numbers(10)
+    assert stepped.numbers(150) == cold.numbers(150)
+    assert ([stepped.boundary(n) for n in range(151)]
+            == [cold.boundary(n) for n in range(151)])

@@ -296,7 +296,9 @@ def test_partial_sum_within_rotation_bound(m, n, prec):
     # the bound of fourier_partial_sum for its binary x,
     #     2^-W sum_{k<=K} [2 (n + 1) + 3 k (|a_k| + |b_k|)] + 2^-prec |S_K|,
     # plus 2 pi |x - x_prec| sum_k k (|a_k| + |b_k|) for rounding x to prec
-    # bits; quarter angles rotate exactly, so their 3 k term is dropped
+    # bits; an exact (Fraction) x is reduced mod 1 before any rounding, so it
+    # gets the bound without that phase term. Quarter angles rotate exactly,
+    # so their 3 k term is dropped
     wp = prec + 64
     coeffs = _ref_coeffs(m, n, range(1, KS[-1] + 1), wp)
     for x in XS:
@@ -304,7 +306,6 @@ def test_partial_sum_within_rotation_bound(m, n, prec):
         xf = to_mpf(x, prec)
         quarter = (4 * x).denominator == 1
         for K in KS:
-            got = fourier_partial_sum(m, n, xf, K, prec)
             W = periodic._fixed_kernel(m, n, K, prec)[0]
             with mp.workprec(wp):
                 moment = mp.fsum(k * (abs(coeffs[k][0]) + abs(coeffs[k][1]))
@@ -313,12 +314,25 @@ def test_partial_sum_within_rotation_bound(m, n, prec):
                 rotation = 0 if quarter else 3 * moment
                 bound = (mp.mpf(2) ** -W * (2 * (n + 1) * K + rotation)
                          + abs(ref[K]) * mp.mpf(2) ** -prec
-                         + 2 * mp.pi * abs(xf - to_mpf(x, wp)) * moment
                          + (1 + mass) * mp.mpf(2) ** -(prec + 48))
-                assert abs(got - ref[K]) <= bound, (x, K)
+                phase = 2 * mp.pi * abs(xf - to_mpf(x, wp)) * moment
+            got = fourier_partial_sum(m, n, xf, K, prec)
+            assert abs(got - ref[K]) <= bound + phase, (x, K)
+            got = fourier_partial_sum(m, n, x, K, prec)
+            assert abs(got - ref[K]) <= bound, ("exact", x, K)
     # every a_k is 0 at level 1 and odd n, and the phases at 0 and 1/2 are
     # exact, so these partial sums are exactly 0
     if (m, n) == (1, 1):
         for K in KS:
             assert fourier_partial_sum(1, 1, 0, K, prec) == 0
             assert fourier_partial_sum(1, 1, F(1, 2), K, prec) == 0
+
+
+def test_exact_x_is_reduced_before_rounding():
+    # an exact x and its fractional part are the same point of p_n
+    for prec in (256, 1024):
+        for m, n in ((1, 3), (3, 2)):
+            x = 10**6 + F(2, 5)
+            assert periodic_eval(m, n, x, prec) == periodic_eval(m, n, F(2, 5), prec)
+            assert (fourier_partial_sum(m, n, x, 37, prec)
+                    == fourier_partial_sum(m, n, F(2, 5), 37, prec))
