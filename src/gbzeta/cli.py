@@ -177,6 +177,8 @@ def main(argv=None) -> int:
                     periodic.periodic_eval(args.m, args.n, x, prec), digits)
             _emit(payload, fmt, rows=rows)
         elif args.command == "zeta-even":
+            if args.m < 1:
+                ap.error("need m >= 1")
             if args.via == "peri12":
                 if args.r != 1:
                     ap.error("the midpoint identity only yields r = 1")
@@ -196,8 +198,6 @@ def main(argv=None) -> int:
             payload.update(est.as_dict(digits))
             _emit(payload, fmt)
         elif args.command == "quad":
-            from .bigfloat import to_mpf
-
             a, b = _parse_rational(args.a), _parse_rational(args.b)
             if args.f == "exp":
                 fs = quadrature.exp_stack(prec)
@@ -205,8 +205,7 @@ def main(argv=None) -> int:
                 fs = series.PowerFunction(_parse_rational(args.f[6:]), prec)
             else:
                 ap.error("--f must be 'exp' or 'power:S'")
-            rep = quadrature.em_composite(fs, to_mpf(a, prec), to_mpf(b, prec),
-                                          args.nsub, args.m, args.r, prec)
+            rep = quadrature.em_composite(fs, a, b, args.nsub, args.m, args.r, prec)
             _emit(rep.as_dict(digits), fmt)
         elif args.command == "norms":
             l2 = quadrature.l2_norm_sq(args.m, args.n)

@@ -4,14 +4,15 @@ The unit-interval rule expresses int_0^1 f through boundary derivative terms
 weighted by B_k and B_k(1) plus an integral remainder against B_r; the
 composite rule tiles [a,b] with it, and its main sum is sigma(b) -
 [sigma~(a) - f(a)] + rho over the interior nodes, with step h. Each piece is
-one _derivative_sum over a row of the level-m weight table. Remainder
-integrals use a fixed 32-node Gauss-Legendre rule per cell, with nodes
-generated at working precision. Its quadrature error is not bounded and
-enters no remainder bound; it is small where f^(r) is smooth across a cell,
-but near a pole of f (x^-s on the cells next to 0) it can exceed the reported
-bound. The routes that still carry it are em_composite here and, in series,
-remainder_R and delta_tail on generic stacks; delta_tail on x^-s takes its
-block exactly.
+one _derivative_sum over a row of the level-m weight table. em_composite is
+the one route that integrates a remainder numerically: a fixed 32-node
+Gauss-Legendre rule per cell, with nodes generated at working precision and
+B_r at the nodes cached per (m, r, prec). Its quadrature error is not
+bounded and enters no remainder bound; it is small where f^(r) is smooth
+across a cell, but near a pole of f (x^-s on the cells next to 0) it can
+exceed the reported bound. series.remainder_R, and through it delta_tail on
+generic stacks, take their remainders from em_composite; delta_tail on x^-s
+takes its block exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ GAUSS_NODES = 32
 _gauss_cache: dict = {}
 _sup_norm_cache: dict = {}
 _weight_rows: dict = {}
+_node_rows: dict = {}
 
 
 def _weight_row(m: int, kind: str, n: int, prec: int) -> list:
@@ -58,6 +60,13 @@ def _derivative_sum(fs: FunctionStack, row: list, orders, xs, h=1):
     """
     return mp.fsum((-1) ** (k + 1) * row[k] * h**k * mp.fsum(map(fs.deriv(k - 1), xs))
                    for k in orders if row[k])
+
+
+def _check_order(fs: FunctionStack, r: int) -> None:
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    if r > fs.r_max:
+        raise ValueError(f"r={r} exceeds the stack's r_max={fs.r_max}")
 
 
 def gauss_legendre_01(n: int = GAUSS_NODES, prec: int = DEFAULT_PRECISION):
@@ -267,8 +276,7 @@ def em_composite(
     """
     if n_sub < 1:
         raise ValueError("n_sub must be at least 1")
-    if r < 1 or r > fs.r_max:
-        raise ValueError("invalid derivative order r")
+    _check_order(fs, r)
     fam = bernoulli.family(m)
     mf = factorial(m)
     with mp.workprec(prec):
@@ -283,16 +291,19 @@ def em_composite(
         main = (_derivative_sum(fs, _weight_row(m, "boundary", r, prec), orders, [b], h)
                 - _derivative_sum(fs, _weight_row(m, "number", r, prec), orders, [a], h)
                 + _derivative_sum(fs, _weight_row(m, "jump", r, prec), orders, xs[1:-1], h))
-        nodes = gauss_legendre_01(GAUSS_NODES, prec)
-        br = fam.polynomial(r)
-        bvals = [br.eval_mpf(u, prec) for u, _ in nodes]
+        key = (m, r, prec)
+        if key not in _node_rows:
+            br = fam.polynomial(r)
+            _node_rows[key] = [(u, w, br.eval_mpf(u, prec))
+                               for u, w in gauss_legendre_01(GAUSS_NODES, prec)]
+        nodes = _node_rows[key]
         fr = fs.deriv(r)
         integ = mp.mpf(0)
         absint = mp.mpf(0)
         for j in range(n_sub):
             acc = mp.mpf(0)
             aacc = mp.mpf(0)
-            for (u, w), bv in zip(nodes, bvals):
+            for u, w, bv in nodes:
                 v = fr(xs[j] + h * u)
                 acc += w * v * bv
                 aacc += w * abs(v)

@@ -7,7 +7,8 @@ the identity at infinity estimates convergent series such as zeta(2k+1); all
 infinite tails are certified, each carrying an explicit error bound.
 
 Normalization: R and its tail delta carry the 1/m! of the composite rule, the
-only choice under which the finite identity closes exactly.
+only choice under which the finite identity closes (up to the Gauss error of
+R, which comes from quadrature.em_composite).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import mpmath as mp
 
 from . import bernoulli
 from .bigfloat import DEFAULT_PRECISION, decimal_str, to_mpf
-from .quadrature import (GAUSS_NODES, FunctionStack, _derivative_sum, _weight_row,
-                         gauss_legendre_01, sup_norm)
+from .quadrature import (FunctionStack, _check_order, _derivative_sum, _weight_row,
+                         em_composite, sup_norm)
 
 
 class TailNotCertifiableError(RuntimeError):
@@ -256,28 +257,19 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
         return +_derivative_sum(fs, _weight_row(m, "jump", r, prec), range(2, r + 1), xs)
 
 
-def _check_order(fs, r):
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if r > fs.r_max:
-        raise ValueError(f"r={r} exceeds the stack's r_max={fs.r_max}")
-
-
 # ---------------------------------------------------------------------------
 # certified tails
 
-# _far_bound keeps this loose sum although quadrature.sup_norm is tight. It
-# was kept first because its slack hid the unbounded Gauss error of the direct
-# block; that reason is gone, since delta_tail now takes the block of x^-s
-# exactly from the identity. It stays for two others: sup_norm at the orders
-# _far_bound tries (up to r + 96) is slow from a cold cache (the 80 estimates
-# at 1024 bits and p = 100, on the shared _RisingPowers sequence, took 161 s
-# with it against 3.3 s, one cold run each, with 0 bound violations either
-# way), and it changes the reported error bounds (zeta-odd --s 3 --m 5 --r 2
-# --p 100: 1.6239025e-42 -> 8.3280271e-42, since _far_bound then stops at a
-# lower order whose bound just meets tol/4). So it stays loose on purpose
-# until a 64-bit sup bound replaces it (ROADMAP item 3), but it builds no
-# polynomial: it is one integer sum over the level's scaled number table.
+# _far_bound keeps this loose sum although quadrature.sup_norm is tight, for
+# two reasons: sup_norm at the orders _far_bound tries (up to r + 96) is slow
+# from a cold cache (the 80 estimates at 1024 bits and p = 100, on the shared
+# _RisingPowers sequence, took 161 s with it against 3.3 s, one cold run
+# each, with 0 bound violations either way), and it changes the reported
+# error bounds (zeta-odd --s 3 --m 5 --r 2 --p 100: 1.6239025e-42 ->
+# 8.3280271e-42, since _far_bound then stops at a lower order whose bound
+# just meets tol/4). So it stays loose on purpose until a 64-bit sup bound
+# replaces it (ROADMAP item 3), but it builds no polynomial: it is one
+# integer sum over the level's scaled number table.
 def _coeff_abs_sum(m: int, r: int) -> Fraction:
     # sum_k C(r,k) |B_k| >= max_{[0,1]} |B_r|; with B_k = k! a_k/d this is
     # sum_k |a_k| r!/(r-k)! over d, Horner in k
@@ -391,27 +383,6 @@ def _power_tails(pf: PowerFunction, ks, J: int, tol, prec: int) -> list[Certifie
     return out
 
 
-def power_tail_sum(t: Fraction, J: int, prec: int = DEFAULT_PRECISION,
-                   tol=None) -> CertifiedValue:
-    """Certified sum_{j>=J} j^(-t) for rational t > 1.
-
-    The one-exponent case of the batched tails (k = 1 in _power_tails): terms
-    up to J0 = max(J, 64) are summed directly; the rest is the level-1 rule at
-    an order r chosen so that the sup-norm remainder bound (coeff-sum of B_r /
-    r!) * int_{J0}^inf |f^(r)| falls below tol, with sigma~ one fdot of the
-    shared sequence (t)_n J0^-(t+n) over the nonzero B_i/i!.
-    """
-    t = Fraction(t)
-    if t <= 1:
-        raise ValueError("need t > 1")
-    if J < 1:
-        raise ValueError("need J >= 1")
-    with mp.workprec(prec):
-        if tol is None:
-            tol = _default_tol(prec)
-        return _power_tails(PowerFunction(t, prec), [1], J, tol, prec)[0]
-
-
 def _jump_tail(pf: PowerFunction, m: int, orders, J: int, tol, prec: int) -> CertifiedValue:
     """Certified sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for f = x^-s.
 
@@ -476,30 +447,19 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
                 prec: int = DEFAULT_PRECISION):
     """R_r(q1,q2) = (1/m!)((-1)^r/r!) int f^(r)(t) B_r(t - floor t) dt.
 
-    Integrated cell by cell with the shared 32-node Gauss rule. Each Gauss
-    weight is multiplied by B_r at its node once, before the cell loop, so a
-    cell costs one evaluation of f^(r) per node (a power stack's evaluator
-    converts its constants once per precision). The Gauss error is not
-    bounded here: it is small where f^(r) is smooth across a cell, but not on
-    cells next to a pole of f (x^-s near 0). delta_tail uses this rule only
-    for generic stacks; for power stacks it takes the exact _remainder_block.
+    The remainder of em_composite on [q1, q2] with unit cells, so it takes
+    em_composite's Gauss rule and its unbounded Gauss error: small where
+    f^(r) is smooth across a cell, but not on cells next to a pole of f
+    (x^-s near 0). delta_tail uses it only for generic stacks; for power
+    stacks it takes the exact _remainder_block. R_r(q, q) = 0.
     """
     _check_order(fs, r)
     if q2 < q1:
         raise ValueError("need q1 <= q2")
     fs.check_domain(q1)
-    fam = bernoulli.family(m)
-    with mp.workprec(prec):
-        br = fam.polynomial(r)
-        wb = [(u, w * br.eval_mpf(u, prec)) for u, w in gauss_legendre_01(GAUSS_NODES, prec)]
-        fr = fs.deriv(r)
-        total = mp.mpf(0)
-        for c in range(q1, q2):
-            acc = mp.mpf(0)
-            for u, w in wb:
-                acc += w * fr(c + u)
-            total += acc
-        return +((-1) ** r / (factorial(m) * mp.factorial(r)) * total)
+    if q1 == q2:
+        return mp.mpf(0)
+    return em_composite(fs, q1, q2, q2 - q1, m, r, prec).remainder
 
 
 def _horner_inv(coeffs: list, x: int):
@@ -585,9 +545,10 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
     the far tail is rewritten through the identity at a higher order r':
     delta_r(Q) = [sigma~_r(Q) - sigma~_r'(Q)] + [e_r'(Q) - e_r(Q)] + delta_r'(Q),
     and r', Q are raised until the sup-norm bound on delta_r'(Q) is below tol.
-    Generic stacks integrate cells with remainder_R, whose Gauss error is not
-    bounded, until the bound mu_r/(m! r!) int_Q^inf |f^(r)| (from
-    abs_deriv_tail) drops below tol.
+    Generic stacks step Q by 16 cells (at most 4096) until the bound
+    mu_r/(m! r!) int_Q^inf |f^(r)| (from abs_deriv_tail) drops below tol,
+    then take the block with one remainder_R call, that is from
+    em_composite's Gauss rule, whose error is not bounded.
     """
     _check_order(fs, r)
     fs.check_domain(q1)
@@ -625,12 +586,9 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
             return coef * fs.abs_deriv_tail(r, Q, prec)
 
         Q = q1
-        total = mp.mpf(0)
-        cap = 4096
-        step = 16
-        while tail_bound(Q) > tol and Q - q1 < cap:
-            total += remainder_R(fs, m, r, Q, Q + step, prec)
-            Q += step
+        while tail_bound(Q) > tol and Q - q1 < 4096:
+            Q += 16
+        total = remainder_R(fs, m, r, q1, Q, prec)
         return CertifiedValue(+total, +(tail_bound(Q) + _rounding_slack(total, prec)))
 
 
@@ -639,8 +597,8 @@ def finite_identity_residual(fs: FunctionStack, m: int, r: int, p: int, n: int,
     """|int_p^n f - [S(n-1)-S(p-1) + sigma(n) - sigma~(p) + rho(p,n) + R(p,n)]|.
 
     The five right-hand pieces reassemble the composite rule with h = 1, so
-    the residual is pure quadrature/rounding noise; it pins down the
-    consistent normalization of every component.
+    the residual is the Gauss error of remainder_R plus rounding; it pins
+    down the consistent normalization of every component.
     """
     if not (1 <= p <= n):
         raise ValueError("need 1 <= p <= n")

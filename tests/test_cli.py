@@ -199,6 +199,8 @@ def test_usage_errors_exit_two():
     (("norms", "--m", "1", "--n", "2", "--digits", "0"), None),
     (("numbers", "--m", "1", "--nmax", "3", "--digits", "-3"), None),
     (("zeta-odd", "--s", "1/0", "--m", "2", "--r", "2", "--p", "10"), None),
+    (("zeta-even", "--r", "1", "--m", "0"), None),
+    (("zeta-even", "--r", "1", "--m", "-3", "--via", "euler"), None),
 ])
 def test_invalid_values_exit_two(args, env_extra):
     # values the library rejects are usage errors: a message, no traceback

@@ -267,3 +267,16 @@ def test_em_rejects_excessive_order():
         em_unit(fs, 2, 2, P)
     with pytest.raises(ValueError):
         em_composite(fs, 0, 1, 2, 2, 2, P)
+    with pytest.raises(ValueError, match="at least 1"):
+        em_composite(fs, 0, 1, 2, 2, 0, P)
+
+
+def test_em_composite_node_row_is_per_precision(monkeypatch):
+    # B_r at the Gauss nodes is cached per (m, r, prec): a row made at 128
+    # bits must not serve a 256-bit call
+    monkeypatch.setattr(quadrature, "_node_rows", {})
+    fs = exp_stack(P)
+    fresh = em_composite(fs, 0, 2, 3, 2, 6, P)
+    monkeypatch.setattr(quadrature, "_node_rows", {})
+    em_composite(exp_stack(128), 0, 2, 3, 2, 6, 128)
+    assert em_composite(fs, 0, 2, 3, 2, 6, P) == fresh

@@ -22,7 +22,6 @@ from gbzeta.series import (
     exp_decay_stack,
     finite_identity_residual,
     partial_sum,
-    power_tail_sum,
     remainder_R,
     rho,
     rho_tail,
@@ -110,31 +109,31 @@ def test_sigma_infinity(pf3):
     assert sigma_infinity(pf3, 5, 2, P) == 0
 
 
+def _power_tail_sum(t, J, prec):
+    # sum_{j>=J} j^-t: the k = 1 tail of the batched power tails
+    with mp.workprec(prec):
+        return series._power_tails(PowerFunction(t, prec), [1], J,
+                                   series._default_tol(prec), prec)[0]
+
+
 def test_power_tail_sum_certified():
     with mp.workprec(320):
         for t, J in ((F(4), 101), (F(4), 21), (F(2), 2), (F(10), 31)):
-            cv = power_tail_sum(t, J, 300)
+            cv = _power_tail_sum(t, J, 300)
             ref = mp.zeta(int(t), J)  # independent oracle: Hurwitz zeta
             assert abs(cv.value - ref) <= cv.bound + abs(ref) * mp.mpf(2) ** -290
         # brute-force oracle at low accuracy
         brute = sum(mp.mpf(j) ** -4 for j in range(21, 40000))
-        cv = power_tail_sum(F(4), 21, 300)
+        cv = _power_tail_sum(F(4), 21, 300)
         assert abs(cv.value - brute) <= mp.mpf("1e-13")
     # non-integer and integer exponents; J < 64 exercises the direct terms
     for prec in (256, 1024):
         for t in (F(3, 2), F(7, 2), F(5, 3), F(2), F(5)):
             for J in (1, 21, 64, 165):
-                cv = power_tail_sum(t, J, prec)
+                cv = _power_tail_sum(t, J, prec)
                 with mp.workprec(prec + 64):
                     ref = mp.zeta(mp.mpf(t.numerator) / t.denominator, J)
                     assert abs(cv.value - ref) <= cv.bound, (prec, t, J)
-
-
-def test_power_tail_sum_rejects_start_below_one():
-    # the j = 0 term of sum_{j>=J} j^-t does not exist
-    for J in (0, -3):
-        with pytest.raises(ValueError):
-            power_tail_sum(F(3), J, P)
 
 
 def _far_bound_reference(pf, m, orders, J, tol, prec):
@@ -524,6 +523,18 @@ def test_remainder_R_agrees_with_block_far_out(s, m, r):
     gauss = remainder_R(pf, m, r, 100, 164, P)
     with mp.workprec(P):
         assert abs(value - gauss) <= series._rounding_slack(value, P)
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("m,r", [(1, 2), (2, 6), (5, 4)])
+@pytest.mark.parametrize("stack", ["x^-3", "x^-3/2", "exp(-x)"])
+def test_remainder_R_is_em_composite_remainder(stack, m, r, prec):
+    # remainder_R runs no Gauss loop of its own: it is em_composite's remainder
+    fs = {"x^-3": lambda: PowerFunction(3, prec),
+          "x^-3/2": lambda: PowerFunction(F(3, 2), prec),
+          "exp(-x)": lambda: exp_decay_stack(prec)}[stack]()
+    assert remainder_R(fs, m, r, 2, 9, prec) == em_composite(fs, 2, 9, 7, m, r, prec).remainder
+    assert remainder_R(fs, m, r, 4, 4, prec) == 0
 
 
 def test_power_stack_rejects_cells_at_or_below_zero():
