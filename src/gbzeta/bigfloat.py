@@ -4,16 +4,18 @@ Every function takes the mantissa precision in bits explicitly; results are
 rounded to that precision. mpmath's context is process-global, so the float
 paths are single-threaded by design (the CLI runs one process; see README).
 Sums that need more than rounding per operation are done in scaled integers
-(fixed point) with one rounding at the end: truncated_power_sum here, and the
-Fourier kernel of periodic, which needs no trigonometric helper from this
-module.
+(fixed point) with one rounding at the end: the exact kernel scaled_power feeds
+truncated_power_sum here and series' partial sums of x^-s, near tail block and
+remainder block; periodic's Fourier kernel is the other fixed-point user.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
+from mpmath.libmp import MPZ, normalize, round_nearest
 
 DEFAULT_PRECISION = 256
 
@@ -54,20 +56,42 @@ def frac_part(x):
     return x - mp.floor(x)
 
 
+def _round_fixed(v: int, W: int, prec=None):
+    # v 2^-W rounded once, to nearest at prec; exact without prec
+    u = abs(v)
+    bc = u.bit_length()
+    return mp.make_mpf(normalize(int(v < 0), MPZ(u), -W, bc, prec or bc + 1, round_nearest))
+
+
+def scaled_power(s, j: int, W: int) -> int:
+    """floor(2^W j^-s) for rational s = a/b >= 0 and an integer j >= 1, exactly.
+
+    It is the b-th root of x = floor(2^(bW)/j^a), floored, since n <= y^(1/b)
+    iff n^b <= floor(y) for an integer n: math.isqrt for b = 2, else integer
+    Newton from 2^ceil(bitlen(x)/b), whose steps stay at or above the floored
+    root (AM-GM) and fall until they reach it.
+    """
+    a, b = s.numerator, s.denominator
+    x = (1 << b * W) // j**a
+    if b <= 2 or not x:
+        return isqrt(x) if b == 2 else x
+    y = 1 << -(-x.bit_length() // b)
+    while (z := ((b - 1) * y + x // y ** (b - 1)) // b) < y:
+        y = z
+    return y
+
+
 def truncated_power_sum(t: int, K: int, prec: int = DEFAULT_PRECISION):
     """sum_{k=1}^{K} k**(-t) for integer t >= 2, deterministically.
 
-    Scaled-integer summation: each term floor(2**B / k**t) errs by < 2**-B,
+    Scaled-integer summation: each term scaled_power(t, k, B) errs by < 2**-B,
     so the total error is < (K+1) * 2**-B with B = prec + 64.
     """
     if t < 2:
         raise ValueError("need t >= 2")
     B = prec + 64
-    one = 1 << B
-    total = 0
-    for k in range(1, K + 1):
-        total += one // k**t
+    total = sum(scaled_power(t, k, B) for k in range(1, K + 1))
     with mp.workprec(prec + _GUARD):
-        v = mp.mpf(total) / one
+        v = mp.mpf(total) / (1 << B)
     with mp.workprec(prec):
         return +v

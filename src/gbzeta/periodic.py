@@ -20,10 +20,10 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
-from mpmath.libmp import MPZ, from_rational, normalize, round_nearest
+from mpmath.libmp import from_rational, round_nearest
 
 from . import bernoulli, zeta_even
-from .bigfloat import DEFAULT_PRECISION, frac_part, to_mpf
+from .bigfloat import DEFAULT_PRECISION, _round_fixed, frac_part, to_mpf
 
 
 def _finite(x, prec: int):
@@ -150,12 +150,6 @@ def _coeff_ints(a_tab: list, b_tab: list, K: int):
         for c in reversed(b_tab):
             b = c + b // k2
         yield a // k2, b // k
-
-
-def _round_fixed(v: int, W: int, prec: int):
-    # v 2^-W rounded once, to nearest at prec
-    u = abs(v)
-    return mp.make_mpf(normalize(int(v < 0), MPZ(u), -W, u.bit_length(), prec, round_nearest))
 
 
 def fourier_coeffs(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION) -> FourierCoeffs:

@@ -11,7 +11,7 @@ B_r at the nodes cached per (m, r, prec). Its quadrature error is not
 bounded and enters no remainder bound; it is small where f^(r) is smooth
 across a cell, but near a pole of f (x^-s on the cells next to 0) it can
 exceed the reported bound. series.remainder_R, and through it delta_tail on
-generic stacks, take their remainders from em_composite; delta_tail on x^-s
+generic stacks, take their remainders from its cell loop alone; delta_tail on x^-s
 takes its block exactly.
 """
 
@@ -110,6 +110,7 @@ class FunctionStack:
       exact_tail_integral(p, prec)   -> int_p^inf f
       exact_integral(a, b, prec)     -> int_a^b f
       abs_deriv_tail(k, p, prec)     -> upper bound for int_p^inf |f^(k)|
+      partial_sum(l, prec)           -> f(1) + ... + f(l), in place of a float loop
 
     domain_lo is an exclusive lower end of the domain (None: unbounded); the
     rules refuse a cell that reaches down to it, and the point sums a point at
@@ -134,6 +135,7 @@ class FunctionStack:
         check: bool = True,
         check_points=(0.3, 0.55, 0.8),
         prec: int = DEFAULT_PRECISION,
+        partial_sum: Optional[Callable] = None,
     ):
         self.f = f
         self._derivs = derivs
@@ -141,6 +143,7 @@ class FunctionStack:
         self.exact_tail_integral = exact_tail_integral
         self.exact_integral = exact_integral
         self.abs_deriv_tail = abs_deriv_tail
+        self.partial_sum = partial_sum
         self.limit_at_infinity = limit_at_infinity
         self.derivatives_vanish = derivatives_vanish
         self.integral_converges = integral_converges
@@ -248,11 +251,6 @@ class QuadratureReport:
         }
 
 
-def _bound_inflation(x):
-    # Gauss values enter certified bounds only after this safety margin
-    return x * (1 + mp.mpf(2) ** -20) + mp.mpf(2) ** -60 * abs(x)
-
-
 def em_unit(fs: FunctionStack, m: int, r: int, prec: int = DEFAULT_PRECISION) -> QuadratureReport:
     """Unit-interval rule: total = main boundary terms + integral remainder.
 
@@ -262,6 +260,27 @@ def em_unit(fs: FunctionStack, m: int, r: int, prec: int = DEFAULT_PRECISION) ->
     This is the composite rule on [0,1] with a single cell.
     """
     return em_composite(fs, 0, 1, 1, m, r, prec)
+
+
+def _gauss_remainder(fs: FunctionStack, starts, h, m: int, r: int, prec: int) -> tuple:
+    """(remainder, int |f^(r)|) by Gauss on the cells [x, x + h], x in starts."""
+    key = (m, r, prec)
+    if key not in _node_rows:
+        br = bernoulli.family(m).polynomial(r)
+        _node_rows[key] = [(u, w, br.eval_mpf(u, prec))
+                           for u, w in gauss_legendre_01(GAUSS_NODES, prec)]
+    nodes = _node_rows[key]
+    fr = fs.deriv(r)
+    integ = absint = mp.mpf(0)
+    for x in starts:
+        acc = aacc = mp.mpf(0)
+        for u, w, bv in nodes:
+            v = fr(x + h * u)
+            acc += w * v * bv
+            aacc += w * abs(v)
+        integ += h * acc
+        absint += h * aacc
+    return (-h) ** r / (factorial(m) * mp.factorial(r)) * integ, absint
 
 
 def em_composite(
@@ -277,8 +296,6 @@ def em_composite(
     if n_sub < 1:
         raise ValueError("n_sub must be at least 1")
     _check_order(fs, r)
-    fam = bernoulli.family(m)
-    mf = factorial(m)
     with mp.workprec(prec):
         a = to_mpf(a, prec)
         b = to_mpf(b, prec)
@@ -291,29 +308,10 @@ def em_composite(
         main = (_derivative_sum(fs, _weight_row(m, "boundary", r, prec), orders, [b], h)
                 - _derivative_sum(fs, _weight_row(m, "number", r, prec), orders, [a], h)
                 + _derivative_sum(fs, _weight_row(m, "jump", r, prec), orders, xs[1:-1], h))
-        key = (m, r, prec)
-        if key not in _node_rows:
-            br = fam.polynomial(r)
-            _node_rows[key] = [(u, w, br.eval_mpf(u, prec))
-                               for u, w in gauss_legendre_01(GAUSS_NODES, prec)]
-        nodes = _node_rows[key]
-        fr = fs.deriv(r)
-        integ = mp.mpf(0)
-        absint = mp.mpf(0)
-        for j in range(n_sub):
-            acc = mp.mpf(0)
-            aacc = mp.mpf(0)
-            for u, w, bv in nodes:
-                v = fr(xs[j] + h * u)
-                acc += w * v * bv
-                aacc += w * abs(v)
-            integ += h * acc
-            absint += h * aacc
-        rem = (-h) ** r / (mf * mp.factorial(r)) * integ
-        mu = sup_norm(m, r, prec)
-        bound = _bound_inflation(
-            h**r * mu / (mf * mp.factorial(r)) * absint
-        ) + mp.mpf(2) ** (8 - prec)
+        rem, absint = _gauss_remainder(fs, xs[:-1], h, m, r, prec)
+        # Gauss values enter the bound only after a safety margin
+        g = h**r * sup_norm(m, r, prec) / (factorial(m) * mp.factorial(r)) * absint
+        bound = g * (1 + mp.mpf(2) ** -20) + mp.mpf(2) ** -60 * abs(g) + mp.mpf(2) ** (8 - prec)
         return QuadratureReport(+main, +rem, +bound, +(main + rem))
 
 

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import ceil, factorial, floor
 from typing import Optional
 
 import mpmath as mp
 
 from . import bernoulli
-from .bigfloat import DEFAULT_PRECISION, decimal_str, to_mpf
-from .quadrature import (FunctionStack, _check_order, _derivative_sum, _weight_row,
-                         em_composite, sup_norm)
+from .bigfloat import DEFAULT_PRECISION, _round_fixed, decimal_str, scaled_power, to_mpf
+from .quadrature import (FunctionStack, _check_order, _derivative_sum, _gauss_remainder,
+                         _weight_row, sup_norm)
 
 
 class TailNotCertifiableError(RuntimeError):
@@ -43,12 +44,29 @@ def _default_tol(prec: int):
 
 
 def _rounding_slack(value, prec: int):
+    # chosen, not derived, for float work: far tails (fdot, _RisingPowers), generic
+    # stacks, assembling values. Fixed-point sums of j^-s derive their own bounds
     return abs(value) * mp.mpf(2) ** (12 - prec) + mp.mpf(2) ** (-prec)
 
 
 def _exponent(e: Fraction, prec: int):
     # an integer exponent stays an int, so x**e takes mpmath's integer power
     return int(e) if e.denominator == 1 else to_mpf(e, prec)
+
+
+def _power_sums(s: Fraction, js, ks, W: int) -> dict:
+    """{k: sum_{j in js} floor(2^W j^-(s+k-1))} for orders k >= 1, exactly.
+
+    V_j = scaled_power(s, j, W), then V_j <- V_j // j^(k - k_prev) per order,
+    which stays floor(2^W j^-(s+k-1)) since floor(floor(x)/n) = floor(x/n).
+    """
+    V = [scaled_power(s, j, W) for j in js]
+    out, k_prev = {}, 1
+    for k in sorted(set(ks)):
+        if k > k_prev:
+            V = [v // j ** (k - k_prev) for v, j in zip(V, js)]
+        out[k], k_prev = sum(V), k
+    return out
 
 
 class PowerFunction(FunctionStack):
@@ -73,6 +91,7 @@ class PowerFunction(FunctionStack):
             exact_tail_integral=self._tail_integral if s > 1 else None,
             exact_integral=self._integral,
             abs_deriv_tail=self._abs_deriv_tail,
+            partial_sum=self._partial_sum,
             limit_at_infinity=0,
             derivatives_vanish=True,
             integral_converges=s > 1,
@@ -88,7 +107,7 @@ class PowerFunction(FunctionStack):
         return self._poch_cache[k]
 
     def _pow(self, x, e: Fraction):
-        return mp.mpf(x) ** _exponent(e, mp.mp.prec)
+        return to_mpf(x, mp.mp.prec) ** _exponent(e, mp.mp.prec)
 
     def _make_deriv(self, k: int):
         c = (-1) ** k * self.pochhammer(k)
@@ -111,7 +130,7 @@ class PowerFunction(FunctionStack):
     def _integral(self, a, b, prec: int = DEFAULT_PRECISION):
         with mp.workprec(prec):
             if self.s == 1:
-                return +(mp.log(mp.mpf(b)) - mp.log(mp.mpf(a)))
+                return +(mp.log(to_mpf(b, prec)) - mp.log(to_mpf(a, prec)))
             e = 1 - self.s
             return +((self._pow(a, e) - self._pow(b, e)) / to_mpf(self.s - 1, prec))
 
@@ -120,6 +139,10 @@ class PowerFunction(FunctionStack):
         with mp.workprec(prec):
             c = Fraction(self.pochhammer(k), 1) / (self.s + k - 1)
             return +(to_mpf(c, prec) * self._pow(p, 1 - self.s - k))
+
+    def _partial_sum(self, l: int, prec: int = DEFAULT_PRECISION):
+        W = prec + 64 + l.bit_length()  # within l 2^-W, see partial_sum
+        return _round_fixed(_power_sums(self.s, range(1, l + 1), [1], W)[1], W, prec)
 
     def sigma_coefficients(self, m: int, r: int, boundary: bool) -> list[tuple[int, Fraction]]:
         """Exact [(k, c_k)] with sigma-type sum = sum c_k q^-(s+k-1).
@@ -209,14 +232,18 @@ def cos_sqrt_over_x_stack(prec: int = DEFAULT_PRECISION) -> FunctionStack:
 # the notation pieces
 
 def partial_sum(fs: FunctionStack, l: int, prec: int = DEFAULT_PRECISION):
-    """S(l) = f(1) + ... + f(l), summed in ascending order; S(0) = 0."""
+    """S(l) = f(1) + ... + f(l); S(0) = 0.
+
+    A stack's partial_sum entry takes it if present: for x^-s the sum of
+    floor(2^W j^-s), W = prec + 64 + bitlen(l), within l 2^-W < 2^-(prec+64)
+    before one rounding to nearest at prec. Others are summed in order at prec.
+    """
     if l < 0:
         raise ValueError("l must be nonnegative")
+    if fs.partial_sum is not None:
+        return fs.partial_sum(l, prec)
     with mp.workprec(prec):
-        total = mp.mpf(0)
-        for j in range(1, l + 1):
-            total += fs.f(mp.mpf(j))
-        return +total
+        return +sum((fs.f(mp.mpf(j)) for j in range(1, l + 1)), mp.mpf(0))
 
 
 def sigma_tilde(fs: FunctionStack, m: int, r: int, q, prec: int = DEFAULT_PRECISION):
@@ -260,16 +287,9 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
 # ---------------------------------------------------------------------------
 # certified tails
 
-# _far_bound keeps this loose sum although quadrature.sup_norm is tight, for
-# two reasons: sup_norm at the orders _far_bound tries (up to r + 96) is slow
-# from a cold cache (the 80 estimates at 1024 bits and p = 100, on the shared
-# _RisingPowers sequence, took 161 s with it against 3.3 s, one cold run
-# each, with 0 bound violations either way), and it changes the reported
-# error bounds (zeta-odd --s 3 --m 5 --r 2 --p 100: 1.6239025e-42 ->
-# 8.3280271e-42, since _far_bound then stops at a lower order whose bound
-# just meets tol/4). So it stays loose on purpose until a 64-bit sup bound
-# replaces it (ROADMAP item 3), but it builds no polynomial: it is one
-# integer sum over the level's scaled number table.
+# _far_bound keeps this loose integer sum until a 64-bit sup bound replaces it:
+# sup_norm at its orders (to r + 96) is slow cold, and it would move reported
+# bounds (zeta-odd --s 3 --m 5 --r 2 --p 100: 1.6239025e-42 -> 8.3280271e-42)
 def _coeff_abs_sum(m: int, r: int) -> Fraction:
     # sum_k C(r,k) |B_k| >= max_{[0,1]} |B_r|; with B_k = k! a_k/d this is
     # sum_k |a_k| r!/(r-k)! over d, Horner in k
@@ -280,15 +300,10 @@ def _coeff_abs_sum(m: int, r: int) -> Fraction:
     return Fraction(acc, d)
 
 
-_far_coeffs: dict = {}
-
-
+@cache
 def _far_coeff(m: int, r: int, prec: int):
     # A_r = coeff-sum(B_r)/(m! r!) as an mpf, converted once per (m, r, prec)
-    key = (m, r, prec)
-    if key not in _far_coeffs:
-        _far_coeffs[key] = to_mpf(Fraction(_coeff_abs_sum(m, r), factorial(m) * factorial(r)), prec)
-    return _far_coeffs[key]
+    return to_mpf(Fraction(_coeff_abs_sum(m, r), factorial(m) * factorial(r)), prec)
 
 
 class _RisingPowers:
@@ -347,38 +362,39 @@ def _far_bound(pw: _RisingPowers, k: int, m: int, orders, tol, prec: int):
 
 _TAIL_ORDERS = range(8, 97, 8)
 
+
 def _power_tails(pf: PowerFunction, ks, J: int, tol, prec: int) -> list[CertifiedValue]:
     """Certified sum_{j>=J} |f^(k-1)(j)| for each k in ks, for pf = f = x^-s.
 
     That is (s)_(k-1) sum_{j>=J} j^-(s+k-1), each with t = s+k-1 > 1; tol
     applies to the sum without the (s)_(k-1). All tails share J0 = max(J, 64),
-    the terms j^-s for J <= j < J0, which are summed directly, and one
-    _RisingPowers sequence U_n = (s)_n J0^-(s+n) from one fractional power
-    J0^(1-s). Beyond J0 each tail is the level-1 rule at the order r that
-    _far_bound picks for tol: the integral J0 U_(k-1)/(s+k-2) plus sigma~,
-    which is one fdot of U_(k-1), ..., U_(k-2+r) with the nonzero level-1
-    B_i/i! (those of odd i >= 3 are 0 and left out). Each bound is its far
-    bound plus the rounding slack of the tail without the (s)_(k-1), times
-    (s)_(k-1).
+    the near block J <= j < J0, and one _RisingPowers sequence
+    U_n = (s)_n J0^-(s+n) from one fractional power J0^(1-s). Beyond J0 each
+    tail is the level-1 rule at the order r that _far_bound picks for tol: the
+    integral J0 U_(k-1)/(s+k-2) plus sigma~, one fdot of U_(k-1), ...,
+    U_(k-2+r) with the nonzero level-1 B_i/i! (those of odd i >= 3 are 0).
+    Each bound is its far bound plus (s)_(k-1) times the rounding slack of the
+    tail without the (s)_(k-1). The near block (_power_sums) is within
+    (J0 - J) 2^-W, W = prec + 32 + bitlen(J0 - J) + ceil(t bitlen(J-1)) at the
+    largest t = s+k-1: below 2^-(prec+32) of every tail (>= J^-t). Rounded at
+    prec, it takes under 2^(1-prec) of the slack's 2^(12-prec) relative part.
     """
     s = pf.s
     J0 = max(J, 64)
+    t = s + max(ks, default=1) - 1
+    W = prec + 32 + (J0 - J).bit_length() + ceil(t * (J - 1).bit_length())
+    near = _power_sums(s, range(J, J0), ks, W)
     bw = _weight_row(1, "number", _TAIL_ORDERS[-1], prec)
     # B_i/i!, plus 1 at i = 1 for the f(J0) term; B_i = 0 for odd i >= 3
     weights = [(i, bw[i] + 1 if i == 1 else bw[i])
                for i in range(1, _TAIL_ORDERS[-1] + 1) if bw[i]]
-    es = _exponent(-s, prec)
-    near = [(j, mp.mpf(j) ** es) for j in range(J, J0)]
     pw = _RisingPowers(s, J0, pf._pow(J0, 1 - s))
     out = []
     for k in ks:
         r, bound = _far_bound(pw, k, 1, _TAIL_ORDERS, tol, prec)
-        direct = mp.mpf(0)
-        for j, v in near:
-            direct += v / j ** (k - 1)
         P = pw.p(k - 1)
         st = mp.fdot((g, pw.u(k - 2 + i)) for i, g in weights if i <= r)
-        value = P * direct + pw.integral(k - 1) + st
+        value = P * _round_fixed(near[k], W, prec) + pw.integral(k - 1) + st
         out.append(CertifiedValue(value, bound + P * _rounding_slack(value / P, prec)))
     return out
 
@@ -447,11 +463,11 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
                 prec: int = DEFAULT_PRECISION):
     """R_r(q1,q2) = (1/m!)((-1)^r/r!) int f^(r)(t) B_r(t - floor t) dt.
 
-    The remainder of em_composite on [q1, q2] with unit cells, so it takes
-    em_composite's Gauss rule and its unbounded Gauss error: small where
-    f^(r) is smooth across a cell, but not on cells next to a pole of f
-    (x^-s near 0). delta_tail uses it only for generic stacks; for power
-    stacks it takes the exact _remainder_block. R_r(q, q) = 0.
+    em_composite's remainder on [q1, q2] with unit cells, from its Gauss cell
+    loop alone, with its unbounded Gauss error: small where f^(r) is smooth
+    across a cell, but not on cells next to a pole of f (x^-s near 0).
+    delta_tail uses it only for generic stacks; for power stacks it takes the
+    exact _remainder_block. R_r(q, q) = 0.
     """
     _check_order(fs, r)
     if q2 < q1:
@@ -459,81 +475,49 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
     fs.check_domain(q1)
     if q1 == q2:
         return mp.mpf(0)
-    return em_composite(fs, q1, q2, q2 - q1, m, r, prec).remainder
-
-
-def _horner_inv(coeffs: list, x: int):
-    # sum_i coeffs[i] x^-i, dividing by the integer x once per step
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc / x + c
-    return acc
+    with mp.workprec(prec):
+        return +_gauss_remainder(fs, [mp.mpf(j) for j in range(q1, q2)], mp.mpf(1), m, r, prec)[0]
 
 
 def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
                      prec: int) -> tuple:
-    """(R_r(q1, Q), bound on its rounding error) for f = x^-s, from the identity.
+    """(R_r(q1, Q), bound on its error) for f = x^-s, from the finite identity.
 
     The finite identity between q1 and Q, solved for the remainder:
     R_r(q1,Q) = int_q1^Q f - sum_{q1<j<Q} j^-s sum_{k=1}^r a_k j^-(k-1)
                 - sigma_r(Q) + [sigma~_r(q1) - f(q1)],
     with a_k = cbar_k - ctil_k, the exact difference of the sigma and sigma~
-    coefficients: (s)_(k-1) (B_k(1)-B_k)/(m! k!), so a_1 = 1. Each
-    integer costs one power j^-s and a Horner step in 1/j per jump order; the
-    sigma pieces are Horner sums in 1/Q and 1/q1 of the exact sigma
-    coefficients, and the integral reuses the powers of q1 and Q. Everything
-    is summed at w = prec + 64 bits against the cancellation between the
-    integral and the sum, and the value is returned at w bits.
+    coefficients: (s)_(k-1) (B_k(1)-B_k)/(m! k!), so a_1 = 1. It is summed in
+    units of 2^-W, W = prec + 64, and returned exactly. The sum over the
+    n = Q - q1 - 1 integers and the two sigmas are exact combinations of
+    _power_sums, within n sum|a_k|, sum|cbar_k| and sum|ctil_k| units, floored
+    once (one unit). The integral (q1^(1-s) - Q^(1-s))/(s-1), s - 1 = u/v, is
+    a difference of two scaled_power(s-1, .), times v floor-divided by u:
+    within v/u + 1 units. For s = 1 it is mp.log at W + 16 bits, whose error
+    is mpmath's: at 16 units in the last place of each log it is below
+    bitlen(Q) 2^-8 units, and 1 + bitlen(Q) are counted.
     """
-    w = prec + 64
+    W = prec + 64
     s = pf.s
-    with mp.workprec(w):
-        es = _exponent(-s, w)
-        ctil = [c for _, c in pf.sigma_coefficients(m, r, boundary=False)]
-        cbar = [c for _, c in pf.sigma_coefficients(m, r, boundary=True)]
-        a = [to_mpf(cb - ct, w) for cb, ct in zip(cbar, ctil)]
-        while len(a) > 1 and not a[-1]:
-            a.pop()
-        ctil = [to_mpf(c, w) for c in ctil]
-        cbar = [to_mpf(c, w) for c in cbar]
-        powers = mp.mpf(0)
-        total = mp.mpf(0)
-        for j in range(q1 + 1, Q):
-            v = mp.mpf(j) ** es
-            powers += v
-            total += v * _horner_inv(a, j)
-        q1s, Qs = mp.mpf(q1) ** es, mp.mpf(Q) ** es
-        # an antiderivative of x^-s at q1 and at Q
-        if s == 1:
-            near, far = mp.log(q1), mp.log(Q)
-        else:
-            sm1 = to_mpf(s - 1, w)
-            near, far = -(q1 * q1s) / sm1, -(Q * Qs) / sm1
-        sigma_far = Qs * _horner_inv(cbar, Q)
-        sigma_near = q1s * _horner_inv(ctil, q1)
-        value = far - near - total - sigma_far + sigma_near
-        # Rounding: +, -, *, / are correctly rounded, |delta| <= u = 2^-w; a
-        # power or log of an integer below 2^w is taken to be within 4u (mpmath
-        # works with at least 10 guard bits); converting an exact rational to
-        # w bits costs u. The w-bit exponent -s is off by
-        # at most |s| u, which moves j^-s by at most |s| ln(Q) u <= |s| L u,
-        # L = bit length of Q. So every power is within (5 + |s| L) u. A
-        # Horner sum of degree d < r at the integer x, with rounded
-        # coefficients, is within gamma_(2d+1) sum_i |c_i| x^-i (Higham, ASNA,
-        # 5.1), and one product follows. Every summand above is thus within
-        # (2r + 7 + |s| L) u (1 + O(ru)) of its value relative to A_t, its
-        # power times the Horner sum of |coefficients|. Recursive summation of
-        # its N = Q - q1 + 3 summands adds gamma_N sum_t A_t. With
-        # gamma_n <= 1.01 n u for n u <= 0.01, the error is at most
-        # 1.01 (N + 2r + 7 + |s| L) u A (1 + O(ru)), A = sum_t A_t, which the
-        # factor 2 below covers with room for the w-bit rounding of A itself.
-        # A is bounded with j^-(k-1) <= (q1+1)^-(k-1) and 1/q1, 1/Q <= 1.
-        habs = _horner_inv([abs(c) for c in a], q1 + 1)
-        A = (habs * powers + abs(near) + abs(far)
-             + Qs * sum(map(abs, cbar)) + q1s * sum(map(abs, ctil)))
-        K = (Q - q1 + 3) + 2 * r + 7 + abs(s) * Q.bit_length()
-        err = 2 * to_mpf(K, w) * A * mp.mpf(2) ** -w
-        return value, err
+    orders = range(1, r + 1)
+    ctil = [c for _, c in pf.sigma_coefficients(m, r, boundary=False)]
+    cbar = [c for _, c in pf.sigma_coefficients(m, r, boundary=True)]
+    a = [cb - ct for cb, ct in zip(cbar, ctil)]
+    inner = _power_sums(s, range(q1 + 1, Q), [k for k in orders if a[k - 1]], W)
+    far, near = _power_sums(s, [Q], orders, W), _power_sums(s, [q1], orders, W)
+    if s == 1:
+        with mp.workprec(W + 16):
+            integral = int(mp.nint(mp.ldexp(mp.log(Q) - mp.log(q1), W)))
+        units = 1 + Q.bit_length()
+    else:
+        u, v = (s - 1).numerator, (s - 1).denominator
+        integral = (scaled_power(s - 1, q1, W) - scaled_power(s - 1, Q, W)) * v // u
+        units = Fraction(v, u) + 1
+    value = integral + floor(sum(ct * near[k] - cb * far[k] - a[k - 1] * inner.get(k, 0)
+                                 for k, cb, ct in zip(orders, cbar, ctil)))
+    units += 1 + sum((Q - q1 - 1) * abs(ak) + abs(cb) + abs(ct)
+                     for ak, cb, ct in zip(a, cbar, ctil))
+    return _round_fixed(value, W), mp.ldexp(ceil(units), -W)
 
 
 def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,

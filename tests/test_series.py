@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from gbzeta import bernoulli, series
-from gbzeta.bigfloat import to_mpf
+from gbzeta.bigfloat import scaled_power, to_mpf
 from gbzeta.quadrature import FunctionStack, em_composite, exp_stack, sup_norm
 from gbzeta.series import (
     BOTH_CONVERGE,
@@ -67,6 +67,44 @@ def test_partial_sums_match_references(pf3, pf5):
         assert abs(partial_sum(pf3, 19, P) - mp.mpf(S19_REF)) <= mp.mpf("1e-19")
         assert abs(partial_sum(pf5, 29, P) - mp.mpf(S29_REF)) <= mp.mpf("1e-19")
         assert partial_sum(pf3, 0, P) == 0
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("l", [0, 1, 99, 10**4])
+def test_power_partial_sum_within_one_rounding(l, prec):
+    # the fixed-point sum is within l 2^-W < 2^-(prec+64) before one rounding
+    # to nearest at prec; l = 10^4 is well past the ~4000 terms a float
+    # loop's 2^12 rounding slack would cover
+    for s in (F(3, 2), F(5, 3), F(3), F(7, 2)):
+        got = partial_sum(PowerFunction(s, prec), l, prec)
+        with mp.workprec(prec + 64):
+            t = mp.mpf(s.numerator) / s.denominator
+            ref = mp.zeta(t) - mp.zeta(t, l + 1)
+            assert abs(got - ref) <= abs(ref) * mp.mpf(2) ** -prec + mp.mpf(2) ** -(prec + 56), s
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("s", [F(1), F(3, 2), F(3), F(7, 2)])
+def test_power_integrals_take_fraction_ends(s, prec):
+    # exact_integral and exact_tail_integral at Fraction ends, against the
+    # closed form at prec + 64
+    pf = PowerFunction(s, prec)
+    wp = prec + 64
+
+    def antiderivative(x):
+        x = to_mpf(x, wp)
+        return mp.log(x) if s == 1 else -x ** (1 - to_mpf(s, wp)) / to_mpf(s - 1, wp)
+
+    for a, b in ((F(1, 8), 1), (F(1, 3), F(7, 2)), (F(5, 2), F(11, 3)), (2, F(1001, 10))):
+        got = pf.exact_integral(a, b, prec)
+        with mp.workprec(wp):
+            ref = antiderivative(b) - antiderivative(a)
+            assert abs(got - ref) <= abs(ref) * mp.mpf(2) ** (8 - prec), (a, b)
+        if s > 1:
+            got = pf.exact_tail_integral(a, prec)
+            with mp.workprec(wp):
+                ref = -antiderivative(a)
+                assert abs(got - ref) <= abs(ref) * mp.mpf(2) ** (8 - prec), a
 
 
 def test_sigma_values_example_one(pf3):
@@ -134,6 +172,32 @@ def test_power_tail_sum_certified():
                 with mp.workprec(prec + 64):
                     ref = mp.zeta(mp.mpf(t.numerator) / t.denominator, J)
                     assert abs(cv.value - ref) <= cv.bound, (prec, t, J)
+
+
+@pytest.mark.parametrize("s", [F(3, 2), F(5, 3), F(3)])
+def test_power_sums_chain_equals_one_floor_per_order(s):
+    # dividing floor(2^W j^-s) by j^(k - k_prev) order by order gives
+    # exactly floor(2^W j^-(s+k-1)) for every order
+    js = range(1, 64)
+    ks = [1, 2, 5, 6, 40]
+    sums = series._power_sums(s, js, ks, 1100)
+    for k in ks:
+        assert sums[k] == sum(scaled_power(s + k - 1, j, 1100) for j in js), k
+
+
+def test_power_tails_near_block_to_order_40():
+    # every order k <= 40 from J = 1, 2, 63, so the near block J <= j < 64
+    # carries the tail, against Hurwitz zeta at prec + 64
+    s, prec = F(3, 2), 1024
+    pf = PowerFunction(s, prec)
+    ks = range(1, 41)
+    for J in (1, 2, 63):
+        with mp.workprec(prec):
+            tails = series._power_tails(pf, ks, J, series._default_tol(prec), prec)
+        with mp.workprec(prec + 64):
+            for k, cv in zip(ks, tails):
+                ref = to_mpf(pf.pochhammer(k - 1), prec + 64) * mp.zeta(mp.mpf(1) / 2 + k, J)
+                assert abs(cv.value - ref) <= cv.bound, (J, k)
 
 
 def _far_bound_reference(pf, m, orders, J, tol, prec):
