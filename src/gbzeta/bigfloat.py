@@ -64,14 +64,27 @@ def _round_fixed(v: int, W: int, prec=None):
 
 
 def scaled_power(s, j: int, W: int) -> int:
-    """floor(2^W j^-s) for rational s = a/b >= 0 and an integer j >= 1, exactly.
+    """An integer V within one unit of 2^W j^-s, for rational s = a/b >= 0, j >= 1.
 
-    It is the b-th root of x = floor(2^(bW)/j^a), floored, since n <= y^(1/b)
-    iff n^b <= floor(y) for an integer n: math.isqrt for b = 2, else integer
-    Newton from 2^ceil(bitlen(x)/b), whose steps stay at or above the floored
-    root (AM-GM) and fall until they reach it.
+    For b <= 4 V is floor(2^W j^-s), exactly: the b-th root of
+    x = floor(2^(bW)/j^a), floored, since n <= y^(1/b) iff n^b <= floor(y)
+    for an integer n: math.isqrt for b = 2, else integer Newton from
+    2^ceil(bitlen(x)/b), whose steps stay at or above the floored root (AM-GM)
+    and fall until they reach it. That route costs integers of bW bits and
+    about b ln 2 linear Newton steps, so for b > 4 V is the nearest integer to
+    2^W j^e, e = -s rounded to w = W + 64 bits, an mpf power at w bits, at a
+    cost that does not depend on b. |e + s| <= s 2^(1-w) moves j^-s by a
+    relative 2 s ln(j) 2^-w at most, and mpmath's power, exp(e log j) with
+    guard bits, is taken to be within 2^8 units in its last place: the power
+    is within (2 s ln j + 2^8) 2^-64 units of 2^-W of 2^W j^-s, which is
+    below 1/2 for any j and s that fit in memory, and rounding to an integer
+    adds at most 1/2.
     """
     a, b = s.numerator, s.denominator
+    if b > 4:
+        w = W + 64
+        with mp.workprec(w):
+            return int(mp.nint(mp.ldexp(mp.mpf(j) ** to_mpf(-s, w), W)))
     x = (1 << b * W) // j**a
     if b <= 2 or not x:
         return isqrt(x) if b == 2 else x

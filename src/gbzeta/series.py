@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import ceil, factorial, floor
 from typing import Optional
 
@@ -55,10 +54,13 @@ def _exponent(e: Fraction, prec: int):
 
 
 def _power_sums(s: Fraction, js, ks, W: int) -> dict:
-    """{k: sum_{j in js} floor(2^W j^-(s+k-1))} for orders k >= 1, exactly.
+    """{k: sum_{j in js} V_jk} for orders k >= 1, |V_jk - 2^W j^-(s+k-1)| < 1.
 
-    V_j = scaled_power(s, j, W), then V_j <- V_j // j^(k - k_prev) per order,
-    which stays floor(2^W j^-(s+k-1)) since floor(floor(x)/n) = floor(x/n).
+    V_j = scaled_power(s, j, W), then V_j <- V_j // j^(k - k_prev) per order.
+    If |V - x| < 1 and n >= 1, then x/n - 1 < (V - n + 1)/n <= V // n
+    <= V/n < x/n + 1, so every order stays within one unit; for the exact
+    floors of b <= 4 it stays floor(2^W j^-(s+k-1)), as floor(floor(x)/n) =
+    floor(x/n).
     """
     V = [scaled_power(s, j, W) for j in js]
     out, k_prev = {}, 1
@@ -235,15 +237,19 @@ def partial_sum(fs: FunctionStack, l: int, prec: int = DEFAULT_PRECISION):
     """S(l) = f(1) + ... + f(l); S(0) = 0.
 
     A stack's partial_sum entry takes it if present: for x^-s the sum of
-    floor(2^W j^-s), W = prec + 64 + bitlen(l), within l 2^-W < 2^-(prec+64)
-    before one rounding to nearest at prec. Others are summed in order at prec.
+    scaled_power(s, j, W), W = prec + 64 + bitlen(l), each within one unit of
+    2^-W, so within l 2^-W < 2^-(prec+64) before one rounding to nearest at
+    prec. Others are summed in ascending order at prec.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
     if fs.partial_sum is not None:
         return fs.partial_sum(l, prec)
     with mp.workprec(prec):
-        return +sum((fs.f(mp.mpf(j)) for j in range(1, l + 1)), mp.mpf(0))
+        total = mp.mpf(0)
+        for j in range(1, l + 1):
+            total += fs.f(mp.mpf(j))
+        return +total
 
 
 def sigma_tilde(fs: FunctionStack, m: int, r: int, q, prec: int = DEFAULT_PRECISION):
@@ -287,9 +293,16 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
 # ---------------------------------------------------------------------------
 # certified tails
 
-# _far_bound keeps this loose integer sum until a 64-bit sup bound replaces it:
-# sup_norm at its orders (to r + 96) is slow cold, and it would move reported
-# bounds (zeta-odd --s 3 --m 5 --r 2 --p 100: 1.6239025e-42 -> 8.3280271e-42)
+# _far_bound keeps this loose sum although quadrature.sup_norm is tight, for
+# two reasons: sup_norm at the orders _far_bound tries (up to r + 96) is slow
+# from a cold cache (the 80 estimates at 1024 bits and p = 100, on the shared
+# _RisingPowers sequence, took 161 s with it against 3.3 s, one cold run
+# each, with 0 bound violations either way), and it changes the reported
+# error bounds (zeta-odd --s 3 --m 5 --r 2 --p 100: 1.6239025e-42 ->
+# 8.3280271e-42, since _far_bound then stops at a lower order whose bound
+# just meets tol/4). So it stays loose on purpose until a 64-bit sup bound
+# replaces it (ROADMAP item 3), but it builds no polynomial: it is one
+# integer sum over the level's scaled number table.
 def _coeff_abs_sum(m: int, r: int) -> Fraction:
     # sum_k C(r,k) |B_k| >= max_{[0,1]} |B_r|; with B_k = k! a_k/d this is
     # sum_k |a_k| r!/(r-k)! over d, Horner in k
@@ -300,10 +313,15 @@ def _coeff_abs_sum(m: int, r: int) -> Fraction:
     return Fraction(acc, d)
 
 
-@cache
+_far_coeffs: dict = {}
+
+
 def _far_coeff(m: int, r: int, prec: int):
     # A_r = coeff-sum(B_r)/(m! r!) as an mpf, converted once per (m, r, prec)
-    return to_mpf(Fraction(_coeff_abs_sum(m, r), factorial(m) * factorial(r)), prec)
+    key = (m, r, prec)
+    if key not in _far_coeffs:
+        _far_coeffs[key] = to_mpf(Fraction(_coeff_abs_sum(m, r), factorial(m) * factorial(r)), prec)
+    return _far_coeffs[key]
 
 
 class _RisingPowers:
@@ -361,7 +379,6 @@ def _far_bound(pw: _RisingPowers, k: int, m: int, orders, tol, prec: int):
 
 
 _TAIL_ORDERS = range(8, 97, 8)
-
 
 def _power_tails(pf: PowerFunction, ks, J: int, tol, prec: int) -> list[CertifiedValue]:
     """Certified sum_{j>=J} |f^(k-1)(j)| for each k in ks, for pf = f = x^-s.
@@ -493,7 +510,7 @@ def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
     _power_sums, within n sum|a_k|, sum|cbar_k| and sum|ctil_k| units, floored
     once (one unit). The integral (q1^(1-s) - Q^(1-s))/(s-1), s - 1 = u/v, is
     a difference of two scaled_power(s-1, .), times v floor-divided by u:
-    within v/u + 1 units. For s = 1 it is mp.log at W + 16 bits, whose error
+    within 2v/u + 1 units. For s = 1 it is mp.log at W + 16 bits, whose error
     is mpmath's: at 16 units in the last place of each log it is below
     bitlen(Q) 2^-8 units, and 1 + bitlen(Q) are counted.
     """
@@ -512,7 +529,7 @@ def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
     else:
         u, v = (s - 1).numerator, (s - 1).denominator
         integral = (scaled_power(s - 1, q1, W) - scaled_power(s - 1, Q, W)) * v // u
-        units = Fraction(v, u) + 1
+        units = 2 * Fraction(v, u) + 1
     value = integral + floor(sum(ct * near[k] - cb * far[k] - a[k - 1] * inner.get(k, 0)
                                  for k, cb, ct in zip(orders, cbar, ctil)))
     units += 1 + sum((Q - q1 - 1) * abs(ak) + abs(cb) + abs(ct)

@@ -20,6 +20,16 @@ def test_scaled_power_is_the_floor(a, b, j, W):
     assert V**b * j**a <= 1 << b * W < (V + 1) ** b * j**a
 
 
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(0, 400), b=st.integers(5, 40), j=st.integers(1, 10**4),
+       W=st.integers(0, 512))
+def test_scaled_power_is_within_one_unit_for_large_denominators(a, b, j, W):
+    # past b = 4 V comes from an mpf power, at a cost that does not grow
+    # with b; |V - 2^W j^(-a/b)| < 1 iff (V-1)^b j^a < 2^(bW) < (V+1)^b j^a
+    V = scaled_power(Fraction(a, b), j, W)
+    assert V < 1 or (V - 1) ** b * j**a < 1 << b * W < (V + 1) ** b * j**a
+
+
 @pytest.mark.parametrize("s,j,W,V", [
     (Fraction(1, 2), 4, 10, 512),
     (Fraction(3, 2), 4, 10, 128),

@@ -1,5 +1,7 @@
 """Series estimator: notation pieces, certified tails, worked examples."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
@@ -81,6 +83,37 @@ def test_power_partial_sum_within_one_rounding(l, prec):
             t = mp.mpf(s.numerator) / s.denominator
             ref = mp.zeta(t) - mp.zeta(t, l + 1)
             assert abs(got - ref) <= abs(ref) * mp.mpf(2) ** -prec + mp.mpf(2) ** -(prec + 56), s
+
+
+@contextmanager
+def _time_limit(seconds):
+    def fail(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_power_sums_with_a_large_denominator_stay_fast(prec):
+    # s = 1.0001 (the CLI parses decimals) must not cost integers of b W
+    # bits or b Newton steps per term; each part takes about 1 s here
+    s = F(10001, 10000)
+    pf = PowerFunction(s, prec)
+    with _time_limit(30):
+        got = partial_sum(pf, 10**4, prec)
+        ests = [estimate_series(pf, m, r, p, prec) for m, r, p in ((1, 2, 1), (2, 3, 10), (5, 6, 100))]
+    with mp.workprec(prec + 64):
+        t = to_mpf(s, prec + 64)
+        ref = mp.zeta(t) - mp.zeta(t, 10**4 + 1)
+        assert abs(got - ref) <= abs(ref) * mp.mpf(2) ** -prec + mp.mpf(2) ** -(prec + 56)
+        for est in ests:
+            assert abs(est.value - mp.zeta(t)) <= est.error_bound
 
 
 @pytest.mark.parametrize("prec", [256, 1024])
