@@ -5,7 +5,7 @@ rounded to that precision. mpmath's context is process-global, so the float
 paths are single-threaded by design (the CLI runs one process; see README).
 Sums that need more than rounding per operation are done in scaled integers
 (fixed point) with one rounding at the end: the exact kernel scaled_power feeds
-truncated_power_sum here and series' partial sums of x^-s, near tail block and
+truncated_power_sum here and series' partial sums of x^-s, power tails and
 remainder block; periodic's Fourier kernel is the other fixed-point user.
 """
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, factorial, floor
+from operator import mul
 from typing import Optional
 
 import mpmath as mp
@@ -43,9 +45,10 @@ def _default_tol(prec: int):
 
 
 def _rounding_slack(value, prec: int):
-    # chosen, not derived, for float work: far tails (fdot, _RisingPowers), generic
-    # stacks, assembling values. Fixed-point sums of j^-s derive their own bounds
-    return abs(value) * mp.mpf(2) ** (12 - prec) + mp.mpf(2) ** (-prec)
+    # chosen, not derived, for float work: generic stacks and the mpf sums that
+    # assemble values. Fixed-point sums of j^-s, the power tails among them,
+    # derive their own bounds
+    return abs(value) * mp.ldexp(1, 12 - prec) + mp.ldexp(1, -prec)
 
 
 def _exponent(e: Fraction, prec: int):
@@ -295,9 +298,9 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
 
 # _far_bound keeps this loose sum although quadrature.sup_norm is tight, for
 # two reasons: sup_norm at the orders _far_bound tries (up to r + 96) is slow
-# from a cold cache (the 80 estimates at 1024 bits and p = 100, on the shared
-# _RisingPowers sequence, took 161 s with it against 3.3 s, one cold run
-# each, with 0 bound violations either way), and it changes the reported
+# from a cold cache (the 80 estimates at 1024 bits and p = 100, with the far
+# part of the tails then in mpf, took 161 s with it against 3.3 s, one cold
+# run each, with 0 bound violations either way), and it changes the reported
 # error bounds (zeta-odd --s 3 --m 5 --r 2 --p 100: 1.6239025e-42 ->
 # 8.3280271e-42, since _far_bound then stops at a lower order whose bound
 # just meets tol/4). So it stays loose on purpose until a 64-bit sup bound
@@ -313,67 +316,70 @@ def _coeff_abs_sum(m: int, r: int) -> Fraction:
     return Fraction(acc, d)
 
 
-_far_coeffs: dict = {}
+@cache
+def _far_coeff(m: int, r: int) -> Fraction:
+    # A_r = coeff-sum(B_r)/(m! r!), exact, built once per (m, r)
+    return Fraction(_coeff_abs_sum(m, r), factorial(m) * factorial(r))
 
 
-def _far_coeff(m: int, r: int, prec: int):
-    # A_r = coeff-sum(B_r)/(m! r!) as an mpf, converted once per (m, r, prec)
-    key = (m, r, prec)
-    if key not in _far_coeffs:
-        _far_coeffs[key] = to_mpf(Fraction(_coeff_abs_sum(m, r), factorial(m) * factorial(r)), prec)
-    return _far_coeffs[key]
+def _cdiv(x: int, y: int) -> int:
+    # ceil(x/y) for y > 0
+    return -(-x // y)
 
 
-class _RisingPowers:
-    """U_n = (s)_n J^-(s+n) and P_n = (s)_n for f = x^-s at one integer J.
+class _ScaledRising:
+    """U_n within err_n units of 2^W (s)_n J^-(s+n), and P_n = b^n (s)_n, s = a/b.
 
-    U_n is |f^(n)(J)|, and J U_n/(s+n-1) is int_J^inf |f^(n)|. With s = a/b,
-    U_0 = J^(1-s)/J, U_(n+1) = U_n (a+nb)/(bJ) and P_(n+1) = P_n (a+nb)/b, so
-    a step multiplies and divides by integers and builds no Fraction. Entries
-    are made on demand at the working precision; entry n is within about 2n
-    roundings of its value, which the 2^12 relative rounding slack of the
-    tails covers for n < 2000. One sequence serves every tail of one call.
+    U_n 2^-W is |f^(n)(J)| for f = x^-s, and J b U_n/(a+(n-1)b) is
+    int_J^inf |f^(n)| in units of 2^-W. U_0 = scaled_power(s, J, W), within one
+    unit, and U_(n+1) = U_n (a+nb) // (bJ): if U_n is within err_n of x, then
+    U_n (a+nb)/(bJ) is within err_n (a+nb)/(bJ) of x (a+nb)/(bJ), and the
+    floor takes under one unit more, so err_(n+1) = ceil(err_n (a+nb)/(bJ)) + 1.
+    P_n is exact. Entries are made on demand (extend); one sequence serves
+    every tail of one call.
     """
 
-    def __init__(self, s: Fraction, J: int, Js):
+    def __init__(self, s: Fraction, J: int, W: int):
         self.a, self.b, self.J = s.numerator, s.denominator, J
-        self.U = [Js / J]
-        self.P = [mp.mpf(1)]
+        self.U, self.err, self.P = [scaled_power(s, J, W)], [1], [1]
 
-    def u(self, n: int):
-        a, b, U = self.a, self.b, self.U
+    def extend(self, n: int) -> None:
+        a, b, U, err, P = self.a, self.b, self.U, self.err, self.P
+        bJ = b * self.J
         for i in range(len(U) - 1, n):
-            U.append(U[i] * (a + i * b) / (b * self.J))
-        return U[n]
-
-    def p(self, n: int):
-        a, b, P = self.a, self.b, self.P
-        for i in range(len(P) - 1, n):
-            P.append(P[i] * (a + i * b) / b)
-        return P[n]
-
-    def integral(self, n: int):
-        """int_J^inf |f^(n)| = J U_n/(s+n-1), for s+n > 1."""
-        return self.u(n) * (self.b * self.J) / (self.a + (n - 1) * self.b)
+            c = a + i * b
+            U.append(U[i] * c // bJ)
+            err.append(_cdiv(err[i] * c, bJ) + 1)
+            P.append(P[i] * c)
 
 
-def _far_bound(pw: _RisingPowers, k: int, m: int, orders, tol, prec: int):
-    """(order, bound) for the level-m remainder of sum_{j>=J} |f^(k-1)(j)|.
+def _far_bound(seq: _ScaledRising, k: int, m: int, orders, limit: int) -> tuple:
+    """(order, bound in units of 2^-W) for the level-m remainder of
+    sum_{j>=J} |f^(k-1)(j)|.
 
-    pw holds f = x^-s at J. The bound of order r is A_r int_J^inf |f^(k-1+r)|
-    = A_r J U_(k-1+r)/(s+k+r-2), with A_r from _far_coeff: three operations on
-    the shared sequence, no Fraction per order. tol applies to
-    sum_{j>=J} j^-(s+k-1), the tail divided by (s)_(k-1). The first order in
-    `orders` whose bound is at most tol/4 is taken, otherwise the one with the
+    seq holds f = x^-s at J. The bound of order r is A_r int_J^inf |f^(n)|,
+    n = k-1+r, that is A_r J b U_n/(a+(n-1)b) with the exact A_r of
+    _far_coeff; taken with U_n + err_n and rounded up, it is an upper bound,
+    compared in integers. limit = floor(2^W tol/4), where tol applies to
+    sum_{j>=J} j^-(s+k-1), the tail divided by (s)_(k-1) = P_(k-1)/b^(k-1): an
+    order meets it when its bound times b^(k-1) is at most limit P_(k-1). The
+    first order in `orders` that meets it is taken, otherwise the one with the
     smallest bound.
     """
-    limit = tol / 4 * pw.p(k - 1)
+    a, b, U, err = seq.a, seq.b, seq.U, seq.err
+    seq.extend(k - 1)
+    lim, scale = limit * seq.P[k - 1], b ** (k - 1)
     best = None
     for r in orders:
-        bound = _far_coeff(m, r, prec) * pw.integral(k - 1 + r)
+        n = k - 1 + r
+        if n >= len(U):
+            seq.extend(n)
+        A = _far_coeff(m, r)
+        bound = _cdiv(A.numerator * seq.J * b * (U[n] + err[n]),
+                      A.denominator * (a + (n - 1) * b))
         if best is None or bound < best[1]:
             best = (r, bound)
-        if bound <= limit:
+        if bound * scale <= lim:
             break
     return best
 
@@ -384,35 +390,42 @@ def _power_tails(pf: PowerFunction, ks, J: int, tol, prec: int) -> list[Certifie
     """Certified sum_{j>=J} |f^(k-1)(j)| for each k in ks, for pf = f = x^-s.
 
     That is (s)_(k-1) sum_{j>=J} j^-(s+k-1), each with t = s+k-1 > 1; tol
-    applies to the sum without the (s)_(k-1). All tails share J0 = max(J, 64),
-    the near block J <= j < J0, and one _RisingPowers sequence
-    U_n = (s)_n J0^-(s+n) from one fractional power J0^(1-s). Beyond J0 each
-    tail is the level-1 rule at the order r that _far_bound picks for tol: the
-    integral J0 U_(k-1)/(s+k-2) plus sigma~, one fdot of U_(k-1), ...,
-    U_(k-2+r) with the nonzero level-1 B_i/i! (those of odd i >= 3 are 0).
-    Each bound is its far bound plus (s)_(k-1) times the rounding slack of the
-    tail without the (s)_(k-1). The near block (_power_sums) is within
-    (J0 - J) 2^-W, W = prec + 32 + bitlen(J0 - J) + ceil(t bitlen(J-1)) at the
-    largest t = s+k-1: below 2^-(prec+32) of every tail (>= J^-t). Rounded at
-    prec, it takes under 2^(1-prec) of the slack's 2^(12-prec) relative part.
+    applies to the sum without the (s)_(k-1). Every tail is one integer T in
+    units of 2^-W, W = prec + 32 + bitlen(J0 - J) + ceil(t bitlen(J-1)) at the
+    largest t, so 2^-W is below 2^-(prec+32) of every tail (>= J^-t). All
+    tails share J0 = max(J, 64), the near block J <= j < J0 (_power_sums,
+    within J0 - J units) and one _ScaledRising sequence U_n at J0, s = a/b.
+    Beyond J0 each tail is the level-1 rule at the order r that _far_bound
+    picks for tol, with B_i/i! = c_i/e (B_i = 0 for odd i >= 3):
+        T = P_(k-1) near // b^(k-1) + J0 b U_(k-1) // (a+(k-2)b)
+            + (sum_{i<=r} c'_i U_(k-2+i)) // e,
+    c'_1 = c_1 + e for the f(J0) term. Its error, in units, is the far bound
+    plus (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b) + sum|c'_i| err_(k-2+i)/e
+    from the sequence and the near block, rounded up, plus 3 for the floors and
+    |T| 2^-prec + 1 for rounding T once to nearest at prec; the bound is that
+    count times 2^-W, by mp.ldexp.
     """
     s = pf.s
+    a, b = s.numerator, s.denominator
     J0 = max(J, 64)
     t = s + max(ks, default=1) - 1
     W = prec + 32 + (J0 - J).bit_length() + ceil(t * (J - 1).bit_length())
     near = _power_sums(s, range(J, J0), ks, W)
-    bw = _weight_row(1, "number", _TAIL_ORDERS[-1], prec)
-    # B_i/i!, plus 1 at i = 1 for the f(J0) term; B_i = 0 for odd i >= 3
-    weights = [(i, bw[i] + 1 if i == 1 else bw[i])
-               for i in range(1, _TAIL_ORDERS[-1] + 1) if bw[i]]
-    pw = _RisingPowers(s, J0, pf._pow(J0, 1 - s))
+    c, e = bernoulli.family(1)._weights("number", _TAIL_ORDERS[-1])
+    g = [c[1] + e, *c[2:]]  # c'_i for i = 1, 2, ...
+    g_abs = [abs(x) for x in g]
+    seq = _ScaledRising(s, J0, W)
+    U, err, limit = seq.U, seq.err, int(mp.ldexp(tol, W - 2))
     out = []
     for k in ks:
-        r, bound = _far_bound(pw, k, 1, _TAIL_ORDERS, tol, prec)
-        P = pw.p(k - 1)
-        st = mp.fdot((g, pw.u(k - 2 + i)) for i, g in weights if i <= r)
-        value = P * _round_fixed(near[k], W, prec) + pw.integral(k - 1) + st
-        out.append(CertifiedValue(value, bound + P * _rounding_slack(value / P, prec)))
+        r, far = _far_bound(seq, k, 1, _TAIL_ORDERS, limit)
+        P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
+        st = sum(map(mul, g[:r], U[k - 1:k - 1 + r]))
+        st_err = sum(map(mul, g_abs[:r], err[k - 1:k - 1 + r]))
+        T = P * near[k] // bk + J0 * b * U[k - 1] // d + st // e
+        units = (far + _cdiv(P * (J0 - J), bk) + _cdiv(J0 * b * err[k - 1], d)
+                 + _cdiv(st_err, e) + 3 + (abs(T) >> prec) + 1)
+        out.append(CertifiedValue(_round_fixed(T, W, prec), mp.ldexp(units, -W)))
     return out
 
 
@@ -422,9 +435,10 @@ def _jump_tail(pf: PowerFunction, m: int, orders, J: int, tol, prec: int) -> Cer
     w_k are the jump weights of rho, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|,
     so an order adds (B_k(1)-B_k)/(m! k!) from the weight table times its tail
     of |f^(k-1)|. The orders with a nonzero jump take those tails from one
-    _power_tails call at the same J, which builds them all from one shared
-    sequence, each certified to an equal share of tol. No rounding slack is
-    added here beyond that of the tails.
+    _power_tails call at the same J, which builds them all in scaled integers
+    from one shared sequence, each certified to an equal share of tol with its
+    own derived rounding bound. The mpf sum of the weighted tails here is
+    covered by the caller's rounding slack.
     """
     row = _weight_row(m, "jump", max(orders, default=0), prec)
     ks = [k for k in orders if row[k]]
@@ -546,6 +560,8 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
     the far tail is rewritten through the identity at a higher order r':
     delta_r(Q) = [sigma~_r(Q) - sigma~_r'(Q)] + [e_r'(Q) - e_r(Q)] + delta_r'(Q),
     and r', Q are raised until the sup-norm bound on delta_r'(Q) is below tol.
+    The order scan and the sigma~ difference run on one _ScaledRising sequence
+    at Q, in units of 2^-W with W = prec + 64, and count their own errors.
     Generic stacks step Q by 16 cells (at most 4096) until the bound
     mu_r/(m! r!) int_Q^inf |f^(r)| (from abs_deriv_tail) drops below tol,
     then take the block with one remainder_R call, that is from
@@ -558,24 +574,28 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
             tol = _default_tol(prec)
         mf = factorial(m)
         if isinstance(fs, PowerFunction):
-            s = fs.s
+            s, W = fs.s, prec + 64
+            limit = int(mp.ldexp(tol, W - 2))
             ext = 64
             while True:
                 Q = q1 + ext
-                pw = _RisingPowers(s, Q, fs._pow(Q, 1 - s))
-                rp, far_bound = _far_bound(pw, 1, m, range(r + 8, r + 97, 8), tol, prec)
-                if far_bound <= tol / 4 or ext >= 512:
+                seq = _ScaledRising(s, Q, W)
+                rp, far = _far_bound(seq, 1, m, range(r + 8, r + 97, 8), limit)
+                if far <= limit or ext >= 512:
                     break
                 ext *= 2
             direct, direct_err = _remainder_block(fs, m, r, q1, Q, prec)
             # sigma~ difference: the orders r+1..rp seen from Q, where the term
-            # (s)_(k-1) B_k/(m! k!) Q^-(s+k-1) is B_k/(m! k!) U_(k-1)
-            bw = _weight_row(m, "number", rp, prec)
-            sdiff = -mp.fdot((bw[k], pw.u(k - 1)) for k in range(r + 1, rp + 1))
+            # (s)_(k-1) B_k/(m! k!) Q^-(s+k-1) is c_k U_(k-1)/e in units of
+            # 2^-W: within sum |c_k| err_(k-1)/e units, and one more for the floor
+            c, e = bernoulli.family(m)._weights("number", rp)
+            sdiff = -(sum(map(mul, c[r + 1:], seq.U[r:rp])) // e)
+            sdiff_err = _cdiv(sum(abs(x) * n for x, n in zip(c[r + 1:], seq.err[r:rp])), e) + 1
             # e difference: certified tail sums of the new jump orders
-            e = _jump_tail(fs, m, range(r + 1, rp + 1), Q + 1, tol / 4, prec)
-            value = direct + sdiff + e.value
-            bound = far_bound + e.bound + direct_err + _rounding_slack(value, prec)
+            jt = _jump_tail(fs, m, range(r + 1, rp + 1), Q + 1, tol / 4, prec)
+            value = direct + _round_fixed(sdiff, W) + jt.value
+            bound = (mp.ldexp(far + sdiff_err, -W) + jt.bound + direct_err
+                     + _rounding_slack(value, prec))
             return CertifiedValue(+value, +bound)
         # generic: integrate cells until the remaining tail bound is small
         if fs.abs_deriv_tail is None:

@@ -180,11 +180,12 @@ def test_sigma_infinity(pf3):
     assert sigma_infinity(pf3, 5, 2, P) == 0
 
 
-def _power_tail_sum(t, J, prec):
+def _power_tail_sum(t, J, prec, tol=None):
     # sum_{j>=J} j^-t: the k = 1 tail of the batched power tails
     with mp.workprec(prec):
-        return series._power_tails(PowerFunction(t, prec), [1], J,
-                                   series._default_tol(prec), prec)[0]
+        if tol is None:
+            tol = series._default_tol(prec)
+        return series._power_tails(PowerFunction(t, prec), [1], J, tol, prec)[0]
 
 
 def test_power_tail_sum_certified():
@@ -197,14 +198,34 @@ def test_power_tail_sum_certified():
         brute = sum(mp.mpf(j) ** -4 for j in range(21, 40000))
         cv = _power_tail_sum(F(4), 21, 300)
         assert abs(cv.value - brute) <= mp.mpf("1e-13")
-    # non-integer and integer exponents; J < 64 exercises the direct terms
+    # non-integer and integer exponents; J < 64 exercises the direct terms.
+    # tol = 0 makes every order scan fall back to its smallest bound, and
+    # 10001/10000 takes scaled_power's mpf route
     for prec in (256, 1024):
-        for t in (F(3, 2), F(7, 2), F(5, 3), F(2), F(5)):
+        for t, tol in ((F(3, 2), None), (F(7, 2), None), (F(5, 3), None), (F(2), None),
+                       (F(5), None), (F(3, 2), 0), (F(5), 0), (F(10001, 10000), None)):
             for J in (1, 21, 64, 165):
-                cv = _power_tail_sum(t, J, prec)
+                cv = _power_tail_sum(t, J, prec, tol)
                 with mp.workprec(prec + 64):
                     ref = mp.zeta(mp.mpf(t.numerator) / t.denominator, J)
-                    assert abs(cv.value - ref) <= cv.bound, (prec, t, J)
+                    assert abs(cv.value - ref) <= cv.bound, (prec, t, J, tol)
+
+
+@pytest.mark.parametrize("W", [256, 1024])
+@pytest.mark.parametrize("s", [F(3, 2), F(5, 3), F(3), F(10001, 10000)])
+def test_scaled_rising_within_its_error_count(s, W):
+    # U_n against 2^W (s)_n J^-(s+n) at W + 64 bits, for n <= 200; the
+    # exponents take both scaled_power routes (exact floor, and mpf for b > 4)
+    pf = PowerFunction(s)
+    for J in (64, 165, 613):
+        seq = series._ScaledRising(s, J, W)
+        seq.extend(200)
+        with mp.workprec(W + 64):
+            sv = mp.mpf(s.numerator) / s.denominator
+            for n in range(201):
+                assert seq.P[n] == s.denominator ** n * pf.pochhammer(n)
+                x = mp.ldexp(mp.rf(sv, n) * mp.mpf(J) ** -(sv + n), W)
+                assert abs(seq.U[n] - x) <= seq.err[n], (J, n)
 
 
 @pytest.mark.parametrize("s", [F(3, 2), F(5, 3), F(3)])
@@ -248,16 +269,17 @@ def _far_bound_reference(pf, m, orders, J, tol, prec):
 
 
 def _power_tail_reference(t, J, tol, prec):
-    # one exponent at a time: a fresh PowerFunction(t) and the generic sigma~
+    # one exponent at a time: a fresh PowerFunction(t) and the generic sigma~;
+    # (value, far bound, rounding slack of the value)
     J0 = max(J, 64)
     pf = PowerFunction(t, prec)
     direct = mp.mpf(0)
     for j in range(J, J0):
         direct += pf._pow(j, -t)
-    r, bound = _far_bound_reference(pf, 1, range(8, 97, 8), J0, tol, prec)
+    r, far = _far_bound_reference(pf, 1, range(8, 97, 8), J0, tol, prec)
     integral = pf._pow(J0, 1 - t) / to_mpf(t - 1, prec)
     value = direct + integral + sigma_tilde(pf, 1, r, J0, prec)
-    return value, bound + series._rounding_slack(value, prec)
+    return value, far, series._rounding_slack(value, prec)
 
 
 def _jump_weights(m, orders):
@@ -269,16 +291,27 @@ def _jump_weights(m, orders):
 
 
 def _jump_tail_reference(pf, m, orders, J, tol, prec):
+    # (value, bound, summed far bounds) of the per-exponent route, each tail
+    # certified to an equal share of tol under the float rounding slack
     weights = _jump_weights(m, orders)
     per = tol / max(len(weights), 1)
-    total = mp.mpf(0)
-    bound = mp.mpf(0)
+    total = bound = far_sum = mp.mpf(0)
     for k, c in weights:
         cf = to_mpf(c * (-1) ** (k - 1) * pf.pochhammer(k - 1), prec)
-        value, b = _power_tail_reference(pf.s + k - 1, J, per, prec)
+        value, far, slack = _power_tail_reference(pf.s + k - 1, J, per, prec)
         total += cf * value
-        bound += abs(cf) * b
-    return total, bound
+        bound += abs(cf) * (far + slack)
+        far_sum += abs(cf) * far
+    return total, bound, far_sum
+
+
+def _assert_matches_reference(got, reference, prec):
+    # the far bounds dominate, so a bound between the reference's summed far
+    # bounds and its far-plus-slack bound is what the same orders give; the
+    # fixed-point tails stay within the reference's rounding slack
+    value, bound, far_sum = reference
+    assert far_sum <= got.bound <= bound
+    assert abs(got.value - value) <= series._rounding_slack(value, prec)
 
 
 @pytest.mark.parametrize("prec", [256, 1024])
@@ -289,14 +322,12 @@ def test_batched_jump_tail_matches_per_exponent_route(s, prec):
         tol = series._default_tol(prec) / 2
         for J in (2, 21, 165):
             got = series._jump_tail(pf, 2, range(2, 41), J, tol, prec)
-            value, bound = _jump_tail_reference(pf, 2, range(2, 41), J, tol, prec)
-            # equal bounds up to rounding mean the same orders were chosen
-            assert abs(got.bound - bound) <= bound * mp.mpf(2) ** (16 - prec), J
-            assert abs(got.value - value) <= series._rounding_slack(value, prec), J
+            _assert_matches_reference(got, _jump_tail_reference(pf, 2, range(2, 41), J, tol, prec),
+                                      prec)
 
 
 @pytest.mark.parametrize("s", [F(3, 2), F(3)])
-def test_batched_jump_tail_over_delta_tail_orders(s):
+def test_batched_jump_tail_over_delta_tail_orders(s, monkeypatch):
     # delta_tail's widest jump tail: orders up to r + 96 = 102 from
     # J = q1 + 512 + 1 = 613. At the default tolerance the chosen orders stay
     # below the cap; at 2^-1325 the order-96 cap binds for most orders, so
@@ -307,18 +338,25 @@ def test_batched_jump_tail_over_delta_tail_orders(s):
     assert all(fam.number(i) == 0 for i in range(3, 96, 2))
     pf = PowerFunction(s, prec)
     orders = range(2, 103)
+    seqs = []
+
+    class Recording(series._ScaledRising):
+        def __init__(self, *args):
+            super().__init__(*args)
+            seqs.append(self)
+
+    monkeypatch.setattr(series, "_ScaledRising", Recording)
     with mp.workprec(prec):
         tiny = mp.mpf(2) ** -1325
-        n = len(_jump_weights(2, orders))
-        pw = series._RisingPowers(s, 613, pf._pow(613, 1 - s))
-        chosen = {series._far_bound(pw, k, 1, series._TAIL_ORDERS, tiny / n, prec)[0]
-                  for k in orders}
-        assert 96 in chosen and min(chosen) < 96 and len(pw.U) > 191
+        weights = _jump_weights(2, orders)
+        chosen = {_far_bound_reference(PowerFunction(s + k - 1, prec), 1, series._TAIL_ORDERS,
+                                       613, tiny / len(weights), prec)[0] for k, _ in weights}
+        assert 96 in chosen and min(chosen) < 96
         for tol in (series._default_tol(prec) / 2, tiny):
             got = series._jump_tail(pf, 2, orders, 613, tol, prec)
-            value, bound = _jump_tail_reference(pf, 2, orders, 613, tol, prec)
-            assert abs(got.bound - bound) <= bound * mp.mpf(2) ** (16 - prec)
-            assert abs(got.value - value) <= series._rounding_slack(value, prec)
+            _assert_matches_reference(got, _jump_tail_reference(pf, 2, orders, 613, tol, prec),
+                                      prec)
+        assert len(seqs[-1].U) > 191
 
 
 def test_rho_tail_example_one(pf3):
