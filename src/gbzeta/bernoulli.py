@@ -35,22 +35,20 @@ from .polyrat import Poly
 
 
 class GBFamily:
-    """Grow-on-demand cache of one level's numbers and boundary values.
+    """Grow-on-demand table of one level's numbers, the only store of its exact values.
 
-    Extension is serialized by a lock; the cached lists are append-only and
-    their elements are immutable, so concurrent readers are safe. The scaled
-    table (a, d), b_n = a[n]/d, is replaced as a whole when d grows, so a
-    reader holding one pair keeps a consistent table.
+    The scaled table (a, d), b_n = B_n/n! = a[n]/d over one common d, is the
+    whole cache; number, jump and boundary are Fractions read from it.
+    Extension is serialized by a lock; the table is replaced as a whole when d
+    grows, and otherwise only appended to, so a reader holding one pair keeps
+    a consistent table.
     """
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("level m must be a positive integer")
         self.m = m
-        mf = factorial(m)
-        self._numbers = [Fraction(mf)]
-        self._boundary = [Fraction(mf)]
-        self._table = ([mf], 1)
+        self._table = ([factorial(m)], 1)
         # (m-1)!/i! for i < m: the boundary identity over the denominator (m-1)! d
         self._fact_ratios = [factorial(m - 1) // factorial(i) for i in range(m)]
         self._lock = threading.Lock()
@@ -60,11 +58,9 @@ class GBFamily:
             m = self.m
             a, d = self._table
             n0 = len(a)
-            nf, R = factorial(n0 - 1), factorial(m + n0 - 1) // factorial(m)
-            mm1f = self._fact_ratios[0]
+            R = factorial(m + n0 - 1) // factorial(m)
             for n in range(n0, nmax + 1):
                 R *= m + n
-                nf *= n
                 # sum_{k=1}^{n} a[n-k] R_n/R_k, Horner in k
                 acc = a[n - 1]
                 for k in range(2, n + 1):
@@ -79,9 +75,6 @@ class GBFamily:
                     d *= f
                 a.append(p * (d // q))
                 self._table = (a, d)
-                self._numbers.append(Fraction(nf * p, q))
-                self._boundary.append(
-                    Fraction(nf * (a[n] * mm1f + self._jump_scaled(a, d, n)), mm1f * d))
 
     def _jump_scaled(self, a: list[int], d: int, n: int) -> int:
         """(m-1)! d (B_n(1) - B_n)/n! = (m-1)! d ([n = m] + sum_{1<=i<m} b_(n-i)/i!)."""
@@ -91,7 +84,9 @@ class GBFamily:
 
     def _scaled(self, nmax: int) -> tuple[list[int], int]:
         """(a, d) with B_n/n! = a[n]/d for every n <= nmax, one common d."""
-        if nmax >= len(self._numbers):
+        if nmax < 0:
+            raise ValueError("n must be nonnegative")
+        if nmax >= len(self._table[0]):
             self._extend(nmax)
         return self._table
 
@@ -112,38 +107,28 @@ class GBFamily:
 
     def numbers(self, nmax: int) -> list[Fraction]:
         """[B_0, ..., B_nmax] for this level."""
-        if nmax < 0:
-            raise ValueError("nmax must be nonnegative")
-        if nmax >= len(self._numbers):
-            self._extend(nmax)
-        return self._numbers[: nmax + 1]
+        a, d = self._scaled(nmax)
+        return [Fraction(factorial(n) * a[n], d) for n in range(nmax + 1)]
 
     def number(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n >= len(self._numbers):
-            self._extend(n)
-        return self._numbers[n]
-
-    def boundary(self, n: int) -> Fraction:
-        """B_n(1), from the O(m) boundary identity."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n >= len(self._boundary):
-            self._extend(n)
-        return self._boundary[n]
+        a, d = self._scaled(n)
+        return Fraction(factorial(n) * a[n], d)
 
     def jump(self, n: int) -> Fraction:
         """B_n(1) - B_n, the boundary jump entering every Fourier coefficient."""
-        return self.boundary(n) - self.number(n)
+        a, d = self._scaled(n)
+        return Fraction(factorial(n) * self._jump_scaled(a, d, n), self._fact_ratios[0] * d)
+
+    def boundary(self, n: int) -> Fraction:
+        """B_n(1), from the O(m) boundary identity."""
+        return self.number(n) + self.jump(n)
 
     def polynomial(self, n: int) -> Poly:
         """B_n(x) = sum_k C(n,k) B_k x^{n-k}; degree n, leading coefficient m!."""
-        B = self.numbers(n)
-        coeffs = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            coeffs[n - k] += comb(n, k) * B[k]
-        return Poly(coeffs)
+        a, d = self._scaled(n)
+        # C(n,k) B_k = a[k] n!/(n-k)! / d, the coefficient of x^(n-k)
+        return Poly(Fraction(factorial(n) // factorial(n - k) * a[k], d)
+                    for k in range(n, -1, -1))
 
 
 _families: dict[int, GBFamily] = {}
@@ -167,7 +152,6 @@ def gb_numbers(m: int, nmax: int) -> list[Fraction]:
 def gb_boundary_values(m: int, nmax: int) -> list[Fraction]:
     """Exact boundary values B_0(1) .. B_nmax(1) of level m."""
     fam = family(m)
-    fam.numbers(nmax)
     return [fam.boundary(n) for n in range(nmax + 1)]
 
 

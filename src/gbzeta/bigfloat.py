@@ -1,12 +1,14 @@
 """Arbitrary-precision binary floats on top of mpmath.
 
 Every function takes the mantissa precision in bits explicitly; results are
-rounded to that precision. mpmath's context is process-global, so the float
-paths are single-threaded by design (the CLI runs one process; see README).
-Sums that need more than rounding per operation are done in scaled integers
-(fixed point) with one rounding at the end: the exact kernel scaled_power feeds
-truncated_power_sum here and series' partial sums of x^-s, power tails and
-remainder block; periodic's Fourier kernel is the other fixed-point user.
+rounded to that precision. An exact value becomes a binary float by one
+rounding: to_mpf rounds an int or Fraction to nearest, once. mpmath's context
+is process-global, so the float paths are single-threaded by design (the CLI
+runs one process; see README). Sums that need more than rounding per
+operation are done in scaled integers (fixed point) with one rounding at the
+end: the exact kernel scaled_power feeds truncated_power_sum here and series'
+partial sums of x^-s, power tails and remainder block; periodic's Fourier
+kernel is the other fixed-point user.
 """
 
 from __future__ import annotations
@@ -15,22 +17,16 @@ from fractions import Fraction
 from math import isqrt
 
 import mpmath as mp
-from mpmath.libmp import MPZ, normalize, round_nearest
+from mpmath.libmp import MPZ, from_rational, normalize, round_nearest
 
 DEFAULT_PRECISION = 256
 
-# extra working bits so the final rounding dominates the error budget
-_GUARD = 16
-
 
 def to_mpf(q, prec: int = DEFAULT_PRECISION):
-    """Convert a Fraction/int to an mpf; relative error <= 2**(1-prec)."""
+    """Convert to an mpf at `prec` bits; an int or Fraction is correctly rounded
+    (to nearest), anything else mpmath accepts is rounded once to `prec` bits."""
     if isinstance(q, (int, Fraction)):
-        num, den = (q, 1) if isinstance(q, int) else (q.numerator, q.denominator)
-        with mp.workprec(prec + _GUARD):
-            v = mp.mpf(num) / den
-        with mp.workprec(prec):
-            return +v
+        return mp.make_mpf(from_rational(q.numerator, q.denominator, prec, round_nearest))
     with mp.workprec(prec):
         return +mp.mpf(q)
 
@@ -98,13 +94,11 @@ def truncated_power_sum(t: int, K: int, prec: int = DEFAULT_PRECISION):
     """sum_{k=1}^{K} k**(-t) for integer t >= 2, deterministically.
 
     Scaled-integer summation: each term scaled_power(t, k, B) errs by < 2**-B,
-    so the total error is < (K+1) * 2**-B with B = prec + 64.
+    so the sum errs by < (K+1) * 2**-B with B = prec + 64 before its one
+    rounding, to nearest at prec bits.
     """
     if t < 2:
         raise ValueError("need t >= 2")
     B = prec + 64
     total = sum(scaled_power(t, k, B) for k in range(1, K + 1))
-    with mp.workprec(prec + _GUARD):
-        v = mp.mpf(total) / (1 << B)
-    with mp.workprec(prec):
-        return +v
+    return _round_fixed(total, B, prec)

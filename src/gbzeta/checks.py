@@ -287,8 +287,8 @@ SUITES = {
 def run_suite(name: str, prec: int = DEFAULT_PRECISION) -> list:
     if name == "all":
         results = []
-        for key in ("core", "fourier", "zeta", "quad", "series"):
-            results += [(f"{key}: {n}", ok, d) for n, ok, d in SUITES[key](prec)]
+        for key, suite in SUITES.items():
+            results += [(f"{key}: {n}", ok, d) for n, ok, d in suite(prec)]
         return results
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")

@@ -77,7 +77,6 @@ class FourierCoeffs:
 def _jumps(m: int, n: int) -> list[Fraction]:
     # J_i = (B_i(1) - B_i)/i!, with J_0 = 0; only J_1..J_n are ever used
     fam = bernoulli.family(m)
-    fam.numbers(n + 1)
     return [Fraction(0)] + [
         Fraction(fam.jump(i), factorial(i)) for i in range(1, n + 2)
     ]

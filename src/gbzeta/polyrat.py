@@ -12,6 +12,8 @@ from typing import Iterable, Union
 
 import mpmath as mp
 
+from .bigfloat import to_mpf
+
 RationalLike = Union[Fraction, int, str]
 
 
@@ -125,14 +127,11 @@ class Poly:
 
     def eval_mpf(self, x, prec: int = 256):
         """Horner evaluation at a binary float, at `prec` mantissa bits."""
+        xf = to_mpf(x, prec)
         with mp.workprec(prec):
             acc = mp.mpf(0)
-            if isinstance(x, Fraction):
-                xf = mp.mpf(x.numerator) / x.denominator
-            else:
-                xf = mp.mpf(x)
             for c in reversed(self.coeffs):
-                acc = acc * xf + mp.mpf(c.numerator) / c.denominator
+                acc = acc * xf + to_mpf(c, prec)
             return +acc
 
     def coeff_abs_sum(self) -> Fraction:

@@ -326,7 +326,6 @@ def product_integral(m: int, r: int, n: int) -> Fraction:
     if r < 1 or n < 1:
         raise ValueError("need r, n >= 1")
     fam = bernoulli.family(m)
-    fam.numbers(r + n + 1)
     mf = factorial(m)
     bracket = Fraction(fam.number(r + n + 1) - fam.boundary(r + n + 1), r + n + 1)
     inner = Fraction(0)
@@ -350,7 +349,6 @@ def l2_norm_sq(m: int, n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be at least 1")
     fam = bernoulli.family(m)
-    fam.numbers(2 * n + 1)
     nf2 = factorial(n) ** 2
     out = Fraction(nf2 * factorial(m) * (-1) ** n, factorial(2 * n + 1)) * fam.jump(2 * n + 1)
     s = Fraction(0)

@@ -304,7 +304,7 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
 # error bounds (zeta-odd --s 3 --m 5 --r 2 --p 100: 1.6239025e-42 ->
 # 8.3280271e-42, since _far_bound then stops at a lower order whose bound
 # just meets tol/4). So it stays loose on purpose until a 64-bit sup bound
-# replaces it (ROADMAP item 3), but it builds no polynomial: it is one
+# replaces it (ROADMAP item 2), but it builds no polynomial: it is one
 # integer sum over the level's scaled number table.
 def _coeff_abs_sum(m: int, r: int) -> Fraction:
     # sum_k C(r,k) |B_k| >= max_{[0,1]} |B_r|; with B_k = k! a_k/d this is

@@ -169,8 +169,10 @@ def test_concurrent_growth():
 
 def test_scaled_table_consistent_under_concurrent_growth():
     # readers of the scaled table (a, d) race writers that rescale it; each
-    # pair a reader holds must give the numbers of the level exactly
+    # pair a reader holds, and each value read through number, boundary and
+    # jump, must give the numbers of the level exactly
     ref = GBFamily(2).numbers(120)
+    ref_jump = [gb_polynomial(2, k)(1) - ref[k] for k in range(121)]
     fam = GBFamily(2)
     errs = []
 
@@ -181,6 +183,11 @@ def test_scaled_table_consistent_under_concurrent_growth():
                 for k in (0, n // 2, n):
                     if F(factorial(k) * a[k], d) != ref[k]:
                         errs.append((i, n, k))
+                # each read may grow the table past what the reader holds
+                k = min(n + 3, 120)
+                if (fam.number(k), fam.jump(k), fam.boundary(k)) != (
+                        ref[k], ref_jump[k], ref[k] + ref_jump[k]):
+                    errs.append((i, n, k, "views"))
         except Exception as exc:  # pragma: no cover
             errs.append(exc)
 

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from gbzeta.bigfloat import decimal_str, pi_const, to_mpf
 from gbzeta.polyrat import Poly, format_rational, rational
@@ -111,13 +112,31 @@ def test_zeta2_pi_squared_sanity():
         assert abs(val - 1) <= mp.mpf(2) ** -240
 
 
+# quotients within a hair of a rounding boundary at 53 and 256 bits: rounding
+# first at a few guard bits and then at prec misses them by 0.500002 and
+# 0.500005 units in the last place
+_NEAR_TIES = [
+    (53, Fraction(510360890621466401607017482022148345520018957425,
+                  8342748206726314948643)),
+    (256, Fraction(
+        int("1052058224734555160546511849181058336682440241982264410034915185042456985159"
+            "9424088090131155002994576242962261244155954787171534518045379488771576202646"
+            "5941447082247324575962045987060269200031134077849646964194111306283946227093"
+            "4009"),
+        18046879835998384388678025644981695126248198388788962735076638280977504488366799039038613)),
+]
+
+
 def test_to_mpf_accuracy():
     q = Fraction(10**40 + 1, 3**50)
-    for prec in (64, 128, 256):
+    cases = [(prec, q) for prec in (64, 128, 256)] + _NEAR_TIES
+    for prec, q in cases:
         with mp.workprec(prec + 80):
             exact = mp.mpf(q.numerator) / q.denominator
             got = to_mpf(q, prec)
             assert abs(got - exact) <= abs(exact) * mp.mpf(2) ** (1 - prec)
+        # correctly rounded: the one rounding to nearest of the exact quotient
+        assert got._mpf_ == from_rational(q.numerator, q.denominator, prec, round_nearest)
 
 
 def test_decimal_str_uses_full_precision():
