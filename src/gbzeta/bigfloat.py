@@ -6,9 +6,9 @@ rounding: to_mpf rounds an int or Fraction to nearest, once. mpmath's context
 is process-global, so the float paths are single-threaded by design (the CLI
 runs one process; see README). Sums that need more than rounding per
 operation are done in scaled integers (fixed point) with one rounding at the
-end: the exact kernel scaled_power feeds truncated_power_sum here and series'
-partial sums of x^-s, power tails and remainder block; periodic's Fourier
-kernel is the other fixed-point user.
+end: the exact kernel scaled_power, summed by _power_sums, feeds
+truncated_power_sum here and series' partial sums of x^-s, power tails and
+remainder block; periodic's Fourier kernel is the other fixed-point user.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ def frac_part(x):
     return x - mp.floor(x)
 
 
-def _round_fixed(v: int, W: int, prec=None):
-    # v 2^-W rounded once, to nearest at prec; exact without prec
+def _round_fixed(v: int, W: int, prec=None, rnd=round_nearest):
+    # v 2^-W rounded once, by rnd (to nearest) at prec; exact without prec
     u = abs(v)
     bc = u.bit_length()
-    return mp.make_mpf(normalize(int(v < 0), MPZ(u), -W, bc, prec or bc + 1, round_nearest))
+    return mp.make_mpf(normalize(int(v < 0), MPZ(u), -W, bc, prec or bc + 1, rnd))
 
 
 def scaled_power(s, j: int, W: int) -> int:
@@ -90,6 +90,24 @@ def scaled_power(s, j: int, W: int) -> int:
     return y
 
 
+def _power_sums(s, js, ks, W: int) -> dict:
+    """{k: sum_{j in js} V_jk} for orders k >= 1, |V_jk - 2^W j^-(s+k-1)| < 1.
+
+    V_j = scaled_power(s, j, W), then V_j <- V_j // j^(k - k_prev) per order.
+    If |V - x| < 1 and n >= 1, then x/n - 1 < (V - n + 1)/n <= V // n
+    <= V/n < x/n + 1, so every order stays within one unit; for the exact
+    floors of b <= 4 it stays floor(2^W j^-(s+k-1)), as floor(floor(x)/n) =
+    floor(x/n).
+    """
+    V = [scaled_power(s, j, W) for j in js]
+    out, k_prev = {}, 1
+    for k in sorted(set(ks)):
+        if k > k_prev:
+            V = [v // j ** (k - k_prev) for v, j in zip(V, js)]
+        out[k], k_prev = sum(V), k
+    return out
+
+
 def truncated_power_sum(t: int, K: int, prec: int = DEFAULT_PRECISION):
     """sum_{k=1}^{K} k**(-t) for integer t >= 2, deterministically.
 
@@ -100,5 +118,4 @@ def truncated_power_sum(t: int, K: int, prec: int = DEFAULT_PRECISION):
     if t < 2:
         raise ValueError("need t >= 2")
     B = prec + 64
-    total = sum(scaled_power(t, k, B) for k in range(1, K + 1))
-    return _round_fixed(total, B, prec)
+    return _round_fixed(_power_sums(t, range(1, K + 1), [1], B)[1], B, prec)

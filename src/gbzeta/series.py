@@ -21,9 +21,11 @@ from operator import mul
 from typing import Optional
 
 import mpmath as mp
+from mpmath.libmp import round_ceiling
 
 from . import bernoulli
-from .bigfloat import DEFAULT_PRECISION, _round_fixed, decimal_str, scaled_power, to_mpf
+from .bigfloat import (DEFAULT_PRECISION, _power_sums, _round_fixed, decimal_str, scaled_power,
+                       to_mpf)
 from .quadrature import (FunctionStack, _check_order, _derivative_sum, _gauss_remainder,
                          _weight_row, sup_norm)
 
@@ -45,33 +47,22 @@ def _default_tol(prec: int):
 
 
 def _rounding_slack(value, prec: int):
-    # chosen, not derived, for float work: generic stacks and the mpf sums that
-    # assemble values. Fixed-point sums of j^-s, the power tails among them,
-    # derive their own bounds
+    # chosen, not derived, for float work: the tails of generic stacks and the
+    # mpf sum that assembles the estimate. Fixed-point sums of j^-s and the
+    # power tails (_certified) derive their own bounds
     return abs(value) * mp.ldexp(1, 12 - prec) + mp.ldexp(1, -prec)
+
+
+def _certified(V: int, err: int, W: int, prec: int) -> CertifiedValue:
+    # V 2^-W within err units, rounded once to nearest at prec, which moves it
+    # by at most |V| 2^-prec <= (|V| >> prec) + 1 units; the bound rounds up
+    return CertifiedValue(_round_fixed(V, W, prec),
+                          _round_fixed(err + (abs(V) >> prec) + 1, W, prec, round_ceiling))
 
 
 def _exponent(e: Fraction, prec: int):
     # an integer exponent stays an int, so x**e takes mpmath's integer power
     return int(e) if e.denominator == 1 else to_mpf(e, prec)
-
-
-def _power_sums(s: Fraction, js, ks, W: int) -> dict:
-    """{k: sum_{j in js} V_jk} for orders k >= 1, |V_jk - 2^W j^-(s+k-1)| < 1.
-
-    V_j = scaled_power(s, j, W), then V_j <- V_j // j^(k - k_prev) per order.
-    If |V - x| < 1 and n >= 1, then x/n - 1 < (V - n + 1)/n <= V // n
-    <= V/n < x/n + 1, so every order stays within one unit; for the exact
-    floors of b <= 4 it stays floor(2^W j^-(s+k-1)), as floor(floor(x)/n) =
-    floor(x/n).
-    """
-    V = [scaled_power(s, j, W) for j in js]
-    out, k_prev = {}, 1
-    for k in sorted(set(ks)):
-        if k > k_prev:
-            V = [v // j ** (k - k_prev) for v, j in zip(V, js)]
-        out[k], k_prev = sum(V), k
-    return out
 
 
 class PowerFunction(FunctionStack):
@@ -386,30 +377,24 @@ def _far_bound(seq: _ScaledRising, k: int, m: int, orders, limit: int) -> tuple:
 
 _TAIL_ORDERS = range(8, 97, 8)
 
-def _power_tails(pf: PowerFunction, ks, J: int, tol, prec: int) -> list[CertifiedValue]:
-    """Certified sum_{j>=J} |f^(k-1)(j)| for each k in ks, for pf = f = x^-s.
+def _power_tails(s: Fraction, ks, J: int, tol, W: int) -> list[tuple]:
+    """[(T, err)]: sum_{j>=J} |f^(k-1)(j)| within err units of T 2^-W, for
+    each k in ks and f = x^-s.
 
     That is (s)_(k-1) sum_{j>=J} j^-(s+k-1), each with t = s+k-1 > 1; tol
-    applies to the sum without the (s)_(k-1). Every tail is one integer T in
-    units of 2^-W, W = prec + 32 + bitlen(J0 - J) + ceil(t bitlen(J-1)) at the
-    largest t, so 2^-W is below 2^-(prec+32) of every tail (>= J^-t). All
-    tails share J0 = max(J, 64), the near block J <= j < J0 (_power_sums,
-    within J0 - J units) and one _ScaledRising sequence U_n at J0, s = a/b.
-    Beyond J0 each tail is the level-1 rule at the order r that _far_bound
-    picks for tol, with B_i/i! = c_i/e (B_i = 0 for odd i >= 3):
+    applies to the sum without the (s)_(k-1). All tails share J0 =
+    max(J, 64), the near block J <= j < J0 (_power_sums, within J0 - J units)
+    and one _ScaledRising sequence U_n at J0, s = a/b. Beyond J0 each tail is
+    the level-1 rule at the order r that _far_bound picks for tol, with
+    B_i/i! = c_i/e (B_i = 0 for odd i >= 3):
         T = P_(k-1) near // b^(k-1) + J0 b U_(k-1) // (a+(k-2)b)
             + (sum_{i<=r} c'_i U_(k-2+i)) // e,
     c'_1 = c_1 + e for the f(J0) term. Its error, in units, is the far bound
     plus (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b) + sum|c'_i| err_(k-2+i)/e
-    from the sequence and the near block, rounded up, plus 3 for the floors and
-    |T| 2^-prec + 1 for rounding T once to nearest at prec; the bound is that
-    count times 2^-W, by mp.ldexp.
+    from the sequence and the near block, rounded up, plus 3 for the floors.
     """
-    s = pf.s
     a, b = s.numerator, s.denominator
     J0 = max(J, 64)
-    t = s + max(ks, default=1) - 1
-    W = prec + 32 + (J0 - J).bit_length() + ceil(t * (J - 1).bit_length())
     near = _power_sums(s, range(J, J0), ks, W)
     c, e = bernoulli.family(1)._weights("number", _TAIL_ORDERS[-1])
     g = [c[1] + e, *c[2:]]  # c'_i for i = 1, 2, ...
@@ -423,39 +408,36 @@ def _power_tails(pf: PowerFunction, ks, J: int, tol, prec: int) -> list[Certifie
         st = sum(map(mul, g[:r], U[k - 1:k - 1 + r]))
         st_err = sum(map(mul, g_abs[:r], err[k - 1:k - 1 + r]))
         T = P * near[k] // bk + J0 * b * U[k - 1] // d + st // e
-        units = (far + _cdiv(P * (J0 - J), bk) + _cdiv(J0 * b * err[k - 1], d)
-                 + _cdiv(st_err, e) + 3 + (abs(T) >> prec) + 1)
-        out.append(CertifiedValue(_round_fixed(T, W, prec), mp.ldexp(units, -W)))
+        out.append((T, far + _cdiv(P * (J0 - J), bk) + _cdiv(J0 * b * err[k - 1], d)
+                    + _cdiv(st_err, e) + 3))
     return out
 
 
-def _jump_tail(pf: PowerFunction, m: int, orders, J: int, tol, prec: int) -> CertifiedValue:
-    """Certified sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for f = x^-s.
+def _jump_tail(s: Fraction, m: int, orders, J: int, tol, W: int) -> tuple:
+    """(V, err): sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for f = x^-s,
+    within err units of V 2^-W.
 
-    w_k are the jump weights of rho, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|,
-    so an order adds (B_k(1)-B_k)/(m! k!) from the weight table times its tail
-    of |f^(k-1)|. The orders with a nonzero jump take those tails from one
-    _power_tails call at the same J, which builds them all in scaled integers
-    from one shared sequence, each certified to an equal share of tol with its
-    own derived rounding bound. The mpf sum of the weighted tails here is
-    covered by the caller's rounding slack.
+    w_k are the jump weights of rho, (B_k(1)-B_k)/(m! k!) = c_k/e from the
+    level's integer table, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|, so an
+    order adds w_k times its tail of |f^(k-1)|. The orders with a nonzero jump
+    take those tails from one _power_tails call at the same J, each certified
+    to an equal share of tol; V = (sum_k c_k T_k) // e, within
+    sum |c_k| err_k / e units, rounded up, plus one for the floor.
     """
-    row = _weight_row(m, "jump", max(orders, default=0), prec)
-    ks = [k for k in orders if row[k]]
-    tails = _power_tails(pf, ks, J, tol / max(len(ks), 1), prec)
-    total = mp.mpf(0)
-    bound = mp.mpf(0)
-    for k, ts in zip(ks, tails):
-        total += row[k] * ts.value
-        bound += abs(row[k]) * ts.bound
-    return CertifiedValue(total, bound)
+    c, e = bernoulli.family(m)._weights("jump", max(orders, default=0))
+    ks = [k for k in orders if c[k]]
+    tails = _power_tails(s, ks, J, tol / max(len(ks), 1), W)
+    V = sum(c[k] * T for k, (T, _) in zip(ks, tails)) // e
+    return V, _cdiv(sum(abs(c[k]) * n for k, (_, n) in zip(ks, tails)), e) + 1
 
 
 def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
              tol=None, prec: int = DEFAULT_PRECISION) -> CertifiedValue:
     """e_r(q1) = rho(q1, infinity), with a certified error bound.
 
-    Power stacks reduce to certified power tail sums; generic stacks sum
+    Power stacks reduce to certified power tail sums (_jump_tail), one
+    integer in units of 2^-W, W = prec + 64 + bitlen(q1), rounded once: the
+    integral terms multiply the one-unit error of U_n by J. Generic stacks sum
     directly under a decreasing-envelope integral-test bound and need
     abs_deriv_tail for every order below r.
     """
@@ -464,16 +446,17 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
-        row = _weight_row(m, "jump", r, prec)
         orders = range(2, r + 1)
-        if not any(row[k] for k in orders):
+        c, _ = bernoulli.family(m)._weights("jump", r)
+        if not any(c[k] for k in orders):
             return CertifiedValue(mp.mpf(0), mp.mpf(0))
         if isinstance(fs, PowerFunction):
-            e = _jump_tail(fs, m, orders, q1 + 1, tol / 2, prec)
-            return CertifiedValue(+e.value, +(e.bound + _rounding_slack(e.value, prec)))
+            W = prec + 64 + q1.bit_length()
+            return _certified(*_jump_tail(fs.s, m, orders, q1 + 1, tol / 2, W), W, prec)
         # generic: direct summation with an integral-test envelope
         if fs.abs_deriv_tail is None:
             raise TailNotCertifiableError("tail not certifiable")
+        row = _weight_row(m, "jump", r, prec)
         terms = [(abs(row[k]), k - 1, fs.deriv(k - 1)) for k in orders if row[k]]
 
         def envelope(J):
@@ -511,24 +494,23 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
 
 
 def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
-                     prec: int) -> tuple:
-    """(R_r(q1, Q), bound on its error) for f = x^-s, from the finite identity.
+                     W: int) -> tuple:
+    """(V, err): R_r(q1, Q) within err units of V 2^-W, for f = x^-s, from the
+    finite identity.
 
     The finite identity between q1 and Q, solved for the remainder:
     R_r(q1,Q) = int_q1^Q f - sum_{q1<j<Q} j^-s sum_{k=1}^r a_k j^-(k-1)
                 - sigma_r(Q) + [sigma~_r(q1) - f(q1)],
     with a_k = cbar_k - ctil_k, the exact difference of the sigma and sigma~
     coefficients: (s)_(k-1) (B_k(1)-B_k)/(m! k!), so a_1 = 1. It is summed in
-    units of 2^-W, W = prec + 64, and returned exactly. The sum over the
-    n = Q - q1 - 1 integers and the two sigmas are exact combinations of
-    _power_sums, within n sum|a_k|, sum|cbar_k| and sum|ctil_k| units, floored
-    once (one unit). The integral (q1^(1-s) - Q^(1-s))/(s-1), s - 1 = u/v, is
+    units of 2^-W. The sum over the n = Q - q1 - 1 integers and the two sigmas
+    are exact combinations of _power_sums, within n sum|a_k|, sum|cbar_k| and
+    sum|ctil_k| units, floored once (one unit). The integral (q1^(1-s) - Q^(1-s))/(s-1), s - 1 = u/v, is
     a difference of two scaled_power(s-1, .), times v floor-divided by u:
     within 2v/u + 1 units. For s = 1 it is mp.log at W + 16 bits, whose error
     is mpmath's: at 16 units in the last place of each log it is below
     bitlen(Q) 2^-8 units, and 1 + bitlen(Q) are counted.
     """
-    W = prec + 64
     s = pf.s
     orders = range(1, r + 1)
     ctil = [c for _, c in pf.sigma_coefficients(m, r, boundary=False)]
@@ -548,20 +530,22 @@ def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
                                  for k, cb, ct in zip(orders, cbar, ctil)))
     units += 1 + sum((Q - q1 - 1) * abs(ak) + abs(cb) + abs(ct)
                      for ak, cb, ct in zip(a, cbar, ctil))
-    return _round_fixed(value, W), mp.ldexp(ceil(units), -W)
+    return value, ceil(units)
 
 
 def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
                tol=None, prec: int = DEFAULT_PRECISION) -> CertifiedValue:
     """delta_r(q1) = R_r(q1, infinity) with a certified bound.
 
-    The block R_r(q1, Q) is taken directly. For power stacks it comes exactly
-    from the finite identity (_remainder_block), with its rounding bounded, and
-    the far tail is rewritten through the identity at a higher order r':
+    The block R_r(q1, Q) is taken directly. For power stacks it comes from the
+    finite identity (_remainder_block), and the far tail is rewritten through
+    the identity at a higher order r':
     delta_r(Q) = [sigma~_r(Q) - sigma~_r'(Q)] + [e_r'(Q) - e_r(Q)] + delta_r'(Q),
     and r', Q are raised until the sup-norm bound on delta_r'(Q) is below tol.
     The order scan and the sigma~ difference run on one _ScaledRising sequence
-    at Q, in units of 2^-W with W = prec + 64, and count their own errors.
+    at Q. The block, the sigma~ difference, the far bound and the jump tail
+    are integers in units of 2^-W, W = prec + 64 + bitlen(q1) as in rho_tail,
+    each with its error counted; their sum is rounded once (_certified).
     Generic stacks step Q by 16 cells (at most 4096) until the bound
     mu_r/(m! r!) int_Q^inf |f^(r)| (from abs_deriv_tail) drops below tol,
     then take the block with one remainder_R call, that is from
@@ -572,9 +556,8 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
-        mf = factorial(m)
         if isinstance(fs, PowerFunction):
-            s, W = fs.s, prec + 64
+            s, W = fs.s, prec + 64 + q1.bit_length()
             limit = int(mp.ldexp(tol, W - 2))
             ext = 64
             while True:
@@ -584,7 +567,7 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
                 if far <= limit or ext >= 512:
                     break
                 ext *= 2
-            direct, direct_err = _remainder_block(fs, m, r, q1, Q, prec)
+            direct, direct_err = _remainder_block(fs, m, r, q1, Q, W)
             # sigma~ difference: the orders r+1..rp seen from Q, where the term
             # (s)_(k-1) B_k/(m! k!) Q^-(s+k-1) is c_k U_(k-1)/e in units of
             # 2^-W: within sum |c_k| err_(k-1)/e units, and one more for the floor
@@ -592,16 +575,13 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
             sdiff = -(sum(map(mul, c[r + 1:], seq.U[r:rp])) // e)
             sdiff_err = _cdiv(sum(abs(x) * n for x, n in zip(c[r + 1:], seq.err[r:rp])), e) + 1
             # e difference: certified tail sums of the new jump orders
-            jt = _jump_tail(fs, m, range(r + 1, rp + 1), Q + 1, tol / 4, prec)
-            value = direct + _round_fixed(sdiff, W) + jt.value
-            bound = (mp.ldexp(far + sdiff_err, -W) + jt.bound + direct_err
-                     + _rounding_slack(value, prec))
-            return CertifiedValue(+value, +bound)
+            jt, jt_err = _jump_tail(s, m, range(r + 1, rp + 1), Q + 1, tol / 4, W)
+            return _certified(direct + sdiff + jt, direct_err + sdiff_err + far + jt_err, W, prec)
         # generic: integrate cells until the remaining tail bound is small
         if fs.abs_deriv_tail is None:
             raise TailNotCertifiableError("tail not certifiable")
         mu = sup_norm(m, r, prec)
-        coef = mu / (mf * mp.factorial(r))
+        coef = mu / (factorial(m) * mp.factorial(r))
 
         def tail_bound(Q):
             return coef * fs.abs_deriv_tail(r, Q, prec)

@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 
 from gbzeta import bernoulli, series
-from gbzeta.bigfloat import scaled_power, to_mpf
+from gbzeta.bigfloat import _round_fixed, scaled_power, to_mpf
 from gbzeta.quadrature import FunctionStack, em_composite, exp_stack, sup_norm
 from gbzeta.series import (
     BOTH_CONVERGE,
@@ -181,11 +181,12 @@ def test_sigma_infinity(pf3):
 
 
 def _power_tail_sum(t, J, prec, tol=None):
-    # sum_{j>=J} j^-t: the k = 1 tail of the batched power tails
+    # sum_{j>=J} j^-t: the k = 1 tail of the batched power tails, rounded once
     with mp.workprec(prec):
         if tol is None:
             tol = series._default_tol(prec)
-        return series._power_tails(PowerFunction(t, prec), [1], J, tol, prec)[0]
+        W = prec + 64 + J.bit_length()
+        return series._certified(*series._power_tails(t, [1], J, tol, W)[0], W, prec)
 
 
 def test_power_tail_sum_certified():
@@ -247,7 +248,9 @@ def test_power_tails_near_block_to_order_40():
     ks = range(1, 41)
     for J in (1, 2, 63):
         with mp.workprec(prec):
-            tails = series._power_tails(pf, ks, J, series._default_tol(prec), prec)
+            W = prec + 64 + J.bit_length()
+            tails = [series._certified(T, err, W, prec)
+                     for T, err in series._power_tails(s, ks, J, series._default_tol(prec), W)]
         with mp.workprec(prec + 64):
             for k, cv in zip(ks, tails):
                 ref = to_mpf(pf.pochhammer(k - 1), prec + 64) * mp.zeta(mp.mpf(1) / 2 + k, J)
@@ -305,6 +308,12 @@ def _jump_tail_reference(pf, m, orders, J, tol, prec):
     return total, bound, far_sum
 
 
+def _rounded_jump_tail(s, m, orders, J, tol, prec):
+    # the batched jump tail as rho_tail takes it: one integer, rounded once
+    W = prec + 64 + J.bit_length()
+    return series._certified(*series._jump_tail(s, m, orders, J, tol, W), W, prec)
+
+
 def _assert_matches_reference(got, reference, prec):
     # the far bounds dominate, so a bound between the reference's summed far
     # bounds and its far-plus-slack bound is what the same orders give; the
@@ -321,7 +330,7 @@ def test_batched_jump_tail_matches_per_exponent_route(s, prec):
     with mp.workprec(prec):
         tol = series._default_tol(prec) / 2
         for J in (2, 21, 165):
-            got = series._jump_tail(pf, 2, range(2, 41), J, tol, prec)
+            got = _rounded_jump_tail(s, 2, range(2, 41), J, tol, prec)
             _assert_matches_reference(got, _jump_tail_reference(pf, 2, range(2, 41), J, tol, prec),
                                       prec)
 
@@ -353,7 +362,7 @@ def test_batched_jump_tail_over_delta_tail_orders(s, monkeypatch):
                                        613, tiny / len(weights), prec)[0] for k, _ in weights}
         assert 96 in chosen and min(chosen) < 96
         for tol in (series._default_tol(prec) / 2, tiny):
-            got = series._jump_tail(pf, 2, orders, 613, tol, prec)
+            got = _rounded_jump_tail(s, 2, orders, 613, tol, prec)
             _assert_matches_reference(got, _jump_tail_reference(pf, 2, orders, 613, tol, prec),
                                       prec)
         assert len(seqs[-1].U) > 191
@@ -599,13 +608,13 @@ SWEEP_S = (F(3, 2), F(2), F(3), F(7, 2), F(5))
 def zeta_sweep_refs():
     # mpmath.zeta at prec+64, once per precision of the sweep
     refs = {}
-    for prec in (256, 512):
+    for prec in (256, 512, 1024):
         with mp.workprec(prec + 64):
             refs[prec] = {s: mp.zeta(mp.mpf(s.numerator) / s.denominator) for s in SWEEP_S}
     return refs
 
 
-@pytest.mark.parametrize("prec", [256, 512])
+@pytest.mark.parametrize("prec", [256, 512, 1024])
 @pytest.mark.parametrize("s", SWEEP_S)
 def test_estimate_contains_zeta_on_the_grid(s, prec, zeta_sweep_refs):
     # every cell of m, r and p, including p = 1 next to the pole of x^-s
@@ -618,6 +627,45 @@ def test_estimate_contains_zeta_on_the_grid(s, prec, zeta_sweep_refs):
                     err = abs(est.value - zeta_sweep_refs[prec][s])
                 if err > est.error_bound:
                     misses.append((m, r, p, mp.nstr(err, 5), mp.nstr(est.error_bound, 5)))
+    assert misses == []
+
+
+def _tail_references(s, m, r, q1, wp):
+    # e_r(q1) and delta_r(q1) for x^-s from Hurwitz zeta at wp bits:
+    # e = sum_k (B_k(1)-B_k)/(m! k!) (s)_(k-1) zeta(s+k-1, q1+1) and
+    # delta = q1^(1-s)/(s-1) + sigma~_r(q1) - e - zeta(s, q1)
+    pf = PowerFunction(s, wp)
+    fam = bernoulli.family(m)
+    with mp.workprec(wp):
+        sv, q = to_mpf(s, wp), mp.mpf(q1)
+        e = mp.mpf(0)
+        for k in range(2, r + 1):
+            w = Fraction(fam.jump(k), factorial(m) * factorial(k)) * pf.pochhammer(k - 1)
+            e += to_mpf(w, wp) * mp.zeta(sv + k - 1, q1 + 1)
+        st = q ** -sv + sum(to_mpf(c, wp) * q ** -(sv + k - 1)
+                            for k, c in pf.sigma_coefficients(m, r, boundary=False))
+        return e, q ** (1 - sv) / (sv - 1) + st - e - mp.zeta(sv, q)
+
+
+@pytest.mark.parametrize("q1", [1, 2, 10, 100, 10**40])
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_power_tails_within_their_own_bounds(q1, prec):
+    # rho_tail and delta_tail each within its own bound, not only their sum in
+    # the estimate; far out, at q1 = 10^40, each bound is also below
+    # 2^-(prec+32), which a 2^-prec rounding floor would not meet
+    wp = prec + (1200 if q1 > 100 else 128)
+    misses = []
+    for s in (F(3, 2), F(3), F(5)):
+        pf = PowerFunction(s, prec)
+        for m in (2, 5):
+            for r in (2, 3, 6):
+                refs = _tail_references(s, m, r, q1, wp)
+                tails = (rho_tail(pf, m, r, q1, None, prec), delta_tail(pf, m, r, q1, None, prec))
+                for name, cv, ref in zip(("e", "delta"), tails, refs):
+                    with mp.workprec(wp):
+                        err = abs(cv.value - ref)
+                    if err > cv.bound or (q1 > 100 and cv.bound > mp.ldexp(1, -(prec + 32))):
+                        misses.append((name, s, m, r, mp.nstr(err, 5), mp.nstr(cv.bound, 5)))
     assert misses == []
 
 
@@ -642,7 +690,9 @@ def _remainder_quad_reference(s, m, r, q1, Q, wp):
     (F(1), 2, 1, 100),
 ])
 def test_remainder_block_matches_quad_reference(s, m, r, q1, prec):
-    value, err = series._remainder_block(PowerFunction(s, prec), m, r, q1, q1 + 3, prec)
+    W = prec + 64
+    V, units = series._remainder_block(PowerFunction(s, prec), m, r, q1, q1 + 3, W)
+    value, err = _round_fixed(V, W), mp.ldexp(units, -W)
     ref = _remainder_quad_reference(s, m, r, q1, q1 + 3, prec + 192)
     with mp.workprec(prec + 192):
         assert abs(value - ref) <= err
@@ -654,7 +704,8 @@ def test_remainder_block_matches_quad_reference(s, m, r, q1, prec):
 def test_remainder_R_agrees_with_block_far_out(s, m, r):
     # far from the pole the Gauss cells and the identity agree to rounding
     pf = PowerFunction(s, P)
-    value, _ = series._remainder_block(pf, m, r, 100, 164, P)
+    V, _ = series._remainder_block(pf, m, r, 100, 164, P + 64)
+    value = _round_fixed(V, P + 64)
     gauss = remainder_R(pf, m, r, 100, 164, P)
     with mp.workprec(P):
         assert abs(value - gauss) <= series._rounding_slack(value, P)
