@@ -34,15 +34,33 @@ def _finite(x, prec: int):
     return xf
 
 
+_eval_rows: dict = {}
+
+
+def _eval_row(m: int, n: int, prec: int) -> tuple:
+    # (coefficients of B_n as mpf, highest degree first, and n! as mpf), made
+    # once per (m, n, prec): the same values Poly.eval_mpf and mp.factorial
+    # give on every call
+    key = (m, n, prec)
+    row = _eval_rows.get(key)
+    if row is None:
+        coeffs = [to_mpf(c, prec) for c in reversed(bernoulli.gb_polynomial(m, n).coeffs)]
+        with mp.workprec(prec):
+            row = _eval_rows[key] = (coeffs, mp.factorial(n))
+    return row
+
+
 def periodic_eval(m: int, n: int, x, prec: int = DEFAULT_PRECISION):
     """p_n(x) at level m, x finite; at integers this is the right limit B_n(0)/n!.
 
     An int or Fraction x is reduced mod 1 exactly and then rounded to prec
     bits; any other x is rounded to prec bits and reduced as that binary x.
+    B_n(u) is Horner at prec over the coefficients rounded once, as
+    Poly.eval_mpf does, from a row cached per (m, n, prec).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = bernoulli.gb_polynomial(m, n)
+    coeffs, nf = _eval_row(m, n, prec)
     if isinstance(x, (int, Fraction)):
         u = to_mpf(x % 1, prec)
     else:
@@ -50,7 +68,10 @@ def periodic_eval(m: int, n: int, x, prec: int = DEFAULT_PRECISION):
         with mp.workprec(prec):
             u = frac_part(xf)
     with mp.workprec(prec):
-        return +(p.eval_mpf(u, prec) / mp.factorial(n))
+        acc = mp.mpf(0)
+        for c in coeffs:
+            acc = acc * u + c
+        return acc / nf
 
 
 def dirichlet_average(m: int, n: int) -> Fraction:

@@ -107,10 +107,14 @@ class FunctionStack:
     derivs(k) must return an evaluator for f^(k), 1 <= k <= r_max; order 0 is
     f itself. The optional callables take (…, prec) and return mpf values:
 
-      exact_tail_integral(p, prec)   -> int_p^inf f
-      exact_integral(a, b, prec)     -> int_a^b f
-      abs_deriv_tail(k, p, prec)     -> upper bound for int_p^inf |f^(k)|
-      partial_sum(l, prec)           -> f(1) + ... + f(l), in place of a float loop
+      exact_tail_integral(p, prec)      -> int_p^inf f
+      exact_integral(a, b, prec)        -> int_a^b f
+      abs_deriv_integral(k, a, b, prec) -> int_a^b |f^(k)|
+      abs_deriv_tail(k, p, prec)        -> upper bound for int_p^inf |f^(k)|
+      partial_sum(l, prec)              -> f(1) + ... + f(l), in place of a float loop
+
+    A stack with both exact_integral and abs_deriv_integral has its composite
+    rule remainder in closed form (em_composite).
 
     domain_lo is an exclusive lower end of the domain (None: unbounded); the
     rules refuse a cell that reaches down to it, and the point sums a point at
@@ -128,6 +132,7 @@ class FunctionStack:
         exact_tail_integral: Optional[Callable] = None,
         exact_integral: Optional[Callable] = None,
         abs_deriv_tail: Optional[Callable] = None,
+        abs_deriv_integral: Optional[Callable] = None,
         limit_at_infinity=None,
         derivatives_vanish: bool = False,
         integral_converges: Optional[bool] = None,
@@ -143,6 +148,7 @@ class FunctionStack:
         self.exact_tail_integral = exact_tail_integral
         self.exact_integral = exact_integral
         self.abs_deriv_tail = abs_deriv_tail
+        self.abs_deriv_integral = abs_deriv_integral
         self.partial_sum = partial_sum
         self.limit_at_infinity = limit_at_infinity
         self.derivatives_vanish = derivatives_vanish
@@ -213,24 +219,24 @@ def poly_stack(p: Poly, prec: int = DEFAULT_PRECISION) -> FunctionStack:
 
 
 def exp_stack(prec: int = DEFAULT_PRECISION) -> FunctionStack:
-    """f = exp, every derivative is exp, exact integrals from the antiderivative."""
+    """f = exp, every derivative is exp, exact integrals from the antiderivative.
 
-    def ev(x):
+    The evaluator works at the ambient precision; the integrals at `prec`.
+    int_a^b |f^(k)| = e^b - e^a for every k.
+    """
+
+    def integral(a, b, prec=prec):
         with mp.workprec(prec):
-            return +mp.e ** mp.mpf(x)
+            return mp.exp(mp.mpf(b)) - mp.exp(mp.mpf(a))
 
     return FunctionStack(
-        f=ev,
-        derivs=lambda k: ev,
+        f=mp.exp,
+        derivs=lambda k: mp.exp,
         r_max=10**9,
-        exact_integral=lambda a, b, prec=prec: _exp_integral(a, b, prec),
+        exact_integral=integral,
+        abs_deriv_integral=lambda k, a, b, prec=prec: integral(a, b, prec),
         check=False,
     )
-
-
-def _exp_integral(a, b, prec):
-    with mp.workprec(prec):
-        return +(mp.e ** mp.mpf(b) - mp.e ** mp.mpf(a))
 
 
 @dataclass
@@ -252,7 +258,8 @@ class QuadratureReport:
 
 
 def _bound_inflation(x):
-    # Gauss values enter certified bounds only after this safety margin
+    # float integrals (Gauss or closed form) enter certified bounds only after
+    # this safety margin
     return x * (1 + mp.mpf(2) ** -20) + mp.mpf(2) ** -60 * abs(x)
 
 
@@ -297,11 +304,22 @@ def em_composite(
     prec bits as to_mpf does. Summed over the cells, the boundary terms give
     main_sum = sigma(b) - [sigma~(a) - f(a)] + rho over the interior nodes
     a + jh, 0 < j < n_sub, with step h; rho here starts at its k = 1 weight, 1.
+
+    remainder_bound = h^r mu_r/(m! r!) int_a^b |f^(r)|, inflated, plus
+    2^(8-prec). A stack with exact_integral and abs_deriv_integral (exp,
+    exp(-x), x^-s) gives remainder = int_a^b f - main_sum and the integral of
+    |f^(r)| in closed form: the main sum and both integrals are taken at
+    prec + 32 bits, as the remainder cancels the leading digits of the two,
+    and each output is rounded once at prec, so total is int_a^b f to
+    rounding. Any other stack takes both from the Gauss cell loop at prec,
+    whose error is not bounded.
     """
     if n_sub < 1:
         raise ValueError("n_sub must be at least 1")
     _check_order(fs, r)
-    with mp.workprec(prec):
+    closed = fs.exact_integral is not None and fs.abs_deriv_integral is not None
+    wp = prec + 32 if closed else prec
+    with mp.workprec(wp):
         a = to_mpf(a, prec)
         b = to_mpf(b, prec)
         if not a < b:
@@ -310,15 +328,21 @@ def em_composite(
         h = (b - a) / n_sub
         xs = [a + j * h for j in range(n_sub + 1)]
         orders = range(1, r + 1)
-        main = (_derivative_sum(fs, _weight_row(m, "boundary", r, prec), orders, [b], h)
-                - _derivative_sum(fs, _weight_row(m, "number", r, prec), orders, [a], h)
-                + _derivative_sum(fs, _weight_row(m, "jump", r, prec), orders, xs[1:-1], h))
-        rem, absint = _gauss_remainder(fs, xs[:-1], h, m, r, prec)
+        main = (_derivative_sum(fs, _weight_row(m, "boundary", r, wp), orders, [b], h)
+                - _derivative_sum(fs, _weight_row(m, "number", r, wp), orders, [a], h)
+                + _derivative_sum(fs, _weight_row(m, "jump", r, wp), orders, xs[1:-1], h))
+        if closed:
+            rem = fs.exact_integral(a, b, wp) - main
+            absint = fs.abs_deriv_integral(r, a, b, wp)
+        else:
+            rem, absint = _gauss_remainder(fs, xs[:-1], h, m, r, prec)
         mu = sup_norm(m, r, prec)
         bound = _bound_inflation(
             h**r * mu / (factorial(m) * mp.factorial(r)) * absint
         ) + mp.mpf(2) ** (8 - prec)
-        return QuadratureReport(+main, +rem, +bound, +(main + rem))
+        total = main + rem
+    with mp.workprec(prec):
+        return QuadratureReport(+main, +rem, +bound, +total)
 
 
 def product_integral(m: int, r: int, n: int) -> Fraction:

@@ -7,8 +7,9 @@ the identity at infinity estimates convergent series such as zeta(2k+1); all
 infinite tails are certified, each carrying an explicit error bound.
 
 Normalization: R and its tail delta carry the 1/m! of the composite rule, the
-only choice under which the finite identity closes (up to the Gauss error of
-R, which comes from quadrature.em_composite).
+only choice under which the finite identity closes: to rounding on stacks
+whose remainder quadrature.em_composite takes in closed form, and up to the
+Gauss error of R on the others.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from mpmath.libmp import round_ceiling
 from . import bernoulli
 from .bigfloat import (DEFAULT_PRECISION, _power_sums, _round_fixed, decimal_str, scaled_power,
                        to_mpf)
-from .quadrature import (FunctionStack, _check_order, _derivative_sum, _gauss_remainder,
-                         _weight_row, sup_norm)
+from .quadrature import (FunctionStack, _check_order, _derivative_sum, _weight_row, em_composite,
+                         sup_norm)
 
 
 class TailNotCertifiableError(RuntimeError):
@@ -86,6 +87,7 @@ class PowerFunction(FunctionStack):
             r_max=10**9,
             exact_tail_integral=self._tail_integral if s > 1 else None,
             exact_integral=self._integral,
+            abs_deriv_integral=self._abs_deriv_integral,
             abs_deriv_tail=self._abs_deriv_tail,
             partial_sum=self._partial_sum,
             limit_at_infinity=0,
@@ -130,6 +132,15 @@ class PowerFunction(FunctionStack):
             e = 1 - self.s
             return +((self._pow(a, e) - self._pow(b, e)) / to_mpf(self.s - 1, prec))
 
+    def _abs_deriv_integral(self, k: int, a, b, prec: int = DEFAULT_PRECISION):
+        # f^(k) keeps one sign on x > 0, so for k >= 1 int_a^b |f^(k)| is
+        # |f^(k-1)(b) - f^(k-1)(a)| = (s)_(k-1) (a^-(s+k-1) - b^-(s+k-1)), a < b
+        if k == 0:
+            return self._integral(a, b, prec)
+        with mp.workprec(prec):
+            e = -(self.s + k - 1)
+            return +(to_mpf(self.pochhammer(k - 1), prec) * (self._pow(a, e) - self._pow(b, e)))
+
     def _abs_deriv_tail(self, k: int, p, prec: int = DEFAULT_PRECISION):
         # int_p^inf |f^(k)| = (s)_k p^(1-s-k) / (s+k-1)
         with mp.workprec(prec):
@@ -151,23 +162,37 @@ class PowerFunction(FunctionStack):
 
 
 def exp_decay_stack(prec: int = DEFAULT_PRECISION) -> FunctionStack:
-    """f(x) = exp(-x): classical Euler-Maclaurin sanity stack."""
+    """f(x) = exp(-x): classical Euler-Maclaurin sanity stack.
+
+    The evaluators work at the ambient precision, the integrals at `prec`.
+    Every |f^(k)| is exp(-x), so int_a^b |f^(k)| = e^-a - e^-b, the exact
+    integral, and int_p^inf |f^(k)| = e^-p.
+    """
 
     def dk(k):
         sign = (-1) ** k
 
         def ev(x, sign=sign):
-            return sign * mp.e ** (-mp.mpf(x))
+            return sign * mp.exp(-x)
 
         return ev
+
+    def integral(a, b, prec=prec):
+        with mp.workprec(prec):
+            return mp.exp(-a) - mp.exp(-b)
+
+    def tail(k, p, prec=prec):
+        with mp.workprec(prec):
+            return mp.exp(-p)
 
     return FunctionStack(
         f=dk(0),
         derivs=dk,
         r_max=10**9,
-        exact_tail_integral=lambda p, prec=prec: mp.e ** (-mp.mpf(p)),
-        exact_integral=lambda a, b, prec=prec: mp.e ** (-mp.mpf(a)) - mp.e ** (-mp.mpf(b)),
-        abs_deriv_tail=lambda k, p, prec=prec: mp.e ** (-mp.mpf(p)),
+        exact_tail_integral=lambda p, prec=prec: tail(0, p, prec),
+        exact_integral=integral,
+        abs_deriv_integral=lambda k, a, b, prec=prec: integral(a, b, prec),
+        abs_deriv_tail=tail,
         limit_at_infinity=0,
         derivatives_vanish=True,
         integral_converges=True,
@@ -477,11 +502,11 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
                 prec: int = DEFAULT_PRECISION):
     """R_r(q1,q2) = (1/m!)((-1)^r/r!) int f^(r)(t) B_r(t - floor t) dt.
 
-    em_composite's remainder on [q1, q2] with unit cells, from its Gauss cell
-    loop alone, with its unbounded Gauss error: small where f^(r) is smooth
-    across a cell, but not on cells next to a pole of f (x^-s near 0).
-    delta_tail uses it only for generic stacks; for power stacks it takes the
-    exact _remainder_block. R_r(q, q) = 0.
+    em_composite's remainder on [q1, q2] with unit cells: in closed form,
+    int f minus the main sum, for a stack with exact_integral and
+    abs_deriv_integral (exp(-x), x^-s); otherwise from the Gauss cell loop,
+    whose error is not bounded. delta_tail uses it only for generic stacks;
+    for power stacks it takes the exact _remainder_block. R_r(q, q) = 0.
     """
     _check_order(fs, r)
     if q2 < q1:
@@ -489,8 +514,7 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
     fs.check_domain(q1)
     if q1 == q2:
         return mp.mpf(0)
-    with mp.workprec(prec):
-        return +_gauss_remainder(fs, [mp.mpf(j) for j in range(q1, q2)], mp.mpf(1), m, r, prec)[0]
+    return em_composite(fs, q1, q2, q2 - q1, m, r, prec).remainder
 
 
 def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
@@ -548,8 +572,9 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
     each with its error counted; their sum is rounded once (_certified).
     Generic stacks step Q by 16 cells (at most 4096) until the bound
     mu_r/(m! r!) int_Q^inf |f^(r)| (from abs_deriv_tail) drops below tol,
-    then take the block with one remainder_R call, that is from
-    em_composite's Gauss rule, whose error is not bounded.
+    then take the block with one remainder_R call: in closed form where the
+    stack has exact_integral and abs_deriv_integral (exp(-x)), otherwise
+    from em_composite's Gauss rule, whose error is not bounded.
     """
     _check_order(fs, r)
     fs.check_domain(q1)
@@ -598,8 +623,10 @@ def finite_identity_residual(fs: FunctionStack, m: int, r: int, p: int, n: int,
     """|int_p^n f - [S(n-1)-S(p-1) + sigma(n) - sigma~(p) + rho(p,n) + R(p,n)]|.
 
     The five right-hand pieces reassemble the composite rule with h = 1, so
-    the residual is the Gauss error of remainder_R plus rounding; it pins
-    down the consistent normalization of every component.
+    the residual pins down the consistent normalization of every component.
+    Where remainder_R is in closed form (x^-s, exp(-x)) the residual is
+    rounding alone; on a stack that takes it from the Gauss cell loop, it is
+    that rule's error plus rounding.
     """
     if not (1 <= p <= n):
         raise ValueError("need 1 <= p <= n")

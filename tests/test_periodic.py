@@ -6,7 +6,7 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from gbzeta import periodic
+from gbzeta import bernoulli, periodic
 from gbzeta.bigfloat import to_mpf
 from gbzeta.periodic import (
     dirichlet_average,
@@ -36,6 +36,19 @@ def test_periodic_eval_right_limit_at_integers():
         assert abs(v - to_mpf(F(-2, 3), P)) <= mp.mpf(2) ** -240
         # same value one period later
         assert periodic_eval(2, 1, mp.mpf(3), P) == v
+
+
+def test_periodic_eval_equals_polynomial_route():
+    # the cached coefficient row gives B_n(u)/n! bit for bit as Poly.eval_mpf
+    # and mp.factorial do, at every precision, for mpf and exact x
+    for prec in (64, 256, 1024):
+        for m, n in ((1, 0), (1, 3), (2, 1), (3, 20), (5, 7)):
+            p = bernoulli.gb_polynomial(m, n)
+            for x in (mp.mpf("0.37"), mp.mpf("-7.25"), 3, F(2, 5)):
+                with mp.workprec(prec):
+                    u = to_mpf(x % 1, prec) if isinstance(x, (int, F)) else x - mp.floor(x)
+                    ref = +(p.eval_mpf(u, prec) / mp.factorial(n))
+                assert periodic_eval(m, n, x, prec) == ref, (prec, m, n, x)
 
 
 def test_fourier_level_one_even():

@@ -25,6 +25,7 @@ from gbzeta.quadrature import (
     product_integral_oracle,
     sup_norm,
 )
+from gbzeta.series import PowerFunction, exp_decay_stack
 
 F = Fraction
 P = 256
@@ -113,6 +114,69 @@ def test_em_composite_self_consistency(m, r):
         for nsub in (4, 16):
             rep = em_composite(fs, 0, 1, nsub, m, r, P)
             assert abs(rep.total - target) <= abs(target) * mp.mpf(2) ** (40 - P)
+
+
+def _power_integral(s, a, b, wp):
+    # int_a^b x^-s in closed form at wp bits, s > 1
+    with mp.workprec(wp):
+        t = to_mpf(s, wp)
+        return (to_mpf(a, wp) ** (1 - t) - to_mpf(b, wp) ** (1 - t)) / (t - 1)
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("s,a,b,n_sub,m,r", [
+    (F(3), 1, 2, 1, 1, 6),
+    (F(3, 2), F(1, 8), 1, 4, 2, 3),
+    (F(2), 1, 4, 1, 1, 2),
+])
+def test_em_composite_total_is_the_closed_form(s, a, b, n_sub, m, r, prec):
+    # x^-s has an exact integral, so the remainder is int f - main_sum: total
+    # is the integral to rounding, and remainder_bound bounds the true
+    # remainder I - main_sum
+    rep = em_composite(PowerFunction(s, prec), a, b, n_sub, m, r, prec)
+    exact = _power_integral(s, a, b, prec + 64)
+    with mp.workprec(prec + 64):
+        assert abs(rep.total - exact) <= mp.mpf(2) ** (8 - prec) * abs(exact)
+        assert abs(exact - rep.main_sum) <= rep.remainder_bound
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("stack,a,b", [
+    ("x^-1", F(1, 2), 3),
+    ("x^-3/2", F(1, 2), 3),
+    ("x^-3", 1, F(7, 2)),
+    ("exp", -1, 2),
+    ("exp(-x)", F(1, 4), 5),
+])
+def test_abs_deriv_integral_against_quad(stack, a, b, prec):
+    fs = {"x^-1": lambda: PowerFunction(1, prec),
+          "x^-3/2": lambda: PowerFunction(F(3, 2), prec),
+          "x^-3": lambda: PowerFunction(3, prec),
+          "exp": lambda: exp_stack(prec),
+          "exp(-x)": lambda: exp_decay_stack(prec)}[stack]()
+    a, b = to_mpf(a, prec), to_mpf(b, prec)
+    for k in range(7):
+        got = fs.abs_deriv_integral(k, a, b, prec)
+        # the evaluators follow the working precision, so the reference is
+        # mpmath's quadrature of |f^(k)| at prec + 32 bits
+        with mp.workprec(prec + 32):
+            fk = fs.deriv(k)
+            ref = mp.quad(lambda x: abs(fk(x)), [a, b])
+            assert abs(got - ref) <= mp.mpf(2) ** (8 - prec) * ref, (k, got, ref)
+
+
+def test_exp_stack_follows_the_working_precision():
+    # the evaluator is not tied to the precision the stack was built with
+    fs = exp_stack(128)
+    with mp.workprec(512):
+        assert fs.f(1) == +mp.e
+        assert fs.deriv(3)(mp.mpf(-2)) == mp.exp(-2)
+        ref = mp.e - 1
+    # and its integrals are taken at the precision they are asked for
+    with mp.workprec(128):
+        got = fs.abs_deriv_integral(4, 0, 1, 512)
+    with mp.workprec(512):
+        assert abs(got - ref) <= mp.mpf(2) ** -500
 
 
 def test_product_integral_examples():
@@ -273,10 +337,12 @@ def test_em_rejects_excessive_order():
 
 def test_em_composite_node_row_is_per_precision(monkeypatch):
     # B_r at the Gauss nodes is cached per (m, r, prec): a row made at 128
-    # bits must not serve a 256-bit call
+    # bits must not serve a 256-bit call. exp without its closed forms takes
+    # the Gauss cell loop
     monkeypatch.setattr(quadrature, "_node_rows", {})
-    fs = exp_stack(P)
+    fs = FunctionStack(f=mp.exp, derivs=lambda k: mp.exp, r_max=10**9, check=False)
     fresh = em_composite(fs, 0, 2, 3, 2, 6, P)
     monkeypatch.setattr(quadrature, "_node_rows", {})
-    em_composite(exp_stack(128), 0, 2, 3, 2, 6, 128)
+    em_composite(fs, 0, 2, 3, 2, 6, 128)
+    assert (2, 6, 128) in quadrature._node_rows
     assert em_composite(fs, 0, 2, 3, 2, 6, P) == fresh
