@@ -156,7 +156,8 @@ def test_check_suite_failure_exit_code(capsys, monkeypatch):
 def test_golden_stdout(case, capsys, monkeypatch):
     # stdout must stay byte-identical to the recorded output at the default
     # precision: the README commands (check --suite quad for all), norms and
-    # quad over the benchmark's (m, r) pairs, and zeta-odd at p = 2, 10, 100
+    # quad over the benchmark's (m, r) pairs, zeta-odd at p = 2, 10, 100, and
+    # check --suite all
     monkeypatch.delenv(cli.ENV_PRECISION, raising=False)
     try:
         code = cli.main(list(case["argv"]))
