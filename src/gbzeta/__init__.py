@@ -35,7 +35,6 @@ from .quadrature import (
     em_composite,
     em_unit,
     exp_stack,
-    gauss_legendre_01,
     l2_norm_sq,
     parseval_residual,
     poly_stack,

@@ -4,15 +4,10 @@ The unit-interval rule expresses int_0^1 f through boundary derivative terms
 weighted by B_k and B_k(1) plus an integral remainder against B_r; the
 composite rule tiles [a,b] with it, and its main sum is sigma(b) -
 [sigma~(a) - f(a)] + rho over the interior nodes, with step h. Each piece is
-one _derivative_sum over a row of the level-m weight table. em_composite is
-the one route that integrates a remainder numerically: a fixed 32-node
-Gauss-Legendre rule per cell, with nodes generated at working precision and
-B_r at the nodes cached per (m, r, prec). Its quadrature error is not
-bounded and enters no remainder bound; it is small where f^(r) is smooth
-across a cell, but near a pole of f (x^-s on the cells next to 0) it can
-exceed the reported bound. series.remainder_R, and through it delta_tail on
-generic stacks, take their remainders from its cell loop alone; delta_tail on x^-s
-takes its block exactly.
+one _derivative_sum over a row of the level-m weight table. em_composite
+integrates no remainder numerically: it takes it as int_a^b f - main_sum from
+the stack's exact integral, and bounds it by the sup norm of B_r times the
+stack's upper bound for int_a^b |f^(r)|.
 """
 
 from __future__ import annotations
@@ -29,12 +24,8 @@ from . import bernoulli, periodic
 from .bigfloat import DEFAULT_PRECISION, to_mpf, truncated_power_sum
 from .polyrat import Poly
 
-GAUSS_NODES = 32
-
-_gauss_cache: dict = {}
 _sup_norm_cache: dict = {}
 _weight_rows: dict = {}
-_node_rows: dict = {}
 
 
 def _weight_row(m: int, kind: str, n: int, prec: int) -> list:
@@ -69,38 +60,6 @@ def _check_order(fs: FunctionStack, r: int) -> None:
         raise ValueError(f"r={r} exceeds the stack's r_max={fs.r_max}")
 
 
-def gauss_legendre_01(n: int = GAUSS_NODES, prec: int = DEFAULT_PRECISION):
-    """Nodes and weights on [0,1], generated by Newton iteration at `prec`."""
-    key = (n, prec)
-    if key in _gauss_cache:
-        return _gauss_cache[key]
-    with mp.workprec(prec + 32):
-        pairs = []
-        tol = mp.mpf(2) ** (-(prec + 16))
-        for k in range(1, n + 1):
-            x = mp.cos(mp.pi * (4 * k - 1) / (4 * n + 2))
-            for _ in range(100):
-                p0, p1 = mp.mpf(1), x
-                for j in range(2, n + 1):
-                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < tol:
-                    break
-            p0, p1 = mp.mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            pairs.append(((x + 1) / 2, w / 2))
-        pairs.sort(key=lambda t: t[0])
-    with mp.workprec(prec):
-        pairs = [(+u, +w) for u, w in pairs]
-    _gauss_cache[key] = pairs
-    return pairs
-
-
 class FunctionStack:
     """A function with its derivatives up to order r_max and optional tails.
 
@@ -109,12 +68,12 @@ class FunctionStack:
 
       exact_tail_integral(p, prec)      -> int_p^inf f
       exact_integral(a, b, prec)        -> int_a^b f
-      abs_deriv_integral(k, a, b, prec) -> int_a^b |f^(k)|
+      abs_deriv_integral(k, a, b, prec) -> upper bound for int_a^b |f^(k)|
       abs_deriv_tail(k, p, prec)        -> upper bound for int_p^inf |f^(k)|
       partial_sum(l, prec)              -> f(1) + ... + f(l), in place of a float loop
 
-    A stack with both exact_integral and abs_deriv_integral has its composite
-    rule remainder in closed form (em_composite).
+    The composite rule (em_composite) needs exact_integral and
+    abs_deriv_integral; the latter is exact for exp, exp(-x) and x^-s.
 
     domain_lo is an exclusive lower end of the domain (None: unbounded); the
     rules refuse a cell that reaches down to it, and the point sums a point at
@@ -193,14 +152,20 @@ class FunctionStack:
 
 
 def poly_stack(p: Poly, prec: int = DEFAULT_PRECISION) -> FunctionStack:
-    """FunctionStack for a polynomial; derivatives and integrals are exact."""
+    """FunctionStack for a polynomial; derivatives and integrals are exact.
+
+    int_a^b |p^(k)| is bounded by (b - a) sum_i |c_i| max(|a|,|b|)^i over the
+    coefficients c_i of p^(k): exactly 0 when p^(k) is 0.
+    """
     derivs = [p]
     while derivs[-1]:
         derivs.append(derivs[-1].derivative())
 
+    def pk(k):
+        return derivs[k] if k < len(derivs) else Poly.zero()
+
     def dk(k):
-        q = derivs[k] if k < len(derivs) else Poly.zero()
-        return lambda x, q=q: q.eval_mpf(x, prec)
+        return lambda x, q=pk(k): q.eval_mpf(x, prec)
 
     def integral(a, b, prec=prec):
         if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
@@ -209,11 +174,19 @@ def poly_stack(p: Poly, prec: int = DEFAULT_PRECISION) -> FunctionStack:
         with mp.workprec(prec):
             return +(F.eval_mpf(b, prec) - F.eval_mpf(a, prec))
 
+    def abs_deriv_integral(k, a, b, prec=prec):
+        with mp.workprec(prec):
+            a, b = to_mpf(a, prec), to_mpf(b, prec)
+            x = max(abs(a), abs(b))
+            return (b - a) * mp.fsum(abs(to_mpf(c, prec)) * x**i
+                                     for i, c in enumerate(pk(k).coeffs))
+
     return FunctionStack(
         f=dk(0),
         derivs=dk,
         r_max=10**9,
         exact_integral=integral,
+        abs_deriv_integral=abs_deriv_integral,
         check=False,
     )
 
@@ -258,8 +231,8 @@ class QuadratureReport:
 
 
 def _bound_inflation(x):
-    # float integrals (Gauss or closed form) enter certified bounds only after
-    # this safety margin
+    # float integrals in closed form enter certified bounds only after this
+    # safety margin
     return x * (1 + mp.mpf(2) ** -20) + mp.mpf(2) ** -60 * abs(x)
 
 
@@ -274,27 +247,6 @@ def em_unit(fs: FunctionStack, m: int, r: int, prec: int = DEFAULT_PRECISION) ->
     return em_composite(fs, 0, 1, 1, m, r, prec)
 
 
-def _gauss_remainder(fs: FunctionStack, starts, h, m: int, r: int, prec: int) -> tuple:
-    """(remainder, int |f^(r)|) by Gauss on the cells [x, x + h], x in starts."""
-    key = (m, r, prec)
-    if key not in _node_rows:
-        br = bernoulli.family(m).polynomial(r)
-        _node_rows[key] = [(u, w, br.eval_mpf(u, prec))
-                           for u, w in gauss_legendre_01(GAUSS_NODES, prec)]
-    nodes = _node_rows[key]
-    fr = fs.deriv(r)
-    integ = absint = mp.mpf(0)
-    for x in starts:
-        acc = aacc = mp.mpf(0)
-        for u, w, bv in nodes:
-            v = fr(x + h * u)
-            acc += w * v * bv
-            aacc += w * abs(v)
-        integ += h * acc
-        absint += h * aacc
-    return (-h) ** r / (factorial(m) * mp.factorial(r)) * integ, absint
-
-
 def em_composite(
     fs: FunctionStack, a, b, n_sub: int, m: int, r: int, prec: int = DEFAULT_PRECISION
 ) -> QuadratureReport:
@@ -305,20 +257,21 @@ def em_composite(
     main_sum = sigma(b) - [sigma~(a) - f(a)] + rho over the interior nodes
     a + jh, 0 < j < n_sub, with step h; rho here starts at its k = 1 weight, 1.
 
-    remainder_bound = h^r mu_r/(m! r!) int_a^b |f^(r)|, inflated, plus
-    2^(8-prec). A stack with exact_integral and abs_deriv_integral (exp,
-    exp(-x), x^-s) gives remainder = int_a^b f - main_sum and the integral of
-    |f^(r)| in closed form: the main sum and both integrals are taken at
-    prec + 32 bits, as the remainder cancels the leading digits of the two,
-    and each output is rounded once at prec, so total is int_a^b f to
-    rounding. Any other stack takes both from the Gauss cell loop at prec,
-    whose error is not bounded.
+    The stack must have exact_integral and abs_deriv_integral, else
+    ValueError. remainder = int_a^b f - main_sum, and remainder_bound =
+    h^r mu_r/(m! r!) times the stack's bound for int_a^b |f^(r)|, inflated,
+    plus 2^(8-prec). The main sum and both integrals are taken at prec + 32
+    bits, as the remainder cancels the leading digits of the two, and each
+    output is rounded once at prec, so total is int_a^b f to rounding. Where
+    the bound for int |f^(r)| is exactly 0, f^(r) vanishes on [a,b] and the
+    remainder is exactly 0 (a polynomial of degree below r).
     """
     if n_sub < 1:
         raise ValueError("n_sub must be at least 1")
     _check_order(fs, r)
-    closed = fs.exact_integral is not None and fs.abs_deriv_integral is not None
-    wp = prec + 32 if closed else prec
+    if fs.exact_integral is None or fs.abs_deriv_integral is None:
+        raise ValueError("the composite rule needs exact_integral and abs_deriv_integral")
+    wp = prec + 32
     with mp.workprec(wp):
         a = to_mpf(a, prec)
         b = to_mpf(b, prec)
@@ -326,16 +279,13 @@ def em_composite(
             raise ValueError("need a < b")
         fs.check_domain(a)
         h = (b - a) / n_sub
-        xs = [a + j * h for j in range(n_sub + 1)]
+        inner = [a + j * h for j in range(1, n_sub)]
         orders = range(1, r + 1)
         main = (_derivative_sum(fs, _weight_row(m, "boundary", r, wp), orders, [b], h)
                 - _derivative_sum(fs, _weight_row(m, "number", r, wp), orders, [a], h)
-                + _derivative_sum(fs, _weight_row(m, "jump", r, wp), orders, xs[1:-1], h))
-        if closed:
-            rem = fs.exact_integral(a, b, wp) - main
-            absint = fs.abs_deriv_integral(r, a, b, wp)
-        else:
-            rem, absint = _gauss_remainder(fs, xs[:-1], h, m, r, prec)
+                + _derivative_sum(fs, _weight_row(m, "jump", r, wp), orders, inner, h))
+        absint = fs.abs_deriv_integral(r, a, b, wp)
+        rem = fs.exact_integral(a, b, wp) - main if absint else mp.mpf(0)
         mu = sup_norm(m, r, prec)
         bound = _bound_inflation(
             h**r * mu / (factorial(m) * mp.factorial(r)) * absint
@@ -453,8 +403,7 @@ def sup_norm(m: int, r: int, prec: int = DEFAULT_PRECISION):
     over one common denominator, and every piece is halved until the largest
     |coefficient| left is within 2^-prec relative of the best value at a piece
     end, which is exact; a piece goes once its largest |coefficient| is at most
-    that value. The result is rounded up. Cached per (m, r, prec), like the
-    Gauss nodes.
+    that value. The result is rounded up. Cached per (m, r, prec).
     """
     if r < 0:
         raise ValueError("r must be nonnegative")

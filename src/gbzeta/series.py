@@ -7,9 +7,8 @@ the identity at infinity estimates convergent series such as zeta(2k+1); all
 infinite tails are certified, each carrying an explicit error bound.
 
 Normalization: R and its tail delta carry the 1/m! of the composite rule, the
-only choice under which the finite identity closes: to rounding on stacks
-whose remainder quadrature.em_composite takes in closed form, and up to the
-Gauss error of R on the others.
+only choice under which the finite identity closes, to rounding: R is
+quadrature.em_composite's remainder, int f minus the main sum.
 """
 
 from __future__ import annotations
@@ -502,11 +501,10 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
                 prec: int = DEFAULT_PRECISION):
     """R_r(q1,q2) = (1/m!)((-1)^r/r!) int f^(r)(t) B_r(t - floor t) dt.
 
-    em_composite's remainder on [q1, q2] with unit cells: in closed form,
-    int f minus the main sum, for a stack with exact_integral and
-    abs_deriv_integral (exp(-x), x^-s); otherwise from the Gauss cell loop,
-    whose error is not bounded. delta_tail uses it only for generic stacks;
-    for power stacks it takes the exact _remainder_block. R_r(q, q) = 0.
+    em_composite's remainder on [q1, q2] with unit cells, int f minus the
+    main sum, so the stack needs exact_integral and abs_deriv_integral
+    (ValueError otherwise). delta_tail uses it only for generic stacks; for
+    power stacks it takes the exact _remainder_block. R_r(q, q) = 0.
     """
     _check_order(fs, r)
     if q2 < q1:
@@ -570,11 +568,11 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
     at Q. The block, the sigma~ difference, the far bound and the jump tail
     are integers in units of 2^-W, W = prec + 64 + bitlen(q1) as in rho_tail,
     each with its error counted; their sum is rounded once (_certified).
-    Generic stacks step Q by 16 cells (at most 4096) until the bound
-    mu_r/(m! r!) int_Q^inf |f^(r)| (from abs_deriv_tail) drops below tol,
-    then take the block with one remainder_R call: in closed form where the
-    stack has exact_integral and abs_deriv_integral (exp(-x)), otherwise
-    from em_composite's Gauss rule, whose error is not bounded.
+    Generic stacks need abs_deriv_tail, whose bound C int_Q^inf |f^(r)|,
+    C = mu_r/(m! r!), covers delta_r(Q). With exact_integral and
+    abs_deriv_integral (exp(-x)) they step Q by 16 cells (at most 4096) until
+    that bound drops below tol, then take the block with one remainder_R
+    call. Without them the value is 0 and the bound C int_q1^inf |f^(r)|.
     """
     _check_order(fs, r)
     fs.check_domain(q1)
@@ -611,6 +609,8 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
         def tail_bound(Q):
             return coef * fs.abs_deriv_tail(r, Q, prec)
 
+        if fs.exact_integral is None or fs.abs_deriv_integral is None:
+            return CertifiedValue(mp.mpf(0), +(tail_bound(q1) + _rounding_slack(0, prec)))
         Q = q1
         while tail_bound(Q) > tol and Q - q1 < 4096:
             Q += 16
@@ -624,9 +624,8 @@ def finite_identity_residual(fs: FunctionStack, m: int, r: int, p: int, n: int,
 
     The five right-hand pieces reassemble the composite rule with h = 1, so
     the residual pins down the consistent normalization of every component.
-    Where remainder_R is in closed form (x^-s, exp(-x)) the residual is
-    rounding alone; on a stack that takes it from the Gauss cell loop, it is
-    that rule's error plus rounding.
+    remainder_R is int f minus the main sum, so the residual is rounding
+    alone; the stack needs exact_integral and abs_deriv_integral.
     """
     if not (1 <= p <= n):
         raise ValueError("need 1 <= p <= n")

@@ -16,7 +16,6 @@ from gbzeta.quadrature import (
     em_composite,
     em_unit,
     exp_stack,
-    gauss_legendre_01,
     l2_norm_sq,
     parseval_residual,
     parseval_rhs,
@@ -29,16 +28,6 @@ from gbzeta.series import PowerFunction, exp_decay_stack
 
 F = Fraction
 P = 256
-
-
-def test_gauss_rule_is_exact_for_high_degree():
-    nodes = gauss_legendre_01(32, P)
-    with mp.workprec(P):
-        assert abs(sum(w for _, w in nodes) - 1) <= mp.mpf(2) ** (8 - P)
-        # 32-point Gauss integrates degree 63 exactly
-        for k in (5, 20, 63):
-            got = sum(w * u**k for u, w in nodes)
-            assert abs(got - mp.mpf(1) / (k + 1)) <= mp.mpf(2) ** (16 - P)
 
 
 def test_em_unit_constant():
@@ -90,6 +79,33 @@ def test_em_composite_cubic_exact():
         with mp.workprec(P):
             assert rep.remainder == 0
             assert abs(rep.total - to_mpf(p.definite_integral(0, 2), P)) <= mp.mpf(2) ** (16 - P)
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("a,b", [(0, 2), (-1, F(1, 2))])
+def test_em_composite_poly_at_orders_up_to_degree(a, b, prec):
+    # r <= degree: the remainder is int p - main_sum, and remainder_bound
+    # must cover it. The coefficient bound (b - a) sum |c_i| max(|a|,|b|)^i
+    # on int |p^(k)| lies above a quadrature of |p^(k)|, and is exactly 0
+    # past the degree; on [-1, 1/2], max(|a|,|b|) comes from a, and max(a, b)
+    # in its place falls below the quadrature at k = 2, 3
+    p = Poly([F(1, 3), -2, 0, F(5, 7), 0, 1, F(-1, 2)])
+    fs = poly_stack(p, prec)
+    lo, hi = to_mpf(a, prec), to_mpf(b, prec)
+    assert fs.abs_deriv_integral(7, lo, hi, prec) == 0
+    for k in range(7):
+        got = fs.abs_deriv_integral(k, lo, hi, prec)
+        with mp.workprec(64):
+            fk = fs.deriv(k)
+            ref = mp.quad(lambda x: abs(fk(x)), mp.linspace(lo, hi, 31))
+            assert got >= ref * (1 - mp.mpf(2) ** -30), (k, got, ref)
+    for m in (1, 2, 5):
+        for r in (1, 3, 6):
+            rep = em_composite(fs, a, b, 3, m, r, prec)
+            with mp.workprec(prec + 64):
+                exact = to_mpf(p.definite_integral(a, b), prec + 64)
+                assert abs(rep.total - exact) <= mp.mpf(2) ** (16 - prec), (m, r)
+                assert abs(exact - rep.main_sum) <= rep.remainder_bound, (m, r)
 
 
 def test_em_composite_order_two():
@@ -333,16 +349,3 @@ def test_em_rejects_excessive_order():
         em_composite(fs, 0, 1, 2, 2, 2, P)
     with pytest.raises(ValueError, match="at least 1"):
         em_composite(fs, 0, 1, 2, 2, 0, P)
-
-
-def test_em_composite_node_row_is_per_precision(monkeypatch):
-    # B_r at the Gauss nodes is cached per (m, r, prec): a row made at 128
-    # bits must not serve a 256-bit call. exp without its closed forms takes
-    # the Gauss cell loop
-    monkeypatch.setattr(quadrature, "_node_rows", {})
-    fs = FunctionStack(f=mp.exp, derivs=lambda k: mp.exp, r_max=10**9, check=False)
-    fresh = em_composite(fs, 0, 2, 3, 2, 6, P)
-    monkeypatch.setattr(quadrature, "_node_rows", {})
-    em_composite(fs, 0, 2, 3, 2, 6, 128)
-    assert (2, 6, 128) in quadrature._node_rows
-    assert em_composite(fs, 0, 2, 3, 2, 6, P) == fresh

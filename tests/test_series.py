@@ -702,20 +702,21 @@ def test_remainder_block_matches_quad_reference(s, m, r, q1, prec):
 
 @pytest.mark.parametrize("s,m,r", [(F(3, 2), 1, 6), (F(3), 2, 3), (F(7, 2), 5, 1), (F(1), 3, 2)])
 def test_remainder_R_agrees_with_block_far_out(s, m, r):
-    # far from the pole the Gauss cells and the identity agree to rounding
+    # em_composite's closed form (int f - main_sum) and the finite identity
+    # in scaled integers (_remainder_block) agree to rounding
     pf = PowerFunction(s, P)
     V, _ = series._remainder_block(pf, m, r, 100, 164, P + 64)
     value = _round_fixed(V, P + 64)
-    gauss = remainder_R(pf, m, r, 100, 164, P)
+    closed = remainder_R(pf, m, r, 100, 164, P)
     with mp.workprec(P):
-        assert abs(value - gauss) <= series._rounding_slack(value, P)
+        assert abs(value - closed) <= series._rounding_slack(value, P)
 
 
 @pytest.mark.parametrize("prec", [256, 1024])
 @pytest.mark.parametrize("m,r", [(1, 2), (2, 6), (5, 4)])
 @pytest.mark.parametrize("stack", ["x^-3", "x^-3/2", "exp(-x)"])
 def test_remainder_R_is_em_composite_remainder(stack, m, r, prec):
-    # remainder_R runs no Gauss loop of its own: it is em_composite's remainder
+    # remainder_R is em_composite's remainder on unit cells
     fs = {"x^-3": lambda: PowerFunction(3, prec),
           "x^-3/2": lambda: PowerFunction(F(3, 2), prec),
           "exp(-x)": lambda: exp_decay_stack(prec)}[stack]()
@@ -794,6 +795,23 @@ def test_tail_not_certifiable_paths():
         delta_tail(bare, 2, 2, 5, None, P)
     with pytest.raises(TailNotCertifiableError):
         sigma_infinity(bare, 2, 2, P)
+    # without exact_integral and abs_deriv_integral there is no remainder
+    with pytest.raises(ValueError, match="abs_deriv_integral"):
+        em_composite(bare, 1, 3, 2, 2, 2, P)
+    with pytest.raises(ValueError, match="abs_deriv_integral"):
+        remainder_R(bare, 2, 2, 1, 3, P)
+
+
+def test_delta_tail_without_closed_forms_is_its_bound(monkeypatch):
+    # a stack with abs_deriv_tail alone steps no cells: delta_2(10) is 0
+    # within mu_2/(2! 2!) int_10^inf |f''| plus the rounding slack
+    monkeypatch.setattr(series, "remainder_R", None)
+    fs = cos_sqrt_over_x_stack(P)
+    d = delta_tail(fs, 2, 2, 10, None, P)
+    with mp.workprec(P):
+        bound = sup_norm(2, 2, P) / 4 * fs.abs_deriv_tail(2, 10, P) + mp.ldexp(1, -P)
+    assert d.value == 0
+    assert d.bound == bound
 
 
 def test_convergence_verdicts():
