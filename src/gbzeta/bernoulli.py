@@ -34,30 +34,40 @@ from math import comb, factorial, gcd
 from .polyrat import Poly
 
 
+_KINDS = ("number", "jump", "boundary")
+
+
 class GBFamily:
     """Grow-on-demand table of one level's numbers, the only store of its exact values.
 
-    The scaled table (a, d), b_n = B_n/n! = a[n]/d over one common d, is the
-    whole cache; number, jump and boundary are Fractions read from it.
-    Extension is serialized by a lock; the table is replaced as a whole when d
-    grows, and otherwise only appended to, so a reader holding one pair keeps
-    a consistent table.
+    The table (a, d, jump, boundary) holds three integer rows over one common
+    d: b_n = B_n/n! = a[n]/d, and (m-1)! d times (B_n(1) - B_n)/n! and
+    B_n(1)/n!, the last two O(m) work per n from a (_extend). Number, jump,
+    boundary and the weight rows of _weights are read from it; the Fractions
+    are built when read. Extension is serialized by a lock and replaces the
+    table as a whole, new tuples every time (the derived rows are scaled, not
+    recomputed, when d grows), so a reader holding one table keeps a
+    consistent one, and a row once handed out is never mutated.
     """
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("level m must be a positive integer")
         self.m = m
-        self._table = ([factorial(m)], 1)
         # (m-1)!/i! for i < m: the boundary identity over the denominator (m-1)! d
         self._fact_ratios = [factorial(m - 1) // factorial(i) for i in range(m)]
+        # b_0 = B_0(1) = m!, and no jump at n = 0
+        self._table = ((factorial(m),), 1, (0,), (factorial(m) * self._fact_ratios[0],))
         self._lock = threading.Lock()
 
     def _extend(self, nmax: int) -> None:
         with self._lock:
-            m = self.m
-            a, d = self._table
+            m, w = self.m, self._fact_ratios
+            a, d, jump, bnd = self._table
             n0 = len(a)
+            if nmax < n0:
+                return  # grown by another thread meanwhile
+            a, d0 = list(a), d
             R = factorial(m + n0 - 1) // factorial(m)
             for n in range(n0, nmax + 1):
                 R *= m + n
@@ -74,36 +84,46 @@ class GBFamily:
                     a = [x * f for x in a]
                     d *= f
                 a.append(p * (d // q))
-                self._table = (a, d)
+            # the derived rows are linear in (a, d), so the old entries scale by
+            # the factor d gained; a new entry is (m-1)! d ([n = m] + sum_{1<=i<m} b_(n-i)/i!)
+            f = d // d0
+            jump, bnd = ([x * f for x in row] if f > 1 else list(row) for row in (jump, bnd))
+            for n in range(n0, nmax + 1):
+                j = sum(a[n - i] * w[i] for i in range(1, min(m - 1, n) + 1))
+                if n == m:
+                    j += w[0] * d
+                jump.append(j)
+                bnd.append(a[n] * w[0] + j)
+            self._table = (tuple(a), d, tuple(jump), tuple(bnd))
 
-    def _jump_scaled(self, a: list[int], d: int, n: int) -> int:
-        """(m-1)! d (B_n(1) - B_n)/n! = (m-1)! d ([n = m] + sum_{1<=i<m} b_(n-i)/i!)."""
-        w = self._fact_ratios
-        acc = sum(a[n - i] * w[i] for i in range(1, min(self.m - 1, n) + 1))
-        return acc + w[0] * d if n == self.m else acc
-
-    def _scaled(self, nmax: int) -> tuple[list[int], int]:
-        """(a, d) with B_n/n! = a[n]/d for every n <= nmax, one common d."""
+    def _grown(self, nmax: int) -> tuple:
+        """The table, grown to hold every n <= nmax."""
         if nmax < 0:
             raise ValueError("n must be nonnegative")
-        if nmax >= len(self._table[0]):
+        t = self._table
+        if nmax >= len(t[0]):
             self._extend(nmax)
-        return self._table
+            t = self._table
+        return t
 
-    def _weights(self, kind: str, nmax: int) -> tuple[list[int], int]:
+    def _scaled(self, nmax: int) -> tuple[tuple[int, ...], int]:
+        """(a, d) with B_n/n! = a[n]/d for every n <= nmax, one common d."""
+        return self._grown(nmax)[:2]
+
+    def _weights(self, kind: str, nmax: int) -> tuple[tuple[int, ...], int]:
         """(c, e) with W_k/(m! k!) = c[k]/e for k <= nmax, W_k = B_k, B_k(1)
-        or B_k(1) - B_k for kind "number", "boundary" or "jump"."""
-        a, d = self._scaled(nmax)
+        or B_k(1) - B_k for kind "number", "boundary" or "jump".
+
+        c is the table's own row, an immutable tuple that may run past nmax;
+        nothing is built per call. An unknown kind raises before the table grows.
+        """
+        if kind not in _KINDS:
+            raise ValueError(f"unknown weight kind {kind!r}")
+        a, d, jump, bnd = self._grown(nmax)
         mf = factorial(self.m)
         if kind == "number":
-            return a[: nmax + 1], mf * d
-        mm1f = self._fact_ratios[0]
-        c = [self._jump_scaled(a, d, k) for k in range(nmax + 1)]
-        if kind == "boundary":
-            c = [x * mm1f + y for x, y in zip(a, c)]
-        elif kind != "jump":
-            raise ValueError(f"unknown weight kind {kind!r}")
-        return c, mf * mm1f * d
+            return a, mf * d
+        return jump if kind == "jump" else bnd, mf * self._fact_ratios[0] * d
 
     def numbers(self, nmax: int) -> list[Fraction]:
         """[B_0, ..., B_nmax] for this level."""
@@ -116,12 +136,13 @@ class GBFamily:
 
     def jump(self, n: int) -> Fraction:
         """B_n(1) - B_n, the boundary jump entering every Fourier coefficient."""
-        a, d = self._scaled(n)
-        return Fraction(factorial(n) * self._jump_scaled(a, d, n), self._fact_ratios[0] * d)
+        _, d, jump, _ = self._grown(n)
+        return Fraction(factorial(n) * jump[n], self._fact_ratios[0] * d)
 
     def boundary(self, n: int) -> Fraction:
         """B_n(1), from the O(m) boundary identity."""
-        return self.number(n) + self.jump(n)
+        _, d, _, bnd = self._grown(n)
+        return Fraction(factorial(n) * bnd[n], self._fact_ratios[0] * d)
 
     def polynomial(self, n: int) -> Poly:
         """B_n(x) = sum_k C(n,k) B_k x^{n-k}; degree n, leading coefficient m!."""

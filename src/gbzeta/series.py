@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial, floor
+from math import factorial
 from operator import mul
 from typing import Optional
 
@@ -80,6 +80,7 @@ class PowerFunction(FunctionStack):
         self.s = s
         self.prec = prec
         self._poch_cache = [Fraction(1)]
+        self._sigma_cache: dict = {}
         super().__init__(
             f=self._make_deriv(0),
             derivs=self._make_deriv,
@@ -156,8 +157,31 @@ class PowerFunction(FunctionStack):
         boundary=True weights with B_k(1) (the sigma of the far endpoint),
         False with B_k (the sigma~ of the near endpoint, without the f(q)).
         """
-        c, e = bernoulli.family(m)._weights("boundary" if boundary else "number", r)
-        return [(k, self.pochhammer(k - 1) * Fraction(c[k], e)) for k in range(1, r + 1)]
+        ctil, cbar, D = self._sigma_ints(m, r)
+        return [(k, Fraction(c, D)) for k, c in enumerate(cbar if boundary else ctil, 1)]
+
+    def _sigma_ints(self, m: int, r: int) -> tuple:
+        """(Ct, Cb, D): the sigma~ and sigma coefficients of sigma_coefficients
+        as integers over one denominator, Ct[k-1]/D and Cb[k-1]/D for k = 1..r.
+
+        With s = a/b and P_n = b^n (s)_n, (s)_(k-1) W_k/(m! k!) is
+        P_(k-1) b^(r-k) w_k / D, D = m! (m-1)! d b^(r-1), where
+        w_k = (m-1)! d W_k/k! is the level's boundary row for W_k = B_k(1) and
+        (m-1)! a_k for W_k = B_k. Built once per (m, r), from one read of the
+        level's table.
+        """
+        key = (m, r)
+        if key not in self._sigma_cache:
+            a, d, _, bnd = bernoulli.family(m)._grown(r)
+            sa, b, mm1f = self.s.numerator, self.s.denominator, factorial(m - 1)
+            scale, P = [], 1
+            for k in range(1, r + 1):
+                scale.append(P * b ** (r - k))  # P_(k-1) b^(r-k)
+                P *= sa + (k - 1) * b
+            self._sigma_cache[key] = (tuple(x * mm1f * a[k] for k, x in enumerate(scale, 1)),
+                                      tuple(x * bnd[k] for k, x in enumerate(scale, 1)),
+                                      factorial(m) * mm1f * d * b ** (r - 1))
+        return self._sigma_cache[key]
 
 
 def exp_decay_stack(prec: int = DEFAULT_PRECISION) -> FunctionStack:
@@ -332,9 +356,11 @@ def _coeff_abs_sum(m: int, r: int) -> Fraction:
 
 
 @cache
-def _far_coeff(m: int, r: int) -> Fraction:
-    # A_r = coeff-sum(B_r)/(m! r!), exact, built once per (m, r)
-    return Fraction(_coeff_abs_sum(m, r), factorial(m) * factorial(r))
+def _far_coeff(m: int, r: int) -> tuple[int, int]:
+    # A_r = coeff-sum(B_r)/(m! r!) in lowest terms, as (numerator,
+    # denominator), built once per (m, r)
+    A = Fraction(_coeff_abs_sum(m, r), factorial(m) * factorial(r))
+    return A.numerator, A.denominator
 
 
 def _cdiv(x: int, y: int) -> int:
@@ -373,33 +399,45 @@ def _far_bound(seq: _ScaledRising, k: int, m: int, orders, limit: int) -> tuple:
     sum_{j>=J} |f^(k-1)(j)|.
 
     seq holds f = x^-s at J. The bound of order r is A_r int_J^inf |f^(n)|,
-    n = k-1+r, that is A_r J b U_n/(a+(n-1)b) with the exact A_r of
-    _far_coeff; taken with U_n + err_n and rounded up, it is an upper bound,
-    compared in integers. limit = floor(2^W tol/4), where tol applies to
-    sum_{j>=J} j^-(s+k-1), the tail divided by (s)_(k-1) = P_(k-1)/b^(k-1): an
-    order meets it when its bound times b^(k-1) is at most limit P_(k-1). The
-    first order in `orders` that meets it is taken, otherwise the one with the
-    smallest bound.
+    n = k-1+r, that is A_r J b U_n/(a+(n-1)b) with the exact A_r = N/D of
+    _far_coeff; taken with U_n + err_n and rounded up, ceil(X/Y) with
+    X = N J b (U_n + err_n) and Y = D (a+(n-1)b), it is an upper bound.
+    limit = floor(2^W tol/4), where tol applies to sum_{j>=J} j^-(s+k-1), the
+    tail divided by (s)_(k-1) = P_(k-1)/b^(k-1): an order meets it when
+    ceil(X/Y) b^(k-1) <= limit P_(k-1), that is ceil(X/Y) <= M =
+    floor(limit P_(k-1) / b^(k-1)), that is X <= M Y, one multiply per order.
+    The first order in `orders` that meets it is taken, with its one ceil
+    division; if none does, every bound is divided out and the smallest is
+    taken, the first on ties.
     """
     a, b, U, err = seq.a, seq.b, seq.U, seq.err
     seq.extend(k - 1)
-    lim, scale = limit * seq.P[k - 1], b ** (k - 1)
-    best = None
+    M, Jb = limit * seq.P[k - 1] // b ** (k - 1), seq.J * b
+    tried = []
     for r in orders:
         n = k - 1 + r
         if n >= len(U):
             seq.extend(n)
-        A = _far_coeff(m, r)
-        bound = _cdiv(A.numerator * seq.J * b * (U[n] + err[n]),
-                      A.denominator * (a + (n - 1) * b))
-        if best is None or bound < best[1]:
-            best = (r, bound)
-        if bound * scale <= lim:
-            break
-    return best
+        N, D = _far_coeff(m, r)
+        X, Y = N * Jb * (U[n] + err[n]), D * (a + (n - 1) * b)
+        if X <= M * Y:
+            return r, _cdiv(X, Y)
+        tried.append((r, X, Y))
+    return min(((r, _cdiv(X, Y)) for r, X, Y in tried), key=lambda rb: rb[1])
 
 
 _TAIL_ORDERS = range(8, 97, 8)
+
+
+@cache
+def _level_one_row() -> tuple:
+    # (c'_1, [c_2, c_4, ...], their absolute values, e) for i <= 96: the
+    # level-1 weights B_i/i! = c_i/e that _power_tails uses, c'_1 = c_1 + e;
+    # B_i = 0 for odd i >= 3, so those are left out
+    c, e = bernoulli.family(1)._weights("number", _TAIL_ORDERS[-1])
+    even = c[2:_TAIL_ORDERS[-1] + 1:2]
+    return c[1] + e, even, tuple(map(abs, even)), e
+
 
 def _power_tails(s: Fraction, ks, J: int, tol, W: int) -> list[tuple]:
     """[(T, err)]: sum_{j>=J} |f^(k-1)(j)| within err units of T 2^-W, for
@@ -410,27 +448,28 @@ def _power_tails(s: Fraction, ks, J: int, tol, W: int) -> list[tuple]:
     max(J, 64), the near block J <= j < J0 (_power_sums, within J0 - J units)
     and one _ScaledRising sequence U_n at J0, s = a/b. Beyond J0 each tail is
     the level-1 rule at the order r that _far_bound picks for tol, with
-    B_i/i! = c_i/e (B_i = 0 for odd i >= 3):
+    B_i/i! = c_i/e from one module-level row (_level_one_row):
         T = P_(k-1) near // b^(k-1) + J0 b U_(k-1) // (a+(k-2)b)
             + (sum_{i<=r} c'_i U_(k-2+i)) // e,
-    c'_1 = c_1 + e for the f(J0) term. Its error, in units, is the far bound
-    plus (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b) + sum|c'_i| err_(k-2+i)/e
-    from the sequence and the near block, rounded up, plus 3 for the floors.
+    c'_1 = c_1 + e for the f(J0) term. B_i = 0 for odd i >= 3, so the dot
+    product runs over i = 1 and even i only. Its error, in units, is the far
+    bound plus (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b)
+    + sum|c'_i| err_(k-2+i)/e from the sequence and the near block, rounded
+    up, plus 3 for the floors.
     """
     a, b = s.numerator, s.denominator
     J0 = max(J, 64)
     near = _power_sums(s, range(J, J0), ks, W)
-    c, e = bernoulli.family(1)._weights("number", _TAIL_ORDERS[-1])
-    g = [c[1] + e, *c[2:]]  # c'_i for i = 1, 2, ...
-    g_abs = [abs(x) for x in g]
+    g1, g_even, g_even_abs, e = _level_one_row()
     seq = _ScaledRising(s, J0, W)
     U, err, limit = seq.U, seq.err, int(mp.ldexp(tol, W - 2))
     out = []
     for k in ks:
         r, far = _far_bound(seq, k, 1, _TAIL_ORDERS, limit)
         P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
-        st = sum(map(mul, g[:r], U[k - 1:k - 1 + r]))
-        st_err = sum(map(mul, g_abs[:r], err[k - 1:k - 1 + r]))
+        # i = 1 takes U_(k-1); i = 2, 4, ..., r take U_k, U_(k+2), ..., U_(k+r-2)
+        st = g1 * U[k - 1] + sum(map(mul, g_even, U[k:k + r - 1:2]))
+        st_err = g1 * err[k - 1] + sum(map(mul, g_even_abs, err[k:k + r - 1:2]))
         T = P * near[k] // bk + J0 * b * U[k - 1] // d + st // e
         out.append((T, far + _cdiv(P * (J0 - J), bk) + _cdiv(J0 * b * err[k - 1], d)
                     + _cdiv(st_err, e) + 3))
@@ -526,8 +565,10 @@ def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
     with a_k = cbar_k - ctil_k, the exact difference of the sigma and sigma~
     coefficients: (s)_(k-1) (B_k(1)-B_k)/(m! k!), so a_1 = 1. It is summed in
     units of 2^-W. The sum over the n = Q - q1 - 1 integers and the two sigmas
-    are exact combinations of _power_sums, within n sum|a_k|, sum|cbar_k| and
-    sum|ctil_k| units, floored once (one unit). The integral (q1^(1-s) - Q^(1-s))/(s-1), s - 1 = u/v, is
+    are exact combinations of _power_sums, with the coefficients as integers
+    over one denominator D (PowerFunction._sigma_ints), within n sum|a_k|,
+    sum|cbar_k| and sum|ctil_k| units, floor-divided by D once (one unit).
+    The integral (q1^(1-s) - Q^(1-s))/(s-1), s - 1 = u/v, is
     a difference of two scaled_power(s-1, .), times v floor-divided by u:
     within 2v/u + 1 units. For s = 1 it is mp.log at W + 16 bits, whose error
     is mpmath's: at 16 units in the last place of each log it is below
@@ -535,24 +576,22 @@ def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
     """
     s = pf.s
     orders = range(1, r + 1)
-    ctil = [c for _, c in pf.sigma_coefficients(m, r, boundary=False)]
-    cbar = [c for _, c in pf.sigma_coefficients(m, r, boundary=True)]
+    ctil, cbar, D = pf._sigma_ints(m, r)  # the coefficients over one denominator D
     a = [cb - ct for cb, ct in zip(cbar, ctil)]
     inner = _power_sums(s, range(q1 + 1, Q), [k for k in orders if a[k - 1]], W)
     far, near = _power_sums(s, [Q], orders, W), _power_sums(s, [q1], orders, W)
+    value = sum(ct * near[k] - cb * far[k] - ak * inner.get(k, 0)
+                for k, ak, cb, ct in zip(orders, a, cbar, ctil)) // D
+    units = sum((Q - q1 - 1) * abs(ak) + abs(cb) + abs(ct) for ak, cb, ct in zip(a, cbar, ctil))
     if s == 1:
         with mp.workprec(W + 16):
             integral = int(mp.nint(mp.ldexp(mp.log(Q) - mp.log(q1), W)))
-        units = 1 + Q.bit_length()
-    else:
-        u, v = (s - 1).numerator, (s - 1).denominator
-        integral = (scaled_power(s - 1, q1, W) - scaled_power(s - 1, Q, W)) * v // u
-        units = 2 * Fraction(v, u) + 1
-    value = integral + floor(sum(ct * near[k] - cb * far[k] - a[k - 1] * inner.get(k, 0)
-                                 for k, cb, ct in zip(orders, cbar, ctil)))
-    units += 1 + sum((Q - q1 - 1) * abs(ak) + abs(cb) + abs(ct)
-                     for ak, cb, ct in zip(a, cbar, ctil))
-    return value, ceil(units)
+        # 1 + bitlen(Q) for the logs, 1 for the floor, the sums over D
+        return integral + value, 2 + Q.bit_length() + _cdiv(units, D)
+    u, v = (s - 1).numerator, (s - 1).denominator
+    integral = (scaled_power(s - 1, q1, W) - scaled_power(s - 1, Q, W)) * v // u
+    # 2v/u + 1 for the integral, 1 for the floor, the sums over D
+    return integral + value, 2 + _cdiv(2 * v * D + u * units, u * D)
 
 
 def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
@@ -595,8 +634,9 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
             # (s)_(k-1) B_k/(m! k!) Q^-(s+k-1) is c_k U_(k-1)/e in units of
             # 2^-W: within sum |c_k| err_(k-1)/e units, and one more for the floor
             c, e = bernoulli.family(m)._weights("number", rp)
-            sdiff = -(sum(map(mul, c[r + 1:], seq.U[r:rp])) // e)
-            sdiff_err = _cdiv(sum(abs(x) * n for x, n in zip(c[r + 1:], seq.err[r:rp])), e) + 1
+            sdiff = -(sum(map(mul, c[r + 1:rp + 1], seq.U[r:rp])) // e)
+            sdiff_err = _cdiv(sum(abs(x) * n for x, n in zip(c[r + 1:rp + 1], seq.err[r:rp])),
+                              e) + 1
             # e difference: certified tail sums of the new jump orders
             jt, jt_err = _jump_tail(s, m, range(r + 1, rp + 1), Q + 1, tol / 4, W)
             return _certified(direct + sdiff + jt, direct_err + sdiff_err + far + jt_err, W, prec)

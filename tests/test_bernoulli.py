@@ -205,6 +205,93 @@ def test_scaled_table_consistent_under_concurrent_growth():
     assert not errs
 
 
+def _weight_reference(m, nmax):
+    # {kind: [W_k/(m! k!)]} uncached: B_k from the inversion formula, B_k(1)
+    # from the full sum over C(k,j) B_j, the jump their difference
+    B = _inversion_reference(m, nmax)
+    bnd = [sum((comb(k, j) * B[j] for j in range(k + 1)), F(0)) for k in range(nmax + 1)]
+    scale = [F(1, factorial(m) * factorial(k)) for k in range(nmax + 1)]
+    return {"number": [x * w for x, w in zip(B, scale)],
+            "boundary": [x * w for x, w in zip(bnd, scale)],
+            "jump": [(x - y) * w for x, y, w in zip(bnd, B, scale)]}
+
+
+@pytest.mark.parametrize("m", (1, 2, 5))
+def test_weight_rows_grow_with_the_table(m):
+    # a row read at nmax = 10, then the table grown to 200, which rescales d:
+    # the rows equal the uncached weights, and a row handed out earlier is
+    # left as it was
+    ref = _weight_reference(m, 200)
+    fam = GBFamily(m)
+    early = {kind: fam._weights(kind, 10) for kind in ref}
+    copies = {kind: list(c) for kind, (c, _) in early.items()}
+    d10 = fam._scaled(10)[1]
+    assert fam._scaled(200)[1] != d10
+    for kind, (c, e) in early.items():
+        assert list(c) == copies[kind]
+        assert [F(x, e) for x in c[:11]] == ref[kind][:11], kind
+        c, e = fam._weights(kind, 200)
+        assert [F(x, e) for x in c[:201]] == ref[kind], kind
+        assert fam._weights(kind, 150) == (c, e)  # served from the table, not rebuilt
+
+
+def test_unknown_weight_kind_raises_before_growth():
+    fam = GBFamily(3)
+    table = fam._table
+    with pytest.raises(ValueError, match="unknown weight kind"):
+        fam._weights("bogus", 50)
+    assert fam._table is table
+
+
+def test_weight_rows_consistent_under_concurrent_growth():
+    # readers take weight rows while another thread grows the table in steps,
+    # each of which may rescale d; every (row, e) a reader holds gives the
+    # exact weights
+    ref = _weight_reference(3, 160)
+    fam = GBFamily(3)
+    errs, reads = [], []
+    done, start = threading.Event(), threading.Barrier(5)
+
+    def grow():
+        try:
+            start.wait()
+            for n in range(5, 161, 3):
+                fam.numbers(n)
+        except Exception as exc:  # pragma: no cover
+            errs.append(exc)
+        finally:
+            done.set()
+
+    def read(i):
+        try:
+            start.wait()
+            while not done.is_set():
+                reads.append(i)
+                for kind in ref:
+                    n = len(fam._table[0]) - 1
+                    c, e = fam._weights(kind, n)
+                    for k in (0, n // 2, n):
+                        if F(c[k], e) != ref[kind][k]:
+                            errs.append((i, kind, n, k))
+        except Exception as exc:  # pragma: no cover
+            errs.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow)]
+        threads += [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errs
+    assert len(reads) > 4
+
+
 def _inversion_reference(m, nmax):
     # the inversion formula at x = 0, term by term in Fractions:
     # B_n = -m! sum_{k=1}^{n} C(n,k) k!/(m+k)! B_{n-k}

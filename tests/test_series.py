@@ -1,5 +1,6 @@
 """Series estimator: notation pieces, certified tails, worked examples."""
 
+import math
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -257,8 +258,8 @@ def test_power_tails_near_block_to_order_40():
                 assert abs(cv.value - ref) <= cv.bound, (J, k)
 
 
-def _far_bound_reference(pf, m, orders, J, tol, prec):
-    # the per-exponent order choice: one fractional power of J per order tried
+def _float_far_bound_reference(pf, m, orders, J, tol, prec):
+    # the per-exponent order choice in mpf: one fractional power of J per order tried
     mf = factorial(m)
     best = None
     for r in orders:
@@ -271,6 +272,75 @@ def _far_bound_reference(pf, m, orders, J, tol, prec):
     return best
 
 
+def _far_bound_reference(seq, k, m, orders, limit):
+    # the divide-every-order loop: each order's bound A_r J b (U_n + err_n) /
+    # (a + (n-1) b) with the exact Fraction A_r, rounded up, and compared as
+    # bound b^(k-1) <= limit P_(k-1); the first order that meets it, else the
+    # smallest bound, the first on ties
+    a, b, U, err = seq.a, seq.b, seq.U, seq.err
+    seq.extend(k - 1)
+    lim, scale = limit * seq.P[k - 1], b ** (k - 1)
+    best = None
+    for r in orders:
+        n = k - 1 + r
+        seq.extend(n)
+        A = Fraction(series._coeff_abs_sum(m, r), factorial(m) * factorial(r))
+        bound = -(-A.numerator * seq.J * b * (U[n] + err[n])
+                  // (A.denominator * (a + (n - 1) * b)))
+        if best is None or bound < best[1]:
+            best = (r, bound)
+        if bound * scale <= lim:
+            break
+    return best
+
+
+def _far_bound_cases():
+    # (s, k, m, orders): level 1 at the power-tail orders, level m > 1 at
+    # delta_tail's orders r + 8, ..., r + 96; b = 1, 2, 3 and 10000
+    # (scaled_power's mpf route)
+    for s in (F(3, 2), F(3), F(5, 3), F(10001, 10000), F(21)):
+        for k in (1, 2, 7, 40):
+            yield s, k, 1, series._TAIL_ORDERS
+        for m, r in ((2, 1), (3, 6), (5, 2)):
+            yield s, 1, m, range(r + 8, r + 97, 8)
+
+
+@pytest.mark.parametrize("W", [320, 1088])
+def test_far_bound_matches_divide_every_order_reference(W):
+    # the same (order, bound) as the loop that divides for every order tried,
+    # at limit 0 (no order meets), a limit the first order meets, and the
+    # estimator's own floor(2^W tol/4), which some orders meet late and some
+    # not at all
+    rules = set()
+    for s, k, m, orders in _far_bound_cases():
+        for J in (64, 613):
+            huge = 1 << (W + 64)
+            for limit in (0, huge, int(mp.ldexp(series._default_tol(W - 64), W - 2))):
+                ref = _far_bound_reference(series._ScaledRising(s, J, W), k, m, orders, limit)
+                seq = series._ScaledRising(s, J, W)
+                assert series._far_bound(seq, k, m, orders, limit) == ref, (s, k, m, J, limit)
+                meets = ref[1] * s.denominator ** (k - 1) <= limit * seq.P[k - 1]
+                rule = "none" if not meets else "first" if ref[0] == orders[0] else "later"
+                assert rule == {0: "none", huge: "first"}.get(limit, rule)
+                rules.add(rule)
+    assert rules == {"none", "first", "later"}
+
+
+def test_far_bound_meets_a_limit_equal_to_its_bound():
+    # an order whose bound is exactly the limit meets it: U_8 is set so that
+    # the unrounded bound X/Y of order 8 (k = 1, level 1) is the integer limit
+    s, J, W = F(3, 2), 64, 320
+    N, D = series._far_coeff(1, 8)
+    t = 1 << 200
+    limit = N * J * s.denominator * t
+    for far_bound in (_far_bound_reference, series._far_bound):
+        seq = series._ScaledRising(s, J, W)
+        seq.extend(8)
+        seq.U[8] = D * (s.numerator + 7 * s.denominator) * t - seq.err[8]
+        assert far_bound(seq, 1, 1, series._TAIL_ORDERS, limit) == (8, limit)
+        assert far_bound(seq, 1, 1, series._TAIL_ORDERS, limit - 1)[0] != 8
+
+
 def _power_tail_reference(t, J, tol, prec):
     # one exponent at a time: a fresh PowerFunction(t) and the generic sigma~;
     # (value, far bound, rounding slack of the value)
@@ -279,7 +349,7 @@ def _power_tail_reference(t, J, tol, prec):
     direct = mp.mpf(0)
     for j in range(J, J0):
         direct += pf._pow(j, -t)
-    r, far = _far_bound_reference(pf, 1, range(8, 97, 8), J0, tol, prec)
+    r, far = _float_far_bound_reference(pf, 1, range(8, 97, 8), J0, tol, prec)
     integral = pf._pow(J0, 1 - t) / to_mpf(t - 1, prec)
     value = direct + integral + sigma_tilde(pf, 1, r, J0, prec)
     return value, far, series._rounding_slack(value, prec)
@@ -358,7 +428,7 @@ def test_batched_jump_tail_over_delta_tail_orders(s, monkeypatch):
     with mp.workprec(prec):
         tiny = mp.mpf(2) ** -1325
         weights = _jump_weights(2, orders)
-        chosen = {_far_bound_reference(PowerFunction(s + k - 1, prec), 1, series._TAIL_ORDERS,
+        chosen = {_float_far_bound_reference(PowerFunction(s + k - 1, prec), 1, series._TAIL_ORDERS,
                                        613, tiny / len(weights), prec)[0] for k, _ in weights}
         assert 96 in chosen and min(chosen) < 96
         for tol in (series._default_tol(prec) / 2, tiny):
@@ -698,6 +768,56 @@ def test_remainder_block_matches_quad_reference(s, m, r, q1, prec):
         assert abs(value - ref) <= err
     # the rounding term is of the order of the w = prec + 64 bit unit
     assert err <= abs(ref) * mp.mpf(2) ** (24 - prec - 64) + mp.mpf(2) ** (24 - prec - 64)
+
+
+def _sigma_coefficient_reference(pf, m, r):
+    # the sigma~ and sigma coefficients (s)_(k-1) W_k/(m! k!), k = 1..r, as
+    # Fractions from the level's exact numbers
+    fam = bernoulli.family(m)
+    w = [pf.pochhammer(k - 1) / (factorial(m) * factorial(k)) for k in range(1, r + 1)]
+    return ([x * fam.number(k) for k, x in enumerate(w, 1)],
+            [x * fam.boundary(k) for k, x in enumerate(w, 1)])
+
+
+def _remainder_block_reference(pf, m, r, q1, Q, W):
+    # the finite identity in Fractions: the exact sigma coefficients summed
+    # with the _power_sums and floored once, the error units a Fraction
+    s, orders = pf.s, range(1, r + 1)
+    ctil, cbar = _sigma_coefficient_reference(pf, m, r)
+    a = [cb - ct for cb, ct in zip(cbar, ctil)]
+    inner = series._power_sums(s, range(q1 + 1, Q), [k for k in orders if a[k - 1]], W)
+    far, near = series._power_sums(s, [Q], orders, W), series._power_sums(s, [q1], orders, W)
+    if s == 1:
+        with mp.workprec(W + 16):
+            integral = int(mp.nint(mp.ldexp(mp.log(Q) - mp.log(q1), W)))
+        units = 1 + Q.bit_length()
+    else:
+        u, v = (s - 1).numerator, (s - 1).denominator
+        integral = (scaled_power(s - 1, q1, W) - scaled_power(s - 1, Q, W)) * v // u
+        units = 2 * Fraction(v, u) + 1
+    value = integral + math.floor(sum(ct * near[k] - cb * far[k] - a[k - 1] * inner.get(k, 0)
+                                      for k, cb, ct in zip(orders, cbar, ctil)))
+    units += 1 + sum((Q - q1 - 1) * abs(ak) + abs(cb) + abs(ct)
+                     for ak, cb, ct in zip(a, cbar, ctil))
+    return value, math.ceil(units)
+
+
+@pytest.mark.parametrize("W", [320, 1088])
+@pytest.mark.parametrize("s", [F(1), F(10001, 10000), F(3, 2), F(5, 3), F(3), F(21)])
+def test_remainder_block_matches_fraction_formula(s, W):
+    # the same (V, err) as the Fraction route, for s = 1 (the log branch),
+    # 10001/10000 (scaled_power's mpf route), b = 1, 2, 3, and blocks with an
+    # empty, a short and a longer interior; the integer coefficients give the
+    # same sigma_coefficients
+    pf = PowerFunction(s)
+    for m in (1, 2, 3, 5):
+        for r in (1, 2, 3, 6):
+            ctil, cbar = _sigma_coefficient_reference(pf, m, r)
+            assert [c for _, c in pf.sigma_coefficients(m, r, boundary=False)] == ctil
+            assert [c for _, c in pf.sigma_coefficients(m, r, boundary=True)] == cbar
+            for q1, Q in ((1, 2), (2, 66), (100, 164), (1000, 1200)):
+                assert (series._remainder_block(pf, m, r, q1, Q, W)
+                        == _remainder_block_reference(pf, m, r, q1, Q, W)), (m, r, q1, Q)
 
 
 @pytest.mark.parametrize("s,m,r", [(F(3, 2), 1, 6), (F(3), 2, 3), (F(7, 2), 5, 1), (F(1), 3, 2)])
