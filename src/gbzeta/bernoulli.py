@@ -84,10 +84,13 @@ class GBFamily:
                     a = [x * f for x in a]
                     d *= f
                 a.append(p * (d // q))
-            # the derived rows are linear in (a, d), so the old entries scale by
-            # the factor d gained; a new entry is (m-1)! d ([n = m] + sum_{1<=i<m} b_(n-i)/i!)
-            f = d // d0
-            jump, bnd = ([x * f for x in row] if f > 1 else list(row) for row in (jump, bnd))
+            jump, bnd = list(jump), list(bnd)
+            if d != d0:
+                # the derived rows are linear in (a, d): the old entries scale
+                # by the factor d gained
+                f = d // d0
+                jump, bnd = [x * f for x in jump], [x * f for x in bnd]
+            # jump: (m-1)! d ([n = m] + sum_{1<=i<m} b_(n-i)/i!); boundary adds (m-1)! a[n]
             for n in range(n0, nmax + 1):
                 j = sum(a[n - i] * w[i] for i in range(1, min(m - 1, n) + 1))
                 if n == m:

@@ -80,7 +80,6 @@ class PowerFunction(FunctionStack):
         self.s = s
         self.prec = prec
         self._poch_cache = [Fraction(1)]
-        self._sigma_cache: dict = {}
         super().__init__(
             f=self._make_deriv(0),
             derivs=self._make_deriv,
@@ -167,21 +166,17 @@ class PowerFunction(FunctionStack):
         With s = a/b and P_n = b^n (s)_n, (s)_(k-1) W_k/(m! k!) is
         P_(k-1) b^(r-k) w_k / D, D = m! (m-1)! d b^(r-1), where
         w_k = (m-1)! d W_k/k! is the level's boundary row for W_k = B_k(1) and
-        (m-1)! a_k for W_k = B_k. Built once per (m, r), from one read of the
-        level's table.
+        (m-1)! a_k for W_k = B_k, from one read of the level's table.
         """
-        key = (m, r)
-        if key not in self._sigma_cache:
-            a, d, _, bnd = bernoulli.family(m)._grown(r)
-            sa, b, mm1f = self.s.numerator, self.s.denominator, factorial(m - 1)
-            scale, P = [], 1
-            for k in range(1, r + 1):
-                scale.append(P * b ** (r - k))  # P_(k-1) b^(r-k)
-                P *= sa + (k - 1) * b
-            self._sigma_cache[key] = (tuple(x * mm1f * a[k] for k, x in enumerate(scale, 1)),
-                                      tuple(x * bnd[k] for k, x in enumerate(scale, 1)),
-                                      factorial(m) * mm1f * d * b ** (r - 1))
-        return self._sigma_cache[key]
+        a, d, _, bnd = bernoulli.family(m)._grown(r)
+        sa, b, mm1f = self.s.numerator, self.s.denominator, factorial(m - 1)
+        scale, P = [], 1
+        for k in range(1, r + 1):
+            scale.append(P * b ** (r - k))  # P_(k-1) b^(r-k)
+            P *= sa + (k - 1) * b
+        return ([x * mm1f * a[k] for k, x in enumerate(scale, 1)],
+                [x * bnd[k] for k, x in enumerate(scale, 1)],
+                factorial(m) * mm1f * d * b ** (r - 1))
 
 
 def exp_decay_stack(prec: int = DEFAULT_PRECISION) -> FunctionStack:

@@ -428,8 +428,9 @@ def test_batched_jump_tail_over_delta_tail_orders(s, monkeypatch):
     with mp.workprec(prec):
         tiny = mp.mpf(2) ** -1325
         weights = _jump_weights(2, orders)
-        chosen = {_float_far_bound_reference(PowerFunction(s + k - 1, prec), 1, series._TAIL_ORDERS,
-                                       613, tiny / len(weights), prec)[0] for k, _ in weights}
+        chosen = {_float_far_bound_reference(PowerFunction(s + k - 1, prec), 1,
+                                             series._TAIL_ORDERS, 613, tiny / len(weights),
+                                             prec)[0] for k, _ in weights}
         assert 96 in chosen and min(chosen) < 96
         for tol in (series._default_tol(prec) / 2, tiny):
             got = _rounded_jump_tail(s, 2, orders, 613, tol, prec)
