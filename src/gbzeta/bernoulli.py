@@ -34,9 +34,6 @@ from math import comb, factorial, gcd
 from .polyrat import Poly
 
 
-_KINDS = ("number", "jump", "boundary")
-
-
 class GBFamily:
     """Grow-on-demand table of one level's numbers, the only store of its exact values.
 
@@ -120,13 +117,13 @@ class GBFamily:
         c is the table's own row, an immutable tuple that may run past nmax;
         nothing is built per call. An unknown kind raises before the table grows.
         """
-        if kind not in _KINDS:
+        if kind not in ("number", "jump", "boundary"):
             raise ValueError(f"unknown weight kind {kind!r}")
         a, d, jump, bnd = self._grown(nmax)
         mf = factorial(self.m)
         if kind == "number":
             return a, mf * d
-        return jump if kind == "jump" else bnd, mf * self._fact_ratios[0] * d
+        return (jump if kind == "jump" else bnd), mf * self._fact_ratios[0] * d
 
     def numbers(self, nmax: int) -> list[Fraction]:
         """[B_0, ..., B_nmax] for this level."""

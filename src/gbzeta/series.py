@@ -629,9 +629,8 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
             # (s)_(k-1) B_k/(m! k!) Q^-(s+k-1) is c_k U_(k-1)/e in units of
             # 2^-W: within sum |c_k| err_(k-1)/e units, and one more for the floor
             c, e = bernoulli.family(m)._weights("number", rp)
-            sdiff = -(sum(map(mul, c[r + 1:rp + 1], seq.U[r:rp])) // e)
-            sdiff_err = _cdiv(sum(abs(x) * n for x, n in zip(c[r + 1:rp + 1], seq.err[r:rp])),
-                              e) + 1
+            sdiff = -(sum(map(mul, c[r + 1:], seq.U[r:rp])) // e)
+            sdiff_err = _cdiv(sum(abs(x) * n for x, n in zip(c[r + 1:], seq.err[r:rp])), e) + 1
             # e difference: certified tail sums of the new jump orders
             jt, jt_err = _jump_tail(s, m, range(r + 1, rp + 1), Q + 1, tol / 4, W)
             return _certified(direct + sdiff + jt, direct_err + sdiff_err + far + jt_err, W, prec)
