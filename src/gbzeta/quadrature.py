@@ -64,7 +64,9 @@ class FunctionStack:
     """A function with its derivatives up to order r_max and optional tails.
 
     derivs(k) must return an evaluator for f^(k), 1 <= k <= r_max; order 0 is
-    f itself. The optional callables take (…, prec) and return mpf values:
+    f itself. A capability is an attribute, a callable given here or a method
+    of a subclass (PowerFunction); a callable must not capture the stack, or
+    the stack becomes a reference cycle. They take (…, prec) and return mpf:
 
       exact_tail_integral(p, prec)      -> int_p^inf f
       exact_integral(a, b, prec)        -> int_a^b f

@@ -71,7 +71,15 @@ class PowerFunction(FunctionStack):
     Derivatives are (-1)^k (s)_k x^(-s-k) with the rising factorial (s)_k
     kept exact; tail integrals and the sigma coefficient lists are exact
     rationals, so the estimator's boundary sums can be reported exactly.
+    The stack's capabilities are its own methods and class attributes, so it
+    holds no bound method of itself and dies with its last reference; it
+    skips FunctionStack.__init__, which only stores callables and spot-checks.
     """
+
+    r_max = 10**9
+    limit_at_infinity = 0
+    derivatives_vanish = True
+    domain_lo = 0
 
     def __init__(self, s, prec: int = DEFAULT_PRECISION):
         s = Fraction(s)
@@ -80,21 +88,10 @@ class PowerFunction(FunctionStack):
         self.s = s
         self.prec = prec
         self._poch_cache = [Fraction(1)]
-        super().__init__(
-            f=self._make_deriv(0),
-            derivs=self._make_deriv,
-            r_max=10**9,
-            exact_tail_integral=self._tail_integral if s > 1 else None,
-            exact_integral=self._integral,
-            abs_deriv_integral=self._abs_deriv_integral,
-            abs_deriv_tail=self._abs_deriv_tail,
-            partial_sum=self._partial_sum,
-            limit_at_infinity=0,
-            derivatives_vanish=True,
-            integral_converges=s > 1,
-            domain_lo=0,
-            check=False,
-        )
+        self.f = self._make_deriv(0)
+        self.integral_converges = s > 1
+        if s == 1:
+            self.exact_tail_integral = None  # the harmonic tail diverges
 
     def pochhammer(self, k: int) -> Fraction:
         """(s)_k = s (s+1) ... (s+k-1)."""
@@ -120,34 +117,36 @@ class PowerFunction(FunctionStack):
 
         return ev
 
-    def _tail_integral(self, p, prec: int = DEFAULT_PRECISION):
+    _derivs = _make_deriv  # the factory FunctionStack.deriv calls
+
+    def exact_tail_integral(self, p, prec: int = DEFAULT_PRECISION):
         with mp.workprec(prec):
             return +(self._pow(p, 1 - self.s) / to_mpf(self.s - 1, prec))
 
-    def _integral(self, a, b, prec: int = DEFAULT_PRECISION):
+    def exact_integral(self, a, b, prec: int = DEFAULT_PRECISION):
         with mp.workprec(prec):
             if self.s == 1:
                 return +(mp.log(to_mpf(b, prec)) - mp.log(to_mpf(a, prec)))
             e = 1 - self.s
             return +((self._pow(a, e) - self._pow(b, e)) / to_mpf(self.s - 1, prec))
 
-    def _abs_deriv_integral(self, k: int, a, b, prec: int = DEFAULT_PRECISION):
+    def abs_deriv_integral(self, k: int, a, b, prec: int = DEFAULT_PRECISION):
         # f^(k) keeps one sign on x > 0, so for k >= 1 int_a^b |f^(k)| is
         # |f^(k-1)(b) - f^(k-1)(a)| = (s)_(k-1) (a^-(s+k-1) - b^-(s+k-1)), a < b
         if k == 0:
-            return self._integral(a, b, prec)
+            return self.exact_integral(a, b, prec)
         with mp.workprec(prec):
             e = -(self.s + k - 1)
             return +(to_mpf(self.pochhammer(k - 1), prec) * (self._pow(a, e) - self._pow(b, e)))
 
-    def _abs_deriv_tail(self, k: int, p, prec: int = DEFAULT_PRECISION):
+    def abs_deriv_tail(self, k: int, p, prec: int = DEFAULT_PRECISION):
         # int_p^inf |f^(k)| = (s)_k p^(1-s-k) / (s+k-1)
         with mp.workprec(prec):
             c = Fraction(self.pochhammer(k), 1) / (self.s + k - 1)
             return +(to_mpf(c, prec) * self._pow(p, 1 - self.s - k))
 
-    def _partial_sum(self, l: int, prec: int = DEFAULT_PRECISION):
-        W = prec + 64 + l.bit_length()  # within l 2^-W, see partial_sum
+    def partial_sum(self, l: int, prec: int = DEFAULT_PRECISION):
+        W = prec + 64 + l.bit_length()  # within l 2^-W, see the module's partial_sum
         return _round_fixed(_power_sums(self.s, range(1, l + 1), [1], W)[1], W, prec)
 
     def sigma_coefficients(self, m: int, r: int, boundary: bool) -> list[tuple[int, Fraction]]:

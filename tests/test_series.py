@@ -1,7 +1,9 @@
 """Series estimator: notation pieces, certified tails, worked examples."""
 
+import gc
 import math
 import signal
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
@@ -969,3 +971,34 @@ def test_power_function_validation():
         PowerFunction(F(1, 2), P)
     pf = PowerFunction(1, P)
     assert pf.exact_tail_integral is None  # harmonic tail diverges
+
+
+_HOT_PATHS = {
+    "estimate_series": lambda pf: estimate_series(pf, 5, 2, 100, P),
+    "em_composite": lambda pf: em_composite(pf, 1, 4, 8, 3, 6, P),
+    "euler_constant": lambda pf: euler_constant(pf, 2, 3, P),
+}
+
+
+# the harmonic series (s = 1) has no tail integral, so no estimate_series
+@pytest.mark.parametrize("s,path", [(s, path) for s in (F(1), F(3, 2), F(3)) for path in _HOT_PATHS
+                                    if s > 1 or path != "estimate_series"], ids=str)
+def test_power_stacks_leave_no_cyclic_garbage(s, path):
+    # a stack holds no bound method of itself, so with warm caches a hot path
+    # frees everything by reference counting and leaves the cyclic collector
+    # nothing; the stack dies with its last reference
+    run = _HOT_PATHS[path]
+    run(PowerFunction(s, P))  # warm the module caches
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            run(PowerFunction(s, P))
+            assert gc.collect() == 0
+        pf = PowerFunction(s, P)
+        run(pf)
+        ref = weakref.ref(pf)
+        del pf
+        assert ref() is None
+    finally:
+        gc.enable()
