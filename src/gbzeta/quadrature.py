@@ -156,6 +156,7 @@ class FunctionStack:
 def poly_stack(p: Poly, prec: int = DEFAULT_PRECISION) -> FunctionStack:
     """FunctionStack for a polynomial; derivatives and integrals are exact.
 
+    The evaluators work at the ambient precision, the integrals at `prec`.
     int_a^b |p^(k)| is bounded by (b - a) sum_i |c_i| max(|a|,|b|)^i over the
     coefficients c_i of p^(k): exactly 0 when p^(k) is 0.
     """
@@ -167,7 +168,7 @@ def poly_stack(p: Poly, prec: int = DEFAULT_PRECISION) -> FunctionStack:
         return derivs[k] if k < len(derivs) else Poly.zero()
 
     def dk(k):
-        return lambda x, q=pk(k): q.eval_mpf(x, prec)
+        return lambda x, q=pk(k): q.eval_mpf(x, mp.mp.prec)
 
     def integral(a, b, prec=prec):
         if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from gbzeta import quadrature
-from gbzeta.bernoulli import classical_bernoulli, gb_polynomial
+from gbzeta.bernoulli import classical_bernoulli, family, gb_polynomial
 from gbzeta.bigfloat import to_mpf
 from gbzeta.periodic import fourier_a0, fourier_coeffs
 from gbzeta.polyrat import Poly
@@ -79,6 +79,40 @@ def test_em_composite_cubic_exact():
         with mp.workprec(P):
             assert rep.remainder == 0
             assert abs(rep.total - to_mpf(p.definite_integral(0, 2), P)) <= mp.mpf(2) ** (16 - P)
+
+
+def _poly_remainder_exact(p, a, b, n_sub, m, r):
+    # int_a^b p minus the composite main sum, all in Fraction: the weights
+    # W_k/(m! k!) = c_k/e from the level's table, at the nodes a + j h
+    h = F(b - a, n_sub)
+    ders = [p]
+    for _ in range(r):
+        ders.append(ders[-1].derivative())
+
+    def dsum(kind, xs):
+        c, e = family(m)._weights(kind, r)
+        return sum((-1) ** (k + 1) * F(c[k], e) * h**k * sum(ders[k - 1](x) for x in xs)
+                   for k in range(1, r + 1))
+
+    inner = [a + j * h for j in range(1, n_sub)]
+    main = dsum("boundary", [b]) - dsum("number", [a]) + dsum("jump", inner)
+    return p.definite_integral(a, b) - main
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("a,b,n_sub,m,r", [(0, 2, 4, 2, 3), (-1, 1, 2, 5, 4), (0, 2, 8, 3, 6),
+                                           (1, 3, 4, 1, 2), (0, 1, 1, 2, 5)])
+def test_poly_remainder_within_one_unit(a, b, n_sub, m, r, prec):
+    # the derivatives evaluate at em_composite's working precision, prec + 32,
+    # so the remainder, which cancels the leading bits of int p and the main
+    # sum, is within one unit in its last place of the exact one; evaluated
+    # at prec they were off by up to 34598 units here
+    p = Poly([F(1, 3), -2, 0, F(5, 7), 0, 1, F(-1, 2)])
+    rep = em_composite(poly_stack(p, prec), a, b, n_sub, m, r, prec)
+    exact = _poly_remainder_exact(p, a, b, n_sub, m, r)
+    with mp.workprec(prec + 64):
+        x = to_mpf(exact, prec + 64)
+        assert abs(rep.remainder - x) <= mp.ldexp(1, mp.mag(x) - prec)
 
 
 @pytest.mark.parametrize("prec", [256, 1024])
