@@ -6,9 +6,9 @@ rounding: to_mpf rounds an int or Fraction to nearest, once. mpmath's context
 is process-global, so the float paths are single-threaded by design (the CLI
 runs one process; see README). Sums that need more than rounding per
 operation are done in scaled integers (fixed point) with one rounding at the
-end: the exact kernel scaled_power, summed by _power_sums, feeds
-truncated_power_sum here and series' partial sums of x^-s, power tails and
-remainder block; periodic's Fourier kernel is the other fixed-point user.
+end: the exact kernel scaled_power, summed by _power_sums, feeds series'
+partial sums of x^-s, power tails and remainder block and the Parseval sums
+of quadrature; periodic's Fourier kernel is the other fixed-point user.
 """
 
 from __future__ import annotations
@@ -106,16 +106,3 @@ def _power_sums(s, js, ks, W: int) -> dict:
             V = [v // j ** (k - k_prev) for v, j in zip(V, js)]
         out[k], k_prev = sum(V), k
     return out
-
-
-def truncated_power_sum(t: int, K: int, prec: int = DEFAULT_PRECISION):
-    """sum_{k=1}^{K} k**(-t) for integer t >= 2, deterministically.
-
-    Scaled-integer summation: each term scaled_power(t, k, B) errs by < 2**-B,
-    so the sum errs by < (K+1) * 2**-B with B = prec + 64 before its one
-    rounding, to nearest at prec bits.
-    """
-    if t < 2:
-        raise ValueError("need t >= 2")
-    B = prec + 64
-    return _round_fixed(_power_sums(t, range(1, K + 1), [1], B)[1], B, prec)

@@ -21,7 +21,7 @@ import mpmath as mp
 from mpmath.libmp import from_rational, round_ceiling
 
 from . import bernoulli, periodic
-from .bigfloat import DEFAULT_PRECISION, to_mpf, truncated_power_sum
+from .bigfloat import DEFAULT_PRECISION, _power_sums, _round_fixed, to_mpf
 from .polyrat import Poly
 
 _sup_norm_cache: dict = {}
@@ -354,20 +354,24 @@ def parseval_partial_sum(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION):
     """sum_{k=1}^{K} (A_k^2 + B_k^2), expanded over powers of 1/(2 pi k).
 
     Squaring the jump-term sums of a_k = 2 A_k and b_k = 2 B_k turns them into
-    a polynomial in 1/k^2 with exact rational coefficients; each power then
-    needs one truncated power sum, which is summed deterministically in scaled
-    integer arithmetic.
+    a polynomial in 1/k^2 with exact rational coefficients; each power t >= 2
+    then needs sum_{k<=K} k^-t. All of them come from one _power_sums call on
+    j^-2 at B = prec + 64 bits, each the exact sum of floor(2^B k^-t) (chained
+    floors of exact floors are exact), within K 2^-B before one rounding to
+    nearest at prec.
     """
     powers: dict[int, Fraction] = {}
     for terms in periodic.jump_terms(m, n):
         for p1, c1 in terms:
             for p2, c2 in terms:
                 powers[p1 + p2] = powers.get(p1 + p2, Fraction(0)) + c1 * c2 / 4
+    B = prec + 64
+    sums = _power_sums(2, range(1, K + 1), [t - 1 for t in powers], B)
     with mp.workprec(prec):
         inv2pi = 1 / (2 * mp.pi)
         total = mp.mpf(0)
         for t in sorted(powers):
-            total += to_mpf(powers[t], prec) * inv2pi**t * truncated_power_sum(t, K, prec)
+            total += to_mpf(powers[t], prec) * inv2pi**t * _round_fixed(sums[t - 1], B, prec)
         return +total
 
 

@@ -1,4 +1,4 @@
-"""The fixed-point power kernel: scaled_power and truncated_power_sum."""
+"""The fixed-point power kernel: scaled_power and the sums of _power_sums."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbzeta.bigfloat import scaled_power, truncated_power_sum
+from gbzeta.bigfloat import _power_sums, _round_fixed, scaled_power
 
 
 @settings(max_examples=400, deadline=None)
@@ -58,5 +58,10 @@ def _truncated_power_sum_reference(t, K, prec):
 @pytest.mark.parametrize("prec", [64, 256, 1024])
 @pytest.mark.parametrize("t,K", [(2, 1), (2, 2000), (3, 777), (4, 50), (10, 31)])
 def test_truncated_power_sum_is_bit_identical_to_the_direct_loop(t, K, prec):
-    got = truncated_power_sum(t, K, prec)
-    assert got._mpf_ == _truncated_power_sum_reference(t, K, prec)._mpf_
+    # quadrature.parseval_partial_sum's route: every power 2..t from one
+    # _power_sums call on j^-2 at prec + 64 bits, each rounded once
+    B = prec + 64
+    sums = _power_sums(2, range(1, K + 1), range(1, t), B)
+    for u in range(2, t + 1):
+        got = _round_fixed(sums[u - 1], B, prec)
+        assert got._mpf_ == _truncated_power_sum_reference(u, K, prec)._mpf_, u
