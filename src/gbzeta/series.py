@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, gcd
 from operator import mul
 from typing import Optional
 
@@ -395,42 +395,55 @@ def _far_bound(seq: _ScaledRising, k: int, m: int, orders, limit: int) -> tuple:
     seq holds f = x^-s at J. The bound of order r is A_r int_J^inf |f^(n)|,
     n = k-1+r, that is A_r J b U_n/(a+(n-1)b) with the exact A_r = N/D of
     _far_coeff; taken with U_n + err_n and rounded up, ceil(X/Y) with
-    X = N J b (U_n + err_n) and Y = D (a+(n-1)b), it is an upper bound.
-    limit = floor(2^W tol/4), where tol applies to sum_{j>=J} j^-(s+k-1), the
-    tail divided by (s)_(k-1) = P_(k-1)/b^(k-1): an order meets it when
-    ceil(X/Y) b^(k-1) <= limit P_(k-1), that is ceil(X/Y) <= M =
-    floor(limit P_(k-1) / b^(k-1)), that is X <= M Y, one multiply per order.
-    The first order in `orders` that meets it is taken, with its one ceil
-    division; if none does, every bound is divided out and the smallest is
-    taken, the first on ties.
+    X = N Z, Z = J b (U_n + err_n), and Y = D (a+(n-1)b), it is an upper
+    bound. limit = floor(2^W tol/4), where tol applies to
+    sum_{j>=J} j^-(s+k-1), the tail divided by (s)_(k-1) = P_(k-1)/b^(k-1):
+    an order meets it when ceil(X/Y) b^(k-1) <= limit P_(k-1), that is
+    ceil(X/Y) <= M = floor(limit P_(k-1) / b^(k-1)), that is X <= M Y. The
+    first order in `orders` that meets it is taken, with its one ceil
+    division; if none does, the smallest bound is taken, the first on ties.
+
+    Bit lengths spare most of the multiplies and divisions. With
+    lx = bitlen(N) + bitlen(Z) and ly = bitlen(Y), 2^(lx-2) <= X < 2^lx and
+    2^(ly-1) <= Y < 2^ly. An order with lx - 2 >= bitlen(M) + ly has
+    X >= 2^(bitlen(M)+ly) > M Y, so it fails without either multiply. And
+    ceil(X/Y), at least 1, lies in (2^(e-2), 2^(max(e,-1)+1)], e = lx - ly;
+    so when none meets, an order with e >= max(min e, -1) + 3 has a bound
+    above the smallest one, and only the other orders are divided out.
     """
     a, b, U, err = seq.a, seq.b, seq.U, seq.err
     seq.extend(k - 1)
     M, Jb = limit * seq.P[k - 1] // b ** (k - 1), seq.J * b
+    lm = M.bit_length()
     tried = []
     for r in orders:
         n = k - 1 + r
         if n >= len(U):
             seq.extend(n)
         N, D = _far_coeff(m, r)
-        X, Y = N * Jb * (U[n] + err[n]), D * (a + (n - 1) * b)
-        if X <= M * Y:
+        Z, Y = Jb * (U[n] + err[n]), D * (a + (n - 1) * b)
+        e = N.bit_length() + Z.bit_length() - Y.bit_length()
+        if e - 2 < lm and (X := N * Z) <= M * Y:
             return r, _cdiv(X, Y)
-        tried.append((r, X, Y))
-    return min(((r, _cdiv(X, Y)) for r, X, Y in tried), key=lambda rb: rb[1])
+        tried.append((e, r, N, Z, Y))
+    cut = max(min(t[0] for t in tried), -1) + 3
+    return min(((r, _cdiv(N * Z, Y)) for e, r, N, Z, Y in tried if e < cut),
+               key=lambda rb: rb[1])
 
 
 _TAIL_ORDERS = range(8, 97, 8)
 
 
 @cache
-def _level_one_row() -> tuple:
-    # (c'_1, [c_2, c_4, ...], their absolute values, e) for i <= 96: the
-    # level-1 weights B_i/i! = c_i/e that _power_tails uses, c'_1 = c_1 + e;
+def _tail_row(r: int) -> tuple:
+    # (c'_1, (c_2, c_4, ..., c_r), their absolute values, e_r): the level-1
+    # weights B_i/i! = c_i/e_r that _power_tails uses at order r, over their
+    # least denominator e_r, with c'_1 = c_1 + e_r for the f(J0) term;
     # B_i = 0 for odd i >= 3, so those are left out
-    c, e = bernoulli.family(1)._weights("number", _TAIL_ORDERS[-1])
-    even = c[2:_TAIL_ORDERS[-1] + 1:2]
-    return c[1] + e, even, tuple(map(abs, even)), e
+    c, e = bernoulli.family(1)._weights("number", r)
+    g = gcd(e, c[1], *c[2:r + 1:2])
+    even = tuple(x // g for x in c[2:r + 1:2])
+    return (c[1] + e) // g, even, tuple(map(abs, even)), e // g
 
 
 def _power_tails(s: Fraction, ks, J: int, tol, W: int) -> list[tuple]:
@@ -442,24 +455,28 @@ def _power_tails(s: Fraction, ks, J: int, tol, W: int) -> list[tuple]:
     max(J, 64), the near block J <= j < J0 (_power_sums, within J0 - J units)
     and one _ScaledRising sequence U_n at J0, s = a/b. Beyond J0 each tail is
     the level-1 rule at the order r that _far_bound picks for tol, with
-    B_i/i! = c_i/e from one module-level row (_level_one_row):
+    B_i/i! = c_i/e_r from that order's module-level row (_tail_row), over
+    the least denominator e_r of its weights:
         T = P_(k-1) near // b^(k-1) + J0 b U_(k-1) // (a+(k-2)b)
-            + (sum_{i<=r} c'_i U_(k-2+i)) // e,
-    c'_1 = c_1 + e for the f(J0) term. B_i = 0 for odd i >= 3, so the dot
+            + (sum_{i<=r} c'_i U_(k-2+i)) // e_r,
+    c'_1 = c_1 + e_r for the f(J0) term. B_i = 0 for odd i >= 3, so the dot
     product runs over i = 1 and even i only. Its error, in units, is the far
     bound plus (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b)
-    + sum|c'_i| err_(k-2+i)/e from the sequence and the near block, rounded
-    up, plus 3 for the floors.
+    + sum|c'_i| err_(k-2+i)/e_r from the sequence and the near block, rounded
+    up, plus 3 for the floors. The two dot products over e_r are the same
+    rationals over any common denominator of the weights, so their floor and
+    ceil give the bits that one row over the lcm of all orders gives, from
+    shorter integers (e_8 has 21 bits, e_96 524).
     """
     a, b = s.numerator, s.denominator
     J0 = max(J, 64)
     near = _power_sums(s, range(J, J0), ks, W)
-    g1, g_even, g_even_abs, e = _level_one_row()
     seq = _ScaledRising(s, J0, W)
     U, err, limit = seq.U, seq.err, int(mp.ldexp(tol, W - 2))
     out = []
     for k in ks:
         r, far = _far_bound(seq, k, 1, _TAIL_ORDERS, limit)
+        g1, g_even, g_even_abs, e = _tail_row(r)
         P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
         # i = 1 takes U_(k-1); i = 2, 4, ..., r take U_k, U_(k+2), ..., U_(k+r-2)
         st = g1 * U[k - 1] + sum(map(mul, g_even, U[k:k + r - 1:2]))

@@ -260,6 +260,57 @@ def test_power_tails_near_block_to_order_40():
                 assert abs(cv.value - ref) <= cv.bound, (J, k)
 
 
+def _power_tails_reference(s, ks, J, tol, W):
+    # the one-row route: every order's dot product over the one denominator e
+    # of the level-1 weights B_i/i! = c_i/e for i up to the top tail order,
+    # c'_1 = c_1 + e
+    top = series._TAIL_ORDERS[-1]
+    c, e = bernoulli.family(1)._weights("number", top)
+    g1, g_even = c[1] + e, c[2:top + 1:2]
+    g_even_abs = tuple(map(abs, g_even))
+    a, b = s.numerator, s.denominator
+    J0 = max(J, 64)
+    near = series._power_sums(s, range(J, J0), ks, W)
+    seq = series._ScaledRising(s, J0, W)
+    U, err, limit = seq.U, seq.err, int(mp.ldexp(tol, W - 2))
+    out = []
+    for k in ks:
+        r, far = series._far_bound(seq, k, 1, series._TAIL_ORDERS, limit)
+        P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
+        st = g1 * U[k - 1] + sum(x * u for x, u in zip(g_even, U[k:k + r - 1:2]))
+        st_err = g1 * err[k - 1] + sum(x * u for x, u in zip(g_even_abs, err[k:k + r - 1:2]))
+        T = P * near[k] // bk + J0 * b * U[k - 1] // d + st // e
+        out.append((T, far + -(-P * (J0 - J) // bk) + -(-J0 * b * err[k - 1] // d)
+                    + -(-st_err // e) + 3))
+    return out
+
+
+@pytest.mark.parametrize("W", [320, 1088])
+@pytest.mark.parametrize("s", [F(3, 2), F(5, 3), F(3), F(10001, 10000), F(21)])
+def test_power_tails_match_one_row_reference(s, W):
+    # each order's own least row gives the bits of the one row over the lcm
+    # of all orders: st_r/e_r and st/e are the same rationals. tol = 0 makes
+    # every order scan fall back to its smallest bound, up to order 96
+    ks = range(1, 101)
+    for tol in (series._default_tol(W - 64), 0):
+        for J in (1, 2, 63, 64, 165, 613):
+            assert (series._power_tails(s, ks, J, tol, W)
+                    == _power_tails_reference(s, ks, J, tol, W)), (J, tol)
+
+
+def test_tail_rows_are_exact_and_least():
+    # row r holds c'_1 and the even c_i, i <= r, over the least denominator
+    # e_r of the level-1 weights B_i/i!, with c'_1/e_r = B_1 + 1 = 1/2
+    for r in series._TAIL_ORDERS:
+        g1, even, even_abs, e = series._tail_row(r)
+        assert F(g1, e) == F(1, 2)
+        assert [F(x, e) for x in even] == [bernoulli.family(1).number(i) / factorial(i)
+                                           for i in range(2, r + 1, 2)]
+        assert even_abs == tuple(map(abs, even))
+        assert math.gcd(e, g1, *even) == 1, r
+    assert series._tail_row(8)[3] == 1209600  # 8!/(-B_8) = 8!/(1/30)
+
+
 def _float_far_bound_reference(pf, m, orders, J, tol, prec):
     # the per-exponent order choice in mpf: one fractional power of J per order tried
     mf = factorial(m)
@@ -326,6 +377,60 @@ def test_far_bound_matches_divide_every_order_reference(W):
                 assert rule == {0: "none", huge: "first"}.get(limit, rule)
                 rules.add(rule)
     assert rules == {"none", "first", "later"}
+    for seq, limit, expected in _pinned_far_bound_cases(W):
+        ref = _far_bound_reference(seq, 1, 1, series._TAIL_ORDERS, limit)
+        assert ref == expected
+        assert series._far_bound(seq, 1, 1, series._TAIL_ORDERS, limit) == ref
+
+
+def _order_estimate(seq, r):
+    # (e, X, Y) of order r at k = 1, level 1, as _far_bound sees them:
+    # X = N Z, Z = J b (U_r + err_r), Y = D (a + (r-1) b), e = lx - ly
+    seq.extend(r)
+    N, D = series._far_coeff(1, r)
+    Z, Y = seq.J * seq.b * (seq.U[r] + seq.err[r]), D * (seq.a + (r - 1) * seq.b)
+    return N.bit_length() + Z.bit_length() - Y.bit_length(), N * Z, Y
+
+
+def _pin_z(seq, r, t):
+    # set U_r so that Z = J b t, and return the order's (e, X, Y)
+    seq.extend(r)
+    seq.U[r] = t - seq.err[r]
+    return _order_estimate(seq, r)
+
+
+def _pinned_far_bound_cases(W):
+    # (seq, limit, (order, bound)) at k = 1, level 1, s = 3/2, where the bit
+    # length tests of _far_bound sit at their edges
+    s = F(3, 2)
+    if W == 320:
+        # none meets limit 0 from J = 613, and the bounds of orders 48 to 96
+        # all round up to 1, with estimates e far below -1: the -1 floor of the
+        # cut keeps order 48, the first of the ties
+        seq = series._ScaledRising(s, 613, W)
+        assert max(_order_estimate(seq, r)[0] for r in range(48, 97, 8)) < -40
+        yield seq, 0, (48, 1)
+    # none meets limit 0, and the smallest bound, of order 40, has the estimate
+    # e = min e + 2 >= 1: order 96 has the least e, with a bound near the top
+    # of its range, order 40 e two above it, with a bound near the bottom
+    seq = series._ScaledRising(s, 64, W)
+    for r in series._TAIL_ORDERS:
+        _pin_z(seq, r, 1 << 400)
+    e96, X96, Y96 = _pin_z(seq, 96, (1 << 260) - 1)
+    i = next(i for i in range(400) if _pin_z(seq, 40, 1 << i)[0] == e96 + 2)
+    e40, X40, Y40 = _pin_z(seq, 40, 1 << i)
+    assert e96 >= -1 and -(-X40 // Y40) < -(-X96 // Y96)
+    yield seq, 0, (40, -(-X40 // Y40))
+    # order 24 meets its limit ceil(X/Y) with bitlen(X) = lx - 1 =
+    # bitlen(M) + ly, the first length at which a pre-test may not skip it;
+    # orders 8 and 16 are far above it
+    seq = series._ScaledRising(s, 64, W)
+    for r in (8, 16):
+        _pin_z(seq, r, 1 << 600)
+    e, X, Y = _pin_z(seq, 24, 1 << 300)
+    limit = -(-X // Y)
+    assert X.bit_length() == e + Y.bit_length() - 1 and limit.bit_length() == e - 1
+    yield seq, limit, (24, limit)
 
 
 def test_far_bound_meets_a_limit_equal_to_its_bound():
