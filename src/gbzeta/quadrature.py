@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd
 from typing import Callable, Optional
 
 import mpmath as mp
@@ -406,32 +406,32 @@ def sup_norm(m: int, r: int, prec: int = DEFAULT_PRECISION):
     """mu_r = max |B_r(x)| on [0,1], an upper bound within 2^(2-prec) relative.
 
     The Bernstein coefficients of a polynomial on an interval enclose its
-    range there (Garloff 1985; Farouki-Rajan 1987). They are kept as integers
-    over one common denominator, and every piece is halved until the largest
-    |coefficient| left is within 2^-prec relative of the best value at a piece
-    end, which is exact; a piece goes once its largest |coefficient| is at most
-    that value. The result is rounded up. Cached per (m, r, prec).
+    range there (Garloff 1985; Farouki-Rajan 1987). They come as integers from
+    the level's scaled number table, b_k d = sum_{i<=k} C(k,i) (r-i)! a_(r-i),
+    kept over their least common denominator, and every piece is halved until
+    the largest |coefficient| left is within 2^-prec relative of the best value
+    at a piece end, which is exact; a piece goes once its largest |coefficient|
+    is at most that value. The result is rounded up. Cached per (m, r, prec).
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     key = (m, r, prec)
     if key in _sup_norm_cache:
         return _sup_norm_cache[key]
-    a = bernoulli.family(m).polynomial(r).coeffs
-    n = len(a) - 1
-    # Bernstein coefficients on [0,1], then integers over their common denominator
-    b = [sum(Fraction(comb(k, i), comb(n, i)) * a[i] for i in range(k + 1))
-         for k in range(n + 1)]
-    den = lcm(*(q.denominator for q in b))
-    c = [int(q * den) for q in b]
-    # the pieces all have one depth d; a coefficient u stands for u / (den * 2^scale),
-    # scale = n d, and best and top are kept on the same scale
+    # B_r has r!/i! a_(r-i)/d at x^i, and C(k,i)/C(r,i) r!/i! = C(k,i) (r-i)!
+    a, d = bernoulli.family(m)._scaled(r)
+    t = [factorial(r - i) * a[r - i] for i in range(r + 1)]
+    c = [sum(comb(k, i) * t[i] for i in range(k + 1)) for k in range(r + 1)]
+    g = gcd(d, *c)
+    c, den = [x // g for x in c], d // g
+    # the pieces all have one depth; a coefficient u stands for u / (den * 2^scale),
+    # scale = r times the depth, and best and top are kept on the same scale
     pieces, scale = [c], 0
     best, top = max(abs(c[0]), abs(c[-1])), max(map(abs, c))
     while top << prec > best * ((1 << prec) + 1):
         halves = [h for p in pieces for h in _halves(p)]
-        scale += n
-        best = max(best << n, *(abs(h[0]) for h in halves))
+        scale += r
+        best = max(best << r, *(abs(h[0]) for h in halves))
         bounds = [max(map(abs, h)) for h in halves]
         top = max(best, *bounds)
         pieces = [h for h, u in zip(halves, bounds) if u > best]

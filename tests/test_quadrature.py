@@ -1,10 +1,11 @@
 """Euler-Maclaurin rules, product integrals, Parseval, sup norms."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_rational, round_ceiling
 
 from gbzeta import quadrature
 from gbzeta.bernoulli import classical_bernoulli, family, gb_polynomial
@@ -348,6 +349,37 @@ def test_sup_norm_dominates_samples():
             inner = _interior_max(p, wp)
             assert inner <= mu, (m, r, prec)
             assert mu <= max(ends, inner) * (1 + mp.mpf(2) ** (2 - prec)), (m, r, prec)
+
+
+def _sup_norm_fraction(m, r, prec):
+    # the Fraction route: Bernstein coefficients from the exact polynomial's
+    # coefficients, C(k,i)/C(r,i) a_i, over the lcm of their denominators, then
+    # the same halving as sup_norm
+    a = gb_polynomial(m, r).coeffs
+    b = [sum(F(comb(k, i), comb(r, i)) * a[i] for i in range(k + 1)) for k in range(r + 1)]
+    den = lcm(*(q.denominator for q in b))
+    c = [int(q * den) for q in b]
+    pieces, scale = [c], 0
+    best, top = max(abs(c[0]), abs(c[-1])), max(map(abs, c))
+    while top << prec > best * ((1 << prec) + 1):
+        halves = [h for p in pieces for h in quadrature._halves(p)]
+        scale += r
+        best = max(best << r, *(abs(h[0]) for h in halves))
+        bounds = [max(map(abs, h)) for h in halves]
+        top = max(best, *bounds)
+        pieces = [h for h, u in zip(halves, bounds) if u > best]
+    return mp.make_mpf(from_rational(top, den << scale, prec, round_ceiling))
+
+
+@pytest.mark.parametrize("prec,rs", [(64, (*range(41), 51, 64, 77, 90, 102)),
+                                     (256, (*range(0, 41, 3), 64, 102)),
+                                     (1024, (0, 1, 2, 9, 20, 33))])
+def test_sup_norm_matches_fraction_route(prec, rs):
+    # the coefficients from the integer table are the same rationals, so every
+    # bit of the bound is the same
+    for m in (1, 2, 3, 5, 7):
+        for r in rs:
+            assert sup_norm(m, r, prec) == _sup_norm_fraction(m, r, prec), (m, r, prec)
 
 
 def test_function_stack_spot_check_rejects_bad_derivative():
