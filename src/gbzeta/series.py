@@ -511,9 +511,10 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
 
     Power stacks reduce to certified power tail sums (_jump_tail), one
     integer in units of 2^-W, W = prec + 64 + bitlen(q1), rounded once: the
-    integral terms multiply the one-unit error of U_n by J. Generic stacks sum
-    directly under a decreasing-envelope integral-test bound and need
-    abs_deriv_tail for every order below r.
+    integral terms multiply the one-unit error of U_n by J. Generic stacks take
+    the block rho(q1, J) directly, up to the first J whose decreasing-envelope
+    integral-test bound meets tol, and need abs_deriv_tail for every order
+    below r.
     """
     _check_order(fs, r)
     fs.check_domain(q1 + 1, point=True)
@@ -543,8 +544,8 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
         J = q1 + 1
         while J - q1 <= 200000 and envelope(J) > tol:
             J += 1
-        total = _derivative_sum(fs, row, orders, [mp.mpf(j) for j in range(q1 + 1, J)])
-        return CertifiedValue(+total, +(envelope(J) + _rounding_slack(total, prec)))
+        total = rho(fs, m, r, q1, J, prec)
+        return CertifiedValue(total, +(envelope(J) + _rounding_slack(total, prec)))
 
 
 def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
@@ -689,25 +690,6 @@ def finite_identity_residual(fs: FunctionStack, m: int, r: int, p: int, n: int,
         return +abs(integral - rhs)
 
 
-def euler_constant(fs: FunctionStack, m: int, r: int,
-                   prec: int = DEFAULT_PRECISION, tol=None):
-    """gamma(f) = lim (sum_{i<=n} f(i) - int_1^n f), via the identity at 1.
-
-    gamma(f) = lambda0 + sigma~_r(1) - sigma_r(inf) - e_r(1) - delta_r(1).
-    """
-    if fs.limit_at_infinity is None:
-        raise TailNotCertifiableError("limit of f at infinity is unknown")
-    with mp.workprec(prec):
-        if tol is None:
-            tol = _default_tol(prec)
-        lam0 = mp.mpf(fs.limit_at_infinity)
-        st = sigma_tilde(fs, m, r, 1, prec)
-        si = sigma_infinity(fs, m, r, prec)
-        e = rho_tail(fs, m, r, 1, tol, prec)
-        d = delta_tail(fs, m, r, 1, tol, prec)
-        return +(lam0 + st - si - e.value - d.value)
-
-
 @dataclass
 class SeriesEstimate:
     """Estimate of S(inf) with its components and certified error bound."""
@@ -723,32 +705,28 @@ class SeriesEstimate:
         return out
 
 
-def estimate_series(fs: FunctionStack, m: int, r: int, p: int,
-                    prec: int = DEFAULT_PRECISION, tol=None) -> SeriesEstimate:
-    """S(inf) = int_p^inf f + S(p-1) - sigma(inf) + sigma~(p) - e(p) - delta(p).
+def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
+           prec: int, tol) -> SeriesEstimate:
+    """lead + S(p-1) - sigma(inf) + sigma~(p) - e(p) - delta(p), the identity of
+    level m at p solved for its left side, with the component `name` = lead.
 
-    This is the convergent identity solved for the series value; the error
-    bound collects the two tail certifications plus a rounding budget.
+    The pieces are summed in mpf at prec in this order; the error bound is the
+    bounds of the two tails plus _rounding_slack of the sum.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if fs.exact_tail_integral is None:
-        raise TailNotCertifiableError("tail integral of f is not available")
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
-        integral_tail = fs.exact_tail_integral(p, prec)
         psum = partial_sum(fs, p - 1, prec)
         st = sigma_tilde(fs, m, r, p, prec)
         si = sigma_infinity(fs, m, r, prec)
         e = rho_tail(fs, m, r, p, tol, prec)
         d = delta_tail(fs, m, r, p, tol, prec)
-        value = integral_tail + psum - si + st - e.value - d.value
+        value = lead + psum - si + st - e.value - d.value
         bound = e.bound + d.bound + _rounding_slack(value, prec)
         return SeriesEstimate(
             value=+value,
             components={
-                "integral_tail": +integral_tail,
+                name: +lead,
                 "partial_sum": +psum,
                 "sigma_tilde": +st,
                 "sigma_inf": +si,
@@ -757,6 +735,37 @@ def estimate_series(fs: FunctionStack, m: int, r: int, p: int,
             },
             error_bound=+bound,
         )
+
+
+def estimate_series(fs: FunctionStack, m: int, r: int, p: int,
+                    prec: int = DEFAULT_PRECISION, tol=None) -> SeriesEstimate:
+    """S(inf) = int_p^inf f + S(p-1) - sigma(inf) + sigma~(p) - e(p) - delta(p).
+
+    This is the convergent identity solved for the series value, with the
+    component "integral_tail" = int_p^inf f; the error bound collects the two
+    tail certifications plus a rounding budget.
+    """
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    if fs.exact_tail_integral is None:
+        raise TailNotCertifiableError("tail integral of f is not available")
+    return _solve(fs, m, r, p, "integral_tail", fs.exact_tail_integral(p, prec), prec, tol)
+
+
+def euler_constant(fs: FunctionStack, m: int, r: int,
+                   prec: int = DEFAULT_PRECISION, tol=None) -> SeriesEstimate:
+    """gamma(f) = lim (sum_{i<=n} f(i) - int_1^n f), via the identity at 1.
+
+    gamma(f) = lambda0 + sigma~_r(1) - sigma_r(inf) - e_r(1) - delta_r(1),
+    lambda0 = lim f, the identity of estimate_series at p = 1 with lambda0 in
+    place of the tail integral (S(0) = 0). The components name lambda0
+    "limit_at_infinity"; error_bound is the bounds of e_r(1) and delta_r(1)
+    plus the rounding slack of the mpf sum.
+    """
+    if fs.limit_at_infinity is None:
+        raise TailNotCertifiableError("limit of f at infinity is unknown")
+    return _solve(fs, m, r, 1, "limit_at_infinity", to_mpf(fs.limit_at_infinity, prec),
+                  prec, tol)
 
 
 BOTH_CONVERGE = "both_converge"

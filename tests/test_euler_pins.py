@@ -29,7 +29,7 @@ def _cells():
 
 
 def _pin(s, m, r, prec):
-    value = euler_constant(PowerFunction(s, prec), m, r, prec)
+    value = euler_constant(PowerFunction(s, prec), m, r, prec).value
     return {"s": str(s), "m": m, "r": r, "prec": prec, "value": list(value.man_exp)}
 
 

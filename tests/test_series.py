@@ -11,7 +11,7 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from gbzeta import bernoulli, series
+from gbzeta import bernoulli, quadrature, series
 from gbzeta.bigfloat import _round_fixed, scaled_power, to_mpf
 from gbzeta.quadrature import FunctionStack, em_composite, exp_stack, sup_norm
 from gbzeta.series import (
@@ -714,8 +714,8 @@ def test_euler_constant_values():
     pf1 = PowerFunction(1, P)
     with mp.workprec(320):
         ref = mp.euler
-        g1 = euler_constant(pf1, 1, 6, P)
-        g2 = euler_constant(pf1, 2, 6, P)
+        g1 = euler_constant(pf1, 1, 6, P).value
+        g2 = euler_constant(pf1, 2, 6, P).value
         assert abs(g1 - ref) <= mp.mpf("1e-13")
         assert abs(g2 - ref) <= mp.mpf("1e-13")
         assert abs(g1 - g2) <= mp.mpf("1e-20")
@@ -726,10 +726,28 @@ def test_euler_constant_x_squared_closed_form():
     from gbzeta.zeta_even import euler_zeta
 
     pf2 = PowerFunction(2, P)
-    g = euler_constant(pf2, 2, 6, P)
+    g = euler_constant(pf2, 2, 6, P).value
     with mp.workprec(P):
         ref = euler_zeta(1).to_mpf(P) - 1
         assert abs(g - ref) <= mp.mpf("1e-30")
+
+
+@pytest.mark.parametrize("prec", (256, 1024))
+def test_euler_constant_certified_grid(prec):
+    # gamma(x^-s) is Euler's constant at s = 1 and zeta(s) - 1/(s-1) above;
+    # every value lies within its bound, e.bound + d.bound + rounding
+    for s in (F(1), F(3, 2), F(2), F(3)):
+        pf = PowerFunction(s, prec)
+        with mp.workprec(prec + 64):
+            x = to_mpf(s, prec + 64)
+            ref = mp.euler if s == 1 else mp.zeta(x) - 1 / (x - 1)
+        for m in (1, 2, 3, 5):
+            for r in (1, 2, 3, 6):
+                g = euler_constant(pf, m, r, prec)
+                assert list(g.components) == ["limit_at_infinity", "partial_sum", "sigma_tilde",
+                                              "sigma_inf", "e_tail", "delta_tail"]
+                with mp.workprec(prec + 64):
+                    assert abs(g.value - ref) <= g.error_bound, (s, m, r, prec)
 
 
 def test_estimate_zeta3_example_one(pf3):
@@ -1054,6 +1072,35 @@ def test_convergence_verdicts():
     bare = FunctionStack(f=f, derivs=lambda k: (lambda x: -1 / mp.mpf(x) ** 2),
                          r_max=2, check=False)
     assert convergence_verdict(bare, 2, 2, P) == series.UNDETERMINED
+
+
+def test_generic_rho_tail_matches_direct_block():
+    # rho_tail takes its block from rho; the reference sums the same orders
+    # over the same points directly, up to the first J whose envelope meets tol
+    fs = exp_decay_stack(P)
+    for m, r, q1, tol in ((2, 3, 5, mp.mpf("1e-40")), (3, 6, 1, mp.mpf("1e-30")),
+                          (5, 2, 4, None)):
+        cv = rho_tail(fs, m, r, q1, tol, P)
+        with mp.workprec(P):
+            tol = series._default_tol(P) if tol is None else tol
+            row = quadrature._weight_row(m, "jump", r, P)
+            orders = range(2, r + 1)
+
+            def envelope(J):
+                env = mp.mpf(0)
+                for k in orders:
+                    if row[k]:
+                        env += abs(row[k]) * (abs(fs.deriv(k - 1)(mp.mpf(J)))
+                                              + fs.abs_deriv_tail(k - 1, J, P))
+                return env
+
+            J = q1 + 1
+            while envelope(J) > tol:
+                J += 1
+            total = +quadrature._derivative_sum(fs, row, orders,
+                                                [mp.mpf(j) for j in range(q1 + 1, J)])
+            bound = +(envelope(J) + series._rounding_slack(total, P))
+        assert (cv.value, cv.bound) == (total, bound), (m, r, q1)
 
 
 def test_generic_rho_tail_matches_brute_force():
