@@ -13,6 +13,7 @@ from gbzeta.bernoulli import (
     classical_bernoulli,
     combine_gb_basis,
     expand_in_gb_basis,
+    gb_boundary_values,
     gb_numbers,
     gb_polynomial,
     ode_residual,
@@ -129,6 +130,11 @@ def test_boundary_cache_coherence():
     for k in range(12):
         assert fam.boundary(k) == gb_polynomial(4, k)(1)
         assert fam.jump(k) == gb_polynomial(4, k)(1) - gb_polynomial(4, k)(0)
+
+
+@pytest.mark.parametrize("m", (1, 2, 5))
+def test_gb_boundary_values_are_the_polynomials_at_one(m):
+    assert gb_boundary_values(m, 14) == [gb_polynomial(m, n)(1) for n in range(15)]
 
 
 def test_argument_validation():

@@ -145,6 +145,26 @@ def test_decimal_str_uses_full_precision():
     assert s.startswith("0.333333333333333333333333333333333")
 
 
+def test_decimal_str_of_exact_numbers():
+    # an int or Fraction is rounded once at about 3.33 bits a digit, never
+    # through the ambient precision
+    with mp.workprec(20):
+        assert decimal_str(Fraction(2, 3), 30) == "0." + "6" * 29 + "7"
+        assert decimal_str(Fraction(1, 3), 40) == "0." + "3" * 40
+        assert decimal_str(7, 5) == "7.0000"
+        assert decimal_str(10**40 + 1, 45) == "1" + "0" * 39 + "1.0000"
+
+
+def test_poly_repr_and_hash():
+    assert repr(Poly.zero()) == "Poly(0)"
+    assert repr(Poly([Fraction(-2, 3), 0, 2])) == "Poly(-2/3 + 2*x^2)"
+    assert repr(Poly([Fraction(1, 2), -1])) == "Poly(1/2 + -1*x)"
+    assert repr(Poly([0, 1])) == "Poly(1*x)"
+    # equal polynomials hash alike, trailing zeros and coefficient types aside
+    assert hash(Poly([1, Fraction(1, 2), 0])) == hash(Poly([Fraction(2, 2), Fraction(1, 2)]))
+    assert len({Poly([1, 2]), Poly([1, 2, 0]), Poly([2, 1]), Poly.zero(), Poly([0])}) == 3
+
+
 def test_eval_mpf_matches_exact():
     p = Poly([Fraction(1, 7), Fraction(-3, 5), 0, 2])
     x = Fraction(9, 13)

@@ -1,0 +1,23 @@
+"""The README's Library tour runs as written against the installed API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _tour() -> str:
+    text = README.read_text()
+    section = text[text.index("## Library tour"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_tour_runs():
+    names: dict = {}
+    exec(compile(_tour(), "README.md", "exec"), names)
+    assert names["gb_numbers"](5, 3) == [120, -20, names["Fraction"](20, 21),
+                                         names["Fraction"](5, 21)]
+    assert abs(names["est"].value - 1.2020569031595942) <= 1e-15
+    g = names["g"]
+    assert abs(g.value - 0.5772156649015329) <= 1e-15
+    assert 0 < g.error_bound < 1e-40
