@@ -7,7 +7,7 @@ is process-global, so the float paths are single-threaded by design (the CLI
 runs one process; see README). Sums that need more than rounding per
 operation are done in scaled integers (fixed point) with one rounding at the
 end: the exact kernel scaled_power, summed by _power_sums, feeds series'
-partial sums of x^-s, power tails and remainder block and the Parseval sums
+partial sums of x^-s, power tails and regularized tail and the Parseval sums
 of quadrature; periodic's Fourier kernel is the other fixed-point user.
 """
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd
+from math import ceil, factorial, gcd
 from operator import mul
-from typing import Optional
 
 import mpmath as mp
 from mpmath.libmp import round_ceiling
@@ -329,16 +328,13 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
 # ---------------------------------------------------------------------------
 # certified tails
 
-# _far_bound keeps this loose sum although quadrature.sup_norm is tight, for
-# two reasons: sup_norm at the orders _far_bound tries (up to r + 96) is slow
-# from a cold cache (the 80 estimates at 1024 bits and p = 100, with the far
-# part of the tails then in mpf, took 161 s with it against 3.3 s, one cold
-# run each, with 0 bound violations either way), and it changes the reported
-# error bounds (zeta-odd --s 3 --m 5 --r 2 --p 100: 1.6239025e-42 ->
-# 8.3280271e-42, since _far_bound then stops at a lower order whose bound
-# just meets tol/4). So it stays loose on purpose until a 64-bit sup bound
-# replaces it (ROADMAP item 2), but it builds no polynomial: it is one
-# integer sum over the level's scaled number table.
+# _far_bound keeps this loose sum although quadrature.sup_norm is tight:
+# sup_norm at the orders _far_bound tries is slow from a cold cache (with
+# orders up to r + 96, the 80 estimates at 1024 bits and p = 100 took 161 s
+# with it against 3.3 s, one cold run each, with 0 bound violations either
+# way). So it stays loose until a closed-form level-1 bound replaces it
+# (ROADMAP item 2), but it builds no polynomial: it is one integer sum over
+# the level's scaled number table.
 def _coeff_abs_sum(m: int, r: int) -> Fraction:
     # sum_k C(r,k) |B_k| >= max_{[0,1]} |B_r|; with B_k = k! a_k/d this is
     # sum_k |a_k| r!/(r-k)! over d, Horner in k
@@ -350,10 +346,10 @@ def _coeff_abs_sum(m: int, r: int) -> Fraction:
 
 
 @cache
-def _far_coeff(m: int, r: int) -> tuple[int, int]:
-    # A_r = coeff-sum(B_r)/(m! r!) in lowest terms, as (numerator,
-    # denominator), built once per (m, r)
-    A = Fraction(_coeff_abs_sum(m, r), factorial(m) * factorial(r))
+def _far_coeff(r: int) -> tuple[int, int]:
+    # A_r = coeff-sum(B_r)/r! of the level-1 polynomial in lowest terms, as
+    # (numerator, denominator), built once per r
+    A = Fraction(_coeff_abs_sum(1, r), factorial(r))
     return A.numerator, A.denominator
 
 
@@ -388,8 +384,11 @@ class _ScaledRising:
             P.append(P[i] * c)
 
 
-def _far_bound(seq: _ScaledRising, k: int, m: int, orders, limit: int) -> tuple:
-    """(order, bound in units of 2^-W) for the level-m remainder of
+_TAIL_ORDERS = range(8, 193, 8)
+
+
+def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:
+    """(order, bound in units of 2^-W) for the level-1 remainder of
     sum_{j>=J} |f^(k-1)(j)|.
 
     seq holds f = x^-s at J. The bound of order r is A_r int_J^inf |f^(n)|,
@@ -400,7 +399,7 @@ def _far_bound(seq: _ScaledRising, k: int, m: int, orders, limit: int) -> tuple:
     sum_{j>=J} j^-(s+k-1), the tail divided by (s)_(k-1) = P_(k-1)/b^(k-1):
     an order meets it when ceil(X/Y) b^(k-1) <= limit P_(k-1), that is
     ceil(X/Y) <= M = floor(limit P_(k-1) / b^(k-1)), that is X <= M Y. The
-    first order in `orders` that meets it is taken, with its one ceil
+    first order in _TAIL_ORDERS that meets it is taken, with its one ceil
     division; if none does, the smallest bound is taken, the first on ties.
 
     Bit lengths spare most of the multiplies and divisions. With
@@ -416,11 +415,11 @@ def _far_bound(seq: _ScaledRising, k: int, m: int, orders, limit: int) -> tuple:
     M, Jb = limit * seq.P[k - 1] // b ** (k - 1), seq.J * b
     lm = M.bit_length()
     tried = []
-    for r in orders:
+    for r in _TAIL_ORDERS:
         n = k - 1 + r
         if n >= len(U):
             seq.extend(n)
-        N, D = _far_coeff(m, r)
+        N, D = _far_coeff(r)
         Z, Y = Jb * (U[n] + err[n]), D * (a + (n - 1) * b)
         e = N.bit_length() + Z.bit_length() - Y.bit_length()
         if e - 2 < lm and (X := N * Z) <= M * Y:
@@ -431,13 +430,10 @@ def _far_bound(seq: _ScaledRising, k: int, m: int, orders, limit: int) -> tuple:
                key=lambda rb: rb[1])
 
 
-_TAIL_ORDERS = range(8, 97, 8)
-
-
 @cache
 def _tail_row(r: int) -> tuple:
     # (c'_1, (c_2, c_4, ..., c_r), their absolute values, e_r): the level-1
-    # weights B_i/i! = c_i/e_r that _power_tails uses at order r, over their
+    # weights B_i/i! = c_i/e_r that _em_far uses at order r, over their
     # least denominator e_r, with c'_1 = c_1 + e_r for the f(J0) term;
     # B_i = 0 for odd i >= 3, so those are left out
     c, e = bernoulli.family(1)._weights("number", r)
@@ -446,45 +442,88 @@ def _tail_row(r: int) -> tuple:
     return (c[1] + e) // g, even, tuple(map(abs, even)), e // g
 
 
+def _cut(J: int, W: int) -> int:
+    # J0 = max(J, 64, W >> 3): where the far sums of every x^-s tail start.
+    # The level-1 remainder of order r at J0 is about (r/(2 pi e J0))^r times
+    # the tail, so the cut grows with the unit, as the orders are capped at 192
+    return max(J, 64, W >> 3)
+
+
+def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
+    """(V, err): sum_{j>=J0} |f^(k-1)(j)| - int_J0^inf |f^(k-1)| within err
+    units of V 2^-W, for f = x^-s and J0 = seq.J.
+
+    The level-1 rule at the order r that _far_bound picks for limit, with
+    B_i/i! = c_i/e_r from that order's module-level row (_tail_row), over
+    the least denominator e_r of its weights:
+        V = (sum_{i<=r} c'_i U_(k-2+i)) // e_r,
+    c'_1 = c_1 + e_r for the f(J0) term. B_i = 0 for odd i >= 3, so the dot
+    product runs over i = 1 and even i only. Its error is the far bound plus
+    sum|c'_i| err_(k-2+i)/e_r, rounded up, plus one for the floor. The dot
+    products over e_r are the same rationals over any common denominator of
+    the weights, so their floor and ceil give the bits that one row over the
+    lcm of all orders gives, from shorter integers (e_8 has 21 bits).
+    """
+    r, far = _far_bound(seq, k, limit)
+    g1, g_even, g_even_abs, e = _tail_row(r)
+    U, err = seq.U, seq.err
+    # i = 1 takes U_(k-1); i = 2, 4, ..., r take U_k, U_(k+2), ..., U_(k+r-2)
+    st = g1 * U[k - 1] + sum(map(mul, g_even, U[k:k + r - 1:2]))
+    st_err = g1 * err[k - 1] + sum(map(mul, g_even_abs, err[k:k + r - 1:2]))
+    return st // e, far + _cdiv(st_err, e) + 1
+
+
 def _power_tails(s: Fraction, ks, J: int, tol, W: int) -> list[tuple]:
     """[(T, err)]: sum_{j>=J} |f^(k-1)(j)| within err units of T 2^-W, for
     each k in ks and f = x^-s.
 
     That is (s)_(k-1) sum_{j>=J} j^-(s+k-1), each with t = s+k-1 > 1; tol
-    applies to the sum without the (s)_(k-1). All tails share J0 =
-    max(J, 64), the near block J <= j < J0 (_power_sums, within J0 - J units)
-    and one _ScaledRising sequence U_n at J0, s = a/b. Beyond J0 each tail is
-    the level-1 rule at the order r that _far_bound picks for tol, with
-    B_i/i! = c_i/e_r from that order's module-level row (_tail_row), over
-    the least denominator e_r of its weights:
-        T = P_(k-1) near // b^(k-1) + J0 b U_(k-1) // (a+(k-2)b)
-            + (sum_{i<=r} c'_i U_(k-2+i)) // e_r,
-    c'_1 = c_1 + e_r for the f(J0) term. B_i = 0 for odd i >= 3, so the dot
-    product runs over i = 1 and even i only. Its error, in units, is the far
-    bound plus (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b)
-    + sum|c'_i| err_(k-2+i)/e_r from the sequence and the near block, rounded
-    up, plus 3 for the floors. The two dot products over e_r are the same
-    rationals over any common denominator of the weights, so their floor and
-    ceil give the bits that one row over the lcm of all orders gives, from
-    shorter integers (e_8 has 21 bits, e_96 524).
+    applies to the sum without the (s)_(k-1). All tails share J0 = _cut(J, W),
+    the near block J <= j < J0 (_power_sums, within J0 - J units) and one
+    _ScaledRising sequence U_n at J0, s = a/b. Each tail is the near block,
+    the integral int_J0^inf |f^(k-1)| = J0 b U_(k-1)/(a+(k-2)b) and the
+    Euler-Maclaurin sum of _em_far:
+        T = P_(k-1) near // b^(k-1) + J0 b U_(k-1) // (a+(k-2)b) + V,
+    within (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b), rounded up, plus
+    _em_far's error and 2 for the floors.
     """
     a, b = s.numerator, s.denominator
-    J0 = max(J, 64)
+    J0 = _cut(J, W)
     near = _power_sums(s, range(J, J0), ks, W)
     seq = _ScaledRising(s, J0, W)
-    U, err, limit = seq.U, seq.err, int(mp.ldexp(tol, W - 2))
+    limit = int(mp.ldexp(tol, W - 2))
     out = []
     for k in ks:
-        r, far = _far_bound(seq, k, 1, _TAIL_ORDERS, limit)
-        g1, g_even, g_even_abs, e = _tail_row(r)
+        V, V_err = _em_far(seq, k, limit)
         P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
-        # i = 1 takes U_(k-1); i = 2, 4, ..., r take U_k, U_(k+2), ..., U_(k+r-2)
-        st = g1 * U[k - 1] + sum(map(mul, g_even, U[k:k + r - 1:2]))
-        st_err = g1 * err[k - 1] + sum(map(mul, g_even_abs, err[k:k + r - 1:2]))
-        T = P * near[k] // bk + J0 * b * U[k - 1] // d + st // e
-        out.append((T, far + _cdiv(P * (J0 - J), bk) + _cdiv(J0 * b * err[k - 1], d)
-                    + _cdiv(st_err, e) + 3))
+        T = P * near[k] // bk + J0 * b * seq.U[k - 1] // d + V
+        out.append((T, V_err + _cdiv(P * (J0 - J), bk) + _cdiv(J0 * b * seq.err[k - 1], d) + 2))
     return out
+
+
+def _regularized_tail(s: Fraction, J: int, tol, W: int) -> tuple:
+    """(V, err): D(J) = sum_{j>=J} j^-s - int_J^inf x^-s within err units of
+    V 2^-W; finite at s = 1 too.
+
+    With J0 = _cut(J, W), D(J) is the near block J <= j < J0 (_power_sums,
+    within J0 - J units), minus int_J^J0 x^-s, plus _em_far's level-1 sum at
+    J0 for k = 1, whose far bound is certified to tol. The integral
+    (J^(1-s) - J0^(1-s))/(s-1), s - 1 = u/v, is a difference of two
+    scaled_power(s-1, .), times v floor-divided by u: within 2v/u + 1 units.
+    For s = 1 it is mp.log at W + 16 bits, whose error is mpmath's: at 16
+    units in the last place of each log it is below bitlen(J0) 2^-8 units,
+    and 1 + bitlen(J0) are counted.
+    """
+    J0 = _cut(J, W)
+    near = _power_sums(s, range(J, J0), [1], W)[1]
+    far, far_err = _em_far(_ScaledRising(s, J0, W), 1, int(mp.ldexp(tol, W - 2)))
+    if s == 1:
+        with mp.workprec(W + 16):
+            integral = int(mp.nint(mp.ldexp(mp.log(J0) - mp.log(J), W)))
+        return near - integral + far, J0 - J + 1 + J0.bit_length() + far_err
+    u, v = (s - 1).numerator, (s - 1).denominator
+    integral = (scaled_power(s - 1, J, W) - scaled_power(s - 1, J0, W)) * v // u
+    return near - integral + far, J0 - J + _cdiv(2 * v, u) + 1 + far_err
 
 
 def _jump_tail(s: Fraction, m: int, orders, J: int, tol, W: int) -> tuple:
@@ -496,13 +535,23 @@ def _jump_tail(s: Fraction, m: int, orders, J: int, tol, W: int) -> tuple:
     order adds w_k times its tail of |f^(k-1)|. The orders with a nonzero jump
     take those tails from one _power_tails call at the same J, each certified
     to an equal share of tol; V = (sum_k c_k T_k) // e, within
-    sum |c_k| err_k / e units, rounded up, plus one for the floor.
+    sum |c_k| err_k / e units, rounded up, plus one for the floor. With no
+    such order (level 1, or r = 1) the sum is exactly 0.
     """
     c, e = bernoulli.family(m)._weights("jump", max(orders, default=0))
     ks = [k for k in orders if c[k]]
-    tails = _power_tails(s, ks, J, tol / max(len(ks), 1), W)
+    if not ks:
+        return 0, 0
+    tails = _power_tails(s, ks, J, tol / len(ks), W)
     V = sum(c[k] * T for k, (T, _) in zip(ks, tails)) // e
     return V, _cdiv(sum(abs(c[k]) * n for k, (_, n) in zip(ks, tails)), e) + 1
+
+
+def _tail_unit(s: Fraction, r: int, q1: int, prec: int) -> int:
+    # W of rho_tail and delta_tail: 2^-W is prec + 64 bits below
+    # q1^-(ceil(s)+r+2), at or below the smallest tail they report, so a tail
+    # far out keeps its relative digits
+    return prec + 64 + q1.bit_length() * (ceil(s) + r + 2)
 
 
 def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
@@ -510,11 +559,10 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
     """e_r(q1) = rho(q1, infinity), with a certified error bound.
 
     Power stacks reduce to certified power tail sums (_jump_tail), one
-    integer in units of 2^-W, W = prec + 64 + bitlen(q1), rounded once: the
-    integral terms multiply the one-unit error of U_n by J. Generic stacks take
-    the block rho(q1, J) directly, up to the first J whose decreasing-envelope
-    integral-test bound meets tol, and need abs_deriv_tail for every order
-    below r.
+    integer in units of 2^-W, W = _tail_unit(s, r, q1, prec), rounded once.
+    Generic stacks take the block rho(q1, J) directly, up to the first J whose
+    decreasing-envelope integral-test bound meets tol, and need abs_deriv_tail
+    for every order below r.
     """
     _check_order(fs, r)
     fs.check_domain(q1 + 1, point=True)
@@ -526,7 +574,7 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
         if not any(c[k] for k in orders):
             return CertifiedValue(mp.mpf(0), mp.mpf(0))
         if isinstance(fs, PowerFunction):
-            W = prec + 64 + q1.bit_length()
+            W = _tail_unit(fs.s, r, q1, prec)
             return _certified(*_jump_tail(fs.s, m, orders, q1 + 1, tol / 2, W), W, prec)
         # generic: direct summation with an integral-test envelope
         if fs.abs_deriv_tail is None:
@@ -554,8 +602,8 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
 
     em_composite's remainder on [q1, q2] with unit cells, int f minus the
     main sum, so the stack needs exact_integral and abs_deriv_integral
-    (ValueError otherwise). delta_tail uses it only for generic stacks; for
-    power stacks it takes the exact _remainder_block. R_r(q, q) = 0.
+    (ValueError otherwise). delta_tail uses it only for generic stacks.
+    R_r(q, q) = 0.
     """
     _check_order(fs, r)
     if q2 < q1:
@@ -566,59 +614,19 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
     return em_composite(fs, q1, q2, q2 - q1, m, r, prec).remainder
 
 
-def _remainder_block(pf: PowerFunction, m: int, r: int, q1: int, Q: int,
-                     W: int) -> tuple:
-    """(V, err): R_r(q1, Q) within err units of V 2^-W, for f = x^-s, from the
-    finite identity.
-
-    The finite identity between q1 and Q, solved for the remainder:
-    R_r(q1,Q) = int_q1^Q f - sum_{q1<j<Q} j^-s sum_{k=1}^r a_k j^-(k-1)
-                - sigma_r(Q) + [sigma~_r(q1) - f(q1)],
-    with a_k = cbar_k - ctil_k, the exact difference of the sigma and sigma~
-    coefficients: (s)_(k-1) (B_k(1)-B_k)/(m! k!), so a_1 = 1. It is summed in
-    units of 2^-W. The sum over the n = Q - q1 - 1 integers and the two sigmas
-    are exact combinations of _power_sums, with the coefficients as integers
-    over one denominator D (PowerFunction._sigma_ints), within n sum|a_k|,
-    sum|cbar_k| and sum|ctil_k| units, floor-divided by D once (one unit).
-    The integral (q1^(1-s) - Q^(1-s))/(s-1), s - 1 = u/v, is
-    a difference of two scaled_power(s-1, .), times v floor-divided by u:
-    within 2v/u + 1 units. For s = 1 it is mp.log at W + 16 bits, whose error
-    is mpmath's: at 16 units in the last place of each log it is below
-    bitlen(Q) 2^-8 units, and 1 + bitlen(Q) are counted.
-    """
-    s = pf.s
-    orders = range(1, r + 1)
-    ctil, cbar, D = pf._sigma_ints(m, r)  # the coefficients over one denominator D
-    a = [cb - ct for cb, ct in zip(cbar, ctil)]
-    inner = _power_sums(s, range(q1 + 1, Q), [k for k in orders if a[k - 1]], W)
-    far, near = _power_sums(s, [Q], orders, W), _power_sums(s, [q1], orders, W)
-    value = sum(ct * near[k] - cb * far[k] - ak * inner.get(k, 0)
-                for k, ak, cb, ct in zip(orders, a, cbar, ctil)) // D
-    units = sum((Q - q1 - 1) * abs(ak) + abs(cb) + abs(ct) for ak, cb, ct in zip(a, cbar, ctil))
-    if s == 1:
-        with mp.workprec(W + 16):
-            integral = int(mp.nint(mp.ldexp(mp.log(Q) - mp.log(q1), W)))
-        # 1 + bitlen(Q) for the logs, 1 for the floor, the sums over D
-        return integral + value, 2 + Q.bit_length() + _cdiv(units, D)
-    u, v = (s - 1).numerator, (s - 1).denominator
-    integral = (scaled_power(s - 1, q1, W) - scaled_power(s - 1, Q, W)) * v // u
-    # 2v/u + 1 for the integral, 1 for the floor, the sums over D
-    return integral + value, 2 + _cdiv(2 * v * D + u * units, u * D)
-
-
 def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
                tol=None, prec: int = DEFAULT_PRECISION) -> CertifiedValue:
     """delta_r(q1) = R_r(q1, infinity) with a certified bound.
 
-    The block R_r(q1, Q) is taken directly. For power stacks it comes from the
-    finite identity (_remainder_block), and the far tail is rewritten through
-    the identity at a higher order r':
-    delta_r(Q) = [sigma~_r(Q) - sigma~_r'(Q)] + [e_r'(Q) - e_r(Q)] + delta_r'(Q),
-    and r', Q are raised until the sup-norm bound on delta_r'(Q) is below tol.
-    The order scan and the sigma~ difference run on one _ScaledRising sequence
-    at Q. The block, the sigma~ difference, the far bound and the jump tail
-    are integers in units of 2^-W, W = prec + 64 + bitlen(q1) as in rho_tail,
-    each with its error counted; their sum is rounded once (_certified).
+    For power stacks it is the identity of level m at q1 solved for it,
+    delta_r(q1) = sigma~_r(q1) - e_r(q1) - D(q1), with the regularized tail
+    D(q1) = sum_{j>=q1} j^-s - int_q1^inf x^-s (_regularized_tail, to tol/2)
+    and e_r(q1) as rho_tail takes it (_jump_tail, to tol/2). sigma~_r(q1) is
+    f(q1) plus the sigma~ coefficients Ct_k/Dn (PowerFunction._sigma_ints)
+    on _power_sums at q1, within 1 + sum|Ct_k|/Dn units, rounded up, and one
+    more for the floor. The three are integers in units of 2^-W,
+    W = _tail_unit(s, r, q1, prec) as in rho_tail, and their sum is rounded
+    once (_certified).
     Generic stacks need abs_deriv_tail, whose bound C int_Q^inf |f^(r)|,
     C = mu_r/(m! r!), covers delta_r(Q). With exact_integral and
     abs_deriv_integral (exp(-x)) they step Q by 16 cells (at most 4096) until
@@ -631,26 +639,14 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
         if tol is None:
             tol = _default_tol(prec)
         if isinstance(fs, PowerFunction):
-            s, W = fs.s, prec + 64 + q1.bit_length()
-            limit = int(mp.ldexp(tol, W - 2))
-            ext = 64
-            while True:
-                Q = q1 + ext
-                seq = _ScaledRising(s, Q, W)
-                rp, far = _far_bound(seq, 1, m, range(r + 8, r + 97, 8), limit)
-                if far <= limit or ext >= 512:
-                    break
-                ext *= 2
-            direct, direct_err = _remainder_block(fs, m, r, q1, Q, W)
-            # sigma~ difference: the orders r+1..rp seen from Q, where the term
-            # (s)_(k-1) B_k/(m! k!) Q^-(s+k-1) is c_k U_(k-1)/e in units of
-            # 2^-W: within sum |c_k| err_(k-1)/e units, and one more for the floor
-            c, e = bernoulli.family(m)._weights("number", rp)
-            sdiff = -(sum(map(mul, c[r + 1:], seq.U[r:rp])) // e)
-            sdiff_err = _cdiv(sum(abs(x) * n for x, n in zip(c[r + 1:], seq.err[r:rp])), e) + 1
-            # e difference: certified tail sums of the new jump orders
-            jt, jt_err = _jump_tail(s, m, range(r + 1, rp + 1), Q + 1, tol / 4, W)
-            return _certified(direct + sdiff + jt, direct_err + sdiff_err + far + jt_err, W, prec)
+            s, W, orders = fs.s, _tail_unit(fs.s, r, q1, prec), range(1, r + 1)
+            ctil, _, Dn = fs._sigma_ints(m, r)
+            at_q1 = _power_sums(s, [q1], orders, W)
+            st = at_q1[1] + sum(c * at_q1[k] for k, c in zip(orders, ctil)) // Dn
+            st_err = 2 + _cdiv(sum(map(abs, ctil)), Dn)
+            e, e_err = _jump_tail(s, m, range(2, r + 1), q1 + 1, tol / 2, W)
+            d, d_err = _regularized_tail(s, q1, tol / 2, W)
+            return _certified(st - e - d, st_err + e_err + d_err, W, prec)
         # generic: integrate cells until the remaining tail bound is small
         if fs.abs_deriv_tail is None:
             raise TailNotCertifiableError("tail not certifiable")
@@ -692,11 +688,17 @@ def finite_identity_residual(fs: FunctionStack, m: int, r: int, p: int, n: int,
 
 @dataclass
 class SeriesEstimate:
-    """Estimate of S(inf) with its components and certified error bound."""
+    """Estimate of S(inf) with its components and certified error bound.
+
+    tol is the tolerance the tails were asked for, and tol_met says whether
+    error_bound is within it; neither is part of as_dict.
+    """
 
     value: object
     components: dict
     error_bound: object
+    tol: object
+    tol_met: bool
 
     def as_dict(self, digits: int = 30) -> dict:
         out = {"value": decimal_str(self.value, digits)}
@@ -711,7 +713,8 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
     level m at p solved for its left side, with the component `name` = lead.
 
     The pieces are summed in mpf at prec in this order; the error bound is the
-    bounds of the two tails plus _rounding_slack of the sum.
+    bounds of the two tails plus _rounding_slack of the sum, and tol_met
+    compares it with tol.
     """
     with mp.workprec(prec):
         if tol is None:
@@ -722,7 +725,7 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
         e = rho_tail(fs, m, r, p, tol, prec)
         d = delta_tail(fs, m, r, p, tol, prec)
         value = lead + psum - si + st - e.value - d.value
-        bound = e.bound + d.bound + _rounding_slack(value, prec)
+        bound = +(e.bound + d.bound + _rounding_slack(value, prec))
         return SeriesEstimate(
             value=+value,
             components={
@@ -733,7 +736,9 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
                 "e_tail": +e.value,
                 "delta_tail": +d.value,
             },
-            error_bound=+bound,
+            error_bound=bound,
+            tol=tol,
+            tol_met=bound <= tol,
         )
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: schemas, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -16,8 +18,10 @@ from gbzeta import cli
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 # argv, exit code and stdout of a fixed set of calls, recorded from cli.main;
-# re-record them only for an intended change of output
-GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+# re-record them only for an intended change of output, in its own commit:
+#     PYTHONPATH=src python tests/test_cli.py
+GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
 def run_cli(*args, env_extra=None):
@@ -237,3 +241,21 @@ def test_env_precision_override():
     proc = run_cli("numbers", "--m", "1", "--nmax", "2", "--digits", "15",
                    env_extra={"GBZETA_PRECISION_BITS": "64"})
     assert proc.returncode == 0
+
+
+def _record(argv):
+    # exit code and stdout of one call of cli.main, as test_golden_stdout
+    # takes them
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+if __name__ == "__main__":
+    # the same argv in the same order, at the default precision
+    os.environ.pop(cli.ENV_PRECISION, None)
+    GOLDEN_PATH.write_text(json.dumps([_record(c["argv"]) for c in GOLDEN], indent=1) + "\n")

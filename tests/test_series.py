@@ -12,7 +12,7 @@ import mpmath as mp
 import pytest
 
 from gbzeta import bernoulli, quadrature, series
-from gbzeta.bigfloat import _round_fixed, scaled_power, to_mpf
+from gbzeta.bigfloat import scaled_power, to_mpf
 from gbzeta.quadrature import FunctionStack, em_composite, exp_stack, sup_norm
 from gbzeta.series import (
     BOTH_CONVERGE,
@@ -244,7 +244,7 @@ def test_power_sums_chain_equals_one_floor_per_order(s):
 
 
 def test_power_tails_near_block_to_order_40():
-    # every order k <= 40 from J = 1, 2, 63, so the near block J <= j < 64
+    # every order k <= 40 from J = 1, 2, 63, so the near block J <= j < J0
     # carries the tail, against Hurwitz zeta at prec + 64
     s, prec = F(3, 2), 1024
     pf = PowerFunction(s, prec)
@@ -269,13 +269,13 @@ def _power_tails_reference(s, ks, J, tol, W):
     g1, g_even = c[1] + e, c[2:top + 1:2]
     g_even_abs = tuple(map(abs, g_even))
     a, b = s.numerator, s.denominator
-    J0 = max(J, 64)
+    J0 = max(J, 64, W >> 3)
     near = series._power_sums(s, range(J, J0), ks, W)
     seq = series._ScaledRising(s, J0, W)
     U, err, limit = seq.U, seq.err, int(mp.ldexp(tol, W - 2))
     out = []
     for k in ks:
-        r, far = series._far_bound(seq, k, 1, series._TAIL_ORDERS, limit)
+        r, far = series._far_bound(seq, k, limit)
         P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
         st = g1 * U[k - 1] + sum(x * u for x, u in zip(g_even, U[k:k + r - 1:2]))
         st_err = g1 * err[k - 1] + sum(x * u for x, u in zip(g_even_abs, err[k:k + r - 1:2]))
@@ -290,7 +290,7 @@ def _power_tails_reference(s, ks, J, tol, W):
 def test_power_tails_match_one_row_reference(s, W):
     # each order's own least row gives the bits of the one row over the lcm
     # of all orders: st_r/e_r and st/e are the same rationals. tol = 0 makes
-    # every order scan fall back to its smallest bound, up to order 96
+    # every order scan fall back to its smallest bound, up to order 192
     ks = range(1, 101)
     for tol in (series._default_tol(W - 64), 0):
         for J in (1, 2, 63, 64, 165, 613):
@@ -311,12 +311,12 @@ def test_tail_rows_are_exact_and_least():
     assert series._tail_row(8)[3] == 1209600  # 8!/(-B_8) = 8!/(1/30)
 
 
-def _float_far_bound_reference(pf, m, orders, J, tol, prec):
-    # the per-exponent order choice in mpf: one fractional power of J per order tried
-    mf = factorial(m)
+def _float_far_bound_reference(pf, J, tol, prec):
+    # the per-exponent order choice in mpf: one fractional power of J per
+    # order tried, orders 8, 16, ..., 192 of the level-1 rule
     best = None
-    for r in orders:
-        c = Fraction(series._coeff_abs_sum(m, r), mf * factorial(r)) * pf.pochhammer(r) / (pf.s + r - 1)
+    for r in range(8, 193, 8):
+        c = Fraction(series._coeff_abs_sum(1, r), factorial(r)) * pf.pochhammer(r) / (pf.s + r - 1)
         bound = to_mpf(c, prec) * pf._pow(J, 1 - pf.s - r)
         if best is None or bound < best[1]:
             best = (r, bound)
@@ -325,19 +325,19 @@ def _float_far_bound_reference(pf, m, orders, J, tol, prec):
     return best
 
 
-def _far_bound_reference(seq, k, m, orders, limit):
+def _far_bound_reference(seq, k, limit):
     # the divide-every-order loop: each order's bound A_r J b (U_n + err_n) /
-    # (a + (n-1) b) with the exact Fraction A_r, rounded up, and compared as
-    # bound b^(k-1) <= limit P_(k-1); the first order that meets it, else the
-    # smallest bound, the first on ties
+    # (a + (n-1) b) with the exact Fraction A_r of the level-1 rule, rounded
+    # up, and compared as bound b^(k-1) <= limit P_(k-1); the first order
+    # that meets it, else the smallest bound, the first on ties
     a, b, U, err = seq.a, seq.b, seq.U, seq.err
     seq.extend(k - 1)
     lim, scale = limit * seq.P[k - 1], b ** (k - 1)
     best = None
-    for r in orders:
+    for r in series._TAIL_ORDERS:
         n = k - 1 + r
         seq.extend(n)
-        A = Fraction(series._coeff_abs_sum(m, r), factorial(m) * factorial(r))
+        A = Fraction(series._coeff_abs_sum(1, r), factorial(r))
         bound = -(-A.numerator * seq.J * b * (U[n] + err[n])
                   // (A.denominator * (a + (n - 1) * b)))
         if best is None or bound < best[1]:
@@ -348,14 +348,10 @@ def _far_bound_reference(seq, k, m, orders, limit):
 
 
 def _far_bound_cases():
-    # (s, k, m, orders): level 1 at the power-tail orders, level m > 1 at
-    # delta_tail's orders r + 8, ..., r + 96; b = 1, 2, 3 and 10000
-    # (scaled_power's mpf route)
+    # (s, k): b = 1, 2, 3 and 10000 (scaled_power's mpf route)
     for s in (F(3, 2), F(3), F(5, 3), F(10001, 10000), F(21)):
         for k in (1, 2, 7, 40):
-            yield s, k, 1, series._TAIL_ORDERS
-        for m, r in ((2, 1), (3, 6), (5, 2)):
-            yield s, 1, m, range(r + 8, r + 97, 8)
+            yield s, k
 
 
 @pytest.mark.parametrize("W", [320, 1088])
@@ -365,29 +361,29 @@ def test_far_bound_matches_divide_every_order_reference(W):
     # estimator's own floor(2^W tol/4), which some orders meet late and some
     # not at all
     rules = set()
-    for s, k, m, orders in _far_bound_cases():
+    for s, k in _far_bound_cases():
         for J in (64, 613):
             huge = 1 << (W + 64)
             for limit in (0, huge, int(mp.ldexp(series._default_tol(W - 64), W - 2))):
-                ref = _far_bound_reference(series._ScaledRising(s, J, W), k, m, orders, limit)
+                ref = _far_bound_reference(series._ScaledRising(s, J, W), k, limit)
                 seq = series._ScaledRising(s, J, W)
-                assert series._far_bound(seq, k, m, orders, limit) == ref, (s, k, m, J, limit)
+                assert series._far_bound(seq, k, limit) == ref, (s, k, J, limit)
                 meets = ref[1] * s.denominator ** (k - 1) <= limit * seq.P[k - 1]
-                rule = "none" if not meets else "first" if ref[0] == orders[0] else "later"
+                rule = "none" if not meets else "first" if ref[0] == 8 else "later"
                 assert rule == {0: "none", huge: "first"}.get(limit, rule)
                 rules.add(rule)
     assert rules == {"none", "first", "later"}
     for seq, limit, expected in _pinned_far_bound_cases(W):
-        ref = _far_bound_reference(seq, 1, 1, series._TAIL_ORDERS, limit)
+        ref = _far_bound_reference(seq, 1, limit)
         assert ref == expected
-        assert series._far_bound(seq, 1, 1, series._TAIL_ORDERS, limit) == ref
+        assert series._far_bound(seq, 1, limit) == ref
 
 
 def _order_estimate(seq, r):
     # (e, X, Y) of order r at k = 1, level 1, as _far_bound sees them:
     # X = N Z, Z = J b (U_r + err_r), Y = D (a + (r-1) b), e = lx - ly
     seq.extend(r)
-    N, D = series._far_coeff(1, r)
+    N, D = series._far_coeff(r)
     Z, Y = seq.J * seq.b * (seq.U[r] + seq.err[r]), D * (seq.a + (r - 1) * seq.b)
     return N.bit_length() + Z.bit_length() - Y.bit_length(), N * Z, Y
 
@@ -404,22 +400,24 @@ def _pinned_far_bound_cases(W):
     # length tests of _far_bound sit at their edges
     s = F(3, 2)
     if W == 320:
-        # none meets limit 0 from J = 613, and the bounds of orders 48 to 96
+        # none meets limit 0 from J = 613, and the bounds of orders 48 to 192
         # all round up to 1, with estimates e far below -1: the -1 floor of the
         # cut keeps order 48, the first of the ties
         seq = series._ScaledRising(s, 613, W)
-        assert max(_order_estimate(seq, r)[0] for r in range(48, 97, 8)) < -40
+        assert max(_order_estimate(seq, r)[0] for r in range(48, 193, 8)) < -40
         yield seq, 0, (48, 1)
     # none meets limit 0, and the smallest bound, of order 40, has the estimate
     # e = min e + 2 >= 1: order 96 has the least e, with a bound near the top
-    # of its range, order 40 e two above it, with a bound near the bottom
+    # of its range, order 40 e two above it, with a bound near the bottom;
+    # every other order up to 192 has e of 500 or more
     seq = series._ScaledRising(s, 64, W)
     for r in series._TAIL_ORDERS:
-        _pin_z(seq, r, 1 << 400)
+        _pin_z(seq, r, 1 << 1000)
     e96, X96, Y96 = _pin_z(seq, 96, (1 << 260) - 1)
     i = next(i for i in range(400) if _pin_z(seq, 40, 1 << i)[0] == e96 + 2)
     e40, X40, Y40 = _pin_z(seq, 40, 1 << i)
     assert e96 >= -1 and -(-X40 // Y40) < -(-X96 // Y96)
+    assert min(_order_estimate(seq, r)[0] for r in series._TAIL_ORDERS if r not in (40, 96)) >= 500
     yield seq, 0, (40, -(-X40 // Y40))
     # order 24 meets its limit ceil(X/Y) with bitlen(X) = lx - 1 =
     # bitlen(M) + ly, the first length at which a pre-test may not skip it;
@@ -437,26 +435,27 @@ def test_far_bound_meets_a_limit_equal_to_its_bound():
     # an order whose bound is exactly the limit meets it: U_8 is set so that
     # the unrounded bound X/Y of order 8 (k = 1, level 1) is the integer limit
     s, J, W = F(3, 2), 64, 320
-    N, D = series._far_coeff(1, 8)
+    N, D = series._far_coeff(8)
     t = 1 << 200
     limit = N * J * s.denominator * t
     for far_bound in (_far_bound_reference, series._far_bound):
         seq = series._ScaledRising(s, J, W)
         seq.extend(8)
         seq.U[8] = D * (s.numerator + 7 * s.denominator) * t - seq.err[8]
-        assert far_bound(seq, 1, 1, series._TAIL_ORDERS, limit) == (8, limit)
-        assert far_bound(seq, 1, 1, series._TAIL_ORDERS, limit - 1)[0] != 8
+        assert far_bound(seq, 1, limit) == (8, limit)
+        assert far_bound(seq, 1, limit - 1)[0] != 8
 
 
 def _power_tail_reference(t, J, tol, prec):
-    # one exponent at a time: a fresh PowerFunction(t) and the generic sigma~;
-    # (value, far bound, rounding slack of the value)
-    J0 = max(J, 64)
+    # one exponent at a time: a fresh PowerFunction(t) and the generic sigma~,
+    # cut at J0 = max(J, 64, W >> 3) for the unit W = prec + 64 + bitlen(J)
+    # of _rounded_jump_tail; (value, far bound, rounding slack of the value)
+    J0 = max(J, 64, (prec + 64 + J.bit_length()) >> 3)
     pf = PowerFunction(t, prec)
     direct = mp.mpf(0)
     for j in range(J, J0):
         direct += pf._pow(j, -t)
-    r, far = _float_far_bound_reference(pf, 1, range(8, 97, 8), J0, tol, prec)
+    r, far = _float_far_bound_reference(pf, J0, tol, prec)
     integral = pf._pow(J0, 1 - t) / to_mpf(t - 1, prec)
     value = direct + integral + sigma_tilde(pf, 1, r, J0, prec)
     return value, far, series._rounding_slack(value, prec)
@@ -514,14 +513,15 @@ def test_batched_jump_tail_matches_per_exponent_route(s, prec):
 
 @pytest.mark.parametrize("s", [F(3, 2), F(3)])
 def test_batched_jump_tail_over_delta_tail_orders(s, monkeypatch):
-    # delta_tail's widest jump tail: orders up to r + 96 = 102 from
-    # J = q1 + 512 + 1 = 613. At the default tolerance the chosen orders stay
-    # below the cap; at 2^-1325 the order-96 cap binds for most orders, so
-    # the shared sequence runs past index 190.
+    # the widest jump tail delta_tail's order rewrite once took: orders up to
+    # r + 96 = 102 from J = 613, cut there at J0 = 613. At the default
+    # tolerance the chosen orders stay below the cap; at 2^-1325 the
+    # order-192 cap binds for 44 or 45 of the 101 orders, so the shared
+    # sequence runs past index 230.
     prec = 1024
     # sigma~ leaves out the odd level-1 weights, which must all be 0
     fam = bernoulli.family(1)
-    assert all(fam.number(i) == 0 for i in range(3, 96, 2))
+    assert all(fam.number(i) == 0 for i in range(3, 192, 2))
     pf = PowerFunction(s, prec)
     orders = range(2, 103)
     seqs = []
@@ -535,15 +535,14 @@ def test_batched_jump_tail_over_delta_tail_orders(s, monkeypatch):
     with mp.workprec(prec):
         tiny = mp.mpf(2) ** -1325
         weights = _jump_weights(2, orders)
-        chosen = {_float_far_bound_reference(PowerFunction(s + k - 1, prec), 1,
-                                             series._TAIL_ORDERS, 613, tiny / len(weights),
-                                             prec)[0] for k, _ in weights}
-        assert 96 in chosen and min(chosen) < 96
+        chosen = {_float_far_bound_reference(PowerFunction(s + k - 1, prec), 613,
+                                             tiny / len(weights), prec)[0] for k, _ in weights}
+        assert 192 in chosen and min(chosen) < 192
         for tol in (series._default_tol(prec) / 2, tiny):
             got = _rounded_jump_tail(s, 2, orders, 613, tol, prec)
             _assert_matches_reference(got, _jump_tail_reference(pf, 2, orders, 613, tol, prec),
                                       prec)
-        assert len(seqs[-1].U) > 191
+        assert seqs[-1].J == 613 and len(seqs[-1].U) > 231
 
 
 def test_rho_tail_example_one(pf3):
@@ -826,6 +825,38 @@ def test_estimate_contains_zeta_on_the_grid(s, prec, zeta_sweep_refs):
     assert misses == []
 
 
+@pytest.mark.parametrize("prec", [256, 512, 1024])
+def test_estimate_meets_tol_on_the_grid(prec, zeta_sweep_refs):
+    # on x^-s the default tolerance 2^-(prec/2) is met on every cell of the
+    # grid, and each value lies within its bound
+    tol = series._default_tol(prec)
+    misses = []
+    for s in SWEEP_S:
+        for m in (1, 2, 3, 5):
+            for r in (1, 2, 3, 6):
+                for p in (1, 2, 10, 100):
+                    est = estimate_series(PowerFunction(s, prec), m, r, p, prec)
+                    with mp.workprec(prec + 64):
+                        err = abs(est.value - zeta_sweep_refs[prec][s])
+                    assert est.tol == tol and est.tol_met == (est.error_bound <= tol)
+                    if not est.tol_met or err > est.error_bound:
+                        misses.append((s, m, r, p, mp.nstr(err, 5), mp.nstr(est.error_bound, 5)))
+    assert misses == []
+
+
+def test_tol_missed_is_reported():
+    # at 2048 bits and p = 100 the order cap binds: the bound stays true, near
+    # 10^-264, but above the requested 2^-1024, and tol_met says so
+    prec = 2048
+    for s, m, r in ((F(3), 1, 2), (F(3, 2), 5, 6)):
+        est = estimate_series(PowerFunction(s, prec), m, r, 100, prec)
+        with mp.workprec(prec + 64):
+            assert abs(est.value - mp.zeta(to_mpf(s, prec + 64))) <= est.error_bound
+        assert est.tol == mp.ldexp(1, -1024) and not est.tol_met
+    g = euler_constant(PowerFunction(1, prec), 2, 3, prec, tol=mp.mpf("1e-40"))
+    assert g.tol_met and g.error_bound <= mp.mpf("1e-40")
+
+
 def _tail_references(s, m, r, q1, wp):
     # e_r(q1) and delta_r(q1) for x^-s from Hurwitz zeta at wp bits:
     # e = sum_k (B_k(1)-B_k)/(m! k!) (s)_(k-1) zeta(s+k-1, q1+1) and
@@ -865,97 +896,73 @@ def test_power_tails_within_their_own_bounds(q1, prec):
     assert misses == []
 
 
-def _remainder_quad_reference(s, m, r, q1, Q, wp):
-    # R_r(q1, Q) cell by cell with mp.quad at wp bits
-    pf = PowerFunction(s, wp)
-    br = bernoulli.family(m).polynomial(r)
-    with mp.workprec(wp):
-        fr = pf.deriv(r)
-        total = mp.mpf(0)
-        for c in range(q1, Q):
-            total += mp.quad(lambda x, c=c: fr(x) * br.eval_mpf(x - c, wp), [c, c + 1])
-        return total * (-1) ** r / (factorial(m) * mp.factorial(r))
+def test_far_out_tails_keep_their_digits():
+    # zeta-odd --s 21 --m 5 --r 2 --p 100000: the tails lie near 3.3e-106
+    # and 1.8e-110, far below 2^-(prec+64), and each is within its bound of
+    # the mpmath reference, a bound below 2^-64 of the tail, so neither
+    # prints 0.0
+    s, m, r, q1 = F(21), 5, 2, 10**5
+    pf = PowerFunction(s, P)
+    tails = (rho_tail(pf, m, r, q1, None, P), delta_tail(pf, m, r, q1, None, P))
+    refs = _tail_references(s, m, r, q1, P + 1200)
+    for cv, ref in zip(tails, refs):
+        with mp.workprec(P + 1200):
+            assert abs(cv.value - ref) <= cv.bound <= abs(ref) * mp.ldexp(1, -64)
+    payload = estimate_series(pf, m, r, q1, P).as_dict()
+    assert payload["e_tail"].startswith("3.33298334616")
+    assert payload["delta_tail"].startswith("1.83320500147")
+
+
+@pytest.mark.parametrize("s", [F(1), F(10001, 10000), F(3, 2), F(5, 3), F(3), F(21)])
+def test_sigma_coefficients_match_the_level_numbers(s):
+    # the integer coefficients of _sigma_ints give the sigma~ and sigma
+    # coefficients (s)_(k-1) W_k/(m! k!), k = 1..r, of the level's exact
+    # numbers, W_k = B_k and B_k(1)
+    pf = PowerFunction(s)
+    for m in (1, 2, 3, 5):
+        fam = bernoulli.family(m)
+        for r in (1, 2, 3, 6):
+            w = [pf.pochhammer(k - 1) / (factorial(m) * factorial(k)) for k in range(1, r + 1)]
+            assert (pf.sigma_coefficients(m, r, boundary=False)
+                    == [(k, x * fam.number(k)) for k, x in enumerate(w, 1)]), (m, r)
+            assert (pf.sigma_coefficients(m, r, boundary=True)
+                    == [(k, x * fam.boundary(k)) for k, x in enumerate(w, 1)]), (m, r)
 
 
 @pytest.mark.parametrize("prec", [256, 1024])
-@pytest.mark.parametrize("s,m,r,q1", [
-    (F(1), 2, 3, 1),
-    (F(5, 3), 3, 2, 2),
-    (F(3), 1, 1, 1),
-    (F(7, 2), 5, 6, 100),
-    (F(1), 2, 1, 100),
-])
-def test_remainder_block_matches_quad_reference(s, m, r, q1, prec):
-    W = prec + 64
-    V, units = series._remainder_block(PowerFunction(s, prec), m, r, q1, q1 + 3, W)
-    value, err = _round_fixed(V, W), mp.ldexp(units, -W)
-    ref = _remainder_quad_reference(s, m, r, q1, q1 + 3, prec + 192)
-    with mp.workprec(prec + 192):
-        assert abs(value - ref) <= err
-    # the rounding term is of the order of the w = prec + 64 bit unit
-    assert err <= abs(ref) * mp.mpf(2) ** (24 - prec - 64) + mp.mpf(2) ** (24 - prec - 64)
+@pytest.mark.parametrize("s,m,r", [(F(3, 2), 1, 6), (F(3), 2, 3), (F(7, 2), 5, 1), (F(1), 3, 2),
+                                   (F(5, 3), 3, 6)])
+def test_delta_tail_difference_is_remainder_R(s, m, r, prec):
+    # delta_r(q1) - delta_r(Q) = R_r(q1, Q): the tails solved from the
+    # identity against em_composite's closed form on the block, within the
+    # two bounds
+    pf = PowerFunction(s, prec)
+    for q1, Q in ((1, 3), (2, 66), (100, 164)):
+        near, far = delta_tail(pf, m, r, q1, None, prec), delta_tail(pf, m, r, Q, None, prec)
+        block = remainder_R(pf, m, r, q1, Q, prec)
+        with mp.workprec(prec + 64):
+            assert abs(near.value - far.value - block) <= near.bound + far.bound, (q1, Q)
 
 
-def _sigma_coefficient_reference(pf, m, r):
-    # the sigma~ and sigma coefficients (s)_(k-1) W_k/(m! k!), k = 1..r, as
-    # Fractions from the level's exact numbers
-    fam = bernoulli.family(m)
-    w = [pf.pochhammer(k - 1) / (factorial(m) * factorial(k)) for k in range(1, r + 1)]
-    return ([x * fam.number(k) for k, x in enumerate(w, 1)],
-            [x * fam.boundary(k) for k, x in enumerate(w, 1)])
-
-
-def _remainder_block_reference(pf, m, r, q1, Q, W):
-    # the finite identity in Fractions: the exact sigma coefficients summed
-    # with the _power_sums and floored once, the error units a Fraction
-    s, orders = pf.s, range(1, r + 1)
-    ctil, cbar = _sigma_coefficient_reference(pf, m, r)
-    a = [cb - ct for cb, ct in zip(cbar, ctil)]
-    inner = series._power_sums(s, range(q1 + 1, Q), [k for k in orders if a[k - 1]], W)
-    far, near = series._power_sums(s, [Q], orders, W), series._power_sums(s, [q1], orders, W)
-    if s == 1:
-        with mp.workprec(W + 16):
-            integral = int(mp.nint(mp.ldexp(mp.log(Q) - mp.log(q1), W)))
-        units = 1 + Q.bit_length()
-    else:
-        u, v = (s - 1).numerator, (s - 1).denominator
-        integral = (scaled_power(s - 1, q1, W) - scaled_power(s - 1, Q, W)) * v // u
-        units = 2 * Fraction(v, u) + 1
-    value = integral + math.floor(sum(ct * near[k] - cb * far[k] - a[k - 1] * inner.get(k, 0)
-                                      for k, cb, ct in zip(orders, cbar, ctil)))
-    units += 1 + sum((Q - q1 - 1) * abs(ak) + abs(cb) + abs(ct)
-                     for ak, cb, ct in zip(a, cbar, ctil))
-    return value, math.ceil(units)
-
-
-@pytest.mark.parametrize("W", [320, 1088])
-@pytest.mark.parametrize("s", [F(1), F(10001, 10000), F(3, 2), F(5, 3), F(3), F(21)])
-def test_remainder_block_matches_fraction_formula(s, W):
-    # the same (V, err) as the Fraction route, for s = 1 (the log branch),
-    # 10001/10000 (scaled_power's mpf route), b = 1, 2, 3, and blocks with an
-    # empty, a short and a longer interior; the integer coefficients give the
-    # same sigma_coefficients
-    pf = PowerFunction(s)
-    for m in (1, 2, 3, 5):
-        for r in (1, 2, 3, 6):
-            ctil, cbar = _sigma_coefficient_reference(pf, m, r)
-            assert [c for _, c in pf.sigma_coefficients(m, r, boundary=False)] == ctil
-            assert [c for _, c in pf.sigma_coefficients(m, r, boundary=True)] == cbar
-            for q1, Q in ((1, 2), (2, 66), (100, 164), (1000, 1200)):
-                assert (series._remainder_block(pf, m, r, q1, Q, W)
-                        == _remainder_block_reference(pf, m, r, q1, Q, W)), (m, r, q1, Q)
-
-
-@pytest.mark.parametrize("s,m,r", [(F(3, 2), 1, 6), (F(3), 2, 3), (F(7, 2), 5, 1), (F(1), 3, 2)])
-def test_remainder_R_agrees_with_block_far_out(s, m, r):
-    # em_composite's closed form (int f - main_sum) and the finite identity
-    # in scaled integers (_remainder_block) agree to rounding
-    pf = PowerFunction(s, P)
-    V, _ = series._remainder_block(pf, m, r, 100, 164, P + 64)
-    value = _round_fixed(V, P + 64)
-    closed = remainder_R(pf, m, r, 100, 164, P)
-    with mp.workprec(P):
-        assert abs(value - closed) <= series._rounding_slack(value, P)
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("s", [F(1), F(3, 2), F(2), F(3), F(10001, 10000), F(21)])
+def test_regularized_tail_matches_hurwitz(s, prec):
+    # D(J) = sum_{j>=J} j^-s - int_J^inf x^-s is zeta(s, J) - J^(1-s)/(s-1),
+    # and log J - digamma(J) at s = 1, at prec + 64
+    wp = prec + 64
+    for J in (1, 2, 63, 64, 165, 613):
+        with mp.workprec(prec):
+            W = prec + 64 + J.bit_length()
+            cv = series._certified(*series._regularized_tail(s, J, series._default_tol(prec), W),
+                                   W, prec)
+        with mp.workprec(wp):
+            if s == 1:
+                ref = mp.log(J) - mp.digamma(J)
+            else:
+                t = to_mpf(s, wp)
+                ref = mp.zeta(t, J) - mp.mpf(J) ** (1 - t) / (t - 1)
+            assert abs(cv.value - ref) <= cv.bound, J
+            assert cv.bound <= series._default_tol(prec) / 2, J
 
 
 @pytest.mark.parametrize("prec", [256, 1024])
