@@ -328,13 +328,14 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
 # ---------------------------------------------------------------------------
 # certified tails
 
-# _far_bound keeps this loose sum although quadrature.sup_norm is tight:
-# sup_norm at the orders _far_bound tries is slow from a cold cache (with
-# orders up to r + 96, the 80 estimates at 1024 bits and p = 100 took 161 s
-# with it against 3.3 s, one cold run each, with 0 bound violations either
-# way). So it stays loose until a closed-form level-1 bound replaces it
-# (ROADMAP item 2), but it builds no polynomial: it is one integer sum over
-# the level's scaled number table.
+# _far_bound's coefficients A_r (_far_coeff) come from this loose sum at
+# level 1, once for each of the orders 8, 16, ..., 192 of _TAIL_ORDERS,
+# although quadrature.sup_norm is tight: sup_norm is slow from a cold cache
+# at such orders (under the former level-m scan over orders up to r + 96,
+# the 80 estimates at 1024 bits and p = 100 took 161 s with it against 3.3 s,
+# one cold run each, with 0 bound violations either way). So it stays loose
+# until a closed-form level-1 bound replaces it (ROADMAP item 2). It builds
+# no polynomial: it is one integer sum over the level's scaled number table.
 def _coeff_abs_sum(m: int, r: int) -> Fraction:
     # sum_k C(r,k) |B_k| >= max_{[0,1]} |B_r|; with B_k = k! a_k/d this is
     # sum_k |a_k| r!/(r-k)! over d, Horner in k
@@ -367,7 +368,7 @@ class _ScaledRising:
     U_n (a+nb)/(bJ) is within err_n (a+nb)/(bJ) of x (a+nb)/(bJ), and the
     floor takes under one unit more, so err_(n+1) = ceil(err_n (a+nb)/(bJ)) + 1.
     P_n is exact. Entries are made on demand (extend); one sequence serves
-    every tail of one call.
+    every tail of one estimate that starts its far sum at J.
     """
 
     def __init__(self, s: Fraction, J: int, W: int):
@@ -473,7 +474,7 @@ def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
     return st // e, far + _cdiv(st_err, e) + 1
 
 
-def _power_tails(s: Fraction, ks, J: int, tol, W: int) -> list[tuple]:
+def _power_tails(s: Fraction, ks, J: int, tol, W: int, seq=None) -> list[tuple]:
     """[(T, err)]: sum_{j>=J} |f^(k-1)(j)| within err units of T 2^-W, for
     each k in ks and f = x^-s.
 
@@ -485,12 +486,13 @@ def _power_tails(s: Fraction, ks, J: int, tol, W: int) -> list[tuple]:
     Euler-Maclaurin sum of _em_far:
         T = P_(k-1) near // b^(k-1) + J0 b U_(k-1) // (a+(k-2)b) + V,
     within (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b), rounded up, plus
-    _em_far's error and 2 for the floors.
+    _em_far's error and 2 for the floors. seq, when given, is the caller's
+    sequence at J0, shared with its other tails.
     """
     a, b = s.numerator, s.denominator
     J0 = _cut(J, W)
     near = _power_sums(s, range(J, J0), ks, W)
-    seq = _ScaledRising(s, J0, W)
+    seq = seq or _ScaledRising(s, J0, W)
     limit = int(mp.ldexp(tol, W - 2))
     out = []
     for k in ks:
@@ -501,7 +503,7 @@ def _power_tails(s: Fraction, ks, J: int, tol, W: int) -> list[tuple]:
     return out
 
 
-def _regularized_tail(s: Fraction, J: int, tol, W: int) -> tuple:
+def _regularized_tail(s: Fraction, J: int, tol, W: int, seq=None) -> tuple:
     """(V, err): D(J) = sum_{j>=J} j^-s - int_J^inf x^-s within err units of
     V 2^-W; finite at s = 1 too.
 
@@ -512,11 +514,12 @@ def _regularized_tail(s: Fraction, J: int, tol, W: int) -> tuple:
     scaled_power(s-1, .), times v floor-divided by u: within 2v/u + 1 units.
     For s = 1 it is mp.log at W + 16 bits, whose error is mpmath's: at 16
     units in the last place of each log it is below bitlen(J0) 2^-8 units,
-    and 1 + bitlen(J0) are counted.
+    and 1 + bitlen(J0) are counted. seq, when given, is the caller's
+    sequence at J0, shared with its other tails.
     """
     J0 = _cut(J, W)
     near = _power_sums(s, range(J, J0), [1], W)[1]
-    far, far_err = _em_far(_ScaledRising(s, J0, W), 1, int(mp.ldexp(tol, W - 2)))
+    far, far_err = _em_far(seq or _ScaledRising(s, J0, W), 1, int(mp.ldexp(tol, W - 2)))
     if s == 1:
         with mp.workprec(W + 16):
             integral = int(mp.nint(mp.ldexp(mp.log(J0) - mp.log(J), W)))
@@ -526,7 +529,7 @@ def _regularized_tail(s: Fraction, J: int, tol, W: int) -> tuple:
     return near - integral + far, J0 - J + _cdiv(2 * v, u) + 1 + far_err
 
 
-def _jump_tail(s: Fraction, m: int, orders, J: int, tol, W: int) -> tuple:
+def _jump_tail(s: Fraction, m: int, orders, J: int, tol, W: int, seq=None) -> tuple:
     """(V, err): sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for f = x^-s,
     within err units of V 2^-W.
 
@@ -534,15 +537,15 @@ def _jump_tail(s: Fraction, m: int, orders, J: int, tol, W: int) -> tuple:
     level's integer table, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|, so an
     order adds w_k times its tail of |f^(k-1)|. The orders with a nonzero jump
     take those tails from one _power_tails call at the same J, each certified
-    to an equal share of tol; V = (sum_k c_k T_k) // e, within
-    sum |c_k| err_k / e units, rounded up, plus one for the floor. With no
-    such order (level 1, or r = 1) the sum is exactly 0.
+    to an equal share of tol, on seq if given; V = (sum_k c_k T_k) // e,
+    within sum |c_k| err_k / e units, rounded up, plus one for the floor. With
+    no such order (level 1, or r = 1) the sum is exactly 0.
     """
     c, e = bernoulli.family(m)._weights("jump", max(orders, default=0))
     ks = [k for k in orders if c[k]]
     if not ks:
         return 0, 0
-    tails = _power_tails(s, ks, J, tol / len(ks), W)
+    tails = _power_tails(s, ks, J, tol / len(ks), W, seq)
     V = sum(c[k] * T for k, (T, _) in zip(ks, tails)) // e
     return V, _cdiv(sum(abs(c[k]) * n for k, (_, n) in zip(ks, tails)), e) + 1
 
@@ -614,19 +617,47 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
     return em_composite(fs, q1, q2, q2 - q1, m, r, prec).remainder
 
 
+def _power_identity_tails(fs: PowerFunction, m: int, r: int, q1: int, tol,
+                          prec: int) -> tuple:
+    """(e_r(q1), delta_r(q1)) for f = x^-s, both tails of the identity of
+    level m at q1; called at working precision prec.
+
+    delta_r(q1) = sigma~_r(q1) - e_r(q1) - D(q1), the identity solved for
+    it, with the regularized tail D(q1) = sum_{j>=q1} j^-s - int_q1^inf x^-s
+    (_regularized_tail, to tol/2) and e_r(q1) as rho_tail takes it
+    (_jump_tail, to tol/2). sigma~_r(q1) is f(q1) plus the sigma~
+    coefficients Ct_k/Dn (PowerFunction._sigma_ints) on _power_sums at q1,
+    within 1 + sum|Ct_k|/Dn units, rounded up, and one more for the floor.
+    The three are integers in units of 2^-W, W = _tail_unit(s, r, q1, prec)
+    as in rho_tail. e_r(q1) is summed once for both tails and rounded on its
+    own, exactly 0 with bound 0 when no order has a jump; delta_r(q1) is
+    rounded once from the sum (_certified). When D's far sum and e's start
+    at the same cut, _cut(q1, W) = _cut(q1 + 1, W), one _ScaledRising there
+    serves D and every jump order.
+    """
+    s, W, orders = fs.s, _tail_unit(fs.s, r, q1, prec), range(1, r + 1)
+    ctil, _, Dn = fs._sigma_ints(m, r)
+    at_q1 = _power_sums(s, [q1], orders, W)
+    st = at_q1[1] + sum(c * at_q1[k] for k, c in zip(orders, ctil)) // Dn
+    st_err = 2 + _cdiv(sum(map(abs, ctil)), Dn)
+    J0 = _cut(q1 + 1, W)
+    seq = _ScaledRising(s, J0, W) if _cut(q1, W) == J0 else None
+    e, e_err = _jump_tail(s, m, orders[1:], q1 + 1, tol / 2, W, seq)
+    d, d_err = _regularized_tail(s, q1, tol / 2, W, seq)
+    c, _ = bernoulli.family(m)._weights("jump", r)
+    jumps = any(c[k] for k in orders[1:])
+    e_cv = _certified(e, e_err, W, prec) if jumps else CertifiedValue(mp.mpf(0), mp.mpf(0))
+    return e_cv, _certified(st - e - d, st_err + e_err + d_err, W, prec)
+
+
 def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
                tol=None, prec: int = DEFAULT_PRECISION) -> CertifiedValue:
     """delta_r(q1) = R_r(q1, infinity) with a certified bound.
 
     For power stacks it is the identity of level m at q1 solved for it,
-    delta_r(q1) = sigma~_r(q1) - e_r(q1) - D(q1), with the regularized tail
-    D(q1) = sum_{j>=q1} j^-s - int_q1^inf x^-s (_regularized_tail, to tol/2)
-    and e_r(q1) as rho_tail takes it (_jump_tail, to tol/2). sigma~_r(q1) is
-    f(q1) plus the sigma~ coefficients Ct_k/Dn (PowerFunction._sigma_ints)
-    on _power_sums at q1, within 1 + sum|Ct_k|/Dn units, rounded up, and one
-    more for the floor. The three are integers in units of 2^-W,
-    W = _tail_unit(s, r, q1, prec) as in rho_tail, and their sum is rounded
-    once (_certified).
+    delta_r(q1) = sigma~_r(q1) - e_r(q1) - D(q1), in integers in units of
+    2^-W as in rho_tail, rounded once (_power_identity_tails, which
+    estimate_series and euler_constant call for both tails at once).
     Generic stacks need abs_deriv_tail, whose bound C int_Q^inf |f^(r)|,
     C = mu_r/(m! r!), covers delta_r(Q). With exact_integral and
     abs_deriv_integral (exp(-x)) they step Q by 16 cells (at most 4096) until
@@ -639,14 +670,7 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
         if tol is None:
             tol = _default_tol(prec)
         if isinstance(fs, PowerFunction):
-            s, W, orders = fs.s, _tail_unit(fs.s, r, q1, prec), range(1, r + 1)
-            ctil, _, Dn = fs._sigma_ints(m, r)
-            at_q1 = _power_sums(s, [q1], orders, W)
-            st = at_q1[1] + sum(c * at_q1[k] for k, c in zip(orders, ctil)) // Dn
-            st_err = 2 + _cdiv(sum(map(abs, ctil)), Dn)
-            e, e_err = _jump_tail(s, m, range(2, r + 1), q1 + 1, tol / 2, W)
-            d, d_err = _regularized_tail(s, q1, tol / 2, W)
-            return _certified(st - e - d, st_err + e_err + d_err, W, prec)
+            return _power_identity_tails(fs, m, r, q1, tol, prec)[1]
         # generic: integrate cells until the remaining tail bound is small
         if fs.abs_deriv_tail is None:
             raise TailNotCertifiableError("tail not certifiable")
@@ -712,6 +736,8 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
     """lead + S(p-1) - sigma(inf) + sigma~(p) - e(p) - delta(p), the identity of
     level m at p solved for its left side, with the component `name` = lead.
 
+    The tails are rho_tail's and delta_tail's; for x^-s both come from one
+    _power_identity_tails call, which sums e_r(p) once for the two.
     The pieces are summed in mpf at prec in this order; the error bound is the
     bounds of the two tails plus _rounding_slack of the sum, and tol_met
     compares it with tol.
@@ -722,8 +748,10 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
         psum = partial_sum(fs, p - 1, prec)
         st = sigma_tilde(fs, m, r, p, prec)
         si = sigma_infinity(fs, m, r, prec)
-        e = rho_tail(fs, m, r, p, tol, prec)
-        d = delta_tail(fs, m, r, p, tol, prec)
+        if isinstance(fs, PowerFunction):
+            e, d = _power_identity_tails(fs, m, r, p, tol, prec)
+        else:
+            e, d = rho_tail(fs, m, r, p, tol, prec), delta_tail(fs, m, r, p, tol, prec)
         value = lead + psum - si + st - e.value - d.value
         bound = +(e.bound + d.bound + _rounding_slack(value, prec))
         return SeriesEstimate(

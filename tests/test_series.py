@@ -4,6 +4,7 @@ import gc
 import math
 import signal
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
@@ -11,7 +12,7 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from gbzeta import bernoulli, quadrature, series
+from gbzeta import bernoulli, bigfloat, quadrature, series
 from gbzeta.bigfloat import scaled_power, to_mpf
 from gbzeta.quadrature import FunctionStack, em_composite, exp_stack, sup_norm
 from gbzeta.series import (
@@ -895,6 +896,81 @@ def test_far_out_tails_keep_their_digits():
     payload = estimate_series(pf, m, r, q1, P).as_dict()
     assert payload["e_tail"].startswith("3.33298334616")
     assert payload["delta_tail"].startswith("1.83320500147")
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_estimate_tails_are_the_standalone_tails(prec):
+    # estimate_series and euler_constant take both x^-s tails from one
+    # shared pass; each is exactly rho_tail's and delta_tail's, value and
+    # bound. m = 1 and r = 1 have no jump order, so e and its bound are
+    # exactly 0; at 256 bits and p = 100 the far sums of D (from p) and of
+    # e (from p + 1) start at different cuts
+    cut_differs = set()
+    for s in (F(1), F(3, 2), F(3), F(21)):
+        pf = PowerFunction(s, prec)
+        for m in (1, 2, 5):
+            for r in (1, 2, 6):
+                for p in ((1,) if s == 1 else (1, 2, 100)):
+                    if s == 1:
+                        est = euler_constant(pf, m, r, prec)
+                    else:
+                        est = estimate_series(pf, m, r, p, prec)
+                    e, d = rho_tail(pf, m, r, p, None, prec), delta_tail(pf, m, r, p, None, prec)
+                    with mp.workprec(prec):
+                        shared = series._power_identity_tails(pf, m, r, p, est.tol, prec)
+                        bound = e.bound + d.bound + series._rounding_slack(est.value, prec)
+                    assert shared == (e, d), (s, m, r, p)
+                    assert est.components["e_tail"] == e.value, (s, m, r, p)
+                    assert est.components["delta_tail"] == d.value, (s, m, r, p)
+                    assert est.error_bound == bound, (s, m, r, p)
+                    if m == 1 or r == 1:
+                        assert e.value == 0 and e.bound == 0, (s, m, r, p)
+                    W = series._tail_unit(s, r, p, prec)
+                    cut_differs.add(series._cut(p, W) != series._cut(p + 1, W))
+    assert cut_differs == ({False, True} if prec == 256 else {False})
+
+
+@pytest.mark.parametrize("prec,p", [(256, 2), (256, 100), (1024, 1), (1024, 100)])
+def test_one_estimate_sums_its_jump_tail_once(prec, p, monkeypatch):
+    # exact work counts of one x^-s estimate: one _power_tails call for the
+    # jump orders, serving both tails, and one U_n sequence for D and the jump
+    # tails when their cuts agree, else one each. So no scaled power (s, j, W)
+    # runs more than twice: D's near block still repeats the jump tails' powers
+    powers, seqs, tails = Counter(), [], []
+    real_power, real_tails = series.scaled_power, series._power_tails
+
+    def power(s, j, W):
+        powers[s, j, W] += 1
+        return real_power(s, j, W)
+
+    def power_tails(*args):
+        tails.append(args)
+        return real_tails(*args)
+
+    class Counting(series._ScaledRising):
+        def __init__(self, *args):
+            super().__init__(*args)
+            seqs.append(self.J)
+
+    monkeypatch.setattr(bigfloat, "scaled_power", power)
+    monkeypatch.setattr(series, "scaled_power", power)
+    monkeypatch.setattr(series, "_power_tails", power_tails)
+    monkeypatch.setattr(series, "_ScaledRising", Counting)
+    for s in ((F(1),) if p == 1 else ()) + (F(3, 2), F(3), F(5, 3)):
+        pf = PowerFunction(s, prec)
+        for m, r in ((1, 3), (2, 1), (2, 3), (5, 6)):
+            for counts in (powers, seqs, tails):
+                counts.clear()
+            if s == 1:
+                euler_constant(pf, m, r, prec)
+            else:
+                estimate_series(pf, m, r, p, prec)
+            W = series._tail_unit(s, r, p, prec)
+            jumps = m > 1 and r > 1
+            shared = series._cut(p, W) == series._cut(p + 1, W)
+            assert max(powers.values()) <= 2, (s, m, r)
+            assert len(tails) == jumps, (s, m, r)
+            assert len(seqs) == (1 if shared or not jumps else 2), (s, m, r)
 
 
 @pytest.mark.parametrize("s", [F(1), F(10001, 10000), F(3, 2), F(5, 3), F(3), F(21)])
