@@ -250,6 +250,7 @@ def check_series(prec: int = DEFAULT_PRECISION) -> list:
             with mp.workprec(prec + 64):
                 ok = abs(est.value - mp.zeta(s)) <= est.error_bound
             out.append(_result(f"zeta({s}) estimate lands within its bound", ok))
+            out.append(_result(f"zeta({s}) estimate meets its tolerance", est.tol_met))
 
         loose = series.estimate_series(pf3, 5, 2, 100, prec, tol=mp.mpf("1e-20"))
         tight = series.estimate_series(pf3, 5, 2, 100, prec, tol=mp.mpf("1e-30"))

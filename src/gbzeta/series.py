@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial, gcd
-from operator import mul
+from math import ceil, factorial, gcd, inf, lgamma, log, log2, pi, prod
 
 import mpmath as mp
 from mpmath.libmp import round_ceiling
@@ -35,10 +34,12 @@ class TailNotCertifiableError(RuntimeError):
 
 @dataclass
 class CertifiedValue:
-    """A numeric value together with a rigorous bound on its error."""
+    """A numeric value together with a rigorous bound on its error, and the
+    names of the caps that stopped it (SeriesEstimate.caps_hit)."""
 
     value: object
     bound: object
+    caps_hit: tuple = ()
 
 
 def _default_tol(prec: int):
@@ -52,11 +53,13 @@ def _rounding_slack(value, prec: int):
     return abs(value) * mp.ldexp(1, 12 - prec) + mp.ldexp(1, -prec)
 
 
-def _certified(V: int, err: int, W: int, prec: int) -> CertifiedValue:
+def _certified(V: int, err: int, capped: bool, W: int, prec: int) -> CertifiedValue:
     # V 2^-W within err units, rounded once to nearest at prec, which moves it
-    # by at most |V| 2^-prec <= (|V| >> prec) + 1 units; the bound rounds up
+    # by at most |V| 2^-prec <= (|V| >> prec) + 1 units; the bound rounds up.
+    # capped: some far sum met no order and took its smallest bound
     return CertifiedValue(_round_fixed(V, W, prec),
-                          _round_fixed(err + (abs(V) >> prec) + 1, W, prec, round_ceiling))
+                          _round_fixed(err + (abs(V) >> prec) + 1, W, prec, round_ceiling),
+                          ("order_cap",) if capped else ())
 
 
 def _exponent(e: Fraction, prec: int):
@@ -347,11 +350,11 @@ def _coeff_abs_sum(m: int, r: int) -> Fraction:
 
 
 @cache
-def _far_coeff(r: int) -> tuple[int, int]:
+def _far_coeff(r: int) -> tuple[int, int, float]:
     # A_r = coeff-sum(B_r)/r! of the level-1 polynomial in lowest terms, as
-    # (numerator, denominator), built once per r
+    # (numerator, denominator, its log2 in floats), built once per r
     A = Fraction(_coeff_abs_sum(1, r), factorial(r))
-    return A.numerator, A.denominator
+    return A.numerator, A.denominator, log2(A.numerator) - log2(A.denominator)
 
 
 def _cdiv(x: int, y: int) -> int:
@@ -360,20 +363,24 @@ def _cdiv(x: int, y: int) -> int:
 
 
 class _ScaledRising:
-    """U_n within err_n units of 2^W (s)_n J^-(s+n), and P_n = b^n (s)_n, s = a/b.
+    """U_n within err_n units of 2^W (s)_n J^-(s+n), P_n = b^n (s)_n, s = a/b,
+    and the powers (bJ)^r.
 
-    U_n 2^-W is |f^(n)(J)| for f = x^-s, and J b U_n/(a+(n-1)b) is
-    int_J^inf |f^(n)| in units of 2^-W. U_0 = scaled_power(s, J, W), within one
-    unit, and U_(n+1) = U_n (a+nb) // (bJ): if U_n is within err_n of x, then
-    U_n (a+nb)/(bJ) is within err_n (a+nb)/(bJ) of x (a+nb)/(bJ), and the
+    U_n 2^-W is |f^(n)(J)| for f = x^-s, the one value the far sum of order
+    k = n + 1 at J starts from (_far_bound, _em_far), so n only runs up to the
+    largest k - 1 of the tails read at J. U_0 = scaled_power(s, J, W), within
+    one unit, and U_(n+1) = U_n (a+nb) // (bJ): if U_n is within err_n of x,
+    then U_n (a+nb)/(bJ) is within err_n (a+nb)/(bJ) of x (a+nb)/(bJ), and the
     floor takes under one unit more, so err_(n+1) = ceil(err_n (a+nb)/(bJ)) + 1.
-    P_n is exact. Entries are made on demand (extend); one sequence serves
-    every tail of one estimate that starts its far sum at J.
+    P_n and (bJ)^r are exact. Entries are made on demand (extend, power); one
+    sequence serves every tail of one estimate, all of which start their far
+    sums at the one cut J.
     """
 
     def __init__(self, s: Fraction, J: int, W: int):
         self.a, self.b, self.J = s.numerator, s.denominator, J
         self.U, self.err, self.P = [scaled_power(s, J, W)], [1], [1]
+        self._powers = {}
 
     def extend(self, n: int) -> None:
         a, b, U, err, P = self.a, self.b, self.U, self.err, self.P
@@ -384,105 +391,171 @@ class _ScaledRising:
             err.append(_cdiv(err[i] * c, bJ) + 1)
             P.append(P[i] * c)
 
+    def power(self, r: int) -> int:
+        p = self._powers.get(r)
+        if p is None:
+            p = self._powers[r] = (self.b * self.J) ** r
+        return p
+
 
 _TAIL_ORDERS = range(8, 193, 8)
+_LN2 = log(2)
+_LOG2_2PI = log2(2 * pi)
+
+
+def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
+    """J0 = max(q1 + 1, 64, J_tol): where every x^-s tail of the identity of
+    level m at q1, D(q1) and each jump order's, starts its far sum.
+
+    J_tol is the least cut at which the order cap R = 192 meets each tail's
+    share of tol. D's tail sum_{j>=J} j^-t has t = s and the share tol/2; jump
+    order k's has t = s+k-1 and tol/(2n), over the n orders with a nonzero
+    jump. _far_bound's bound of order R is A_R (t)_R J^(1-t-R)/(t+R-1) <=
+    A_R (t)_R J^(1-t-R), and it must be within a quarter of the share tau.
+    With |B_i|/i! = 2 zeta(i) (2 pi)^-i <= 3.3 (2 pi)^-i for even i >= 2 and
+    B_i = 0 for odd i >= 3, A_R = sum_i |B_i|/(i! (R-i)!) <= (R+2)/(2 R!) +
+    3.3 cosh(2 pi) (2 pi)^-R < 2^10 (2 pi)^-R for even R >= 16. So R meets tau
+    at J once
+        (t+R-1) log2 J >= 12 - R log2(2 pi) + log2 (t)_R - log2 tau,
+    which floats (lgamma) solve for J. They only choose the cut; _far_bound
+    certifies every far bound at whatever cut. A tol below 2^-prec, which no
+    estimate meets (its rounding slack alone is 2^-prec), counts as 2^-prec
+    here, so tol = 0 gives a finite cut, whose far sums take their smallest
+    bounds.
+    """
+    c, _ = bernoulli.family(m)._weights("jump", r)
+    ks = [k for k in range(2, r + 1) if c[k]]
+    man, exp = mp.mpf(tol).man_exp
+    R, sf = _TAIL_ORDERS[-1], s.numerator / s.denominator
+    # 12 - R log2(2 pi) - log2 of D's share tol/2, tol at least 2^-prec
+    top = 13 - R * _LOG2_2PI - (max(exp + log2(man), -prec) if man > 0 else -prec)
+    x = (top + (lgamma(sf + R) - lgamma(sf)) / _LN2) / (sf + R - 1)
+    if ks:
+        top += log2(len(ks))
+        x = max(x, max((top + (lgamma(t + R) - lgamma(t)) / _LN2) / (t + R - 1)
+                       for t in [sf + k - 1 for k in ks]))
+    return max(q1 + 1, 64, ceil(2 ** x))
 
 
 def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:
-    """(order, bound in units of 2^-W) for the level-1 remainder of
-    sum_{j>=J} |f^(k-1)(j)|.
+    """(order, bound in units of 2^-W, met) for the level-1 remainder of
+    sum_{j>=J} |f^(k-1)(j)|; met says whether the bound meets limit.
 
-    seq holds f = x^-s at J. The bound of order r is A_r int_J^inf |f^(n)|,
-    n = k-1+r, that is A_r J b U_n/(a+(n-1)b) with the exact A_r = N/D of
-    _far_coeff; taken with U_n + err_n and rounded up, ceil(X/Y) with
-    X = N Z, Z = J b (U_n + err_n), and Y = D (a+(n-1)b), it is an upper
-    bound. limit = floor(2^W tol/4), where tol applies to
-    sum_{j>=J} j^-(s+k-1), the tail divided by (s)_(k-1) = P_(k-1)/b^(k-1):
-    an order meets it when ceil(X/Y) b^(k-1) <= limit P_(k-1), that is
+    seq holds f = x^-s at J, s = a/b, and t = s+k-1 = a'/b, a' = a+(k-1)b. The
+    bound of order r is A_r int_J^inf |f^(k-1+r)| = A_r J |f^(k-1)(J)| (t)_r
+    J^-r/(t+r-1), with the exact A_r = N/D of _far_coeff. U_(k-1) + err_(k-1)
+    is at least 2^W |f^(k-1)(J)|, and (t)_r J^-r = Q_r/(bJ)^r with the exact
+    rising product Q_r = prod_{i<r} (a'+ib), so ceil(X/Y) with
+        X = N Z Q_r, Z = J b (U_(k-1) + err_(k-1)), Y = D (bJ)^r (a'+(r-1)b)
+    is an upper bound. limit = floor(2^W tol/4), where tol applies to
+    sum_{j>=J} j^-t, the tail divided by (s)_(k-1) = P_(k-1)/b^(k-1): an
+    order meets it when ceil(X/Y) b^(k-1) <= limit P_(k-1), that is
     ceil(X/Y) <= M = floor(limit P_(k-1) / b^(k-1)), that is X <= M Y. The
-    first order in _TAIL_ORDERS that meets it is taken, with its one ceil
-    division; if none does, the smallest bound is taken, the first on ties.
+    first order in _TAIL_ORDERS that meets it is taken; if none does, the
+    smallest bound, the first on ties.
 
-    Bit lengths spare most of the multiplies and divisions. With
-    lx = bitlen(N) + bitlen(Z) and ly = bitlen(Y), 2^(lx-2) <= X < 2^lx and
-    2^(ly-1) <= Y < 2^ly. An order with lx - 2 >= bitlen(M) + ly has
-    X >= 2^(bitlen(M)+ly) > M Y, so it fails without either multiply. And
-    ceil(X/Y), at least 1, lies in (2^(e-2), 2^(max(e,-1)+1)], e = lx - ly;
-    so when none meets, an order with e >= max(min e, -1) + 3 has a bound
-    above the smallest one, and only the other orders are divided out.
+    Floats choose which orders get their exact integers: est_r = log2(X/Y),
+    from log2 of N, D and Z and lgamma, is off by far less than 1/64. An
+    order with est_r > log2 M + 1/64 fails, so only the others are checked
+    exactly, in order. When none meets, the smallest bound is at most
+    max(1, 2^(e+1)) for the least estimate e, below X/Y <= ceil(X/Y) of any
+    order with est_r > max(e + 1, 0) + 1/64, so only the others are divided
+    out. The floats steer the choice only: the bound returned is always
+    ceil(X/Y) of the order returned.
     """
-    a, b, U, err = seq.a, seq.b, seq.U, seq.err
+    a, b, J = seq.a, seq.b, seq.J
+    a1 = a + (k - 1) * b
     seq.extend(k - 1)
-    M, Jb = limit * seq.P[k - 1] // b ** (k - 1), seq.J * b
-    lm = M.bit_length()
+    Z = J * b * (seq.U[k - 1] + seq.err[k - 1])
+    M = limit * seq.P[k - 1] // b ** (k - 1)
+    lm, t, lJ = (log2(M) if M else -inf) + 1 / 64, a1 / b, log2(J)
+    base = log2(Z) - lgamma(t) / _LN2
+
+    def exact(r):
+        N, D, _ = _far_coeff(r)
+        return N * Z * prod(range(a1, a1 + r * b, b)), D * seq.power(r) * (a1 + (r - 1) * b)
+
     tried = []
     for r in _TAIL_ORDERS:
-        n = k - 1 + r
-        if n >= len(U):
-            seq.extend(n)
-        N, D = _far_coeff(r)
-        Z, Y = Jb * (U[n] + err[n]), D * (a + (n - 1) * b)
-        e = N.bit_length() + Z.bit_length() - Y.bit_length()
-        if e - 2 < lm and (X := N * Z) <= M * Y:
-            return r, _cdiv(X, Y)
-        tried.append((e, r, N, Z, Y))
-    cut = max(min(t[0] for t in tried), -1) + 3
-    return min(((r, _cdiv(N * Z, Y)) for e, r, N, Z, Y in tried if e < cut),
-               key=lambda rb: rb[1])
+        est = base + _far_coeff(r)[2] + lgamma(t + r) / _LN2 - r * lJ - log2(a1 + (r - 1) * b)
+        if est <= lm:
+            X, Y = exact(r)
+            if X <= M * Y:
+                return r, _cdiv(X, Y), True
+        tried.append((est, r))
+    top = max(min(tried)[0] + 1, 0) + 1 / 64
+    r, bound = min(((r, _cdiv(*exact(r))) for est, r in tried if est <= top),
+                   key=lambda rb: rb[1])
+    return r, bound, False
 
 
 @cache
 def _tail_row(r: int) -> tuple:
-    # (c'_1, (c_2, c_4, ..., c_r), their absolute values, e_r): the level-1
-    # weights B_i/i! = c_i/e_r that _em_far uses at order r, over their
-    # least denominator e_r, with c'_1 = c_1 + e_r for the f(J0) term;
-    # B_i = 0 for odd i >= 3, so those are left out
+    # (c'_1, (c_2, c_4, ..., c_r), e_r): the level-1 weights B_i/i! = c_i/e_r
+    # that _em_far uses at order r, over their least denominator e_r, with
+    # c'_1 = c_1 + e_r for the f(J) term; B_i = 0 for odd i >= 3, so those
+    # are left out
     c, e = bernoulli.family(1)._weights("number", r)
     g = gcd(e, c[1], *c[2:r + 1:2])
-    even = tuple(x // g for x in c[2:r + 1:2])
-    return (c[1] + e) // g, even, tuple(map(abs, even)), e // g
-
-
-def _cut(J: int, W: int) -> int:
-    # J0 = max(J, 64, W >> 3): where the far sums of every x^-s tail start.
-    # The level-1 remainder of order r at J0 is about (r/(2 pi e J0))^r times
-    # the tail, so the cut grows with the unit, as the orders are capped at 192
-    return max(J, 64, W >> 3)
+    return (c[1] + e) // g, tuple(x // g for x in c[2:r + 1:2]), e // g
 
 
 def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
-    """(V, err): sum_{j>=J0} |f^(k-1)(j)| - int_J0^inf |f^(k-1)| within err
-    units of V 2^-W, for f = x^-s and J0 = seq.J.
+    """(V, err, capped): sum_{j>=J} |f^(k-1)(j)| - int_J^inf |f^(k-1)| within
+    err units of V 2^-W, for f = x^-s and J = seq.J; capped when no order
+    met limit (_far_bound).
 
-    The level-1 rule at the order r that _far_bound picks for limit, with
-    B_i/i! = c_i/e_r from that order's module-level row (_tail_row), over
-    the least denominator e_r of its weights:
-        V = (sum_{i<=r} c'_i U_(k-2+i)) // e_r,
-    c'_1 = c_1 + e_r for the f(J0) term. B_i = 0 for odd i >= 3, so the dot
-    product runs over i = 1 and even i only. Its error is the far bound plus
-    sum|c'_i| err_(k-2+i)/e_r, rounded up, plus one for the floor. The dot
-    products over e_r are the same rationals over any common denominator of
-    the weights, so their floor and ceil give the bits that one row over the
-    lcm of all orders gives, from shorter integers (e_8 has 21 bits).
+    The level-1 rule at the order r that _far_bound picks, with B_i/i! =
+    c_i/e from that order's row (_tail_row), B_i = 0 for odd i >= 3, and
+    c'_1 = c_1 + e for the f(J) term, is
+        e V = c'_1 u_1 + sum_{i = 2, 4, ..., r} c_i u_i,  u_i = 2^W |f^(k-2+i)(J)|.
+    With t = s+k-1 = a'/b, u_i = x (t)_(i-1) J^-(i-1) for x = u_1, which
+    U_(k-1) gives within err_(k-1) units. So the even part is x a'/(bJ) H,
+    in Horner form H = c_2 + F_2/L (c_4 + F_4/L (c_6 + ... + F_(r-2)/L c_r)),
+    with the exact factors F_i/L = (t+i-1)(t+i)/J^2, F_i = (a'+(i-1)b)(a'+ib)
+    and L = (bJ)^2. In fixed point at 2^G: h_r = c_r 2^G and h_i = c_i 2^G +
+    floor(h_(i+2) F_i/L), so h_i - 2^G H_i = (h_(i+2) - 2^G H_(i+2)) F_i/L
+    - eps_i with 0 <= eps_i < 1. The floor of step i reaches h_2 times the
+    factors of the steps after it, F_2 ... F_(i-2)/L^((i-2)/2); the factors
+    grow with i, and exceed 1 once t+i > J, so of these products, one for
+    each of the n = (r-2)/2 floors, the largest is 1 or the longest,
+    g = prod_{m=1}^{r-4} (a'+mb) / (bJ)^(r-4). So h_2 is within
+    eta = ceil(n max(1, g)) of 2^G H_2, every floor counted. With
+    Hn = c'_1 bJ 2^G + a' h_2, e V is x Ht/(bJ 2^G) for an Ht within a' eta
+    of Hn, so
+        V = floor(U_(k-1) Hn / (e bJ 2^G))
+    is within (err_(k-1) |Hn| + (U_(k-1) + err_(k-1)) a' eta)/(e bJ 2^G)
+    units, rounded up, plus one for the floor, plus the far bound. G only
+    sets how tight that count is: 2^G is U_(k-1) a' eta 2^7/(e bJ) in bit
+    lengths, so the eta term is below 2^-4 units.
     """
-    r, far = _far_bound(seq, k, limit)
-    g1, g_even, g_even_abs, e = _tail_row(r)
-    U, err = seq.U, seq.err
-    # i = 1 takes U_(k-1); i = 2, 4, ..., r take U_k, U_(k+2), ..., U_(k+r-2)
-    st = g1 * U[k - 1] + sum(map(mul, g_even, U[k:k + r - 1:2]))
-    st_err = g1 * err[k - 1] + sum(map(mul, g_even_abs, err[k:k + r - 1:2]))
-    return st // e, far + _cdiv(st_err, e) + 1
+    r, far, met = _far_bound(seq, k, limit)
+    g1, g_even, e = _tail_row(r)
+    a, b = seq.a, seq.b
+    a1, X, X_err, bJ = a + (k - 1) * b, seq.U[k - 1], seq.err[k - 1], b * seq.J
+    n = (r - 2) // 2
+    eta = n  # g <= 1 when its largest factor (a'+(r-4)b)/(bJ) is
+    if a1 + (r - 4) * b > bJ:
+        eta = max(n, _cdiv(n * prod(range(a1 + b, a1 + (r - 3) * b, b)), seq.power(r - 4)))
+    G = max(0, X.bit_length() + a1.bit_length() + eta.bit_length() + 7
+            - e.bit_length() - bJ.bit_length())
+    L, h = bJ * bJ, g_even[-1] << G
+    for i in range(r - 2, 0, -2):
+        h = (g_even[i // 2 - 1] << G) + h * ((a1 + (i - 1) * b) * (a1 + i * b)) // L
+    Hn, den = (g1 * bJ << G) + a1 * h, e * bJ << G
+    err = _cdiv(X_err * abs(Hn) + (X + X_err) * a1 * eta, den)
+    return X * Hn // den, far + err + 1, not met
 
 
-def _power_tails(s: Fraction, ks, J: int, tol, W: int, seq=None) -> list[tuple]:
-    """[(T, err)]: sum_{j>=J} |f^(k-1)(j)| within err units of T 2^-W, for
-    each k in ks and f = x^-s.
+def _power_tails(s: Fraction, ks, J: int, J0: int, tol, W: int, seq=None) -> list[tuple]:
+    """[(T, err, capped)]: sum_{j>=J} |f^(k-1)(j)| within err units of T 2^-W,
+    for each k in ks and f = x^-s, cut at J0 >= J; capped as _em_far's.
 
     That is (s)_(k-1) sum_{j>=J} j^-(s+k-1), each with t = s+k-1 > 1; tol
-    applies to the sum without the (s)_(k-1). All tails share J0 = _cut(J, W),
-    the near block J <= j < J0 (_power_sums, within J0 - J units) and one
-    _ScaledRising sequence U_n at J0, s = a/b. Each tail is the near block,
-    the integral int_J0^inf |f^(k-1)| = J0 b U_(k-1)/(a+(k-2)b) and the
+    applies to the sum without the (s)_(k-1). All tails share the near block
+    J <= j < J0 (_power_sums, within J0 - J units) and one _ScaledRising at
+    J0, s = a/b, read up to U_(max k - 1). Each tail is the near block, the
+    integral int_J0^inf |f^(k-1)| = J0 b U_(k-1)/(a+(k-2)b) and the
     Euler-Maclaurin sum of _em_far:
         T = P_(k-1) near // b^(k-1) + J0 b U_(k-1) // (a+(k-2)b) + V,
     within (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b), rounded up, plus
@@ -490,64 +563,66 @@ def _power_tails(s: Fraction, ks, J: int, tol, W: int, seq=None) -> list[tuple]:
     sequence at J0, shared with its other tails.
     """
     a, b = s.numerator, s.denominator
-    J0 = _cut(J, W)
     near = _power_sums(s, range(J, J0), ks, W)
     seq = seq or _ScaledRising(s, J0, W)
+    seq.extend(max(ks) - 1)
     limit = int(mp.ldexp(tol, W - 2))
     out = []
     for k in ks:
-        V, V_err = _em_far(seq, k, limit)
+        V, V_err, capped = _em_far(seq, k, limit)
         P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
         T = P * near[k] // bk + J0 * b * seq.U[k - 1] // d + V
-        out.append((T, V_err + _cdiv(P * (J0 - J), bk) + _cdiv(J0 * b * seq.err[k - 1], d) + 2))
+        err = V_err + _cdiv(P * (J0 - J), bk) + _cdiv(J0 * b * seq.err[k - 1], d) + 2
+        out.append((T, err, capped))
     return out
 
 
-def _regularized_tail(s: Fraction, J: int, tol, W: int, seq=None) -> tuple:
-    """(V, err): D(J) = sum_{j>=J} j^-s - int_J^inf x^-s within err units of
-    V 2^-W; finite at s = 1 too.
+def _regularized_tail(s: Fraction, J: int, J0: int, tol, W: int, seq=None) -> tuple:
+    """(V, err, capped): D(J) = sum_{j>=J} j^-s - int_J^inf x^-s within err
+    units of V 2^-W, cut at J0 >= J; finite at s = 1 too.
 
-    With J0 = _cut(J, W), D(J) is the near block J <= j < J0 (_power_sums,
-    within J0 - J units), minus int_J^J0 x^-s, plus _em_far's level-1 sum at
-    J0 for k = 1, whose far bound is certified to tol. The integral
-    (J^(1-s) - J0^(1-s))/(s-1), s - 1 = u/v, is a difference of two
-    scaled_power(s-1, .), times v floor-divided by u: within 2v/u + 1 units.
-    For s = 1 it is mp.log at W + 16 bits, whose error is mpmath's: at 16
-    units in the last place of each log it is below bitlen(J0) 2^-8 units,
-    and 1 + bitlen(J0) are counted. seq, when given, is the caller's
-    sequence at J0, shared with its other tails.
+    D(J) is the near block J <= j < J0 (_power_sums, within J0 - J units),
+    minus int_J^J0 x^-s, plus _em_far's level-1 sum at J0 for k = 1, whose
+    far bound is certified to tol. The integral (J^(1-s) - J0^(1-s))/(s-1),
+    s - 1 = u/v, is a difference of two scaled_power(s-1, .), times v
+    floor-divided by u: within 2v/u + 1 units. For s = 1 it is mp.log at
+    W + 16 bits, whose error is mpmath's: at 16 units in the last place of
+    each log it is below bitlen(J0) 2^-8 units, and 1 + bitlen(J0) are
+    counted. seq, when given, is the caller's sequence at J0, shared with
+    its other tails.
     """
-    J0 = _cut(J, W)
     near = _power_sums(s, range(J, J0), [1], W)[1]
-    far, far_err = _em_far(seq or _ScaledRising(s, J0, W), 1, int(mp.ldexp(tol, W - 2)))
+    far, far_err, capped = _em_far(seq or _ScaledRising(s, J0, W), 1, int(mp.ldexp(tol, W - 2)))
     if s == 1:
         with mp.workprec(W + 16):
             integral = int(mp.nint(mp.ldexp(mp.log(J0) - mp.log(J), W)))
-        return near - integral + far, J0 - J + 1 + J0.bit_length() + far_err
+        return near - integral + far, J0 - J + 1 + J0.bit_length() + far_err, capped
     u, v = (s - 1).numerator, (s - 1).denominator
     integral = (scaled_power(s - 1, J, W) - scaled_power(s - 1, J0, W)) * v // u
-    return near - integral + far, J0 - J + _cdiv(2 * v, u) + 1 + far_err
+    return near - integral + far, J0 - J + _cdiv(2 * v, u) + 1 + far_err, capped
 
 
-def _jump_tail(s: Fraction, m: int, orders, J: int, tol, W: int, seq=None) -> tuple:
-    """(V, err): sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for f = x^-s,
-    within err units of V 2^-W.
+def _jump_tail(s: Fraction, m: int, orders, J: int, J0: int, tol, W: int, seq=None) -> tuple:
+    """(V, err, capped): sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for
+    f = x^-s, within err units of V 2^-W, cut at J0; capped if any order's
+    far sum is.
 
     w_k are the jump weights of rho, (B_k(1)-B_k)/(m! k!) = c_k/e from the
     level's integer table, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|, so an
     order adds w_k times its tail of |f^(k-1)|. The orders with a nonzero jump
-    take those tails from one _power_tails call at the same J, each certified
-    to an equal share of tol, on seq if given; V = (sum_k c_k T_k) // e,
-    within sum |c_k| err_k / e units, rounded up, plus one for the floor. With
-    no such order (level 1, or r = 1) the sum is exactly 0.
+    take those tails from one _power_tails call at the same J and J0, each
+    certified to an equal share of tol, on seq if given; V = (sum_k c_k T_k)
+    // e, within sum |c_k| err_k / e units, rounded up, plus one for the
+    floor. With no such order (level 1, or r = 1) the sum is exactly 0.
     """
     c, e = bernoulli.family(m)._weights("jump", max(orders, default=0))
     ks = [k for k in orders if c[k]]
     if not ks:
-        return 0, 0
-    tails = _power_tails(s, ks, J, tol / len(ks), W, seq)
-    V = sum(c[k] * T for k, (T, _) in zip(ks, tails)) // e
-    return V, _cdiv(sum(abs(c[k]) * n for k, (_, n) in zip(ks, tails)), e) + 1
+        return 0, 0, False
+    tails = _power_tails(s, ks, J, J0, tol / len(ks), W, seq)
+    V = sum(c[k] * T for k, (T, _, _) in zip(ks, tails)) // e
+    err = _cdiv(sum(abs(c[k]) * n for k, (_, n, _) in zip(ks, tails)), e) + 1
+    return V, err, any(capped for *_, capped in tails)
 
 
 def _tail_unit(s: Fraction, r: int, q1: int, prec: int) -> int:
@@ -561,8 +636,9 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
              tol=None, prec: int = DEFAULT_PRECISION) -> CertifiedValue:
     """e_r(q1) = rho(q1, infinity), with a certified error bound.
 
-    Power stacks reduce to certified power tail sums (_jump_tail), one
-    integer in units of 2^-W, W = _tail_unit(s, r, q1, prec), rounded once.
+    Power stacks reduce to certified power tail sums (_jump_tail) cut at
+    _cut(s, m, r, q1, tol, prec), the cut of the estimate at q1, one integer
+    in units of 2^-W, W = _tail_unit(s, r, q1, prec), rounded once.
     Generic stacks take the block rho(q1, J) directly, up to the first J whose
     decreasing-envelope integral-test bound meets tol, and need abs_deriv_tail
     for every order below r.
@@ -577,8 +653,8 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
         if not any(c[k] for k in orders):
             return CertifiedValue(mp.mpf(0), mp.mpf(0))
         if isinstance(fs, PowerFunction):
-            W = _tail_unit(fs.s, r, q1, prec)
-            return _certified(*_jump_tail(fs.s, m, orders, q1 + 1, tol / 2, W), W, prec)
+            W, J0 = _tail_unit(fs.s, r, q1, prec), _cut(fs.s, m, r, q1, tol, prec)
+            return _certified(*_jump_tail(fs.s, m, orders, q1 + 1, J0, tol / 2, W), W, prec)
         # generic: direct summation with an integral-test envelope
         if fs.abs_deriv_tail is None:
             raise TailNotCertifiableError("tail not certifiable")
@@ -595,8 +671,9 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
         J = q1 + 1
         while J - q1 <= 200000 and envelope(J) > tol:
             J += 1
-        total = rho(fs, m, r, q1, J, prec)
-        return CertifiedValue(total, +(envelope(J) + _rounding_slack(total, prec)))
+        total, env = rho(fs, m, r, q1, J, prec), envelope(J)
+        return CertifiedValue(total, +(env + _rounding_slack(total, prec)),
+                              ("rho_terms",) if env > tol else ())
 
 
 def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
@@ -629,25 +706,23 @@ def _power_identity_tails(fs: PowerFunction, m: int, r: int, q1: int, tol,
     coefficients Ct_k/Dn (PowerFunction._sigma_ints) on _power_sums at q1,
     within 1 + sum|Ct_k|/Dn units, rounded up, and one more for the floor.
     The three are integers in units of 2^-W, W = _tail_unit(s, r, q1, prec)
-    as in rho_tail. e_r(q1) is summed once for both tails and rounded on its
-    own, exactly 0 with bound 0 when no order has a jump; delta_r(q1) is
-    rounded once from the sum (_certified). When D's far sum and e's start
-    at the same cut, _cut(q1, W) = _cut(q1 + 1, W), one _ScaledRising there
-    serves D and every jump order.
+    as in rho_tail, and D and every jump order start their far sums at the
+    one cut J0 = _cut(s, m, r, q1, tol, prec), from one _ScaledRising there.
+    e_r(q1) is summed once for both tails and rounded on its own, exactly 0
+    with bound 0 when no order has a jump; delta_r(q1) is rounded once from
+    the sum (_certified), and carries the caps of both.
     """
     s, W, orders = fs.s, _tail_unit(fs.s, r, q1, prec), range(1, r + 1)
     ctil, _, Dn = fs._sigma_ints(m, r)
     at_q1 = _power_sums(s, [q1], orders, W)
     st = at_q1[1] + sum(c * at_q1[k] for k, c in zip(orders, ctil)) // Dn
     st_err = 2 + _cdiv(sum(map(abs, ctil)), Dn)
-    J0 = _cut(q1 + 1, W)
-    seq = _ScaledRising(s, J0, W) if _cut(q1, W) == J0 else None
-    e, e_err = _jump_tail(s, m, orders[1:], q1 + 1, tol / 2, W, seq)
-    d, d_err = _regularized_tail(s, q1, tol / 2, W, seq)
-    c, _ = bernoulli.family(m)._weights("jump", r)
-    jumps = any(c[k] for k in orders[1:])
-    e_cv = _certified(e, e_err, W, prec) if jumps else CertifiedValue(mp.mpf(0), mp.mpf(0))
-    return e_cv, _certified(st - e - d, st_err + e_err + d_err, W, prec)
+    J0 = _cut(s, m, r, q1, tol, prec)
+    seq = _ScaledRising(s, J0, W)
+    e, e_err, e_cap = _jump_tail(s, m, orders[1:], q1 + 1, J0, tol / 2, W, seq)
+    d, d_err, d_cap = _regularized_tail(s, q1, J0, tol / 2, W, seq)
+    e_cv = _certified(e, e_err, e_cap, W, prec) if e_err else CertifiedValue(mp.mpf(0), mp.mpf(0))
+    return e_cv, _certified(st - e - d, st_err + e_err + d_err, e_cap or d_cap, W, prec)
 
 
 def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
@@ -681,12 +756,14 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
             return coef * fs.abs_deriv_tail(r, Q, prec)
 
         if fs.exact_integral is None or fs.abs_deriv_integral is None:
-            return CertifiedValue(mp.mpf(0), +(tail_bound(q1) + _rounding_slack(0, prec)))
+            return CertifiedValue(mp.mpf(0), +(tail_bound(q1) + _rounding_slack(0, prec)),
+                                  ("abs_deriv_tail_only",))
         Q = q1
         while tail_bound(Q) > tol and Q - q1 < 4096:
             Q += 16
-        total = remainder_R(fs, m, r, q1, Q, prec)
-        return CertifiedValue(+total, +(tail_bound(Q) + _rounding_slack(total, prec)))
+        total, far = remainder_R(fs, m, r, q1, Q, prec), tail_bound(Q)
+        return CertifiedValue(+total, +(far + _rounding_slack(total, prec)),
+                              ("delta_cells",) if far > tol else ())
 
 
 def finite_identity_residual(fs: FunctionStack, m: int, r: int, p: int, n: int,
@@ -715,7 +792,13 @@ class SeriesEstimate:
     """Estimate of S(inf) with its components and certified error bound.
 
     tol is the tolerance the tails were asked for, and tol_met says whether
-    error_bound is within it; neither is part of as_dict.
+    error_bound is within it. caps_hit names each cap that stopped a tail,
+    once: "order_cap" (an x^-s far sum met no order up to 192 within its
+    share of tol and took its smallest bound), "rho_terms" (generic rho_tail
+    summed its 200000 terms), "delta_cells" (generic delta_tail stepped its
+    4096 cells) and "abs_deriv_tail_only" (generic delta_tail on a stack with
+    abs_deriv_tail but no integrals, whose bound is the whole tail's). None
+    of the three is part of as_dict.
     """
 
     value: object
@@ -723,6 +806,7 @@ class SeriesEstimate:
     error_bound: object
     tol: object
     tol_met: bool
+    caps_hit: tuple = ()
 
     def as_dict(self, digits: int = 30) -> dict:
         out = {"value": decimal_str(self.value, digits)}
@@ -767,6 +851,7 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
             error_bound=bound,
             tol=tol,
             tol_met=bound <= tol,
+            caps_hit=tuple(dict.fromkeys(e.caps_hit + d.caps_hit)),
         )
 
 

@@ -184,13 +184,19 @@ def test_sigma_infinity(pf3):
     assert sigma_infinity(pf3, 5, 2, P) == 0
 
 
+def _cut_at(t, J, tol, prec):
+    # the cut of a lone tail sum_{j>=J} j^-t: D's at q1 = J - 1 at level 1
+    return series._cut(t, 1, 1, J - 1, tol, prec)
+
+
 def _power_tail_sum(t, J, prec, tol=None):
     # sum_{j>=J} j^-t: the k = 1 tail of the batched power tails, rounded once
     with mp.workprec(prec):
         if tol is None:
             tol = series._default_tol(prec)
         W = prec + 64 + J.bit_length()
-        return series._certified(*series._power_tails(t, [1], J, tol, W)[0], W, prec)
+        tail = series._power_tails(t, [1], J, _cut_at(t, J, tol, prec), tol, W)[0]
+        return series._certified(*tail, W, prec)
 
 
 def test_power_tail_sum_certified():
@@ -204,8 +210,8 @@ def test_power_tail_sum_certified():
         cv = _power_tail_sum(F(4), 21, 300)
         assert abs(cv.value - brute) <= mp.mpf("1e-13")
     # non-integer and integer exponents; J < 64 exercises the direct terms.
-    # tol = 0 makes every order scan fall back to its smallest bound, and
-    # 10001/10000 takes scaled_power's mpf route
+    # tol = 0 makes every order scan fall back to its smallest bound at a
+    # finite cut, and 10001/10000 takes scaled_power's mpf route
     for prec in (256, 1024):
         for t, tol in ((F(3, 2), None), (F(7, 2), None), (F(5, 3), None), (F(2), None),
                        (F(5), None), (F(3, 2), 0), (F(5), 0), (F(10001, 10000), None)):
@@ -252,100 +258,93 @@ def test_power_tails_near_block_to_order_40():
     ks = range(1, 41)
     for J in (1, 2, 63):
         with mp.workprec(prec):
-            W = prec + 64 + J.bit_length()
-            tails = [series._certified(T, err, W, prec)
-                     for T, err in series._power_tails(s, ks, J, series._default_tol(prec), W)]
+            W, tol = prec + 64 + J.bit_length(), series._default_tol(prec)
+            tails = [series._certified(*tail, W, prec)
+                     for tail in series._power_tails(s, ks, J, _cut_at(s, J, tol, prec), tol, W)]
         with mp.workprec(prec + 64):
             for k, cv in zip(ks, tails):
                 ref = to_mpf(pf.pochhammer(k - 1), prec + 64) * mp.zeta(mp.mpf(1) / 2 + k, J)
                 assert abs(cv.value - ref) <= cv.bound, (J, k)
 
 
-def _power_tails_reference(s, ks, J, tol, W):
-    # the one-row route: every order's dot product over the one denominator e
-    # of the level-1 weights B_i/i! = c_i/e for i up to the top tail order,
-    # c'_1 = c_1 + e
+def _power_tails_reference(s, ks, J, J0, tol, W):
+    # the one-row route in exact rationals, from the same integers (near
+    # block, U_(k-1) and the order _far_bound picks): every order's far sum
+    # sum_{i<=r} c'_i u_i over the one denominator e of the level-1 weights
+    # B_i/i! = c_i/e for i up to the top order, c'_1 = c_1 + e, with
+    # u_i = U_(k-1) (t)_(i-1) J0^-(i-1) = U_(k-1) Q_(i-1)/(b J0)^(i-1) exact;
+    # [(T, far bound)] with T a Fraction
     top = series._TAIL_ORDERS[-1]
     c, e = bernoulli.family(1)._weights("number", top)
-    g1, g_even = c[1] + e, c[2:top + 1:2]
-    g_even_abs = tuple(map(abs, g_even))
     a, b = s.numerator, s.denominator
-    J0 = max(J, 64, W >> 3)
     near = series._power_sums(s, range(J, J0), ks, W)
     seq = series._ScaledRising(s, J0, W)
-    U, err, limit = seq.U, seq.err, int(mp.ldexp(tol, W - 2))
+    limit, L = int(mp.ldexp(tol, W - 2)), b * J0
     out = []
     for k in ks:
-        r, far = series._far_bound(seq, k, limit)
+        seq.extend(k - 1)
+        r, far, _ = series._far_bound(seq, k, limit)
+        a1, X = a + (k - 1) * b, seq.U[k - 1]
+        num, Q = 0, 1
+        for i in range(1, r + 1):
+            num = num * L + (c[i] + (e if i == 1 else 0)) * Q
+            Q *= a1 + (i - 1) * b
         P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
-        st = g1 * U[k - 1] + sum(x * u for x, u in zip(g_even, U[k:k + r - 1:2]))
-        st_err = g1 * err[k - 1] + sum(x * u for x, u in zip(g_even_abs, err[k:k + r - 1:2]))
-        T = P * near[k] // bk + J0 * b * U[k - 1] // d + st // e
-        out.append((T, far + -(-P * (J0 - J) // bk) + -(-J0 * b * err[k - 1] // d)
-                    + -(-st_err // e) + 3))
+        T = P * near[k] // bk + J0 * b * X // d + Fraction(X * num, e * L ** (r - 1))
+        out.append((T, far))
     return out
 
 
 @pytest.mark.parametrize("W", [320, 1088])
 @pytest.mark.parametrize("s", [F(3, 2), F(5, 3), F(3), F(10001, 10000), F(21)])
 def test_power_tails_match_one_row_reference(s, W):
-    # each order's own least row gives the bits of the one row over the lcm
-    # of all orders: st_r/e_r and st/e are the same rationals. tol = 0 makes
-    # every order scan fall back to its smallest bound, up to order 192
+    # the Horner far sums against the exact one-row dot product from the same
+    # integers: within 2 units (the last floor, and the Horner floors that 2^G
+    # puts near 2^-4 units), and within each tail's error count less its far
+    # bound. tol = 0 makes every order scan fall back to its smallest bound,
+    # up to order 192, where the factors (t+i-1)(t+i)/J0^2 exceed 1 at J0 = 64
     ks = range(1, 101)
     for tol in (series._default_tol(W - 64), 0):
         for J in (1, 2, 63, 64, 165, 613):
-            assert (series._power_tails(s, ks, J, tol, W)
-                    == _power_tails_reference(s, ks, J, tol, W)), (J, tol)
+            J0 = max(J, 64)
+            got = series._power_tails(s, ks, J, J0, tol, W)
+            ref = _power_tails_reference(s, ks, J, J0, tol, W)
+            for k, (T, err, _), (T_ref, far) in zip(ks, got, ref):
+                assert abs(T - T_ref) < 2 and abs(T - T_ref) <= err - far, (J, tol, k)
 
 
 def test_tail_rows_are_exact_and_least():
     # row r holds c'_1 and the even c_i, i <= r, over the least denominator
     # e_r of the level-1 weights B_i/i!, with c'_1/e_r = B_1 + 1 = 1/2
     for r in series._TAIL_ORDERS:
-        g1, even, even_abs, e = series._tail_row(r)
+        g1, even, e = series._tail_row(r)
         assert F(g1, e) == F(1, 2)
         assert [F(x, e) for x in even] == [bernoulli.family(1).number(i) / factorial(i)
                                            for i in range(2, r + 1, 2)]
-        assert even_abs == tuple(map(abs, even))
         assert math.gcd(e, g1, *even) == 1, r
-    assert series._tail_row(8)[3] == 1209600  # 8!/(-B_8) = 8!/(1/30)
-
-
-def _float_far_bound_reference(pf, J, tol, prec):
-    # the per-exponent order choice in mpf: one fractional power of J per
-    # order tried, orders 8, 16, ..., 192 of the level-1 rule
-    best = None
-    for r in range(8, 193, 8):
-        c = Fraction(series._coeff_abs_sum(1, r), factorial(r)) * pf.pochhammer(r) / (pf.s + r - 1)
-        bound = to_mpf(c, prec) * pf._pow(J, 1 - pf.s - r)
-        if best is None or bound < best[1]:
-            best = (r, bound)
-        if bound <= tol / 4:
-            break
-    return best
+    assert series._tail_row(8)[2] == 1209600  # 8!/(-B_8) = 8!/(1/30)
 
 
 def _far_bound_reference(seq, k, limit):
-    # the divide-every-order loop: each order's bound A_r J b (U_n + err_n) /
-    # (a + (n-1) b) with the exact Fraction A_r of the level-1 rule, rounded
-    # up, and compared as bound b^(k-1) <= limit P_(k-1); the first order
-    # that meets it, else the smallest bound, the first on ties
-    a, b, U, err = seq.a, seq.b, seq.U, seq.err
+    # the divide-every-order loop in exact rationals: each order's bound
+    # A_r J (U_(k-1) + err_(k-1)) (t)_r J^-r / (t+r-1), t = s+k-1, with A_r
+    # from _far_coeff, rounded up, and compared as bound b^(k-1) <= limit
+    # P_(k-1); the first order that meets it, else the smallest bound, the
+    # first on ties; (order, bound, met)
+    a, b, J = seq.a, seq.b, seq.J
     seq.extend(k - 1)
+    t, x = F(a, b) + k - 1, seq.U[k - 1] + seq.err[k - 1]
     lim, scale = limit * seq.P[k - 1], b ** (k - 1)
     best = None
     for r in series._TAIL_ORDERS:
-        n = k - 1 + r
-        seq.extend(n)
-        A = Fraction(series._coeff_abs_sum(1, r), factorial(r))
-        bound = -(-A.numerator * seq.J * b * (U[n] + err[n])
-                  // (A.denominator * (a + (n - 1) * b)))
+        N, D, _ = series._far_coeff(r)
+        rising = F(math.prod(range(a + (k - 1) * b, a + (k - 1 + r) * b, b)), b ** r)
+        bound = math.ceil(F(N, D) * x * rising / J ** (r - 1) / (t + r - 1))
         if best is None or bound < best[1]:
             best = (r, bound)
         if bound * scale <= lim:
-            break
-    return best
+            return r, bound, True
+    return best + (False,)
 
 
 def _far_bound_cases():
@@ -355,111 +354,73 @@ def _far_bound_cases():
             yield s, k
 
 
+def _pin_orders(monkeypatch, seq, k, targets):
+    # give each order r of _far_bound at (seq, k) the unrounded bound X/Y =
+    # targets[r], and every other order 2^4000, through _far_coeff's N/D and
+    # its log2
+    a1, b, J = seq.a + (k - 1) * seq.b, seq.b, seq.J
+    seq.extend(k - 1)
+    Z = J * b * (seq.U[k - 1] + seq.err[k - 1])
+
+    def coeff(r):
+        x = F(targets.get(r, 2 ** 4000))
+        N = x.numerator * (b * J) ** r * (a1 + (r - 1) * b)
+        D = x.denominator * Z * math.prod(range(a1, a1 + r * b, b))
+        return N, D, math.log2(N) - math.log2(D)
+
+    monkeypatch.setattr(series, "_far_coeff", coeff)
+
+
+def _pinned_far_bound_cases():
+    # (targets, limit, (order, bound, met)) at the edges of _far_bound's
+    # float pre-selection: bounds equal to the limit, a hair above it, ties
+    # below 1, and a least bound at an order whose estimate is not the least
+    L = 1 << 100
+    yield {8: L << 100, 16: L << 50, 24: F(L)}, L, (24, L, True)
+    yield {8: L << 100, 16: L << 50, 24: F(L)}, L - 1, (24, L, False)
+    yield {24: L + F(1, 1 << 40)}, L, (24, L + 1, False)
+    yield {24: L + F(1, 1 << 40), 32: F(L - 5)}, L, (32, L - 5, True)
+    yield {r: F(1, 1 << (r + 1)) for r in series._TAIL_ORDERS}, 0, (8, 1, False)
+    yield {8: F(11, 2), 16: F(39, 10), 24: F(16, 5)}, 0, (16, 4, False)
+
+
 @pytest.mark.parametrize("W", [320, 1088])
-def test_far_bound_matches_divide_every_order_reference(W):
-    # the same (order, bound) as the loop that divides for every order tried,
+def test_far_bound_matches_divide_every_order_reference(W, monkeypatch):
+    # the same (order, bound, met) as the loop that divides for every order,
     # at limit 0 (no order meets), a limit the first order meets, and the
     # estimator's own floor(2^W tol/4), which some orders meet late and some
-    # not at all
+    # not at all; then with _far_coeff pinned at the edges of the float
+    # pre-selection
     rules = set()
     for s, k in _far_bound_cases():
         for J in (64, 613):
             huge = 1 << (W + 64)
             for limit in (0, huge, int(mp.ldexp(series._default_tol(W - 64), W - 2))):
                 ref = _far_bound_reference(series._ScaledRising(s, J, W), k, limit)
-                seq = series._ScaledRising(s, J, W)
-                assert series._far_bound(seq, k, limit) == ref, (s, k, J, limit)
-                meets = ref[1] * s.denominator ** (k - 1) <= limit * seq.P[k - 1]
-                rule = "none" if not meets else "first" if ref[0] == 8 else "later"
+                assert series._far_bound(series._ScaledRising(s, J, W), k, limit) == ref, (s, k, J)
+                rule = "none" if not ref[2] else "first" if ref[0] == 8 else "later"
                 assert rule == {0: "none", huge: "first"}.get(limit, rule)
                 rules.add(rule)
     assert rules == {"none", "first", "later"}
-    for seq, limit, expected in _pinned_far_bound_cases(W):
-        ref = _far_bound_reference(seq, 1, limit)
-        assert ref == expected
-        assert series._far_bound(seq, 1, limit) == ref
+    for targets, limit, expected in _pinned_far_bound_cases():
+        seq = series._ScaledRising(F(3, 2), 64, W)
+        _pin_orders(monkeypatch, seq, 1, targets)
+        assert _far_bound_reference(seq, 1, limit) == expected
+        assert series._far_bound(seq, 1, limit) == expected
 
 
-def _order_estimate(seq, r):
-    # (e, X, Y) of order r at k = 1, level 1, as _far_bound sees them:
-    # X = N Z, Z = J b (U_r + err_r), Y = D (a + (r-1) b), e = lx - ly
-    seq.extend(r)
-    N, D = series._far_coeff(r)
-    Z, Y = seq.J * seq.b * (seq.U[r] + seq.err[r]), D * (seq.a + (r - 1) * seq.b)
-    return N.bit_length() + Z.bit_length() - Y.bit_length(), N * Z, Y
-
-
-def _pin_z(seq, r, t):
-    # set U_r so that Z = J b t, and return the order's (e, X, Y)
-    seq.extend(r)
-    seq.U[r] = t - seq.err[r]
-    return _order_estimate(seq, r)
-
-
-def _pinned_far_bound_cases(W):
-    # (seq, limit, (order, bound)) at k = 1, level 1, s = 3/2, where the bit
-    # length tests of _far_bound sit at their edges
-    s = F(3, 2)
-    if W == 320:
-        # none meets limit 0 from J = 613, and the bounds of orders 48 to 192
-        # all round up to 1, with estimates e far below -1: the -1 floor of the
-        # cut keeps order 48, the first of the ties
-        seq = series._ScaledRising(s, 613, W)
-        assert max(_order_estimate(seq, r)[0] for r in range(48, 193, 8)) < -40
-        yield seq, 0, (48, 1)
-    # none meets limit 0, and the smallest bound, of order 40, has the estimate
-    # e = min e + 2 >= 1: order 96 has the least e, with a bound near the top
-    # of its range, order 40 e two above it, with a bound near the bottom;
-    # every other order up to 192 has e of 500 or more
-    seq = series._ScaledRising(s, 64, W)
-    for r in series._TAIL_ORDERS:
-        _pin_z(seq, r, 1 << 1000)
-    e96, X96, Y96 = _pin_z(seq, 96, (1 << 260) - 1)
-    i = next(i for i in range(400) if _pin_z(seq, 40, 1 << i)[0] == e96 + 2)
-    e40, X40, Y40 = _pin_z(seq, 40, 1 << i)
-    assert e96 >= -1 and -(-X40 // Y40) < -(-X96 // Y96)
-    assert min(_order_estimate(seq, r)[0] for r in series._TAIL_ORDERS if r not in (40, 96)) >= 500
-    yield seq, 0, (40, -(-X40 // Y40))
-    # order 24 meets its limit ceil(X/Y) with bitlen(X) = lx - 1 =
-    # bitlen(M) + ly, the first length at which a pre-test may not skip it;
-    # orders 8 and 16 are far above it
-    seq = series._ScaledRising(s, 64, W)
-    for r in (8, 16):
-        _pin_z(seq, r, 1 << 600)
-    e, X, Y = _pin_z(seq, 24, 1 << 300)
-    limit = -(-X // Y)
-    assert X.bit_length() == e + Y.bit_length() - 1 and limit.bit_length() == e - 1
-    yield seq, limit, (24, limit)
-
-
-def test_far_bound_meets_a_limit_equal_to_its_bound():
-    # an order whose bound is exactly the limit meets it: U_8 is set so that
-    # the unrounded bound X/Y of order 8 (k = 1, level 1) is the integer limit
-    s, J, W = F(3, 2), 64, 320
-    N, D = series._far_coeff(8)
-    t = 1 << 200
-    limit = N * J * s.denominator * t
-    for far_bound in (_far_bound_reference, series._far_bound):
-        seq = series._ScaledRising(s, J, W)
-        seq.extend(8)
-        seq.U[8] = D * (s.numerator + 7 * s.denominator) * t - seq.err[8]
-        assert far_bound(seq, 1, limit) == (8, limit)
-        assert far_bound(seq, 1, limit - 1)[0] != 8
-
-
-def _power_tail_reference(t, J, tol, prec):
-    # one exponent at a time: a fresh PowerFunction(t) and the generic sigma~,
-    # cut at J0 = max(J, 64, W >> 3) for the unit W = prec + 64 + bitlen(J)
-    # of _rounded_jump_tail; (value, far bound, rounding slack of the value)
-    J0 = max(J, 64, (prec + 64 + J.bit_length()) >> 3)
-    pf = PowerFunction(t, prec)
-    direct = mp.mpf(0)
-    for j in range(J, J0):
-        direct += pf._pow(j, -t)
-    r, far = _float_far_bound_reference(pf, J0, tol, prec)
-    integral = pf._pow(J0, 1 - t) / to_mpf(t - 1, prec)
-    value = direct + integral + sigma_tilde(pf, 1, r, J0, prec)
-    return value, far, series._rounding_slack(value, prec)
+def test_far_bound_meets_a_limit_equal_to_its_bound(monkeypatch):
+    # an order whose unrounded bound X/Y is exactly the integer limit meets
+    # it, at k = 1 and k = 3; one unit less and it does not
+    for k in (1, 3):
+        seq = series._ScaledRising(F(3, 2), 64, 320)
+        seq.extend(k - 1)
+        limit = 1 << 200
+        M = limit * seq.P[k - 1] // seq.b ** (k - 1)  # exact: P_2/b^2 = 15/4
+        _pin_orders(monkeypatch, seq, k, {8: F(M)})
+        for far_bound in (_far_bound_reference, series._far_bound):
+            assert far_bound(seq, k, limit) == (8, M, True)
+            assert far_bound(seq, k, limit - 1)[2] is False
 
 
 def _jump_weights(m, orders):
@@ -470,59 +431,60 @@ def _jump_weights(m, orders):
     return [(k, c) for k, c in weights if c]
 
 
-def _jump_tail_reference(pf, m, orders, J, tol, prec):
-    # (value, bound, summed far bounds) of the per-exponent route, each tail
-    # certified to an equal share of tol under the float rounding slack
-    weights = _jump_weights(m, orders)
-    per = tol / max(len(weights), 1)
-    total = bound = far_sum = mp.mpf(0)
-    for k, c in weights:
-        cf = to_mpf(c * (-1) ** (k - 1) * pf.pochhammer(k - 1), prec)
-        value, far, slack = _power_tail_reference(pf.s + k - 1, J, per, prec)
-        total += cf * value
-        bound += abs(cf) * (far + slack)
-        far_sum += abs(cf) * far
-    return total, bound, far_sum
+def _hurwitz(t, J, wp):
+    # zeta(t, J) to wp bits relative: mpmath's error is absolute, near 2^-p
+    # at working precision p, so p takes the J^-t scale of the value too
+    p = wp + math.ceil(t * math.log2(J))
+    with mp.workprec(p):
+        return mp.zeta(to_mpf(t, p), J)
 
 
-def _rounded_jump_tail(s, m, orders, J, tol, prec):
+def _jump_tail_hurwitz(s, m, orders, J, wp):
+    # sum_k (B_k(1)-B_k)/(m! k!) (s)_(k-1) zeta(s+k-1, J): the per-exponent
+    # route through mpmath's Hurwitz zeta at wp bits
+    pf, fam = PowerFunction(s, wp), bernoulli.family(m)
+    terms = [(F(fam.jump(k), factorial(m) * factorial(k)) * pf.pochhammer(k - 1), s + k - 1)
+             for k in orders]
+    with mp.workprec(wp):
+        return mp.fsum(to_mpf(w, wp) * _hurwitz(t, J, wp) for w, t in terms)
+
+
+def _rounded_jump_tail(s, m, orders, J, J0, tol, prec):
     # the batched jump tail as rho_tail takes it: one integer, rounded once
     W = prec + 64 + J.bit_length()
-    return series._certified(*series._jump_tail(s, m, orders, J, tol, W), W, prec)
-
-
-def _assert_matches_reference(got, reference, prec):
-    # the far bounds dominate, so a bound between the reference's summed far
-    # bounds and its far-plus-slack bound is what the same orders give; the
-    # fixed-point tails stay within the reference's rounding slack
-    value, bound, far_sum = reference
-    assert far_sum <= got.bound <= bound
-    assert abs(got.value - value) <= series._rounding_slack(value, prec)
+    return series._certified(*series._jump_tail(s, m, orders, J, J0, tol, W), W, prec)
 
 
 @pytest.mark.parametrize("prec", [256, 1024])
 @pytest.mark.parametrize("s", [F(3, 2), F(2), F(3), F(7, 2), F(5)])
 def test_batched_jump_tail_matches_per_exponent_route(s, prec):
-    pf = PowerFunction(s, prec)
+    # the 39 orders 2 to 40 of level 2 from J = 2, 21, 165, cut as rho_tail
+    # cuts them at q1 = J - 1, within their bound of the per-exponent Hurwitz
+    # zeta route, and no far sum capped
+    orders = range(2, 41)
     with mp.workprec(prec):
-        tol = series._default_tol(prec) / 2
+        tol = series._default_tol(prec)
         for J in (2, 21, 165):
-            got = _rounded_jump_tail(s, 2, range(2, 41), J, tol, prec)
-            _assert_matches_reference(got, _jump_tail_reference(pf, 2, range(2, 41), J, tol, prec),
-                                      prec)
+            J0 = series._cut(s, 2, 40, J - 1, tol, prec)
+            got = _rounded_jump_tail(s, 2, orders, J, J0, tol / 2, prec)
+            ref = _jump_tail_hurwitz(s, 2, orders, J, prec + 64)
+            with mp.workprec(prec + 64):
+                assert abs(got.value - ref) <= got.bound, J
+            assert got.caps_hit == (), J
 
 
 @pytest.mark.parametrize("s", [F(3, 2), F(3)])
 def test_batched_jump_tail_over_delta_tail_orders(s, monkeypatch):
-    # a jump tail over the 101 orders 2 to 102 from J = 613 = J0, as wide as
-    # the former order rewrite of delta_tail took. At the default tolerance
-    # the chosen orders stay below the cap; at 2^-1325 the order-192 cap
-    # binds for 44 or 45 of them, so the shared sequence runs past index 230.
+    # a jump tail over the 101 orders 2 to 102 from J = J0 = 613, as wide as
+    # the former order rewrite of delta_tail took, within its bound of the
+    # Hurwitz zeta route. Its one sequence runs only to U_101, the largest
+    # k - 1, since the far bounds take exact rising products. At the default
+    # tolerance no far sum is capped; at 2^-1325, below the unit 2^-1098,
+    # every order takes its smallest bound
     prec = 1024
-    # sigma~ leaves out the odd level-1 weights, which must all be 0
+    # Horner and sigma~ leave out the odd level-1 weights, which must all be 0
     fam = bernoulli.family(1)
     assert all(fam.number(i) == 0 for i in range(3, 192, 2))
-    pf = PowerFunction(s, prec)
     orders = range(2, 103)
     seqs = []
 
@@ -532,17 +494,14 @@ def test_batched_jump_tail_over_delta_tail_orders(s, monkeypatch):
             seqs.append(self)
 
     monkeypatch.setattr(series, "_ScaledRising", Recording)
+    ref = _jump_tail_hurwitz(s, 2, orders, 613, prec + 64)
     with mp.workprec(prec):
-        tiny = mp.mpf(2) ** -1325
-        weights = _jump_weights(2, orders)
-        chosen = {_float_far_bound_reference(PowerFunction(s + k - 1, prec), 613,
-                                             tiny / len(weights), prec)[0] for k, _ in weights}
-        assert 192 in chosen and min(chosen) < 192
-        for tol in (series._default_tol(prec) / 2, tiny):
-            got = _rounded_jump_tail(s, 2, orders, 613, tol, prec)
-            _assert_matches_reference(got, _jump_tail_reference(pf, 2, orders, 613, tol, prec),
-                                      prec)
-        assert seqs[-1].J == 613 and len(seqs[-1].U) > 231
+        for tol, caps in ((series._default_tol(prec) / 2, ()), (mp.mpf(2) ** -1325, ("order_cap",))):
+            got = _rounded_jump_tail(s, 2, orders, 613, 613, tol, prec)
+            with mp.workprec(prec + 64):
+                assert abs(got.value - ref) <= got.bound
+            assert got.caps_hit == caps
+            assert seqs[-1].J == 613 and len(seqs[-1].U) == 102
 
 
 def test_rho_tail_example_one(pf3):
@@ -803,17 +762,17 @@ SWEEP_S = (F(3, 2), F(2), F(3), F(7, 2), F(5))
 def zeta_sweep_refs():
     # mpmath.zeta at prec+64, once per precision of the sweep
     refs = {}
-    for prec in (256, 512, 1024):
+    for prec in (256, 512, 1024, 2048):
         with mp.workprec(prec + 64):
             refs[prec] = {s: mp.zeta(mp.mpf(s.numerator) / s.denominator) for s in SWEEP_S}
     return refs
 
 
-@pytest.mark.parametrize("prec", [256, 512, 1024])
+@pytest.mark.parametrize("prec", [256, 512, 1024, 2048])
 @pytest.mark.parametrize("s", SWEEP_S)
 def test_estimate_contains_zeta_on_the_grid(s, prec, zeta_sweep_refs):
     # every cell of m, r and p, including p = 1 next to the pole of x^-s;
-    # each also meets the default tolerance 2^-(prec/2)
+    # each also meets the default tolerance 2^-(prec/2), with no cap hit
     tol = series._default_tol(prec)
     misses = []
     for m in (1, 2, 3, 5):
@@ -823,23 +782,77 @@ def test_estimate_contains_zeta_on_the_grid(s, prec, zeta_sweep_refs):
                 with mp.workprec(prec + 64):
                     err = abs(est.value - zeta_sweep_refs[prec][s])
                 assert est.tol == tol and est.tol_met == (est.error_bound <= tol)
-                if err > est.error_bound or not est.tol_met:
+                if err > est.error_bound or not est.tol_met or est.caps_hit:
                     misses.append((m, r, p, mp.nstr(err, 5), mp.nstr(est.error_bound, 5)))
     assert misses == []
 
 
 def test_tol_missed_is_reported():
-    # at 2048 bits and p = 100 the order cap binds: the bound stays true, near
-    # 10^-264, but above the requested 2^-1024, and tol_met says so; a looser
+    # at 2048 bits and p = 100 the cut follows the tolerance, so the default
+    # 2^-1024 is met; a caller tol below the rounding floor 2^-prec cannot be
+    # met: the bound stays true and tol_met says it is missed; a looser
     # tolerance passed by the caller is met and reported as met
-    prec = 2048
-    for s, m, r in ((F(3), 1, 2), (F(3, 2), 5, 6)):
-        est = estimate_series(PowerFunction(s, prec), m, r, 100, prec)
-        with mp.workprec(prec + 64):
-            assert abs(est.value - mp.zeta(to_mpf(s, prec + 64))) <= est.error_bound
-        assert est.tol == mp.ldexp(1, -1024) and not est.tol_met
-    g = euler_constant(PowerFunction(1, prec), 2, 3, prec, tol=mp.mpf("1e-40"))
+    for prec, tol in ((2048, None), (256, mp.ldexp(1, -(256 + 16))),
+                      (1024, mp.ldexp(1, -(1024 + 16)))):
+        for s, m, r in ((F(3), 1, 2), (F(3, 2), 5, 6)):
+            est = estimate_series(PowerFunction(s, prec), m, r, 100, prec, tol=tol)
+            with mp.workprec(prec + 64):
+                assert abs(est.value - mp.zeta(to_mpf(s, prec + 64))) <= est.error_bound
+            assert est.tol == (tol or mp.ldexp(1, -prec // 2))
+            assert est.tol_met == (tol is None), (prec, s, m, r)
+    g = euler_constant(PowerFunction(1, 2048), 2, 3, 2048, tol=mp.mpf("1e-40"))
     assert g.tol_met and g.error_bound <= mp.mpf("1e-40")
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_tolerance_below_the_floor_keeps_a_finite_cut(prec):
+    # tol = 0 and tolerances below 2^-prec cut where 2^-prec does, a finite
+    # J0, and take each far sum's smallest bound (order_cap); the bound stays
+    # true, and tol_met is False
+    floor = mp.ldexp(1, -prec)
+    for s, m, r in ((F(3), 1, 2), (F(3, 2), 5, 6), (F(1), 2, 3)):
+        pf = PowerFunction(s, prec)
+        J0 = series._cut(s, m, r, 1, floor, prec)
+        assert J0 >= 64
+        for tol in (0, mp.ldexp(1, -2 * prec)):
+            assert series._cut(s, m, r, 1, tol, prec) == J0
+            if s == 1:
+                est = euler_constant(pf, m, r, prec, tol=tol)
+            else:
+                est = estimate_series(pf, m, r, 1, prec, tol=tol)
+            with mp.workprec(prec + 64):
+                ref = +mp.euler if s == 1 else mp.zeta(to_mpf(s, prec + 64))
+                assert abs(est.value - ref) <= est.error_bound, (s, tol)
+            assert est.caps_hit == ("order_cap",) and not est.tol_met, (s, tol)
+
+
+def test_caps_hit_names_the_generic_caps(monkeypatch):
+    # a generic stack names the cap that stopped each tail: rho_tail's 200000
+    # terms and delta_tail's 4096 cells, for a stack whose tail bounds never
+    # drop below tol (its blocks are cut to 40 cells, by patching, to stay
+    # cheap), and a stack with abs_deriv_tail only; the caps stay out of
+    # as_dict
+    est = estimate_series(exp_decay_stack(P), 2, 3, 4, P, tol=mp.mpf("1e-35"))
+    assert est.caps_hit == () and est.tol_met and "caps_hit" not in est.as_dict()
+    blocks = []
+
+    def cut_block(real):
+        def block(fs, m, r, q1, q2, prec):
+            blocks.append(q2 - q1)
+            return real(fs, m, r, q1, min(q2, q1 + 40), prec)
+        return block
+
+    monkeypatch.setattr(series, "rho", cut_block(series.rho))
+    monkeypatch.setattr(series, "remainder_R", cut_block(series.remainder_R))
+    flat = FunctionStack(f=lambda x: mp.exp(-x), derivs=lambda k: (lambda x: mp.mpf(0)), r_max=8,
+                         exact_integral=lambda a, b, prec=P: mp.mpf(0),
+                         abs_deriv_integral=lambda k, a, b, prec=P: mp.mpf(0),
+                         abs_deriv_tail=lambda k, p, prec=P: mp.mpf(1), check=False)
+    assert rho_tail(flat, 2, 2, 4, None, P).caps_hit == ("rho_terms",)
+    assert delta_tail(flat, 2, 2, 4, None, P).caps_hit == ("delta_cells",)
+    assert blocks == [200001, 4096]
+    d = delta_tail(cos_sqrt_over_x_stack(P), 2, 2, 10, None, P)
+    assert d.caps_hit == ("abs_deriv_tail_only",)
 
 
 def _tail_references(s, m, r, q1, wp):
@@ -901,11 +914,10 @@ def test_far_out_tails_keep_their_digits():
 @pytest.mark.parametrize("prec", [256, 1024])
 def test_estimate_tails_are_the_standalone_tails(prec):
     # estimate_series and euler_constant take both x^-s tails from one
-    # shared pass; each is exactly rho_tail's and delta_tail's, value and
-    # bound. m = 1 and r = 1 have no jump order, so e and its bound are
-    # exactly 0; at 256 bits and p = 100 the far sums of D (from p) and of
-    # e (from p + 1) start at different cuts
-    cut_differs = set()
+    # shared pass at one cut; each is exactly rho_tail's and delta_tail's,
+    # value, bound and caps. m = 1 and r = 1 have no jump order, so e and its
+    # bound are exactly 0. The cut is past p, also at p = 100, where the far
+    # sums of D (from p) and of e (from p + 1) once started at different cuts
     for s in (F(1), F(3, 2), F(3), F(21)):
         pf = PowerFunction(s, prec)
         for m in (1, 2, 5):
@@ -923,21 +935,21 @@ def test_estimate_tails_are_the_standalone_tails(prec):
                     assert est.components["e_tail"] == e.value, (s, m, r, p)
                     assert est.components["delta_tail"] == d.value, (s, m, r, p)
                     assert est.error_bound == bound, (s, m, r, p)
+                    assert est.caps_hit == e.caps_hit == d.caps_hit == (), (s, m, r, p)
                     if m == 1 or r == 1:
                         assert e.value == 0 and e.bound == 0, (s, m, r, p)
-                    W = series._tail_unit(s, r, p, prec)
-                    cut_differs.add(series._cut(p, W) != series._cut(p + 1, W))
-    assert cut_differs == ({False, True} if prec == 256 else {False})
+                    assert series._cut(s, m, r, p, est.tol, prec) >= max(p + 1, 64)
 
 
 @pytest.mark.parametrize("prec,p", [(256, 2), (256, 100), (1024, 1), (1024, 100)])
 def test_one_estimate_sums_its_jump_tail_once(prec, p, monkeypatch):
-    # exact work counts of one x^-s estimate: one _power_tails call for the
-    # jump orders, serving both tails, and one U_n sequence for D and the jump
-    # tails when their cuts agree, else one each. So no scaled power (s, j, W)
-    # runs more than twice: D's near block still repeats the jump tails' powers
-    powers, seqs, tails = Counter(), [], []
-    real_power, real_tails = series.scaled_power, series._power_tails
+    # exact work counts of one x^-s estimate: one cut, one _power_tails call
+    # for the jump orders, serving both tails, and one U_n sequence at the
+    # cut for D and every jump order, read only up to U_(r-1), the largest
+    # k - 1 (U_0 without jumps). So no scaled power (s, j, W) runs more than
+    # twice: D's near block still repeats the jump tails' powers
+    powers, seqs, tails, cuts = Counter(), [], [], []
+    real_power, real_tails, real_cut = series.scaled_power, series._power_tails, series._cut
 
     def power(s, j, W):
         powers[s, j, W] += 1
@@ -947,30 +959,34 @@ def test_one_estimate_sums_its_jump_tail_once(prec, p, monkeypatch):
         tails.append(args)
         return real_tails(*args)
 
+    def cut(*args):
+        cuts.append(real_cut(*args))
+        return cuts[-1]
+
     class Counting(series._ScaledRising):
         def __init__(self, *args):
             super().__init__(*args)
-            seqs.append(self.J)
+            seqs.append(self)
 
     monkeypatch.setattr(bigfloat, "scaled_power", power)
     monkeypatch.setattr(series, "scaled_power", power)
     monkeypatch.setattr(series, "_power_tails", power_tails)
+    monkeypatch.setattr(series, "_cut", cut)
     monkeypatch.setattr(series, "_ScaledRising", Counting)
     for s in ((F(1),) if p == 1 else ()) + (F(3, 2), F(3), F(5, 3)):
         pf = PowerFunction(s, prec)
         for m, r in ((1, 3), (2, 1), (2, 3), (5, 6)):
-            for counts in (powers, seqs, tails):
+            for counts in (powers, seqs, tails, cuts):
                 counts.clear()
             if s == 1:
                 euler_constant(pf, m, r, prec)
             else:
                 estimate_series(pf, m, r, p, prec)
-            W = series._tail_unit(s, r, p, prec)
             jumps = m > 1 and r > 1
-            shared = series._cut(p, W) == series._cut(p + 1, W)
             assert max(powers.values()) <= 2, (s, m, r)
             assert len(tails) == jumps, (s, m, r)
-            assert len(seqs) == (1 if shared or not jumps else 2), (s, m, r)
+            assert len(cuts) == 1 and [q.J for q in seqs] == cuts, (s, m, r)
+            assert len(seqs[0].U) == (r if jumps else 1), (s, m, r)
 
 
 @pytest.mark.parametrize("s", [F(1), F(10001, 10000), F(3, 2), F(5, 3), F(3), F(21)])
@@ -1012,8 +1028,8 @@ def test_regularized_tail_matches_hurwitz(s, prec):
     wp = prec + 64
     for J in (1, 2, 63, 64, 165, 613):
         with mp.workprec(prec):
-            W = prec + 64 + J.bit_length()
-            cv = series._certified(*series._regularized_tail(s, J, series._default_tol(prec), W),
+            W, tol = prec + 64 + J.bit_length(), series._default_tol(prec)
+            cv = series._certified(*series._regularized_tail(s, J, _cut_at(s, J, tol, prec), tol, W),
                                    W, prec)
         with mp.workprec(wp):
             if s == 1:
