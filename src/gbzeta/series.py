@@ -350,11 +350,11 @@ def _coeff_abs_sum(m: int, r: int) -> Fraction:
 
 
 @cache
-def _far_coeff(r: int) -> tuple[int, int, float]:
+def _far_coeff(r: int) -> tuple[int, int]:
     # A_r = coeff-sum(B_r)/r! of the level-1 polynomial in lowest terms, as
-    # (numerator, denominator, its log2 in floats), built once per r
+    # (numerator, denominator), built once per r
     A = Fraction(_coeff_abs_sum(1, r), factorial(r))
-    return A.numerator, A.denominator, log2(A.numerator) - log2(A.denominator)
+    return A.numerator, A.denominator
 
 
 def _cdiv(x: int, y: int) -> int:
@@ -363,8 +363,7 @@ def _cdiv(x: int, y: int) -> int:
 
 
 class _ScaledRising:
-    """U_n within err_n units of 2^W (s)_n J^-(s+n), P_n = b^n (s)_n, s = a/b,
-    and the powers (bJ)^r.
+    """U_n within err_n units of 2^W (s)_n J^-(s+n), and P_n = b^n (s)_n, s = a/b.
 
     U_n 2^-W is |f^(n)(J)| for f = x^-s, the one value the far sum of order
     k = n + 1 at J starts from (_far_bound, _em_far), so n only runs up to the
@@ -372,15 +371,14 @@ class _ScaledRising:
     one unit, and U_(n+1) = U_n (a+nb) // (bJ): if U_n is within err_n of x,
     then U_n (a+nb)/(bJ) is within err_n (a+nb)/(bJ) of x (a+nb)/(bJ), and the
     floor takes under one unit more, so err_(n+1) = ceil(err_n (a+nb)/(bJ)) + 1.
-    P_n and (bJ)^r are exact. Entries are made on demand (extend, power); one
-    sequence serves every tail of one estimate, all of which start their far
-    sums at the one cut J.
+    P_n is exact. Entries are made on demand (extend); one sequence serves
+    every tail of one estimate, all of which start their far sums at the one
+    cut J.
     """
 
     def __init__(self, s: Fraction, J: int, W: int):
         self.a, self.b, self.J = s.numerator, s.denominator, J
         self.U, self.err, self.P = [scaled_power(s, J, W)], [1], [1]
-        self._powers = {}
 
     def extend(self, n: int) -> None:
         a, b, U, err, P = self.a, self.b, self.U, self.err, self.P
@@ -390,12 +388,6 @@ class _ScaledRising:
             U.append(U[i] * c // bJ)
             err.append(_cdiv(err[i] * c, bJ) + 1)
             P.append(P[i] * c)
-
-    def power(self, r: int) -> int:
-        p = self._powers.get(r)
-        if p is None:
-            p = self._powers[r] = (self.b * self.J) ** r
-        return p
 
 
 _TAIL_ORDERS = range(8, 193, 8)
@@ -472,12 +464,13 @@ def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:
     base = log2(Z) - lgamma(t) / _LN2
 
     def exact(r):
-        N, D, _ = _far_coeff(r)
-        return N * Z * prod(range(a1, a1 + r * b, b)), D * seq.power(r) * (a1 + (r - 1) * b)
+        N, D = _far_coeff(r)
+        return N * Z * prod(range(a1, a1 + r * b, b)), D * (b * J) ** r * (a1 + (r - 1) * b)
 
     tried = []
     for r in _TAIL_ORDERS:
-        est = base + _far_coeff(r)[2] + lgamma(t + r) / _LN2 - r * lJ - log2(a1 + (r - 1) * b)
+        N, D = _far_coeff(r)
+        est = base + log2(N) - log2(D) + lgamma(t + r) / _LN2 - r * lJ - log2(a1 + (r - 1) * b)
         if est <= lm:
             X, Y = exact(r)
             if X <= M * Y:
@@ -526,8 +519,8 @@ def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
         V = floor(U_(k-1) Hn / (e bJ 2^G))
     is within (err_(k-1) |Hn| + (U_(k-1) + err_(k-1)) a' eta)/(e bJ 2^G)
     units, rounded up, plus one for the floor, plus the far bound. G only
-    sets how tight that count is: 2^G is U_(k-1) a' eta 2^7/(e bJ) in bit
-    lengths, so the eta term is below 2^-4 units.
+    sets how tight that count is: 2^G is about U_(k-1) a' eta 2^7/(e bJ),
+    from bit lengths, so the eta term is about 2^-4 units or less.
     """
     r, far, met = _far_bound(seq, k, limit)
     g1, g_even, e = _tail_row(r)
@@ -536,7 +529,7 @@ def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
     n = (r - 2) // 2
     eta = n  # g <= 1 when its largest factor (a'+(r-4)b)/(bJ) is
     if a1 + (r - 4) * b > bJ:
-        eta = max(n, _cdiv(n * prod(range(a1 + b, a1 + (r - 3) * b, b)), seq.power(r - 4)))
+        eta = max(n, _cdiv(n * prod(range(a1 + b, a1 + (r - 3) * b, b)), bJ ** (r - 4)))
     G = max(0, X.bit_length() + a1.bit_length() + eta.bit_length() + 7
             - e.bit_length() - bJ.bit_length())
     L, h = bJ * bJ, g_even[-1] << G

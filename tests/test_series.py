@@ -337,7 +337,7 @@ def _far_bound_reference(seq, k, limit):
     lim, scale = limit * seq.P[k - 1], b ** (k - 1)
     best = None
     for r in series._TAIL_ORDERS:
-        N, D, _ = series._far_coeff(r)
+        N, D = series._far_coeff(r)
         rising = F(math.prod(range(a + (k - 1) * b, a + (k - 1 + r) * b, b)), b ** r)
         bound = math.ceil(F(N, D) * x * rising / J ** (r - 1) / (t + r - 1))
         if best is None or bound < best[1]:
@@ -356,17 +356,15 @@ def _far_bound_cases():
 
 def _pin_orders(monkeypatch, seq, k, targets):
     # give each order r of _far_bound at (seq, k) the unrounded bound X/Y =
-    # targets[r], and every other order 2^4000, through _far_coeff's N/D and
-    # its log2
+    # targets[r], and every other order 2^4000, through _far_coeff's N/D
     a1, b, J = seq.a + (k - 1) * seq.b, seq.b, seq.J
     seq.extend(k - 1)
     Z = J * b * (seq.U[k - 1] + seq.err[k - 1])
 
     def coeff(r):
         x = F(targets.get(r, 2 ** 4000))
-        N = x.numerator * (b * J) ** r * (a1 + (r - 1) * b)
-        D = x.denominator * Z * math.prod(range(a1, a1 + r * b, b))
-        return N, D, math.log2(N) - math.log2(D)
+        Q = math.prod(range(a1, a1 + r * b, b))
+        return x.numerator * (b * J) ** r * (a1 + (r - 1) * b), x.denominator * Z * Q
 
     monkeypatch.setattr(series, "_far_coeff", coeff)
 
@@ -496,7 +494,8 @@ def test_batched_jump_tail_over_delta_tail_orders(s, monkeypatch):
     monkeypatch.setattr(series, "_ScaledRising", Recording)
     ref = _jump_tail_hurwitz(s, 2, orders, 613, prec + 64)
     with mp.workprec(prec):
-        for tol, caps in ((series._default_tol(prec) / 2, ()), (mp.mpf(2) ** -1325, ("order_cap",))):
+        tiny = mp.mpf(2) ** -1325
+        for tol, caps in ((series._default_tol(prec) / 2, ()), (tiny, ("order_cap",))):
             got = _rounded_jump_tail(s, 2, orders, 613, 613, tol, prec)
             with mp.workprec(prec + 64):
                 assert abs(got.value - ref) <= got.bound
@@ -1029,8 +1028,8 @@ def test_regularized_tail_matches_hurwitz(s, prec):
     for J in (1, 2, 63, 64, 165, 613):
         with mp.workprec(prec):
             W, tol = prec + 64 + J.bit_length(), series._default_tol(prec)
-            cv = series._certified(*series._regularized_tail(s, J, _cut_at(s, J, tol, prec), tol, W),
-                                   W, prec)
+            J0 = _cut_at(s, J, tol, prec)
+            cv = series._certified(*series._regularized_tail(s, J, J0, tol, W), W, prec)
         with mp.workprec(wp):
             if s == 1:
                 ref = mp.log(J) - mp.digamma(J)
