@@ -396,8 +396,9 @@ _LOG2_2PI = log2(2 * pi)
 
 
 def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
-    """J0 = max(q1 + 1, 64, J_tol): where every x^-s tail of the identity of
-    level m at q1, D(q1) and each jump order's, starts its far sum.
+    """J0 = max(q1 + 1, 64, min(J_tol, prec)): where every x^-s tail of the
+    identity of level m at q1, D(q1) and each jump order's, starts its far
+    sum.
 
     J_tol is the least cut at which the order cap R = 192 meets each tail's
     share of tol. D's tail sum_{j>=J} j^-t has t = s and the share tol/2; jump
@@ -410,10 +411,12 @@ def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
     at J once
         (t+R-1) log2 J >= 12 - R log2(2 pi) + log2 (t)_R - log2 tau,
     which floats (lgamma) solve for J. They only choose the cut; _far_bound
-    certifies every far bound at whatever cut. A tol below 2^-prec, which no
-    estimate meets (its rounding slack alone is 2^-prec), counts as 2^-prec
-    here, so tol = 0 gives a finite cut, whose far sums take their smallest
-    bounds.
+    certifies every far bound at whatever cut. J_tol grows like
+    2^(prec/(2 (R+t))) at the default tol (about 470 at 2048 bits, 2 10^4 at
+    4096), so past prec it is not taken: the near block stays within prec
+    powers, the order cap binds, and the far sums take their smallest
+    bounds. A tol below 2^-prec, which no estimate meets (its rounding slack
+    alone is 2^-prec), counts as 2^-prec here, so tol = 0 gives a finite cut.
     """
     c, _ = bernoulli.family(m)._weights("jump", r)
     ks = [k for k in range(2, r + 1) if c[k]]
@@ -426,7 +429,7 @@ def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
         top += log2(len(ks))
         x = max(x, max((top + (lgamma(t + R) - lgamma(t)) / _LN2) / (t + R - 1)
                        for t in [sf + k - 1 for k in ks]))
-    return max(q1 + 1, 64, ceil(2 ** x))
+    return max(q1 + 1, 64, prec if x >= log2(prec) else ceil(2 ** x))
 
 
 def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:

@@ -825,6 +825,22 @@ def test_tolerance_below_the_floor_keeps_a_finite_cut(prec):
             assert est.caps_hit == ("order_cap",) and not est.tol_met, (s, tol)
 
 
+def test_cut_stays_within_the_precision():
+    # the tolerance cut grows like 2^(prec/(2 (192+t))): about 470 at 2048
+    # bits, 2 10^4 at 4096 and 3 10^7 at 8192, so past prec the cut is prec,
+    # the order cap binds, and the estimate reports the missed tol with a
+    # true bound
+    for prec in (4096, 8192):
+        tol = series._default_tol(prec)
+        assert series._cut(F(3, 2), 5, 6, 100, tol, prec) == prec
+        assert series._cut(F(3), 1, 2, 10**6, tol, prec) == 10**6 + 1
+    prec = 4096
+    est = estimate_series(PowerFunction(3, prec), 1, 2, 100, prec)
+    with mp.workprec(prec + 64):
+        assert abs(est.value - mp.zeta(3)) <= est.error_bound < mp.mpf(10) ** -450
+    assert est.caps_hit == ("order_cap",) and not est.tol_met
+
+
 def test_caps_hit_names_the_generic_caps(monkeypatch):
     # a generic stack names the cap that stopped each tail: rho_tail's 200000
     # terms and delta_tail's 4096 cells, for a stack whose tail bounds never
