@@ -134,10 +134,6 @@ class Poly:
                 acc = acc * xf + to_mpf(c, prec)
             return +acc
 
-    def coeff_abs_sum(self) -> Fraction:
-        """Sum of |coefficients|, an upper bound for |p(x)| on [0, 1]."""
-        return sum((abs(c) for c in self.coeffs), Fraction(0))
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Poly(0)"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial, gcd, inf, lgamma, log, log2, pi, prod
+from math import ceil, factorial, gcd, inf, lgamma, log, log2, prod
 
 import mpmath as mp
 from mpmath.libmp import round_ceiling
@@ -331,30 +331,19 @@ def rho(fs: FunctionStack, m: int, r: int, q1: int, q2: int, prec: int = DEFAULT
 # ---------------------------------------------------------------------------
 # certified tails
 
-# _far_bound's coefficients A_r (_far_coeff) come from this loose sum at
-# level 1, once for each of the orders 8, 16, ..., 192 of _TAIL_ORDERS,
-# although quadrature.sup_norm is tight: sup_norm is slow from a cold cache
-# at such orders (under the former level-m scan over orders up to r + 96,
-# the 80 estimates at 1024 bits and p = 100 took 161 s with it against 3.3 s,
-# one cold run each, with 0 bound violations either way). So it stays loose
-# until a closed-form level-1 bound replaces it (ROADMAP item 2). It builds
-# no polynomial: it is one integer sum over the level's scaled number table.
-def _coeff_abs_sum(m: int, r: int) -> Fraction:
-    # sum_k C(r,k) |B_k| >= max_{[0,1]} |B_r|; with B_k = k! a_k/d this is
-    # sum_k |a_k| r!/(r-k)! over d, Horner in k
-    a, d = bernoulli.family(m)._scaled(r)
-    acc = abs(a[r])
-    for k in range(r - 1, -1, -1):
-        acc = acc * (r - k) + abs(a[k])
-    return Fraction(acc, d)
-
-
 @cache
 def _far_coeff(r: int) -> tuple[int, int]:
-    # A_r = coeff-sum(B_r)/r! of the level-1 polynomial in lowest terms, as
-    # (numerator, denominator), built once per r
-    A = Fraction(_coeff_abs_sum(1, r), factorial(r))
-    return A.numerator, A.denominator
+    """A_r = max_[0,1] |B_r(x)|/r! of the level-1 B_r, for even r >= 2, as
+    (numerator, denominator): |B_r|/r!, the last even weight of _tail_row(r).
+
+    The Fourier series B_r(x) = -2 r! sum_{k>=1} cos(2 pi k x - r pi/2)/(2 pi k)^r
+    has cos(2 pi k x - r pi/2) = (-1)^(r/2) cos(2 pi k x) for even r, so every
+    term is at most its value at x = 0 in absolute value, and all have one sign
+    there: the maximum is |B_r(0)|/r! = |B_r|/r!. Every order of _TAIL_ORDERS
+    is even.
+    """
+    _, even, e = _tail_row(r)
+    return abs(even[-1]), e
 
 
 def _cdiv(x: int, y: int) -> int:
@@ -392,7 +381,6 @@ class _ScaledRising:
 
 _TAIL_ORDERS = range(8, 193, 8)
 _LN2 = log(2)
-_LOG2_2PI = log2(2 * pi)
 
 
 def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
@@ -402,33 +390,36 @@ def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
 
     J_tol is the least cut at which the order cap R = 192 meets each tail's
     share of tol. D's tail sum_{j>=J} j^-t has t = s and the share tol/2; jump
-    order k's has t = s+k-1 and tol/(2n), over the n orders with a nonzero
-    jump. _far_bound's bound of order R is A_R (t)_R J^(1-t-R)/(t+R-1) <=
-    A_R (t)_R J^(1-t-R), and it must be within a quarter of the share tau.
-    With |B_i|/i! = 2 zeta(i) (2 pi)^-i <= 3.3 (2 pi)^-i for even i >= 2 and
-    B_i = 0 for odd i >= 3, A_R = sum_i |B_i|/(i! (R-i)!) <= (R+2)/(2 R!) +
-    3.3 cosh(2 pi) (2 pi)^-R < 2^10 (2 pi)^-R for even R >= 16. So R meets tau
-    at J once
-        (t+R-1) log2 J >= 12 - R log2(2 pi) + log2 (t)_R - log2 tau,
+    order k's has t = s+k-1 and tol/(2n max(1, |w_k| (s)_(k-1))), over the n
+    orders with a nonzero jump weight w_k (_jump_tail). _far_bound's bound of
+    order R is A_R (t)_R J^(1-t-R)/(t+R-1) <= A_R (t)_R J^(1-t-R), with A_R
+    of _far_coeff, and it must be within a quarter of the share tau. So R
+    meets tau at J once
+        (t+R-1) log2 J >= 2 + log2 A_R + log2 (t)_R - log2 tau,
     which floats (lgamma) solve for J. They only choose the cut; _far_bound
     certifies every far bound at whatever cut. J_tol grows like
-    2^(prec/(2 (R+t))) at the default tol (about 470 at 2048 bits, 2 10^4 at
+    2^(prec/(2 (R+t))) at the default tol (about 460 at 2048 bits, 2 10^4 at
     4096), so past prec it is not taken: the near block stays within prec
     powers, the order cap binds, and the far sums take their smallest
     bounds. A tol below 2^-prec, which no estimate meets (its rounding slack
     alone is 2^-prec), counts as 2^-prec here, so tol = 0 gives a finite cut.
     """
-    c, _ = bernoulli.family(m)._weights("jump", r)
+    c, e = bernoulli.family(m)._weights("jump", r)
     ks = [k for k in range(2, r + 1) if c[k]]
     man, exp = mp.mpf(tol).man_exp
     R, sf = _TAIL_ORDERS[-1], s.numerator / s.denominator
-    # 12 - R log2(2 pi) - log2 of D's share tol/2, tol at least 2^-prec
-    top = 13 - R * _LOG2_2PI - (max(exp + log2(man), -prec) if man > 0 else -prec)
-    x = (top + (lgamma(sf + R) - lgamma(sf)) / _LN2) / (sf + R - 1)
+    N, D = _far_coeff(R)
+
+    def log2_rising(t, n):
+        return (lgamma(t + n) - lgamma(t)) / _LN2
+
+    # 2 + log2 A_R - log2 of D's share tol/2, tol at least 2^-prec
+    top = log2(N) - log2(D) + 3 - (max(exp + log2(man), -prec) if man > 0 else -prec)
+    x = (top + log2_rising(sf, R)) / (sf + R - 1)
     if ks:
         top += log2(len(ks))
-        x = max(x, max((top + (lgamma(t + R) - lgamma(t)) / _LN2) / (t + R - 1)
-                       for t in [sf + k - 1 for k in ks]))
+        x = max(x, max((top + max(0, log2(abs(c[k])) - log2(e) + log2_rising(sf, k - 1))
+                        + log2_rising(sf + k - 1, R)) / (sf + k + R - 2) for k in ks))
     return max(q1 + 1, 64, prec if x >= log2(prec) else ceil(2 ** x))
 
 
@@ -543,12 +534,14 @@ def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
     return X * Hn // den, far + err + 1, not met
 
 
-def _power_tails(s: Fraction, ks, J: int, J0: int, tol, W: int, seq=None) -> list[tuple]:
+def _power_tails(s: Fraction, ks, J: int, J0: int, limits, W: int, seq=None) -> list[tuple]:
     """[(T, err, capped)]: sum_{j>=J} |f^(k-1)(j)| within err units of T 2^-W,
     for each k in ks and f = x^-s, cut at J0 >= J; capped as _em_far's.
 
-    That is (s)_(k-1) sum_{j>=J} j^-(s+k-1), each with t = s+k-1 > 1; tol
-    applies to the sum without the (s)_(k-1). All tails share the near block
+    That is (s)_(k-1) sum_{j>=J} j^-(s+k-1), each with t = s+k-1 > 1; the
+    far sum of each k meets its own entry of limits, floor(2^W tau/4) for a
+    share tau of tol (_far_bound), which applies to the sum without the
+    (s)_(k-1). All tails share the near block
     J <= j < J0 (_power_sums, within J0 - J units) and one _ScaledRising at
     J0, s = a/b, read up to U_(max k - 1). Each tail is the near block, the
     integral int_J0^inf |f^(k-1)| = J0 b U_(k-1)/(a+(k-2)b) and the
@@ -562,9 +555,8 @@ def _power_tails(s: Fraction, ks, J: int, J0: int, tol, W: int, seq=None) -> lis
     near = _power_sums(s, range(J, J0), ks, W)
     seq = seq or _ScaledRising(s, J0, W)
     seq.extend(max(ks) - 1)
-    limit = int(mp.ldexp(tol, W - 2))
     out = []
-    for k in ks:
+    for k, limit in zip(ks, limits):
         V, V_err, capped = _em_far(seq, k, limit)
         P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
         T = P * near[k] // bk + J0 * b * seq.U[k - 1] // d + V
@@ -605,9 +597,12 @@ def _jump_tail(s: Fraction, m: int, orders, J: int, J0: int, tol, W: int, seq=No
 
     w_k are the jump weights of rho, (B_k(1)-B_k)/(m! k!) = c_k/e from the
     level's integer table, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|, so an
-    order adds w_k times its tail of |f^(k-1)|. The orders with a nonzero jump
-    take those tails from one _power_tails call at the same J and J0, each
-    certified to an equal share of tol, on seq if given; V = (sum_k c_k T_k)
+    order adds w_k times its tail of |f^(k-1)|. The n orders with a nonzero
+    jump take those tails from one _power_tails call at the same J and J0, on
+    seq if given. Order k's far bound on sum_{j>=J} j^-(s+k-1) is asked for
+    the share tol/(n max(1, |w_k| (s)_(k-1))), so its part of the sum, that
+    bound times |w_k| (s)_(k-1), is within tol/n; the max keeps a factor
+    below 1 from loosening the bound. V = (sum_k c_k T_k)
     // e, within sum |c_k| err_k / e units, rounded up, plus one for the
     floor. With no such order (level 1, or r = 1) the sum is exactly 0.
     """
@@ -615,7 +610,12 @@ def _jump_tail(s: Fraction, m: int, orders, J: int, J0: int, tol, W: int, seq=No
     ks = [k for k in orders if c[k]]
     if not ks:
         return 0, 0, False
-    tails = _power_tails(s, ks, J, J0, tol / len(ks), W, seq)
+    a, b = s.numerator, s.denominator
+    share = Fraction(int(mp.ldexp(tol, W - 2)), len(ks))
+    # |w_k| (s)_(k-1) = |c_k| prod_{i<k-1} (a+ib) / (e b^(k-1))
+    limits = [int(share / max(1, Fraction(abs(c[k]) * prod(range(a, a + (k - 1) * b, b)),
+                                         e * b ** (k - 1)))) for k in ks]
+    tails = _power_tails(s, ks, J, J0, limits, W, seq)
     V = sum(c[k] * T for k, (T, _, _) in zip(ks, tails)) // e
     err = _cdiv(sum(abs(c[k]) * n for k, (_, n, _) in zip(ks, tails)), e) + 1
     return V, err, any(capped for *_, capped in tails)

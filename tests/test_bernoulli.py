@@ -334,12 +334,24 @@ def test_boundary_identity_equals_full_sum(m):
         assert fam.boundary(n) == sum((comb(n, j) * B[j] for j in range(n + 1)), F(0)), n
 
 
-@pytest.mark.parametrize("m", (1, 2, 3, 5, 7))
-def test_coeff_abs_sum_from_table(m):
-    from gbzeta import series
+def test_far_coeff_is_the_level_one_sup_norm():
+    # A_r = |B_r|/r! at every tail order, the maximum of |B_r(x)|/r! on
+    # [0, 1]: the Bernstein enclosure of sup_norm at 64 bits lies within
+    # 2^-62 above it, and A_r (2 pi)^r / 2 is zeta(r) at 256 bits, up to the
+    # rounding of (2 pi)^r
+    import mpmath as mp
 
-    for r in range(131):
-        assert series._coeff_abs_sum(m, r) == gb_polynomial(m, r).coeff_abs_sum(), r
+    from gbzeta import series
+    from gbzeta.quadrature import sup_norm
+
+    for r in series._TAIL_ORDERS:
+        A = F(*series._far_coeff(r))
+        assert A == abs(bernoulli.family(1).number(r)) / factorial(r), r
+        man, exp = sup_norm(1, r, 64).man_exp
+        assert A <= F(man) * F(2) ** exp / factorial(r) <= A * (1 + F(1, 1 << 62)), r
+        with mp.workprec(256):
+            x = mp.mpf(A.numerator) / A.denominator * (2 * mp.pi) ** r / 2
+            assert mp.almosteq(x, mp.zeta(r), rel_eps=mp.ldexp(1, -240)), r
 
 
 @pytest.mark.parametrize("m", (1, 4))
