@@ -610,11 +610,12 @@ def _jump_tail(s: Fraction, m: int, orders, J: int, J0: int, tol, W: int, seq=No
     ks = [k for k in orders if c[k]]
     if not ks:
         return 0, 0, False
-    a, b = s.numerator, s.denominator
-    share = Fraction(int(mp.ldexp(tol, W - 2)), len(ks))
-    # |w_k| (s)_(k-1) = |c_k| prod_{i<k-1} (a+ib) / (e b^(k-1))
-    limits = [int(share / max(1, Fraction(abs(c[k]) * prod(range(a, a + (k - 1) * b, b)),
-                                         e * b ** (k - 1)))) for k in ks]
+    a, b, L = s.numerator, s.denominator, int(mp.ldexp(tol, W - 2))
+    limits = []
+    for k in ks:
+        # |w_k| (s)_(k-1) = x/y, and the limit floor(L/(n max(1, x/y)))
+        x, y = abs(c[k]) * prod(range(a, a + (k - 1) * b, b)), e * b ** (k - 1)
+        limits.append(L * y // (len(ks) * max(x, y)))
     tails = _power_tails(s, ks, J, J0, limits, W, seq)
     V = sum(c[k] * T for k, (T, _, _) in zip(ks, tails)) // e
     err = _cdiv(sum(abs(c[k]) * n for k, (_, n, _) in zip(ks, tails)), e) + 1
