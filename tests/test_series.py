@@ -832,7 +832,7 @@ def test_tolerance_below_the_floor_keeps_a_finite_cut(prec):
 
 
 def test_cut_stays_within_the_precision():
-    # the tolerance cut grows like 2^(prec/(2 (192+t))): about 470 at 2048
+    # the tolerance cut grows like 2^(prec/(2 (192+t))): about 460 at 2048
     # bits, 2 10^4 at 4096 and 3 10^7 at 8192, so past prec the cut is prec,
     # the order cap binds, and the estimate reports the missed tol with a
     # true bound
