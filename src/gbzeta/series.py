@@ -541,11 +541,11 @@ def _power_tails(s: Fraction, ks, J: int, J0: int, limits, W: int, seq=None) -> 
     That is (s)_(k-1) sum_{j>=J} j^-(s+k-1), each with t = s+k-1 > 1; the
     far sum of each k meets its own entry of limits, floor(2^W tau/4) for a
     share tau of tol (_far_bound), which applies to the sum without the
-    (s)_(k-1). All tails share the near block
-    J <= j < J0 (_power_sums, within J0 - J units) and one _ScaledRising at
-    J0, s = a/b, read up to U_(max k - 1). Each tail is the near block, the
-    integral int_J0^inf |f^(k-1)| = J0 b U_(k-1)/(a+(k-2)b) and the
-    Euler-Maclaurin sum of _em_far:
+    (s)_(k-1). All tails share the near block J <= j < J0 (_power_sums,
+    within J0 - J units) and one _ScaledRising at J0, s = a/b, read up to
+    U_(max k - 1). Each tail is the near block, the integral
+    int_J0^inf |f^(k-1)| = J0 b U_(k-1)/(a+(k-2)b) and the Euler-Maclaurin
+    sum of _em_far:
         T = P_(k-1) near // b^(k-1) + J0 b U_(k-1) // (a+(k-2)b) + V,
     within (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b), rounded up, plus
     _em_far's error and 2 for the floors. seq, when given, is the caller's
@@ -602,9 +602,9 @@ def _jump_tail(s: Fraction, m: int, orders, J: int, J0: int, tol, W: int, seq=No
     seq if given. Order k's far bound on sum_{j>=J} j^-(s+k-1) is asked for
     the share tol/(n max(1, |w_k| (s)_(k-1))), so its part of the sum, that
     bound times |w_k| (s)_(k-1), is within tol/n; the max keeps a factor
-    below 1 from loosening the bound. V = (sum_k c_k T_k)
-    // e, within sum |c_k| err_k / e units, rounded up, plus one for the
-    floor. With no such order (level 1, or r = 1) the sum is exactly 0.
+    below 1 from loosening the bound. V = (sum_k c_k T_k) // e, within
+    sum |c_k| err_k / e units, rounded up, plus one for the floor. With no
+    such order (level 1, or r = 1) the sum is exactly 0.
     """
     c, e = bernoulli.family(m)._weights("jump", max(orders, default=0))
     ks = [k for k in orders if c[k]]
