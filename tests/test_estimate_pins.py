@@ -1,8 +1,10 @@
 """The exact bits of estimate_series on x^-s, pinned.
 
 tests/data/estimate_pins.json holds the mpf (man, exp) of `value` and
-`error_bound` for 40 cells: five (s, m, r) triples, s = 10001/10000 and
-s = 21 among them, at p in {1, 2, 10, 100} and 256 and 1024 bits. A change
+`error_bound` for 50 cells: five (s, m, r) triples, s = 10001/10000 and
+s = 21 among them, at p in {1, 2, 10, 100} and 256 and 1024 bits; three
+fractional s at p in {1, 2, 100} and 2048 bits; and (3/2, 5, 6, 100) at
+4096 bits, whose near blocks run to the cut at j = 4096. A change
 that is meant to keep the bits must pass as it stands; a change that means
 to move them regenerates the file in its own commit:
 
@@ -21,11 +23,14 @@ PINS = Path(__file__).parent / "data" / "estimate_pins.json"
 
 TRIPLES = [(Fraction(3), 5, 2), (Fraction(3, 2), 2, 3), (Fraction(10001, 10000), 3, 6),
            (Fraction(21), 2, 6), (Fraction(5), 1, 6)]
+FRACTIONAL = [(Fraction(3, 2), 2, 3), (Fraction(5, 3), 5, 6), (Fraction(10001, 10000), 3, 6)]
 
 
 def _cells():
-    return [(s, m, r, p, prec) for prec in (256, 1024) for s, m, r in TRIPLES
-            for p in (1, 2, 10, 100)]
+    return ([(s, m, r, p, prec) for prec in (256, 1024) for s, m, r in TRIPLES
+             for p in (1, 2, 10, 100)]
+            + [(s, m, r, p, 2048) for s, m, r in FRACTIONAL for p in (1, 2, 100)]
+            + [(Fraction(3, 2), 5, 6, 100, 4096)])
 
 
 def _pin(s, m, r, p, prec):
@@ -45,7 +50,7 @@ def test_estimate_bits_are_pinned(pin):
 
 
 def test_pins_cover_the_grid():
-    assert len(_load()) == len(_cells()) == 40
+    assert len(_load()) == len(_cells()) == 50
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """The exact bits of euler_constant on x^-s, pinned.
 
 tests/data/euler_pins.json holds the mpf (man, exp) of the value of
-gamma(x^-s) for 20 cells: the five (s, m, r) triples of
-test_estimate_pins.py, and s = 1 at each of their (m, r), at 256 and 1024
-bits. A change that is meant to keep the bits must pass as it stands; a
-change that means to move them regenerates the file in its own commit:
+gamma(x^-s) for 24 cells: the five (s, m, r) triples of
+test_estimate_pins.py, s = 1 at each of their (m, r), and s = 5/3 at
+(2, 3) and (5, 6), at 256 and 1024 bits. A change that is meant to keep
+the bits must pass as it stands; a change that means to move them
+regenerates the file in its own commit:
 
     PYTHONPATH=src python tests/test_euler_pins.py
 """
@@ -25,7 +26,8 @@ TRIPLES = [(Fraction(3), 5, 2), (Fraction(3, 2), 2, 3), (Fraction(10001, 10000),
 
 def _cells():
     return [(s, m, r, prec) for prec in (256, 1024)
-            for s, m, r in TRIPLES + [(Fraction(1), m, r) for _, m, r in TRIPLES]]
+            for s, m, r in TRIPLES + [(Fraction(1), m, r) for _, m, r in TRIPLES]
+            + [(Fraction(5, 3), 2, 3), (Fraction(5, 3), 5, 6)]]
 
 
 def _pin(s, m, r, prec):
@@ -44,7 +46,7 @@ def test_euler_bits_are_pinned(pin):
 
 
 def test_pins_cover_the_grid():
-    assert len(_load()) == len(_cells()) == 20
+    assert len(_load()) == len(_cells()) == 24
 
 
 if __name__ == "__main__":
