@@ -90,19 +90,59 @@ def scaled_power(s, j: int, W: int) -> int:
     return y
 
 
-def _power_sums(s, js, ks, W: int) -> dict:
-    """{k: sum_{j in js} V_jk} for orders k >= 1, |V_jk - 2^W j^-(s+k-1)| < 1.
+def _power_row(s, n: int, W: int) -> list:
+    """[0, V_1, ..., V_n], V_j within E_j units of 2^W j^-s (see _power_sums).
 
-    V_j = scaled_power(s, j, W), then V_j <- V_j // j^(k - k_prev) per order.
-    If |V - x| < 1 and n >= 1, then x/n - 1 < (V - n + 1)/n <= V // n
-    <= V/n < x/n + 1, so every order stays within one unit; for the exact
-    floors of b <= 4 it stays floor(2^W j^-(s+k-1)), as floor(floor(x)/n) =
-    floor(x/n).
+    j^-s is completely multiplicative, so only a prime takes
+    scaled_power(s, j, W); a composite j is V_q V_(j/q) >> W for q its
+    smallest prime factor, from a sieve: writing q down the multiples of q
+    from q^2, for q = isqrt(n), ..., 2, leaves each composite its least q.
     """
-    V = [scaled_power(s, j, W) for j in js]
+    spf = list(range(n + 1))
+    for q in range(isqrt(n), 1, -1):
+        spf[q * q::q] = [q] * len(range(q * q, n + 1, q))
+    V = [0, 1 << W]
+    for j in range(2, n + 1):
+        q = spf[j]
+        V.append(scaled_power(s, j, W) if q == j else V[q] * V[j // q] >> W)
+    return V
+
+
+def _power_sums(s, js, ks, W: int) -> dict:
+    """{k: sum_{j in js} V_jk} for orders k >= 1, each within len(js) units of
+    2^W sum_{j in js} j^-(s+k-1); js ascending.
+
+    Direct route: V_j = scaled_power(s, j, W), then V_j <- V_j // j^(k - k_prev)
+    per order. If |V - x| < E for an integer E >= 1 and n >= 1, then
+    x/n - E < (V - n + 1)/n <= V // n <= V/n < x/n + E, so every order keeps
+    its term's error: one unit; for the exact floors of b <= 4 it stays
+    floor(2^W j^-(s+k-1)), as floor(floor(x)/n) = floor(x/n).
+
+    Sieved route, for s not an integer and js from J to J0 - 1 with 2J <= J0:
+    the row V_1..V_(J0-1) of _power_row at W' = W + g, then the same orders,
+    each sum shifted down by g. V_1 = 2^W' is exact, a prime is within
+    E_p = 1 unit, and a composite j = q (j/q) within
+    E_j = E_q + E_(j/q) + 2: with V_i = 2^W' x_i + e_i, x_i = i^-s <= 1,
+    V_q V_(j/q) 2^-W' is within E_(j/q) + E_q + E_q E_(j/q) 2^-W' of
+    2^W' x_j, the shift adds under one unit, and E_q E_(j/q) <= 2^W' below.
+    So E_j <= 3 Omega(j) - 2 < E = 3 bitlen(J0 - 1), Omega(j) <= log2(j)
+    counting prime factors with multiplicity. g = 2 bitlen(E) makes
+    2^W' >= 2^g > E^2. An order's sum T over n = J0 - J terms is within n E
+    units of 2^W' X, so T >> g is within n E 2^-g + 1 < n/E + 1 <= n units of
+    2^W X for n >= 2 (E >= 3), and exact for js = [1]. Integer s keeps
+    the direct floors (one division per term beats a W-bit product), and so
+    do blocks with 2J > J0, where the row would cost over twice the terms.
+    """
+    g = 0
+    if s.denominator > 1 and js and 2 * js[0] <= js[-1] + 1:
+        g = 2 * (3 * js[-1].bit_length()).bit_length()
+        row = _power_row(s, js[-1], W + g)
+        V = [row[j] for j in js]
+    else:
+        V = [scaled_power(s, j, W) for j in js]
     out, k_prev = {}, 1
     for k in sorted(set(ks)):
         if k > k_prev:
             V = [v // j ** (k - k_prev) for v, j in zip(V, js)]
-        out[k], k_prev = sum(V), k
+        out[k], k_prev = sum(V) >> g, k
     return out
