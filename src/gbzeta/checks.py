@@ -13,7 +13,7 @@ from math import comb, factorial
 import mpmath as mp
 
 from . import bernoulli, periodic, quadrature, series, zeta_even
-from .bigfloat import DEFAULT_PRECISION, to_mpf
+from .bigfloat import DEFAULT_PRECISION, _power_sums, scaled_power, to_mpf
 from .polyrat import Poly
 
 # 20-30 digit reference constants (independently published values)
@@ -237,6 +237,16 @@ def check_series(prec: int = DEFAULT_PRECISION) -> list:
                     ok &= rel <= mp.mpf(2) ** (40 - prec)
         out.append(_result("finite identity closes across the grid", ok,
                            f"worst rel residual {mp.nstr(worst, 3)}"))
+
+        # a fractional s sieves blocks that start at or below half their
+        # end: each sum within len(js) units, the floors' sum too
+        s, W, ks = Fraction(5, 3), prec + 64, (1, 2, 4)
+        ok = True
+        for js in (range(1, 200), range(10, 64)):
+            sums = _power_sums(s, js, ks, W)
+            ok &= all(abs(sums[k] - sum(scaled_power(s + k - 1, j, W) for j in js))
+                      < 2 * len(js) for k in ks)
+        out.append(_result("sieved power sums agree with per-term floors", ok))
 
         e = series.rho_tail(pf3, 1, 6, 10, None, prec)
         ok = e.value == 0 and series.rho(pf3, 1, 6, 5, 50, prec) == 0
