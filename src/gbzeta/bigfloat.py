@@ -9,6 +9,17 @@ operation are done in scaled integers (fixed point) with one rounding at the
 end: the exact kernel scaled_power, summed by _power_sums, feeds series'
 partial sums of x^-s, power tails and regularized tail and the Parseval sums
 of quadrature; periodic's Fourier kernel is the other fixed-point user.
+
+_power_sums takes a block J <= j < J0 of a fractional s with 2J <= J0 from
+a sieve: j^-s is completely multiplicative, so only the primes take
+scaled_power (one unit, E_p = 1) and a composite j = q (j/q) is a product
+of two row entries shifted down, within E_j <= E_q + E_(j/q) + 2 units, so
+E_j <= 3 Omega(j) - 2 < E = 3 bitlen(J0 - 1). The row runs at W' = W + g
+bits, g = 2 bitlen(E), so 2^g > E^2: the cross term E_q E_(j/q) 2^-W' of
+a product stays under one unit, and an order's sum over n terms, within
+n E units of 2^-W', shifted down by g, is within n/E + 1 <= n units of
+2^-W for n >= 2 (and exact for j = 1 alone), as on the direct route,
+where each term is within one unit.
 """
 
 from __future__ import annotations

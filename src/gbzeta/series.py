@@ -148,7 +148,9 @@ class PowerFunction(FunctionStack):
             return +(to_mpf(c, prec) * self._pow(p, 1 - self.s - k))
 
     def partial_sum(self, l: int, prec: int = DEFAULT_PRECISION):
-        W = prec + 64 + l.bit_length()  # within l 2^-W, see the module's partial_sum
+        # within l units of 2^-W: per-term floors for integer s, the sieved
+        # row for fractional s (_power_sums; see the module's partial_sum)
+        W = prec + 64 + l.bit_length()
         return _round_fixed(_power_sums(self.s, range(1, l + 1), [1], W)[1], W, prec)
 
     def sigma_coefficients(self, m: int, r: int, boundary: bool) -> list[tuple[int, Fraction]]:
@@ -274,10 +276,11 @@ def cos_sqrt_over_x_stack(prec: int = DEFAULT_PRECISION) -> FunctionStack:
 def partial_sum(fs: FunctionStack, l: int, prec: int = DEFAULT_PRECISION):
     """S(l) = f(1) + ... + f(l); S(0) = 0.
 
-    A stack's partial_sum entry takes it if present: for x^-s the sum of
-    scaled_power(s, j, W), W = prec + 64 + bitlen(l), each within one unit of
-    2^-W, so within l 2^-W < 2^-(prec+64) before one rounding to nearest at
-    prec. Others are summed in ascending order at prec.
+    A stack's partial_sum entry takes it if present: for x^-s the
+    _power_sums of 1 <= j <= l at W = prec + 64 + bitlen(l), within l units
+    of 2^-W (per-term scaled_power floors for integer s, the sieved row for
+    fractional s), so within l 2^-W < 2^-(prec+64) before one rounding to
+    nearest at prec. Others are summed in ascending order at prec.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
