@@ -248,9 +248,9 @@ def test_scaled_rising_within_its_error_count(s, W):
 def test_power_sums_chain_equals_one_floor_per_order(s):
     # dividing floor(2^W j^-s) by j^(k - k_prev) order by order gives
     # exactly floor(2^W j^-(s+k-1)) for every order, on the direct route:
-    # a block from 33 to 63 starts above half its end, so fractional s is
-    # not sieved (the sieved route is test_bigfloat's)
-    js = range(33, 64)
+    # integer s is never sieved, and for fractional s a block from 33 to 63
+    # starts above half its end (the sieved route is test_bigfloat's)
+    js = range(33, 64) if s.denominator > 1 else range(1, 64)
     ks = [1, 2, 5, 6, 40]
     sums = series._power_sums(s, js, ks, 1100)
     for k in ks:
