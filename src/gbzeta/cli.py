@@ -197,6 +197,11 @@ def main(argv=None) -> int:
             payload = {"s": args.s, "m": args.m, "r": args.r, "p": args.p}
             payload.update(est.as_dict(digits))
             _emit(payload, fmt)
+            if not est.tol_met:
+                # stdout and the exit code stay as they are; the miss is a warning
+                print(f"warning: error_bound {decimal_str(est.error_bound, 8)} misses tol "
+                      f"{decimal_str(est.tol, 8)}; caps_hit: {', '.join(est.caps_hit) or 'none'}",
+                      file=sys.stderr)
         elif args.command == "quad":
             a, b = _parse_rational(args.a), _parse_rational(args.b)
             if args.f == "exp":

@@ -13,7 +13,7 @@ quadrature.em_composite's remainder, int f minus the main sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import ceil, factorial, gcd, inf, lgamma, log, log2, prod
@@ -56,7 +56,10 @@ def _rounding_slack(value, prec: int):
 def _certified(V: int, err: int, capped: bool, W: int, prec: int) -> CertifiedValue:
     # V 2^-W within err units, rounded once to nearest at prec, which moves it
     # by at most |V| 2^-prec <= (|V| >> prec) + 1 units; the bound rounds up.
-    # capped: some far sum met no order and took its smallest bound
+    # V = err = 0 is an empty sum, exactly 0 with bound 0. capped: some far
+    # sum met no order and took its smallest bound
+    if not (V or err):
+        return CertifiedValue(mp.mpf(0), mp.mpf(0))
     return CertifiedValue(_round_fixed(V, W, prec),
                           _round_fixed(err + (abs(V) >> prec) + 1, W, prec, round_ceiling),
                           ("order_cap",) if capped else ())
@@ -280,7 +283,9 @@ def partial_sum(fs: FunctionStack, l: int, prec: int = DEFAULT_PRECISION):
     _power_sums of 1 <= j <= l at W = prec + 64 + bitlen(l), within l units
     of 2^-W (per-term scaled_power floors for integer s, the sieved row for
     fractional s), so within l 2^-W < 2^-(prec+64) before one rounding to
-    nearest at prec. Others are summed in ascending order at prec.
+    nearest at prec. Others are summed in ascending order at prec. An x^-s
+    estimate takes its S(p-1) in its tails' unit instead
+    (_power_identity_tails).
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
@@ -568,7 +573,8 @@ def _power_tails(s: Fraction, ks, J: int, J0: int, limits, W: int, seq=None) -> 
     return out
 
 
-def _regularized_tail(s: Fraction, J: int, J0: int, tol, W: int, seq=None) -> tuple:
+def _regularized_tail(s: Fraction, J: int, J0: int, tol, W: int, seq=None,
+                      at_J=None) -> tuple:
     """(V, err, capped): D(J) = sum_{j>=J} j^-s - int_J^inf x^-s within err
     units of V 2^-W, cut at J0 >= J; finite at s = 1 too.
 
@@ -580,7 +586,8 @@ def _regularized_tail(s: Fraction, J: int, J0: int, tol, W: int, seq=None) -> tu
     W + 16 bits, whose error is mpmath's: at 16 units in the last place of
     each log it is below bitlen(J0) 2^-8 units, and 1 + bitlen(J0) are
     counted. seq, when given, is the caller's sequence at J0, shared with
-    its other tails.
+    its other tails; at_J, when given, is the caller's scaled_power(s-1, J,
+    W), which also gives it int_J^inf x^-s.
     """
     near = _power_sums(s, range(J, J0), [1], W)[1]
     far, far_err, capped = _em_far(seq or _ScaledRising(s, J0, W), 1, int(mp.ldexp(tol, W - 2)))
@@ -589,7 +596,9 @@ def _regularized_tail(s: Fraction, J: int, J0: int, tol, W: int, seq=None) -> tu
             integral = int(mp.nint(mp.ldexp(mp.log(J0) - mp.log(J), W)))
         return near - integral + far, J0 - J + 1 + J0.bit_length() + far_err, capped
     u, v = (s - 1).numerator, (s - 1).denominator
-    integral = (scaled_power(s - 1, J, W) - scaled_power(s - 1, J0, W)) * v // u
+    if at_J is None:
+        at_J = scaled_power(s - 1, J, W)
+    integral = (at_J - scaled_power(s - 1, J0, W)) * v // u
     return near - integral + far, J0 - J + _cdiv(2 * v, u) + 1 + far_err, capped
 
 
@@ -625,11 +634,22 @@ def _jump_tail(s: Fraction, m: int, orders, J: int, J0: int, tol, W: int, seq=No
     return V, err, any(capped for *_, capped in tails)
 
 
-def _tail_unit(s: Fraction, r: int, q1: int, prec: int) -> int:
-    # W of rho_tail and delta_tail: 2^-W is prec + 64 bits below
-    # q1^-(ceil(s)+r+2), at or below the smallest tail they report, so a tail
-    # far out keeps its relative digits
-    return prec + 64 + q1.bit_length() * (ceil(s) + r + 2)
+def _tail_unit(s: Fraction, r: int, q1: int, tol, prec: int) -> int:
+    """W of the x^-s tails at q1 asked for tol, and of the partial sum and
+    tail integral of an estimate at p = q1: 2^-W is B + 64 bits below
+    q1^-(ceil(s)+r+2), at or below the smallest tail they report, for
+    B = min(prec, max(0, ceil(-log2 tol))).
+
+    An estimate is never better than its tol, so bits below tol 2^-64 only
+    cost: a tail far out keeps B + 64 bits relative to itself, and every
+    counted floor costs under 2^-64 of tol. tol = 0, and any tol at or below
+    2^-prec, keep B = prec. For tol = man 2^exp > 0, bc = bitlen(man), tol
+    lies in [2^(exp+bc-1), 2^(exp+bc)), at the lower end only for a power of
+    two, so ceil(-log2 tol) = 1 - exp - bc exactly.
+    """
+    man, exp = mp.mpf(tol).man_exp
+    B = prec if man <= 0 else min(prec, max(0, 1 - exp - man.bit_length()))
+    return B + 64 + q1.bit_length() * (ceil(s) + r + 2)
 
 
 def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
@@ -638,7 +658,7 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
 
     Power stacks reduce to certified power tail sums (_jump_tail) cut at
     _cut(s, m, r, q1, tol, prec), the cut of the estimate at q1, one integer
-    in units of 2^-W, W = _tail_unit(s, r, q1, prec), rounded once.
+    in units of 2^-W, W = _tail_unit(s, r, q1, tol, prec), rounded once.
     Generic stacks take the block rho(q1, J) directly, up to the first J whose
     decreasing-envelope integral-test bound meets tol, and need abs_deriv_tail
     for every order below r.
@@ -653,7 +673,7 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
         if not any(c[k] for k in orders):
             return CertifiedValue(mp.mpf(0), mp.mpf(0))
         if isinstance(fs, PowerFunction):
-            W, J0 = _tail_unit(fs.s, r, q1, prec), _cut(fs.s, m, r, q1, tol, prec)
+            W, J0 = _tail_unit(fs.s, r, q1, tol, prec), _cut(fs.s, m, r, q1, tol, prec)
             return _certified(*_jump_tail(fs.s, m, orders, q1 + 1, J0, tol / 2, W), W, prec)
         # generic: direct summation with an integral-test envelope
         if fs.abs_deriv_tail is None:
@@ -695,9 +715,11 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
 
 
 def _power_identity_tails(fs: PowerFunction, m: int, r: int, q1: int, tol,
-                          prec: int) -> tuple:
+                          prec: int, pieces: bool = False) -> tuple:
     """(e_r(q1), delta_r(q1)) for f = x^-s, both tails of the identity of
-    level m at q1; called at working precision prec.
+    level m at q1; called at working precision prec. With pieces, also
+    S(q1-1) and int_q1^inf x^-s (None at s = 1), the two pieces an estimate
+    at p = q1 adds to them.
 
     delta_r(q1) = sigma~_r(q1) - e_r(q1) - D(q1), the identity solved for
     it, with the regularized tail D(q1) = sum_{j>=q1} j^-s - int_q1^inf x^-s
@@ -705,24 +727,35 @@ def _power_identity_tails(fs: PowerFunction, m: int, r: int, q1: int, tol,
     (_jump_tail, to tol/2). sigma~_r(q1) is f(q1) plus the sigma~
     coefficients Ct_k/Dn (PowerFunction._sigma_ints) on _power_sums at q1,
     within 1 + sum|Ct_k|/Dn units, rounded up, and one more for the floor.
-    The three are integers in units of 2^-W, W = _tail_unit(s, r, q1, prec)
-    as in rho_tail, and D and every jump order start their far sums at the
-    one cut J0 = _cut(s, m, r, q1, tol, prec), from one _ScaledRising there.
-    e_r(q1) is summed once for both tails and rounded on its own, exactly 0
+    The three are integers in units of 2^-W, W = _tail_unit(s, r, q1, tol,
+    prec) as in rho_tail, and D and every jump order start their far sums
+    at the one cut J0 = _cut(s, m, r, q1, tol, prec), from one _ScaledRising
+    there. Each piece is rounded on its own (_certified), e_r(q1) exactly 0
     with bound 0 when no order has a jump; delta_r(q1) is rounded once from
-    the sum (_certified), and carries the caps of both.
+    the sum, and carries the caps of both.
+
+    The pieces are integers in the same unit: S(q1-1) from _power_sums of
+    1 <= j < q1, within q1 - 1 units (exactly 0 at q1 = 1), and, for
+    s - 1 = u/v, int_q1^inf x^-s = 2^W q1^(1-s) v/u from D's own
+    x = scaled_power(s-1, q1, W): x v // u is within v/u + 1 units.
     """
-    s, W, orders = fs.s, _tail_unit(fs.s, r, q1, prec), range(1, r + 1)
+    s, W, orders = fs.s, _tail_unit(fs.s, r, q1, tol, prec), range(1, r + 1)
     ctil, _, Dn = fs._sigma_ints(m, r)
     at_q1 = _power_sums(s, [q1], orders, W)
     st = at_q1[1] + sum(c * at_q1[k] for k, c in zip(orders, ctil)) // Dn
     st_err = 2 + _cdiv(sum(map(abs, ctil)), Dn)
     J0 = _cut(s, m, r, q1, tol, prec)
     seq = _ScaledRising(s, J0, W)
+    x = scaled_power(s - 1, q1, W) if s > 1 else None
     e, e_err, e_cap = _jump_tail(s, m, orders[1:], q1 + 1, J0, tol / 2, W, seq)
-    d, d_err, d_cap = _regularized_tail(s, q1, J0, tol / 2, W, seq)
-    e_cv = _certified(e, e_err, e_cap, W, prec) if e_err else CertifiedValue(mp.mpf(0), mp.mpf(0))
-    return e_cv, _certified(st - e - d, st_err + e_err + d_err, e_cap or d_cap, W, prec)
+    d, d_err, d_cap = _regularized_tail(s, q1, J0, tol / 2, W, seq, x)
+    tails = (_certified(e, e_err, e_cap, W, prec),
+             _certified(st - e - d, st_err + e_err + d_err, e_cap or d_cap, W, prec))
+    if not pieces:
+        return tails
+    u, v = (s - 1).numerator, (s - 1).denominator
+    return tails + (_certified(_power_sums(s, range(1, q1), [1], W)[1], q1 - 1, False, W, prec),
+                    None if x is None else _certified(x * v // u, _cdiv(v, u) + 1, False, W, prec))
 
 
 def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
@@ -797,8 +830,11 @@ class SeriesEstimate:
     share of tol and took its smallest bound), "rho_terms" (generic rho_tail
     summed its 200000 terms), "delta_cells" (generic delta_tail stepped its
     4096 cells) and "abs_deriv_tail_only" (generic delta_tail on a stack with
-    abs_deriv_tail but no integrals, whose bound is the whole tail's). None
-    of the three is part of as_dict.
+    abs_deriv_tail but no integrals, whose bound is the whole tail's).
+    error_parts names what error_bound is the sum of, in order: the bounds
+    of "e_tail" and "delta_tail", for x^-s those of "partial_sum" and
+    "integral_tail" too, and the "rounding" slack of the mpf sum. None of
+    these four is part of as_dict.
     """
 
     value: object
@@ -807,6 +843,7 @@ class SeriesEstimate:
     tol: object
     tol_met: bool
     caps_hit: tuple = ()
+    error_parts: dict = field(default_factory=dict)
 
     def as_dict(self, digits: int = 30) -> dict:
         out = {"value": decimal_str(self.value, digits)}
@@ -818,26 +855,37 @@ class SeriesEstimate:
 def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
            prec: int, tol) -> SeriesEstimate:
     """lead + S(p-1) - sigma(inf) + sigma~(p) - e(p) - delta(p), the identity of
-    level m at p solved for its left side, with the component `name` = lead.
+    level m at p solved for its left side, with the component `name` = lead;
+    lead None stands for int_p^inf f.
 
-    The tails are rho_tail's and delta_tail's; for x^-s both come from one
-    _power_identity_tails call, which sums e_r(p) once for the two.
-    The pieces are summed in mpf at prec in this order; the error bound is the
-    bounds of the two tails plus _rounding_slack of the sum, and tol_met
-    compares it with tol.
+    The tails are rho_tail's and delta_tail's. For x^-s one
+    _power_identity_tails call gives both, summing e_r(p) once, and S(p-1)
+    and int_p^inf x^-s too, each an integer in the tails' unit, rounded
+    once, with its counted error. Generic stacks take partial_sum and
+    exact_tail_integral at prec. The pieces are summed in mpf at prec in
+    this order; the error bound is the sum of error_parts: the bounds of
+    the certified pieces plus _rounding_slack of the sum. tol_met compares
+    it with tol.
     """
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
-        psum = partial_sum(fs, p - 1, prec)
         st = sigma_tilde(fs, m, r, p, prec)
         si = sigma_infinity(fs, m, r, prec)
         if isinstance(fs, PowerFunction):
-            e, d = _power_identity_tails(fs, m, r, p, tol, prec)
+            e, d, ps, integral = _power_identity_tails(fs, m, r, p, tol, prec, pieces=True)
+            psum, parts = ps.value, {"partial_sum": ps.bound}
+            if lead is None:
+                lead, parts["integral_tail"] = integral.value, integral.bound
         else:
+            psum, parts = partial_sum(fs, p - 1, prec), {}
             e, d = rho_tail(fs, m, r, p, tol, prec), delta_tail(fs, m, r, p, tol, prec)
+            if lead is None:
+                lead = fs.exact_tail_integral(p, prec)
         value = lead + psum - si + st - e.value - d.value
-        bound = +(e.bound + d.bound + _rounding_slack(value, prec))
+        parts = {"e_tail": e.bound, "delta_tail": d.bound, **parts,
+                 "rounding": _rounding_slack(value, prec)}
+        bound = +sum(parts.values())
         return SeriesEstimate(
             value=+value,
             components={
@@ -852,6 +900,7 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
             tol=tol,
             tol_met=bound <= tol,
             caps_hit=tuple(dict.fromkeys(e.caps_hit + d.caps_hit)),
+            error_parts=parts,
         )
 
 
@@ -860,14 +909,15 @@ def estimate_series(fs: FunctionStack, m: int, r: int, p: int,
     """S(inf) = int_p^inf f + S(p-1) - sigma(inf) + sigma~(p) - e(p) - delta(p).
 
     This is the convergent identity solved for the series value, with the
-    component "integral_tail" = int_p^inf f; the error bound collects the two
-    tail certifications plus a rounding budget.
+    component "integral_tail" = int_p^inf f; the error bound collects the
+    certified pieces (for x^-s also S(p-1) and the integral, in the tails'
+    unit _tail_unit, which tol sets) plus a rounding budget (_solve).
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     if fs.exact_tail_integral is None:
         raise TailNotCertifiableError("tail integral of f is not available")
-    return _solve(fs, m, r, p, "integral_tail", fs.exact_tail_integral(p, prec), prec, tol)
+    return _solve(fs, m, r, p, "integral_tail", None, prec, tol)
 
 
 def euler_constant(fs: FunctionStack, m: int, r: int,
@@ -878,7 +928,7 @@ def euler_constant(fs: FunctionStack, m: int, r: int,
     lambda0 = lim f, the identity of estimate_series at p = 1 with lambda0 in
     place of the tail integral (S(0) = 0). The components name lambda0
     "limit_at_infinity"; error_bound is the bounds of e_r(1) and delta_r(1)
-    plus the rounding slack of the mpf sum.
+    plus the rounding slack of the mpf sum (error_parts).
     """
     if fs.limit_at_infinity is None:
         raise TailNotCertifiableError("limit of f at infinity is unknown")

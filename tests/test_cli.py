@@ -82,6 +82,31 @@ def test_zeta_odd_example(capsys):
                             "sigma_inf", "e_tail", "delta_tail", "error_bound"}
 
 
+def test_zeta_odd_warns_on_stderr_when_tol_is_missed(capsys):
+    # at 4096 bits the order cap binds and the default tol is missed: one
+    # stderr line names the bound, the tol and the caps, and stdout and the
+    # exit code are the estimate's as before; at the default precision tol
+    # is met and stderr stays empty
+    from fractions import Fraction
+
+    from gbzeta.bigfloat import decimal_str
+    from gbzeta.series import PowerFunction, estimate_series
+
+    argv = ["zeta-odd", "--s", "3/2", "--m", "5", "--r", "6", "--p", "100"]
+    code = cli.main(argv + ["--precision-bits", "4096"])
+    out, err = capsys.readouterr()
+    est = estimate_series(PowerFunction(Fraction(3, 2), 4096), 5, 6, 100, 4096)
+    assert not est.tol_met and est.caps_hit == ("order_cap",)
+    payload = {"s": "3/2", "m": 5, "r": 6, "p": 100, **est.as_dict(30)}
+    assert code == 0 and out == json.dumps(payload) + "\n"
+    assert err == (f"warning: error_bound {decimal_str(est.error_bound, 8)} misses tol "
+                   f"{decimal_str(est.tol, 8)}; caps_hit: order_cap\n")
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and json.loads(out)["value"].startswith("2.6123753486854883433")
+    assert err == ""
+
+
 def test_eval_exact_and_periodic(capsys):
     code, out = run_main(capsys, "eval", "--m", "1", "--n", "2", "--x", "1/2")
     assert code == 0 and json.loads(out)["value"] == "-1/12"

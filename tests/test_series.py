@@ -938,9 +938,13 @@ def test_far_out_tails_keep_their_digits():
 def test_estimate_tails_are_the_standalone_tails(prec):
     # estimate_series and euler_constant take both x^-s tails from one
     # shared pass at one cut; each is exactly rho_tail's and delta_tail's,
-    # value, bound and caps. m = 1 and r = 1 have no jump order, so e and its
-    # bound are exactly 0. The cut is past p, also at p = 100, where the far
-    # sums of D (from p) and of e (from p + 1) once started at different cuts
+    # value, bound and caps. So are S(p-1) and the tail integral, from the
+    # same pass with pieces, and error_bound is exactly the bounds of the
+    # four certified pieces plus the rounding slack, in that order (S(0) = 0
+    # and no integral for euler_constant). m = 1 and r = 1 have no jump
+    # order, so e and its bound are exactly 0. The cut is past p, also at
+    # p = 100, where the far sums of D (from p) and of e (from p + 1) once
+    # started at different cuts
     for s in (F(1), F(3, 2), F(3), F(21)):
         pf = PowerFunction(s, prec)
         for m in (1, 2, 5):
@@ -953,15 +957,72 @@ def test_estimate_tails_are_the_standalone_tails(prec):
                     e, d = rho_tail(pf, m, r, p, None, prec), delta_tail(pf, m, r, p, None, prec)
                     with mp.workprec(prec):
                         shared = series._power_identity_tails(pf, m, r, p, est.tol, prec)
-                        bound = e.bound + d.bound + series._rounding_slack(est.value, prec)
+                        _, _, ps, integral = series._power_identity_tails(
+                            pf, m, r, p, est.tol, prec, pieces=True)
+                        slack = series._rounding_slack(est.value, prec)
+                        if s == 1:
+                            parts = {"e_tail": e.bound, "delta_tail": d.bound,
+                                     "partial_sum": ps.bound, "rounding": slack}
+                            bound = e.bound + d.bound + ps.bound + slack
+                        else:
+                            parts = {"e_tail": e.bound, "delta_tail": d.bound,
+                                     "partial_sum": ps.bound, "integral_tail": integral.bound,
+                                     "rounding": slack}
+                            bound = e.bound + d.bound + ps.bound + integral.bound + slack
                     assert shared == (e, d), (s, m, r, p)
                     assert est.components["e_tail"] == e.value, (s, m, r, p)
                     assert est.components["delta_tail"] == d.value, (s, m, r, p)
+                    assert est.components["partial_sum"] == ps.value, (s, m, r, p)
+                    if s != 1:
+                        assert est.components["integral_tail"] == integral.value, (s, m, r, p)
+                    assert est.error_parts == parts, (s, m, r, p)
                     assert est.error_bound == bound, (s, m, r, p)
                     assert est.caps_hit == e.caps_hit == d.caps_hit == (), (s, m, r, p)
                     if m == 1 or r == 1:
                         assert e.value == 0 and e.bound == 0, (s, m, r, p)
                     assert series._cut(s, m, r, p, est.tol, prec) >= max(p + 1, 64)
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_estimate_pieces_in_the_tolerance_unit(prec):
+    # an x^-s estimate takes S(p-1) and int_p^inf x^-s as integers in the
+    # tails' unit W, which tol sets: each piece lies within its counted
+    # bound of the mpmath reference at prec + 64, also at the coarse unit of
+    # tol = 1e-20, and error_bound is exactly the sum of its named parts.
+    # A tol at or below 2^-prec keeps the unit prec + 64 + bitlen(p)
+    # (ceil(s) + r + 2); the default tol takes prec/2 in place of prec, and
+    # the counted errors of both pieces stay far below tol
+    wp, m, r = prec + 64, 5, 6
+    for s in (F(1), F(3, 2), F(3), F(21), F(10001, 10000)):
+        pf = PowerFunction(s, prec)
+        for p in ((1,) if s == 1 else (1, 2, 100)):
+            spill = p.bit_length() * (math.ceil(s) + r + 2)
+            assert series._tail_unit(s, r, p, mp.ldexp(1, -(prec + 8)), prec) == prec + 64 + spill
+            assert series._tail_unit(s, r, p, 0, prec) == prec + 64 + spill
+            assert series._tail_unit(s, r, p, series._default_tol(prec), prec) == (
+                prec // 2 + 64 + spill)
+            for tol in (None, mp.mpf("1e-20")):
+                if s == 1:
+                    est = euler_constant(pf, m, r, prec, tol)
+                else:
+                    est = estimate_series(pf, m, r, p, prec, tol)
+                parts, c = est.error_parts, est.components
+                with mp.workprec(prec):
+                    assert est.error_bound == sum(parts.values()), (s, p, tol)
+                assert est.tol_met and parts["rounding"] > 0, (s, p, tol)
+                with mp.workprec(wp):
+                    t = to_mpf(s, wp)
+                    ref = mp.fsum(mp.mpf(j) ** -t for j in range(1, p))
+                    assert abs(c["partial_sum"] - ref) <= parts["partial_sum"], (s, p, tol)
+                    if s == 1:
+                        assert c["partial_sum"] == parts["partial_sum"] == 0
+                        assert "integral_tail" not in parts
+                    else:
+                        ref = mp.mpf(p) ** (1 - t) / (t - 1)
+                        assert abs(c["integral_tail"] - ref) <= parts["integral_tail"], (s, p, tol)
+                    # at most p + 2 units of 2^-W <= tol 2^-64, and the rounding
+                    assert parts["partial_sum"] <= est.tol * mp.ldexp(1, -56), (s, p, tol)
+                    assert parts.get("integral_tail", 0) <= est.tol * mp.ldexp(1, -56), (s, p, tol)
 
 
 @pytest.mark.parametrize("prec,p", [(256, 2), (256, 100), (1024, 1), (1024, 100)])
