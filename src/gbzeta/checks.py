@@ -267,6 +267,20 @@ def check_series(prec: int = DEFAULT_PRECISION) -> list:
         out.append(_result("tighter tolerance never worsens the bound",
                            tight.error_bound <= loose.error_bound))
 
+        # the pieces of a tol = 1e-20 estimate are integers in the coarse
+        # unit that tol sets, each within its counted error
+        s = Fraction(3, 2)
+        est = series.estimate_series(series.PowerFunction(s, prec), 5, 2, 100, prec,
+                                     tol=mp.mpf("1e-20"))
+        c, parts = est.components, est.error_parts
+        with mp.workprec(prec + 64):
+            t = to_mpf(s, prec + 64)
+            ok = abs(est.value - mp.zeta(t)) <= est.error_bound
+            ok &= (abs(c["partial_sum"] - mp.fsum(mp.mpf(j) ** -t for j in range(1, 100)))
+                   <= parts["partial_sum"])
+            ok &= abs(c["integral_tail"] - mp.mpf(100) ** (1 - t) / (t - 1)) <= parts["integral_tail"]
+        out.append(_result("coarse-unit estimate and its pieces within their bounds", ok))
+
         pf1 = series.PowerFunction(1, prec)
         g1 = series.euler_constant(pf1, 1, 6, prec).value
         g2 = series.euler_constant(pf1, 2, 6, prec).value
