@@ -764,8 +764,9 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
 
     For power stacks it is the identity of level m at q1 solved for it,
     delta_r(q1) = sigma~_r(q1) - e_r(q1) - D(q1), in integers in units of
-    2^-W as in rho_tail, rounded once (_power_identity_tails, which
-    estimate_series and euler_constant call for both tails at once).
+    2^-W, W = _tail_unit(s, r, q1, tol, prec) as in rho_tail, rounded once
+    (_power_identity_tails, which estimate_series and euler_constant call
+    for both tails at once).
     Generic stacks need abs_deriv_tail, whose bound C int_Q^inf |f^(r)|,
     C = mu_r/(m! r!), covers delta_r(Q). With exact_integral and
     abs_deriv_integral (exp(-x)) they step Q by 16 cells (at most 4096) until
@@ -885,7 +886,7 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
         value = lead + psum - si + st - e.value - d.value
         parts = {"e_tail": e.bound, "delta_tail": d.bound, **parts,
                  "rounding": _rounding_slack(value, prec)}
-        bound = +sum(parts.values())
+        bound = sum(parts.values())
         return SeriesEstimate(
             value=+value,
             components={
