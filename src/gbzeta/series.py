@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial, gcd, inf, lgamma, log, log2, prod
+from math import ceil, factorial, gcd, inf, lgamma, log, log2, pi, prod
 
 import mpmath as mp
 from mpmath.libmp import round_ceiling
@@ -389,6 +389,11 @@ class _ScaledRising:
 
 _TAIL_ORDERS = range(8, 193, 8)
 _LN2 = log(2)
+# log2 A_R at the order cap R, from the level-1 identity |B_R|/R! =
+# 2 zeta(R) (2 pi)^-R with log2 zeta(R) < 2^-190 dropped: in double precision
+# it equals log2(N) - log2(D) of the exact _far_coeff(R), so _cut builds no
+# level-1 row up to R
+_LOG2_CAP_COEFF = 1 - _TAIL_ORDERS[-1] * log2(2 * pi)
 
 
 def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
@@ -400,9 +405,9 @@ def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
     share of tol. D's tail sum_{j>=J} j^-t has t = s and the share tol/2; jump
     order k's has t = s+k-1 and tol/(2n max(1, |w_k| (s)_(k-1))), over the n
     orders with a nonzero jump weight w_k (_jump_tail). _far_bound's bound of
-    order R is A_R (t)_R J^(1-t-R)/(t+R-1) <= A_R (t)_R J^(1-t-R), with A_R
-    of _far_coeff, and it must be within a quarter of the share tau. So R
-    meets tau at J once
+    order R is A_R (t)_R J^(1-t-R)/(t+R-1) <= A_R (t)_R J^(1-t-R), with
+    A_R = |B_R|/R! (_LOG2_CAP_COEFF), and it must be within a quarter of the
+    share tau. So R meets tau at J once
         (t+R-1) log2 J >= 2 + log2 A_R + log2 (t)_R - log2 tau,
     which floats (lgamma) solve for J. They only choose the cut; _far_bound
     certifies every far bound at whatever cut. J_tol grows like
@@ -416,13 +421,12 @@ def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
     ks = [k for k in range(2, r + 1) if c[k]]
     man, exp = mp.mpf(tol).man_exp
     R, sf = _TAIL_ORDERS[-1], s.numerator / s.denominator
-    N, D = _far_coeff(R)
 
     def log2_rising(t, n):
         return (lgamma(t + n) - lgamma(t)) / _LN2
 
     # 2 + log2 A_R - log2 of D's share tol/2, tol at least 2^-prec
-    top = log2(N) - log2(D) + 3 - (max(exp + log2(man), -prec) if man > 0 else -prec)
+    top = _LOG2_CAP_COEFF + 3 - (max(exp + log2(man), -prec) if man > 0 else -prec)
     x = (top + log2_rising(sf, R)) / (sf + R - 1)
     if ks:
         top += log2(len(ks))

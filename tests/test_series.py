@@ -2,12 +2,16 @@
 
 import gc
 import math
+import os
 import signal
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -38,6 +42,8 @@ from gbzeta.series import (
 
 F = Fraction
 P = 256
+# the directory that holds the imported package, so child processes find it
+PACKAGE_ROOT = str(Path(series.__file__).resolve().parents[1])
 
 # frozen reference digits for the worked zeta(3)/zeta(5) computations
 S99_REF = "1.2020064006596776104"
@@ -331,6 +337,28 @@ def test_tail_rows_are_exact_and_least():
                                            for i in range(2, r + 1, 2)]
         assert math.gcd(e, g1, *even) == 1, r
     assert series._tail_row(8)[2] == 1209600  # 8!/(-B_8) = 8!/(1/30)
+
+
+def test_cut_reads_the_cap_coefficient_from_its_closed_form():
+    # _cut takes log2 A_R at the order cap R = 192 from 1 - R log2(2 pi),
+    # the level-1 identity |B_R|/R! = 2 zeta(R) (2 pi)^-R without zeta(R);
+    # that double is log2(N) - log2(D) of the exact pair, so no cut moves
+    N, D = series._far_coeff(series._TAIL_ORDERS[-1])
+    assert series._LOG2_CAP_COEFF == math.log2(N) - math.log2(D) == -508.08725685868524
+
+
+def test_cold_estimate_grows_level_one_rows_to_the_order_taken():
+    # a first estimate at 256 bits in a fresh interpreter builds the level-1
+    # rows only up to the order its far sums take (24 here), not up to the
+    # cap that _cut reads
+    code = ("from gbzeta import bernoulli, series\n"
+            "series.estimate_series(series.PowerFunction(3), 5, 2, 100)\n"
+            "print(len(bernoulli.family(1)._table[0]) - 1)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert int(proc.stdout) == 24
 
 
 def _far_bound_reference(seq, k, limit):
