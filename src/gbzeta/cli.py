@@ -3,20 +3,20 @@
 All data goes to stdout in the selected format (json by default), diagnostics
 to stderr. Exit codes: 0 ok, 1 failed checks, 2 usage errors, 3 uncertifiable
 tails. Identical invocations produce byte-identical output.
+
+Each subcommand imports only the modules it calls, inside its own branch, so
+a process pays at start-up for what it runs: the exact commands (numbers,
+poly, eval at a rational point) never load mpmath.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import bernoulli, checks, periodic, quadrature, series, zeta_even
-from .bigfloat import decimal_str
 from .polyrat import format_rational, rational
 
 ENV_PRECISION = "GBZETA_PRECISION_BITS"
@@ -115,6 +115,9 @@ def _emit(payload, fmt: str, rows=None) -> None:
         for k, v in payload.items():
             print(f"{k} = {v}")
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         # an empty table (fourier --K 0) still writes the payload row
         table = rows or [payload]
@@ -138,12 +141,16 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "numbers":
+            from . import bernoulli
+
             if args.m < 1 or args.nmax < 0:
                 ap.error("need m >= 1 and nmax >= 0")
             nums = bernoulli.gb_numbers(args.m, args.nmax)
             _emit({"m": args.m, "numbers": [format_rational(q) for q in nums]}, fmt,
                   rows=[{"k": k, "B_k": format_rational(q)} for k, q in enumerate(nums)])
         elif args.command == "poly":
+            from . import bernoulli
+
             p = bernoulli.gb_polynomial(args.m, args.n)
             cs = [format_rational(c) for c in p.coeffs]
             _emit({"m": args.m, "n": args.n, "coeffs": cs}, fmt,
@@ -151,14 +158,22 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             x = _parse_rational(args.x)
             if args.periodic:
+                from . import periodic
+                from .bigfloat import decimal_str
+
                 val = periodic.periodic_eval(args.m, args.n, x, prec)
                 _emit({"m": args.m, "n": args.n, "x": args.x, "periodic": True,
                        "value": decimal_str(val, digits)}, fmt)
             else:
+                from . import bernoulli
+
                 val = bernoulli.gb_polynomial(args.m, args.n)(x)
                 _emit({"m": args.m, "n": args.n, "x": args.x, "periodic": False,
                        "value": format_rational(val)}, fmt)
         elif args.command == "fourier":
+            from . import periodic
+            from .bigfloat import decimal_str
+
             fc = periodic.fourier_coeffs(args.m, args.n, args.K, prec)
             payload = {
                 "m": args.m, "n": args.n,
@@ -177,6 +192,8 @@ def main(argv=None) -> int:
                     periodic.periodic_eval(args.m, args.n, x, prec), digits)
             _emit(payload, fmt, rows=rows)
         elif args.command == "zeta-even":
+            from . import zeta_even
+
             if args.m < 1:
                 ap.error("need m >= 1")
             if args.via == "peri12":
@@ -191,9 +208,16 @@ def main(argv=None) -> int:
                    "q": format_rational(pm.q),
                    "decimal": pm.decimal(digits, prec)}, fmt)
         elif args.command == "zeta-odd":
+            from . import series
+            from .bigfloat import decimal_str
+
             s = _parse_rational(args.s)
             fs = series.PowerFunction(s, prec)
-            est = series.estimate_series(fs, args.m, args.r, args.p, prec)
+            try:
+                est = series.estimate_series(fs, args.m, args.r, args.p, prec)
+            except series.TailNotCertifiableError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 3
             payload = {"s": args.s, "m": args.m, "r": args.r, "p": args.p}
             payload.update(est.as_dict(digits))
             _emit(payload, fmt)
@@ -203,22 +227,31 @@ def main(argv=None) -> int:
                       f"{decimal_str(est.tol, 8)}; caps_hit: {', '.join(est.caps_hit) or 'none'}",
                       file=sys.stderr)
         elif args.command == "quad":
+            from . import quadrature
+
             a, b = _parse_rational(args.a), _parse_rational(args.b)
             if args.f == "exp":
                 fs = quadrature.exp_stack(prec)
             elif args.f.startswith("power:"):
+                from . import series
+
                 fs = series.PowerFunction(_parse_rational(args.f[6:]), prec)
             else:
                 ap.error("--f must be 'exp' or 'power:S'")
             rep = quadrature.em_composite(fs, a, b, args.nsub, args.m, args.r, prec)
             _emit(rep.as_dict(digits), fmt)
         elif args.command == "norms":
+            from . import quadrature
+            from .bigfloat import decimal_str
+
             l2 = quadrature.l2_norm_sq(args.m, args.n)
             mu = quadrature.sup_norm(args.m, args.n, prec)
             _emit({"m": args.m, "n": args.n,
                    "l2_norm_sq": format_rational(l2),
                    "sup_norm": decimal_str(mu, digits)}, fmt)
         elif args.command == "check":
+            from . import checks
+
             results = checks.run_suite(args.suite, prec)
             failed = 0
             for name, ok, detail in results:
@@ -233,7 +266,8 @@ def main(argv=None) -> int:
         elif args.command == "export-plot":
             if args.samples < 1:
                 ap.error("need at least one sample interval")
-            from .bigfloat import to_mpf
+            from . import bernoulli, periodic
+            from .bigfloat import decimal_str, to_mpf
 
             m, n, K = args.m, args.n, args.samples
             p = bernoulli.gb_polynomial(m, n)
@@ -250,9 +284,6 @@ def main(argv=None) -> int:
         # values the library rejects (a level, point, cell count or exponent
         # out of range) are usage errors
         ap.error(str(exc))
-    except series.TailNotCertifiableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

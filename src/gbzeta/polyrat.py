@@ -7,14 +7,10 @@ All arithmetic, differentiation and integration here is exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
-import mpmath as mp
-
-from .bigfloat import to_mpf
-
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 def rational(x: RationalLike) -> Fraction:
@@ -127,6 +123,10 @@ class Poly:
 
     def eval_mpf(self, x, prec: int = 256):
         """Horner evaluation at a binary float, at `prec` mantissa bits."""
+        import mpmath as mp  # here, so that exact use never loads mpmath
+
+        from .bigfloat import to_mpf
+
         xf = to_mpf(x, prec)
         with mp.workprec(prec):
             acc = mp.mpf(0)

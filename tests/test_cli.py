@@ -196,6 +196,32 @@ def test_golden_stdout(case, capsys, monkeypatch):
     assert code == case["exit"]
 
 
+def _cold_cases():
+    # the first golden case of each subcommand, of each eval form and of each
+    # quad stack (exp, power:S); among them check --suite quad
+    seen = {}
+    for case in GOLDEN:
+        cmd, argv = case["argv"][0], case["argv"]
+        kind = ("--periodic" in argv if cmd == "eval"
+                else argv[2].split(":")[0] if cmd == "quad" else None)
+        seen.setdefault((cmd, kind), case)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("case", _cold_cases(), ids=lambda c: " ".join(c["argv"]))
+def test_golden_stdout_cold(case, monkeypatch):
+    # the same golden call in a fresh `python -m gbzeta.cli` process, which
+    # has imported only what that subcommand's branch imports; stdout is
+    # compared as bytes, so csv's \r\n is kept
+    monkeypatch.delenv(cli.ENV_PRECISION, raising=False)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "gbzeta.cli", *case["argv"]],
+                          capture_output=True, env=env)
+    assert proc.stdout.decode() == case["stdout"]
+    assert proc.returncode == case["exit"]
+
+
 def test_output_determinism():
     a = run_cli("zeta-odd", "--s", "3", "--m", "2", "--r", "2", "--p", "20")
     b = run_cli("zeta-odd", "--s", "3", "--m", "2", "--r", "2", "--p", "20")
