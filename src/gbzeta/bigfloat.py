@@ -63,11 +63,10 @@ def frac_part(x):
     return x - mp.floor(x)
 
 
-def _round_fixed(v: int, W: int, prec=None, rnd=round_nearest):
-    # v 2^-W rounded once, by rnd (to nearest) at prec; exact without prec
+def _round_fixed(v: int, W: int, prec: int, rnd=round_nearest):
+    # v 2^-W rounded once, by rnd (to nearest) at prec
     u = abs(v)
-    bc = u.bit_length()
-    return mp.make_mpf(normalize(int(v < 0), MPZ(u), -W, bc, prec or bc + 1, rnd))
+    return mp.make_mpf(normalize(int(v < 0), MPZ(u), -W, u.bit_length(), prec, rnd))
 
 
 def scaled_power(s, j: int, W: int) -> int:

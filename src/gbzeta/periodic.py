@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import mpmath as mp
@@ -34,20 +35,14 @@ def _finite(x, prec: int):
     return xf
 
 
-_eval_rows: dict = {}
-
-
+@cache
 def _eval_row(m: int, n: int, prec: int) -> tuple:
     # (coefficients of B_n as mpf, highest degree first, and n! as mpf), made
     # once per (m, n, prec): the same values Poly.eval_mpf and mp.factorial
     # give on every call
-    key = (m, n, prec)
-    row = _eval_rows.get(key)
-    if row is None:
-        coeffs = [to_mpf(c, prec) for c in reversed(bernoulli.gb_polynomial(m, n).coeffs)]
-        with mp.workprec(prec):
-            row = _eval_rows[key] = (coeffs, mp.factorial(n))
-    return row
+    coeffs = [to_mpf(c, prec) for c in reversed(bernoulli.gb_polynomial(m, n).coeffs)]
+    with mp.workprec(prec):
+        return coeffs, mp.factorial(n)
 
 
 def periodic_eval(m: int, n: int, x, prec: int = DEFAULT_PRECISION):

@@ -72,18 +72,25 @@ class FunctionStack:
       exact_integral(a, b, prec)        -> int_a^b f
       abs_deriv_integral(k, a, b, prec) -> upper bound for int_a^b |f^(k)|
       abs_deriv_tail(k, p, prec)        -> upper bound for int_p^inf |f^(k)|
-      partial_sum(l, prec)              -> f(1) + ... + f(l), in place of a float loop
 
     The composite rule (em_composite) needs exact_integral and
     abs_deriv_integral; the latter is exact for exp, exp(-x) and x^-s.
 
-    domain_lo is an exclusive lower end of the domain (None: unbounded); the
-    rules refuse a cell that reaches down to it, and the point sums a point at
-    or below it (see check_domain).
+    Two more come only from a subclass, as PowerFunction gives them, and are
+    None otherwise (a float loop; an unbounded domain):
+
+      partial_sum(l, prec) -> f(1) + ... + f(l)
+      domain_lo            -> an exclusive lower end of the domain; the rules
+                              refuse a cell that reaches down to it, and the
+                              point sums a point at or below it (see
+                              check_domain)
 
     A finite-difference spot check of the first few derivatives runs at
     construction (relative tolerance 1e-6 at three sample points).
     """
+
+    partial_sum = None
+    domain_lo = None
 
     def __init__(
         self,
@@ -97,11 +104,9 @@ class FunctionStack:
         limit_at_infinity=None,
         derivatives_vanish: bool = False,
         integral_converges: Optional[bool] = None,
-        domain_lo=None,
         check: bool = True,
         check_points=(0.3, 0.55, 0.8),
         prec: int = DEFAULT_PRECISION,
-        partial_sum: Optional[Callable] = None,
     ):
         self.f = f
         self._derivs = derivs
@@ -110,11 +115,9 @@ class FunctionStack:
         self.exact_integral = exact_integral
         self.abs_deriv_tail = abs_deriv_tail
         self.abs_deriv_integral = abs_deriv_integral
-        self.partial_sum = partial_sum
         self.limit_at_infinity = limit_at_infinity
         self.derivatives_vanish = derivatives_vanish
         self.integral_converges = integral_converges
-        self.domain_lo = domain_lo
         if check:
             self._spot_check(check_points, prec)
 

@@ -403,9 +403,10 @@ def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
 
     J_tol is the least cut at which the order cap R = 192 meets each tail's
     share of tol. D's tail sum_{j>=J} j^-t has t = s and the share tol/2; jump
-    order k's has t = s+k-1 and tol/(2n max(1, |w_k| (s)_(k-1))), over the n
-    orders with a nonzero jump weight w_k (_jump_tail). _far_bound's bound of
-    order R is A_R (t)_R J^(1-t-R)/(t+R-1) <= A_R (t)_R J^(1-t-R), with
+    order k's has t = s+k-1 and tol/(2n), over the n orders with a nonzero
+    jump weight (_jump_tail also divides each share by its weight, where that
+    exceeds 1; the cut leaves the weights out). _far_bound's bound of order R
+    is A_R (t)_R J^(1-t-R)/(t+R-1) <= A_R (t)_R J^(1-t-R), with
     A_R = |B_R|/R! (_LOG2_CAP_COEFF), and it must be within a quarter of the
     share tau. So R meets tau at J once
         (t+R-1) log2 J >= 2 + log2 A_R + log2 (t)_R - log2 tau,
@@ -417,7 +418,7 @@ def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
     bounds. A tol below 2^-prec, which no estimate meets (its rounding slack
     alone is 2^-prec), counts as 2^-prec here, so tol = 0 gives a finite cut.
     """
-    c, e = bernoulli.family(m)._weights("jump", r)
+    c, _ = bernoulli.family(m)._weights("jump", r)
     ks = [k for k in range(2, r + 1) if c[k]]
     man, exp = mp.mpf(tol).man_exp
     R, sf = _TAIL_ORDERS[-1], s.numerator / s.denominator
@@ -430,8 +431,7 @@ def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
     x = (top + log2_rising(sf, R)) / (sf + R - 1)
     if ks:
         top += log2(len(ks))
-        x = max(x, max((top + max(0, log2(abs(c[k])) - log2(e) + log2_rising(sf, k - 1))
-                        + log2_rising(sf + k - 1, R)) / (sf + k + R - 2) for k in ks))
+        x = max(x, max((top + log2_rising(sf + k - 1, R)) / (sf + k + R - 2) for k in ks))
     return max(q1 + 1, 64, prec if x >= log2(prec) else ceil(2 ** x))
 
 

@@ -822,6 +822,28 @@ def test_estimate_contains_zeta_on_the_grid(s, prec, zeta_sweep_refs):
     assert misses == []
 
 
+@pytest.mark.parametrize("prec", [1024, 2048])
+def test_estimate_meets_tol_at_large_s_and_high_order(prec):
+    # the cells where the jump tails carry weights |w_k| (s)_(k-1) far above
+    # 1: each far sum is asked for its weighted share of tol (_jump_tail),
+    # whatever cut _cut plans, so every cell meets tol with a true bound
+    tol = series._default_tol(prec)
+    misses = []
+    for s in (F(21), F(51)):
+        with mp.workprec(prec + 64):
+            ref = mp.zeta(s.numerator)
+        for m in (2, 5):
+            for r in (12, 20, 40):
+                for p in (1, 100):
+                    est = estimate_series(PowerFunction(s, prec), m, r, p, prec)
+                    with mp.workprec(prec + 64):
+                        err = abs(est.value - ref)
+                    if err > est.error_bound or not est.tol_met or est.caps_hit:
+                        misses.append((s, m, r, p, mp.nstr(est.error_bound, 5), est.caps_hit))
+                    assert est.tol == tol
+    assert misses == []
+
+
 def test_tol_missed_is_reported():
     # at 2048 bits and p = 100 the cut follows the tolerance, so the default
     # 2^-1024 is met; a caller tol below the rounding floor 2^-prec cannot be
