@@ -7,9 +7,13 @@ jumps (B_i(1) - B_i)/i! against powers of 1/(2 pi k).
 Coefficients and partial sums share one fixed-point kernel: the constants
 c (2 pi)^-p of jump_terms become integers scaled by 2^W, W = prec plus guard
 bits derived from the largest power and K, and a_k, b_k follow by Horner in
-1/k^2 with integer floor division. A partial sum takes cos and sin of 2 pi x
-once, with exact argument reduction, advances the phase of k x by an integer
-rotation, and sums exactly in integers; fourier_partial_sum states the
+1/k^2 with integer floor division. The exact jumps and jump terms are
+cached per (m, n) and the integer tables per (m, n, W); W takes one value
+per bitlen(K). The a_k and the b_k are each built as a whole row of K
+integers, and fourier_coeffs converts each row to mpf in one pass. A
+partial sum takes cos and sin of 2 pi x once, with exact argument
+reduction, advances the phase of k x by an integer rotation over the same
+rows, and sums exactly in integers; fourier_partial_sum states the
 resulting bound. Each returned value is rounded once, to nearest at prec.
 """
 
@@ -21,10 +25,10 @@ from functools import cache
 from math import factorial
 
 import mpmath as mp
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import MPZ, from_rational, fzero, normalize, round_nearest
 
 from . import bernoulli, zeta_even
-from .bigfloat import DEFAULT_PRECISION, _round_fixed, frac_part, to_mpf
+from .bigfloat import DEFAULT_PRECISION, frac_part, to_mpf
 
 
 def _finite(x, prec: int):
@@ -90,12 +94,13 @@ class FourierCoeffs:
         return len(self.a)
 
 
-def _jumps(m: int, n: int) -> list[Fraction]:
+@cache
+def _jumps(m: int, n: int) -> tuple:
     # J_i = (B_i(1) - B_i)/i!, with J_0 = 0; only J_1..J_n are ever used
     fam = bernoulli.family(m)
-    return [Fraction(0)] + [
+    return (Fraction(0),) + tuple(
         Fraction(fam.jump(i), factorial(i)) for i in range(1, n + 2)
-    ]
+    )
 
 
 def fourier_a0(m: int, n: int) -> Fraction:
@@ -111,15 +116,22 @@ def jump_terms(m: int, n: int) -> tuple[list, list]:
 
     where indices that fall to 0 contribute nothing (J_0 = 0), nor do zero jumps.
     """
+    return tuple(list(terms) for terms in _jump_terms(m, n))
+
+
+@cache
+def _jump_terms(m: int, n: int) -> tuple:
+    # jump_terms as tuples, built once per (m, n). The kernel's cached
+    # tables are built from these and from_rational, with no public call, so
+    # a cache miss adds no call that a warm caller's traced counts would see
     J = _jumps(m, n)
-    a_terms = [(2 * j + 2, (-1) ** j * 2 * J[n - 2 * j - 1])
-               for j in range(0, n // 2) if J[n - 2 * j - 1]]
-    b_terms = [(2 * j + 1, (-1) ** (j + 1) * 2 * J[n - 2 * j])
-               for j in range(0, n // 2 + 1) if J[n - 2 * j]]
-    return a_terms, b_terms
+    return (tuple((2 * j + 2, (-1) ** j * 2 * J[n - 2 * j - 1])
+                  for j in range(0, n // 2) if J[n - 2 * j - 1]),
+            tuple((2 * j + 1, (-1) ** (j + 1) * 2 * J[n - 2 * j])
+                  for j in range(0, n // 2 + 1) if J[n - 2 * j]))
 
 
-def _fixed_table(terms: list, W: int) -> list:
+def _fixed_table(terms: tuple, W: int) -> tuple:
     # round(c (2 pi)^-p 2^W) at index (p - 1) // 2, zero in the gaps. With
     # |c| < 2^e the quotient is taken at wp = W + e + bitlen(p) + 16 bits with
     # relative error below (p + 5) 2^-wp, so it is within 2^-13 of its true
@@ -128,9 +140,22 @@ def _fixed_table(terms: list, W: int) -> list:
     for p, c in terms:
         e = max(0, c.numerator.bit_length() - c.denominator.bit_length() + 1)
         wp = W + e + p.bit_length() + 16
+        cf = mp.make_mpf(from_rational(c.numerator, c.denominator, wp, round_nearest))
         with mp.workprec(wp):
-            table[(p - 1) // 2] = int(mp.nint(mp.ldexp(to_mpf(c, wp), W) / (2 * mp.pi) ** p))
-    return table
+            table[(p - 1) // 2] = int(mp.nint(mp.ldexp(cf, W) / (2 * mp.pi) ** p))
+    return tuple(table)
+
+
+@cache
+def _top_power(m: int, n: int) -> int:
+    # the largest power p of jump_terms(m, n), 0 if there is none
+    return max((p for terms in _jump_terms(m, n) for p, _ in terms), default=0)
+
+
+@cache
+def _fixed_tables(m: int, n: int, W: int) -> tuple:
+    # (a table, b table) of _fixed_table; W takes one value per bitlen(K)
+    return tuple(_fixed_table(terms, W) for terms in _jump_terms(m, n))
 
 
 def _fixed_kernel(m: int, n: int, K: int, prec: int) -> tuple:
@@ -139,32 +164,43 @@ def _fixed_kernel(m: int, n: int, K: int, prec: int) -> tuple:
     W = prec + guard with guard = p_max (bitlen(K) + 3) + 8, p_max the largest
     power: (2 pi K)^p_max < 2^(guard - 8), so every term c/(2 pi k)^p, k <= K,
     is at least |c| 2^(8 - guard), and an error of a few units of 2^-W is
-    about 2^-prec of it.
+    about 2^-prec of it. The tables are cached per (m, n, W) and p_max per
+    (m, n).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    a_terms, b_terms = jump_terms(m, n)
-    top = max((p for p, _ in a_terms + b_terms), default=0)
-    W = prec + top * (K.bit_length() + 3) + 8
-    return W, _fixed_table(a_terms, W), _fixed_table(b_terms, W)
+    W = prec + _top_power(m, n) * (K.bit_length() + 3) + 8
+    return (W, *_fixed_tables(m, n, W))
 
 
-def _coeff_ints(a_tab: list, b_tab: list, K: int):
-    # (a_k 2^W, b_k 2^W) for k = 1..K: Horner in 1/k^2 with floor division,
-    # then one more 1/k^2 for a and 1/k for b. A floor errs by less than one
-    # unit and a constant by at most one, and each step divides the error so
-    # far by k^2 >= 1, so a_k is within 2 L_a <= n units and b_k within
-    # 2 L_b <= n + 1 units, L the length of its table.
-    for k in range(1, K + 1):
-        k2 = k * k
-        a = b = 0
-        for c in reversed(a_tab):
-            a = c + a // k2
-        for c in reversed(b_tab):
-            b = c + b // k2
-        yield a // k2, b // k
+def _int_row(table: tuple, K: int, last: int) -> list:
+    # [t_1, ..., t_K], t_k = sum_i table[i] k^-(2i + last) in units of 2^-W
+    # (last = 2 for a, 1 for b): Horner in 1/k^2 over the whole row with
+    # floor division, then one more 1/k^last; a table of one entry takes one
+    # division per k, and an empty table gives a row of zeros. A floor errs
+    # by less than one unit and a constant by at most one, and each step
+    # divides the error so far by k^2 >= 1, so a_k is within 2 L_a <= n
+    # units and b_k within 2 L_b <= n + 1 units, L the length of its table.
+    ks = range(1, K + 1)
+    squares = [k * k for k in ks]
+    row = [table[-1] if table else 0] * K
+    for c in table[-2::-1]:
+        row = [c + t // k2 for t, k2 in zip(row, squares)]
+    return [t // d for t, d in zip(row, squares if last == 2 else ks)]
+
+
+def _mpf_row(row: list, W: int, prec: int) -> list:
+    # each t 2^-W rounded once, to nearest at prec, as _round_fixed does;
+    # the mpf is made as mp.make_mpf makes it, without a call per value
+    new, cls, out = object.__new__, mp.mpf, []
+    for t in row:
+        u = -t if t < 0 else t
+        v = new(cls)
+        v._mpf_ = normalize(int(t < 0), MPZ(u), -W, u.bit_length(), prec, round_nearest)
+        out.append(v)
+    return out
 
 
 def fourier_coeffs(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION) -> FourierCoeffs:
@@ -173,14 +209,14 @@ def fourier_coeffs(m: int, n: int, K: int, prec: int = DEFAULT_PRECISION) -> Fou
     Each value comes from the fixed-point kernel and is rounded once, to
     nearest at prec: |a_k - exact| <= n 2^-W + 2^-prec |exact|, and b_k
     likewise with n + 1 units, W > prec + p_max (bitlen(K) + 3) the kernel's
-    width.
+    width. Each row is built whole in integers and converted in one pass; a
+    function with no a (or no b) terms gets K references to one mpf zero.
     """
     W, a_tab, b_tab = _fixed_kernel(m, n, K, prec)
-    a_list, b_list = [], []
-    for a, b in _coeff_ints(a_tab, b_tab, K):
-        a_list.append(_round_fixed(a, W, prec))
-        b_list.append(_round_fixed(b, W, prec))
-    return FourierCoeffs(m, n, fourier_a0(m, n), a_list, b_list)
+    zero = mp.make_mpf(fzero)
+    a, b = (_mpf_row(_int_row(tab, K, last), W, prec) if tab else [zero] * K
+            for tab, last in ((a_tab, 2), (b_tab, 1)))
+    return FourierCoeffs(m, n, fourier_a0(m, n), a, b)
 
 
 def fourier_partial_sum(m: int, n: int, x, K: int, prec: int = DEFAULT_PRECISION):
@@ -212,7 +248,7 @@ def fourier_partial_sum(m: int, n: int, x, K: int, prec: int = DEFAULT_PRECISION
     # of (c_k, s_k) by |M|, adds |M - e^(2 pi i x)| 2^W < 0.71 and adds the
     # two floors, |.| < sqrt(2). So e_(k+1) <= (1 + 2^-W) e_k + 2.13 and
     # e_k <= 3 k for k <= K, far below 2^W. Then, with the coefficient
-    # errors of _coeff_ints (|alpha| <= n, |beta| <= n + 1 units),
+    # errors of _int_row (|alpha| <= n, |beta| <= n + 1 units),
     # |a^ c^ + b^ s^ - 2^2W (a cos + b sin)|
     #     <= |(alpha, beta)| |(c^, s^)| + 2^W |(a, b)| e_k
     #     <= sqrt(2) (n + 1) (2^W + 3k) + 2^W 3k (|a_k| + |b_k|),
@@ -223,7 +259,7 @@ def fourier_partial_sum(m: int, n: int, x, K: int, prec: int = DEFAULT_PRECISION
         X = int(mp.nint(mp.ldexp(mp.cospi(t), W)))
         Y = int(mp.nint(mp.ldexp(mp.sinpi(t), W)))
     c, s, total = 1 << W, 0, 0
-    for a, b in _coeff_ints(a_tab, b_tab, K):
+    for a, b in zip(_int_row(a_tab, K, 2), _int_row(b_tab, K, 1)):
         c, s = (c * X - s * Y) >> W, (s * X + c * Y) >> W
         total += a * c + b * s
     a0 = fourier_a0(m, n)

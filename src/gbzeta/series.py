@@ -638,11 +638,20 @@ def _jump_tail(s: Fraction, m: int, orders, J: int, J0: int, tol, W: int, seq=No
     return V, err, any(capped for *_, capped in tails)
 
 
+_MAX_TAIL_UNIT = 1 << 18
+
+
 def _tail_unit(s: Fraction, r: int, q1: int, tol, prec: int) -> int:
     """W of the x^-s tails at q1 asked for tol, and of the partial sum and
     tail integral of an estimate at p = q1: 2^-W is B + 64 bits below
     q1^-(ceil(s)+r+2), at or below the smallest tail they report, for
     B = min(prec, max(0, ceil(-log2 tol))).
+
+    A W above _MAX_TAIL_UNIT = 2^18 bits raises ValueError before any
+    integer is built: W grows linearly in s, and every power of the tails is
+    a W-bit integer, so zeta-odd --s 10^6 --p 5 (W near 3 * 10^6) took over
+    30 s and --s 1e400 did not return, while --s 87000 --p 5, W = 261204,
+    takes under a second.
 
     An estimate is never better than its tol, so bits below tol 2^-64 only
     cost: a tail far out keeps B + 64 bits relative to itself, and every
@@ -653,7 +662,11 @@ def _tail_unit(s: Fraction, r: int, q1: int, tol, prec: int) -> int:
     """
     man, exp = mp.mpf(tol).man_exp
     B = prec if man <= 0 else min(prec, max(0, 1 - exp - man.bit_length()))
-    return B + 64 + q1.bit_length() * (ceil(s) + r + 2)
+    W = B + 64 + q1.bit_length() * (ceil(s) + r + 2)
+    if W > _MAX_TAIL_UNIT:
+        raise ValueError(f"the x^-s tails at p = {q1} need a unit finer than "
+                         f"2^-{_MAX_TAIL_UNIT}; take a smaller s or p")
+    return W
 
 
 def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,

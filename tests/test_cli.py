@@ -257,6 +257,9 @@ def test_usage_errors_exit_two():
     (("zeta-odd", "--s", "1/0", "--m", "2", "--r", "2", "--p", "10"), None),
     (("zeta-even", "--r", "1", "--m", "0"), None),
     (("zeta-even", "--r", "1", "--m", "-3", "--via", "euler"), None),
+    # an s whose tails need a unit finer than 2^-(2^18) (series._tail_unit)
+    (("zeta-odd", "--s", "10000000", "--m", "1", "--r", "2", "--p", "5"), None),
+    (("zeta-odd", "--s", "1e400", "--m", "1", "--r", "2", "--p", "5"), None),
 ])
 def test_invalid_values_exit_two(args, env_extra):
     # values the library rejects are usage errors: a message, no traceback

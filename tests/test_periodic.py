@@ -5,9 +5,10 @@ from math import factorial
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_rational, round_nearest
 
 from gbzeta import bernoulli, periodic
-from gbzeta.bigfloat import to_mpf
+from gbzeta.bigfloat import _round_fixed, to_mpf
 from gbzeta.periodic import (
     dirichlet_average,
     fourier_a0,
@@ -349,3 +350,79 @@ def test_exact_x_is_reduced_before_rounding():
             assert periodic_eval(m, n, x, prec) == periodic_eval(m, n, F(2, 5), prec)
             assert (fourier_partial_sum(m, n, x, 37, prec)
                     == fourier_partial_sum(m, n, F(2, 5), 37, prec))
+
+
+def _per_value_ints(a_tab, b_tab, K):
+    # the per-value route the whole rows replaced: (a_k 2^W, b_k 2^W) for
+    # k = 1..K, Horner in 1/k^2 with floor division, one k at a time
+    for k in range(1, K + 1):
+        k2 = k * k
+        a = b = 0
+        for c in reversed(a_tab):
+            a = c + a // k2
+        for c in reversed(b_tab):
+            b = c + b // k2
+        yield a // k2, b // k
+
+
+def _per_value_kernel(m, n, K, prec):
+    # W and both tables built afresh, past the caches
+    W = periodic._fixed_kernel(m, n, K, prec)[0]
+    return (W, *(periodic._fixed_table(terms, W) for terms in jump_terms(m, n)))
+
+
+def _per_value_coeffs(m, n, K, prec):
+    W, a_tab, b_tab = _per_value_kernel(m, n, K, prec)
+    pairs = list(_per_value_ints(a_tab, b_tab, K))
+    return ([_round_fixed(a, W, prec) for a, _ in pairs],
+            [_round_fixed(b, W, prec) for _, b in pairs])
+
+
+def _per_value_partial_sum(m, n, x, K, prec):
+    # fourier_partial_sum's rotation and exact sum over the per-value integers
+    W, a_tab, b_tab = _per_value_kernel(m, n, K, prec)
+    if isinstance(x, (int, F)):
+        t = to_mpf(2 * (x % 1), W + 32)
+    else:
+        t = mp.ldexp(to_mpf(x, prec), 1)
+    with mp.workprec(W + 16):
+        X = int(mp.nint(mp.ldexp(mp.cospi(t), W)))
+        Y = int(mp.nint(mp.ldexp(mp.sinpi(t), W)))
+    c, s, total = 1 << W, 0, 0
+    for a, b in _per_value_ints(a_tab, b_tab, K):
+        c, s = (c * X - s * Y) >> W, (s * X + c * Y) >> W
+        total += a * c + b * s
+    a0 = fourier_a0(m, n)
+    num = (a0.numerator << 2 * W) + 2 * a0.denominator * total
+    return mp.make_mpf(from_rational(num, a0.denominator << (2 * W + 1), prec, round_nearest))
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_rows_equal_the_per_value_route(prec):
+    # whole integer rows, one conversion pass and cached tables give every
+    # a_k, b_k and partial sum bit for bit as the per-value route
+    xs = [F(0), F(1, 3), F(1, 4), 10**6 + F(2, 5), to_mpf(F(1, 7), prec)]
+    for m in (1, 2, 3, 5):
+        for n in range(1, 9):
+            for K in (0, 1, 40, 3000):
+                fc = fourier_coeffs(m, n, K, prec)
+                ref_a, ref_b = _per_value_coeffs(m, n, K, prec)
+                assert [v._mpf_ for v in fc.a] == [v._mpf_ for v in ref_a], (m, n, K)
+                assert [v._mpf_ for v in fc.b] == [v._mpf_ for v in ref_b], (m, n, K)
+                for x in xs:
+                    got = fourier_partial_sum(m, n, x, K, prec)
+                    assert got._mpf_ == _per_value_partial_sum(m, n, x, K, prec)._mpf_, (m, n, K, x)
+
+
+def test_tables_are_cached_tuples_per_width():
+    # W depends on K only through bitlen(K), so K = 1000 and 1023 share one
+    # table, and K = 1024 takes a wider one
+    W, a_tab, b_tab = periodic._fixed_kernel(3, 5, 1000, P)
+    assert type(a_tab) is tuple and type(b_tab) is tuple
+    W2, a2, b2 = periodic._fixed_kernel(3, 5, 1023, P)
+    assert W2 == W and a2 is a_tab and b2 is b_tab
+    W3, a3, _ = periodic._fixed_kernel(3, 5, 1024, P)
+    assert W3 > W and a3 is not a_tab
+    # the exact jump row is cached too; jump_terms still hands out new lists
+    assert periodic._jumps(3, 5) is periodic._jumps(3, 5)
+    assert jump_terms(3, 5) == jump_terms(3, 5) and jump_terms(3, 5)[0] is not jump_terms(3, 5)[0]

@@ -1369,3 +1369,16 @@ def test_power_stacks_leave_no_cyclic_garbage(s, path):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_tail_unit_limit():
+    # the tails' unit W grows linearly in s and may reach 2^18 bits: an
+    # estimate at s = 87000, p = 5 keeps W = 261204, and a larger s raises
+    # ValueError before any W-bit integer is built
+    tol = series._default_tol(256)
+    assert series._tail_unit(F(87000), 2, 5, tol, 256) == 261204 <= series._MAX_TAIL_UNIT
+    for s in (F(87500), F(10**7), F(10**400)):
+        with pytest.raises(ValueError, match="smaller s or p"):
+            series._tail_unit(s, 2, 5, tol, 256)
+        with pytest.raises(ValueError, match="smaller s or p"):
+            estimate_series(PowerFunction(s), 1, 2, 5)
