@@ -360,27 +360,25 @@ def _cdiv(x: int, y: int) -> int:
 
 
 class _ScaledRising:
-    """U_n within err_n units of 2^W (s)_n J^-(s+n), and P_n = b^n (s)_n, s = a/b.
+    """U_n within err_n units of 2^W (s)_n J^-(s+n), and P_n = b^n (s)_n, s = a/b,
+    for n = 0..N, built at construction.
 
     U_n 2^-W is |f^(n)(J)| for f = x^-s, the one value the far sum of order
-    k = n + 1 at J starts from (_far_bound, _em_far), so n only runs up to the
-    largest k - 1 of the tails read at J. U_0 = scaled_power(s, J, W), within
-    one unit, and U_(n+1) = U_n (a+nb) // (bJ): if U_n is within err_n of x,
-    then U_n (a+nb)/(bJ) is within err_n (a+nb)/(bJ) of x (a+nb)/(bJ), and the
+    k = n + 1 at J starts from (_far_bound, _em_far), so N is the largest
+    k - 1 of the tails read at J. U_0 = scaled_power(s, J, W), within one
+    unit, and U_(n+1) = U_n (a+nb) // (bJ): if U_n is within err_n of x, then
+    U_n (a+nb)/(bJ) is within err_n (a+nb)/(bJ) of x (a+nb)/(bJ), and the
     floor takes under one unit more, so err_(n+1) = ceil(err_n (a+nb)/(bJ)) + 1.
-    P_n is exact. Entries are made on demand (extend); one sequence serves
-    every tail of one estimate, all of which start their far sums at the one
-    cut J.
+    P_n is exact. One sequence serves every tail of one estimate, all of
+    which start their far sums at the one cut J, in the one unit 2^-W.
     """
 
-    def __init__(self, s: Fraction, J: int, W: int):
-        self.a, self.b, self.J = s.numerator, s.denominator, J
-        self.U, self.err, self.P = [scaled_power(s, J, W)], [1], [1]
-
-    def extend(self, n: int) -> None:
-        a, b, U, err, P = self.a, self.b, self.U, self.err, self.P
-        bJ = b * self.J
-        for i in range(len(U) - 1, n):
+    def __init__(self, s: Fraction, J: int, W: int, N: int):
+        self.s, self.J, self.W = s, J, W
+        a, b = self.a, self.b = s.numerator, s.denominator
+        U, err, P = self.U, self.err, self.P = [scaled_power(s, J, W)], [1], [1]
+        bJ = b * J
+        for i in range(N):
             c = a + i * b
             U.append(U[i] * c // bJ)
             err.append(_cdiv(err[i] * c, bJ) + 1)
@@ -463,7 +461,6 @@ def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:
     """
     a, b, J = seq.a, seq.b, seq.J
     a1 = a + (k - 1) * b
-    seq.extend(k - 1)
     Z = J * b * (seq.U[k - 1] + seq.err[k - 1])
     M = limit * seq.P[k - 1] // b ** (k - 1)
     lm, t, lJ = (log2(M) if M else -inf) + 1 / 64, a1 / b, log2(J)
@@ -546,27 +543,24 @@ def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
     return X * Hn // den, far + err + 1, not met
 
 
-def _power_tails(s: Fraction, ks, J: int, J0: int, limits, W: int, seq=None) -> list[tuple]:
+def _power_tails(seq: _ScaledRising, ks, J: int, limits) -> list[tuple]:
     """[(T, err, capped)]: sum_{j>=J} |f^(k-1)(j)| within err units of T 2^-W,
-    for each k in ks and f = x^-s, cut at J0 >= J; capped as _em_far's.
+    for each k in ks and f = x^-s, cut at J0 = seq.J >= J; capped as
+    _em_far's.
 
     That is (s)_(k-1) sum_{j>=J} j^-(s+k-1), each with t = s+k-1 > 1; the
     far sum of each k meets its own entry of limits, floor(2^W tau/4) for a
     share tau of tol (_far_bound), which applies to the sum without the
     (s)_(k-1). All tails share the near block J <= j < J0 (_power_sums,
-    within J0 - J units) and one _ScaledRising at J0, s = a/b, read up to
-    U_(max k - 1). Each tail is the near block, the integral
-    int_J0^inf |f^(k-1)| = J0 b U_(k-1)/(a+(k-2)b) and the Euler-Maclaurin
-    sum of _em_far:
+    within J0 - J units) and seq, s = a/b, built up to U_(max k - 1). Each
+    tail is the near block, the integral int_J0^inf |f^(k-1)| =
+    J0 b U_(k-1)/(a+(k-2)b) and the Euler-Maclaurin sum of _em_far:
         T = P_(k-1) near // b^(k-1) + J0 b U_(k-1) // (a+(k-2)b) + V,
     within (s)_(k-1)(J0 - J) + J0 b err_(k-1)/(a+(k-2)b), rounded up, plus
-    _em_far's error and 2 for the floors. seq, when given, is the caller's
-    sequence at J0, shared with its other tails.
+    _em_far's error and 2 for the floors.
     """
-    a, b = s.numerator, s.denominator
-    near = _power_sums(s, range(J, J0), ks, W)
-    seq = seq or _ScaledRising(s, J0, W)
-    seq.extend(max(ks) - 1)
+    a, b, J0 = seq.a, seq.b, seq.J
+    near = _power_sums(seq.s, range(J, J0), ks, seq.W)
     out = []
     for k, limit in zip(ks, limits):
         V, V_err, capped = _em_far(seq, k, limit)
@@ -577,62 +571,60 @@ def _power_tails(s: Fraction, ks, J: int, J0: int, limits, W: int, seq=None) -> 
     return out
 
 
-def _regularized_tail(s: Fraction, J: int, J0: int, tol, W: int, seq=None,
-                      at_J=None) -> tuple:
+def _regularized_tail(seq: _ScaledRising, J: int, limit: int, at_J) -> tuple:
     """(V, err, capped): D(J) = sum_{j>=J} j^-s - int_J^inf x^-s within err
-    units of V 2^-W, cut at J0 >= J; finite at s = 1 too.
+    units of V 2^-W, cut at J0 = seq.J >= J; finite at s = 1 too.
 
     D(J) is the near block J <= j < J0 (_power_sums, within J0 - J units),
     minus int_J^J0 x^-s, plus _em_far's level-1 sum at J0 for k = 1, whose
-    far bound is certified to tol. The integral (J^(1-s) - J0^(1-s))/(s-1),
-    s - 1 = u/v, is a difference of two scaled_power(s-1, .), times v
-    floor-divided by u: within 2v/u + 1 units. For s = 1 it is mp.log at
-    W + 16 bits, whose error is mpmath's: at 16 units in the last place of
-    each log it is below bitlen(J0) 2^-8 units, and 1 + bitlen(J0) are
-    counted. seq, when given, is the caller's sequence at J0, shared with
-    its other tails; at_J, when given, is the caller's scaled_power(s-1, J,
-    W), which also gives it int_J^inf x^-s.
+    far bound meets limit = floor(2^W tol/4) for D's tol. The integral
+    (J^(1-s) - J0^(1-s))/(s-1), s - 1 = u/v, is a difference of two
+    scaled_power(s-1, .), times v floor-divided by u: within 2v/u + 1
+    units; at_J is the caller's scaled_power(s-1, J, W), which also gives it
+    int_J^inf x^-s. For s = 1 (at_J unused) it is mp.log at W + 16 bits,
+    whose error is mpmath's: at 16 units in the last place of each log it is
+    below bitlen(J0) 2^-8 units, and 1 + bitlen(J0) are counted.
     """
+    s, J0, W = seq.s, seq.J, seq.W
     near = _power_sums(s, range(J, J0), [1], W)[1]
-    far, far_err, capped = _em_far(seq or _ScaledRising(s, J0, W), 1, int(mp.ldexp(tol, W - 2)))
+    far, far_err, capped = _em_far(seq, 1, limit)
     if s == 1:
         with mp.workprec(W + 16):
             integral = int(mp.nint(mp.ldexp(mp.log(J0) - mp.log(J), W)))
         return near - integral + far, J0 - J + 1 + J0.bit_length() + far_err, capped
     u, v = (s - 1).numerator, (s - 1).denominator
-    if at_J is None:
-        at_J = scaled_power(s - 1, J, W)
     integral = (at_J - scaled_power(s - 1, J0, W)) * v // u
     return near - integral + far, J0 - J + _cdiv(2 * v, u) + 1 + far_err, capped
 
 
-def _jump_tail(s: Fraction, m: int, orders, J: int, J0: int, tol, W: int, seq=None) -> tuple:
+def _jump_tail(seq: _ScaledRising, m: int, orders, J: int, limit: int) -> tuple:
     """(V, err, capped): sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for
-    f = x^-s, within err units of V 2^-W, cut at J0; capped if any order's
-    far sum is.
+    f = x^-s, within err units of V 2^-W, cut at seq.J; capped if any
+    order's far sum is.
 
     w_k are the jump weights of rho, (B_k(1)-B_k)/(m! k!) = c_k/e from the
     level's integer table, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|, so an
     order adds w_k times its tail of |f^(k-1)|. The n orders with a nonzero
-    jump take those tails from one _power_tails call at the same J and J0, on
-    seq if given. Order k's far bound on sum_{j>=J} j^-(s+k-1) is asked for
-    the share tol/(n max(1, |w_k| (s)_(k-1))), so its part of the sum, that
-    bound times |w_k| (s)_(k-1), is within tol/n; the max keeps a factor
-    below 1 from loosening the bound. V = (sum_k c_k T_k) // e, within
-    sum |c_k| err_k / e units, rounded up, plus one for the floor. With no
-    such order (level 1, or r = 1) the sum is exactly 0.
+    jump take those tails from one _power_tails call on seq. limit =
+    floor(2^W tol/4) for the jump tail's tol; order k's far bound on
+    sum_{j>=J} j^-(s+k-1) is asked for the share tol/(n max(1, |w_k|
+    (s)_(k-1))), so its part of the sum, that bound times |w_k| (s)_(k-1), is
+    within tol/n; the max keeps a factor below 1 from loosening the bound.
+    V = (sum_k c_k T_k) // e, within sum |c_k| err_k / e units, rounded up,
+    plus one for the floor. With no such order (level 1, or r = 1) the sum
+    is exactly 0.
     """
     c, e = bernoulli.family(m)._weights("jump", max(orders, default=0))
     ks = [k for k in orders if c[k]]
     if not ks:
         return 0, 0, False
-    a, b, L = s.numerator, s.denominator, int(mp.ldexp(tol, W - 2))
     limits = []
     for k in ks:
-        # |w_k| (s)_(k-1) = x/y, and the limit floor(L/(n max(1, x/y)))
-        x, y = abs(c[k]) * prod(range(a, a + (k - 1) * b, b)), e * b ** (k - 1)
-        limits.append(L * y // (len(ks) * max(x, y)))
-    tails = _power_tails(s, ks, J, J0, limits, W, seq)
+        # |w_k| (s)_(k-1) = x/y, with b^(k-1) (s)_(k-1) = P_(k-1), and the
+        # limit floor(limit/(n max(1, x/y)))
+        x, y = abs(c[k]) * seq.P[k - 1], e * seq.b ** (k - 1)
+        limits.append(limit * y // (len(ks) * max(x, y)))
+    tails = _power_tails(seq, ks, J, limits)
     V = sum(c[k] * T for k, (T, _, _) in zip(ks, tails)) // e
     err = _cdiv(sum(abs(c[k]) * n for k, (_, n, _) in zip(ks, tails)), e) + 1
     return V, err, any(capped for *_, capped in tails)
@@ -669,6 +661,21 @@ def _tail_unit(s: Fraction, r: int, q1: int, tol, prec: int) -> int:
     return W
 
 
+def _tail_start(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> tuple:
+    """(limit, seq): where the x^-s tails of the identity of level m at q1,
+    D(q1) and each jump order's, start. seq is the _ScaledRising at the cut
+    _cut(s, m, r, q1, tol, prec) in the unit W = _tail_unit(s, r, q1, tol,
+    prec), built up to U_(k-1) for the largest order k with a jump (U_0
+    without one); limit = floor(2^(W-2) tol/2) is the far-sum limit of D and
+    of the jump tail, each asked for tol/2.
+    """
+    c, _ = bernoulli.family(m)._weights("jump", r)
+    W = _tail_unit(s, r, q1, tol, prec)
+    seq = _ScaledRising(s, _cut(s, m, r, q1, tol, prec), W,
+                        max((k - 1 for k in range(2, r + 1) if c[k]), default=0))
+    return int(mp.ldexp(tol / 2, W - 2)), seq
+
+
 def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
              tol=None, prec: int = DEFAULT_PRECISION) -> CertifiedValue:
     """e_r(q1) = rho(q1, infinity), with a certified error bound.
@@ -690,8 +697,8 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
         if not any(c[k] for k in orders):
             return CertifiedValue(mp.mpf(0), mp.mpf(0))
         if isinstance(fs, PowerFunction):
-            W, J0 = _tail_unit(fs.s, r, q1, tol, prec), _cut(fs.s, m, r, q1, tol, prec)
-            return _certified(*_jump_tail(fs.s, m, orders, q1 + 1, J0, tol / 2, W), W, prec)
+            limit, seq = _tail_start(fs.s, m, r, q1, tol, prec)
+            return _certified(*_jump_tail(seq, m, orders, q1 + 1, limit), seq.W, prec)
         # generic: direct summation with an integral-test envelope
         if fs.abs_deriv_tail is None:
             raise TailNotCertifiableError("tail not certifiable")
@@ -756,16 +763,16 @@ def _power_identity_tails(fs: PowerFunction, m: int, r: int, q1: int, tol,
     s - 1 = u/v, int_q1^inf x^-s = 2^W q1^(1-s) v/u from D's own
     x = scaled_power(s-1, q1, W): x v // u is within v/u + 1 units.
     """
-    s, W, orders = fs.s, _tail_unit(fs.s, r, q1, tol, prec), range(1, r + 1)
+    s, orders = fs.s, range(1, r + 1)
+    limit, seq = _tail_start(s, m, r, q1, tol, prec)
+    W = seq.W
     ctil, _, Dn = fs._sigma_ints(m, r)
     at_q1 = _power_sums(s, [q1], orders, W)
     st = at_q1[1] + sum(c * at_q1[k] for k, c in zip(orders, ctil)) // Dn
     st_err = 2 + _cdiv(sum(map(abs, ctil)), Dn)
-    J0 = _cut(s, m, r, q1, tol, prec)
-    seq = _ScaledRising(s, J0, W)
     x = scaled_power(s - 1, q1, W) if s > 1 else None
-    e, e_err, e_cap = _jump_tail(s, m, orders[1:], q1 + 1, J0, tol / 2, W, seq)
-    d, d_err, d_cap = _regularized_tail(s, q1, J0, tol / 2, W, seq, x)
+    e, e_err, e_cap = _jump_tail(seq, m, orders[1:], q1 + 1, limit)
+    d, d_err, d_cap = _regularized_tail(seq, q1, limit, x)
     tails = (_certified(e, e_err, e_cap, W, prec),
              _certified(st - e - d, st_err + e_err + d_err, e_cap or d_cap, W, prec))
     if not pieces:

@@ -206,7 +206,8 @@ def _power_tail_sum(t, J, prec, tol=None):
         if tol is None:
             tol = series._default_tol(prec)
         W = prec + 64 + J.bit_length()
-        tail = series._power_tails(t, [1], J, _cut_at(t, J, tol, prec), _limits(tol, W, [1]), W)[0]
+        seq = series._ScaledRising(t, _cut_at(t, J, tol, prec), W, 0)
+        tail = series._power_tails(seq, [1], J, _limits(tol, W, [1]))[0]
         return series._certified(*tail, W, prec)
 
 
@@ -240,8 +241,7 @@ def test_scaled_rising_within_its_error_count(s, W):
     # exponents take both scaled_power routes (exact floor, and mpf for b > 4)
     pf = PowerFunction(s)
     for J in (64, 165, 613):
-        seq = series._ScaledRising(s, J, W)
-        seq.extend(200)
+        seq = series._ScaledRising(s, J, W, 200)
         with mp.workprec(W + 64):
             sv = mp.mpf(s.numerator) / s.denominator
             for n in range(201):
@@ -272,9 +272,9 @@ def test_power_tails_near_block_to_order_40():
     for J in (1, 2, 63):
         with mp.workprec(prec):
             W, tol = prec + 64 + J.bit_length(), series._default_tol(prec)
+            seq = series._ScaledRising(s, _cut_at(s, J, tol, prec), W, max(ks) - 1)
             tails = [series._certified(*tail, W, prec)
-                     for tail in series._power_tails(s, ks, J, _cut_at(s, J, tol, prec),
-                                                     _limits(tol, W, ks), W)]
+                     for tail in series._power_tails(seq, ks, J, _limits(tol, W, ks))]
         with mp.workprec(prec + 64):
             for k, cv in zip(ks, tails):
                 ref = to_mpf(pf.pochhammer(k - 1), prec + 64) * mp.zeta(mp.mpf(1) / 2 + k, J)
@@ -292,11 +292,10 @@ def _power_tails_reference(s, ks, J, J0, tol, W):
     c, e = bernoulli.family(1)._weights("number", top)
     a, b = s.numerator, s.denominator
     near = series._power_sums(s, range(J, J0), ks, W)
-    seq = series._ScaledRising(s, J0, W)
+    seq = series._ScaledRising(s, J0, W, max(ks) - 1)
     limit, L = int(mp.ldexp(tol, W - 2)), b * J0
     out = []
     for k in ks:
-        seq.extend(k - 1)
         r, far, _ = series._far_bound(seq, k, limit)
         a1, X = a + (k - 1) * b, seq.U[k - 1]
         num, Q = 0, 1
@@ -321,7 +320,8 @@ def test_power_tails_match_one_row_reference(s, W):
     for tol in (series._default_tol(W - 64), 0):
         for J in (1, 2, 63, 64, 165, 613):
             J0 = max(J, 64)
-            got = series._power_tails(s, ks, J, J0, _limits(tol, W, ks), W)
+            seq = series._ScaledRising(s, J0, W, max(ks) - 1)
+            got = series._power_tails(seq, ks, J, _limits(tol, W, ks))
             ref = _power_tails_reference(s, ks, J, J0, tol, W)
             for k, (T, err, _), (T_ref, far) in zip(ks, got, ref):
                 assert abs(T - T_ref) < 2 and abs(T - T_ref) <= err - far, (J, tol, k)
@@ -368,7 +368,6 @@ def _far_bound_reference(seq, k, limit):
     # P_(k-1); the first order that meets it, else the smallest bound, the
     # first on ties; (order, bound, met)
     a, b, J = seq.a, seq.b, seq.J
-    seq.extend(k - 1)
     t, x = F(a, b) + k - 1, seq.U[k - 1] + seq.err[k - 1]
     lim, scale = limit * seq.P[k - 1], b ** (k - 1)
     best = None
@@ -394,7 +393,6 @@ def _pin_orders(monkeypatch, seq, k, targets):
     # give each order r of _far_bound at (seq, k) the unrounded bound X/Y =
     # targets[r], and every other order 2^4000, through _far_coeff's N/D
     a1, b, J = seq.a + (k - 1) * seq.b, seq.b, seq.J
-    seq.extend(k - 1)
     Z = J * b * (seq.U[k - 1] + seq.err[k - 1])
 
     def coeff(r):
@@ -430,14 +428,15 @@ def test_far_bound_matches_divide_every_order_reference(W, monkeypatch):
         for J in (64, 613):
             huge = 1 << (W + 64)
             for limit in (0, huge, int(mp.ldexp(series._default_tol(W - 64), W - 2))):
-                ref = _far_bound_reference(series._ScaledRising(s, J, W), k, limit)
-                assert series._far_bound(series._ScaledRising(s, J, W), k, limit) == ref, (s, k, J)
+                ref = _far_bound_reference(series._ScaledRising(s, J, W, k - 1), k, limit)
+                got = series._far_bound(series._ScaledRising(s, J, W, k - 1), k, limit)
+                assert got == ref, (s, k, J)
                 rule = "none" if not ref[2] else "first" if ref[0] == 8 else "later"
                 assert rule == {0: "none", huge: "first"}.get(limit, rule)
                 rules.add(rule)
     assert rules == {"none", "first", "later"}
     for targets, limit, expected in _pinned_far_bound_cases():
-        seq = series._ScaledRising(F(3, 2), 64, W)
+        seq = series._ScaledRising(F(3, 2), 64, W, 0)
         _pin_orders(monkeypatch, seq, 1, targets)
         assert _far_bound_reference(seq, 1, limit) == expected
         assert series._far_bound(seq, 1, limit) == expected
@@ -447,8 +446,7 @@ def test_far_bound_meets_a_limit_equal_to_its_bound(monkeypatch):
     # an order whose unrounded bound X/Y is exactly the integer limit meets
     # it, at k = 1 and k = 3; one unit less and it does not
     for k in (1, 3):
-        seq = series._ScaledRising(F(3, 2), 64, 320)
-        seq.extend(k - 1)
+        seq = series._ScaledRising(F(3, 2), 64, 320, k - 1)
         limit = 1 << 200
         M = limit * seq.P[k - 1] // seq.b ** (k - 1)  # exact: P_2/b^2 = 15/4
         _pin_orders(monkeypatch, seq, k, {8: F(M)})
@@ -486,7 +484,9 @@ def _jump_tail_hurwitz(s, m, orders, J, wp):
 def _rounded_jump_tail(s, m, orders, J, J0, tol, prec):
     # the batched jump tail as rho_tail takes it: one integer, rounded once
     W = prec + 64 + J.bit_length()
-    return series._certified(*series._jump_tail(s, m, orders, J, J0, tol, W), W, prec)
+    seq = series._ScaledRising(s, J0, W, max(orders) - 1)
+    return series._certified(*series._jump_tail(seq, m, orders, J, int(mp.ldexp(tol, W - 2))),
+                             W, prec)
 
 
 @pytest.mark.parametrize("prec", [256, 1024])
@@ -1162,7 +1162,9 @@ def test_regularized_tail_matches_hurwitz(s, prec):
         with mp.workprec(prec):
             W, tol = prec + 64 + J.bit_length(), series._default_tol(prec)
             J0 = _cut_at(s, J, tol, prec)
-            cv = series._certified(*series._regularized_tail(s, J, J0, tol, W), W, prec)
+            seq, limit = series._ScaledRising(s, J0, W, 0), int(mp.ldexp(tol, W - 2))
+            at_J = scaled_power(s - 1, J, W) if s > 1 else None
+            cv = series._certified(*series._regularized_tail(seq, J, limit, at_J), W, prec)
         with mp.workprec(wp):
             if s == 1:
                 ref = mp.log(J) - mp.digamma(J)
