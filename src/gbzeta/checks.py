@@ -262,13 +262,21 @@ def check_series(prec: int = DEFAULT_PRECISION) -> list:
             out.append(_result(f"zeta({s}) estimate lands within its bound", ok))
             out.append(_result(f"zeta({s}) estimate meets its tolerance", est.tol_met))
 
+        # sigma~(1) and delta(1) near -1.8e10 cancel exactly in the integer
+        # value int + S(0) + D(1); no bound scales with them
+        est = series.estimate_series(series.PowerFunction(101, prec), 3, 12, 1, prec)
+        with mp.workprec(prec + 64):
+            ok = abs(est.value - mp.zeta(101)) <= est.error_bound
+        out.append(_result("x^-s estimate at large s lands within its bound", ok))
+
         loose = series.estimate_series(pf3, 5, 2, 100, prec, tol=mp.mpf("1e-20"))
         tight = series.estimate_series(pf3, 5, 2, 100, prec, tol=mp.mpf("1e-30"))
         out.append(_result("tighter tolerance never worsens the bound",
                            tight.error_bound <= loose.error_bound))
 
         # the pieces of a tol = 1e-20 estimate are integers in the coarse
-        # unit that tol sets, each within its counted error
+        # unit 2^-173 that tol sets, each within its counted error; that unit
+        # is coarser than 2^-prec, so rounding them to prec is exact
         s = Fraction(3, 2)
         est = series.estimate_series(series.PowerFunction(s, prec), 5, 2, 100, prec,
                                      tol=mp.mpf("1e-20"))

@@ -47,9 +47,9 @@ def _default_tol(prec: int):
 
 
 def _rounding_slack(value, prec: int):
-    # chosen, not derived, for float work: the tails of generic stacks and the
-    # mpf sum that assembles the estimate. Fixed-point sums of j^-s and the
-    # power tails (_certified) derive their own bounds
+    # chosen, not derived, for the float work of generic stacks: their tails
+    # and the mpf sum that assembles their estimate (_solve). x^-s takes no
+    # slack: its tails and its estimate are integers (_certified)
     return abs(value) * mp.ldexp(1, 12 - prec) + mp.ldexp(1, -prec)
 
 
@@ -741,9 +741,10 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
 def _power_identity_tails(fs: PowerFunction, m: int, r: int, q1: int, tol,
                           prec: int, pieces: bool = False) -> tuple:
     """(e_r(q1), delta_r(q1)) for f = x^-s, both tails of the identity of
-    level m at q1; called at working precision prec. With pieces, also
-    S(q1-1) and int_q1^inf x^-s (None at s = 1), the two pieces an estimate
-    at p = q1 adds to them.
+    level m at q1; called at working precision prec. With pieces, also W,
+    {name: (integer, counted error)} in units of 2^-W for the pieces of an
+    estimate at p = q1, "integral_tail" (not at s = 1), "partial_sum" and
+    "regularized_tail", in that order, and whether D's far sum was capped.
 
     delta_r(q1) = sigma~_r(q1) - e_r(q1) - D(q1), the identity solved for
     it, with the regularized tail D(q1) = sum_{j>=q1} j^-s - int_q1^inf x^-s
@@ -754,13 +755,13 @@ def _power_identity_tails(fs: PowerFunction, m: int, r: int, q1: int, tol,
     The three are integers in units of 2^-W, W = _tail_unit(s, r, q1, tol,
     prec) as in rho_tail, and D and every jump order start their far sums
     at the one cut J0 = _cut(s, m, r, q1, tol, prec), from one _ScaledRising
-    there. Each piece is rounded on its own (_certified), e_r(q1) exactly 0
-    with bound 0 when no order has a jump; delta_r(q1) is rounded once from
-    the sum, and carries the caps of both.
+    there (_tail_start). Each piece is rounded on its own (_certified),
+    e_r(q1) exactly 0 with bound 0 when no order has a jump; delta_r(q1) is
+    rounded once from the sum, and carries the caps of both.
 
-    The pieces are integers in the same unit: S(q1-1) from _power_sums of
-    1 <= j < q1, within q1 - 1 units (exactly 0 at q1 = 1), and, for
-    s - 1 = u/v, int_q1^inf x^-s = 2^W q1^(1-s) v/u from D's own
+    The pieces are integers in the same unit: D(q1) as above, S(q1-1) from
+    _power_sums of 1 <= j < q1, within q1 - 1 units (exactly 0 at q1 = 1),
+    and, for s - 1 = u/v, int_q1^inf x^-s = 2^W q1^(1-s) v/u from D's own
     x = scaled_power(s-1, q1, W): x v // u is within v/u + 1 units.
     """
     s, orders = fs.s, range(1, r + 1)
@@ -778,8 +779,10 @@ def _power_identity_tails(fs: PowerFunction, m: int, r: int, q1: int, tol,
     if not pieces:
         return tails
     u, v = (s - 1).numerator, (s - 1).denominator
-    return tails + (_certified(_power_sums(s, range(1, q1), [1], W)[1], q1 - 1, False, W, prec),
-                    None if x is None else _certified(x * v // u, _cdiv(v, u) + 1, False, W, prec))
+    ints = {} if x is None else {"integral_tail": (x * v // u, _cdiv(v, u) + 1)}
+    ints["partial_sum"] = (_power_sums(s, range(1, q1), [1], W)[1], q1 - 1)
+    ints["regularized_tail"] = (d, d_err)
+    return tails + (W, ints, d_cap)
 
 
 def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
@@ -850,16 +853,18 @@ class SeriesEstimate:
     """Estimate of S(inf) with its components and certified error bound.
 
     tol is the tolerance the tails were asked for, and tol_met says whether
-    error_bound is within it. caps_hit names each cap that stopped a tail,
-    once: "order_cap" (an x^-s far sum met no order up to 192 within its
-    share of tol and took its smallest bound), "rho_terms" (generic rho_tail
-    summed its 200000 terms), "delta_cells" (generic delta_tail stepped its
-    4096 cells) and "abs_deriv_tail_only" (generic delta_tail on a stack with
-    abs_deriv_tail but no integrals, whose bound is the whole tail's).
-    error_parts names what error_bound is the sum of, in order: the bounds
-    of "e_tail" and "delta_tail", for x^-s those of "partial_sum" and
-    "integral_tail" too, and the "rounding" slack of the mpf sum. None of
-    these four is part of as_dict.
+    error_bound is within it. caps_hit names each cap that stopped a tail
+    the value depends on, once: "order_cap" (an x^-s far sum met no order up
+    to 192 within its share of tol and took its smallest bound), "rho_terms"
+    (generic rho_tail summed its 200000 terms), "delta_cells" (generic
+    delta_tail stepped its 4096 cells) and "abs_deriv_tail_only" (generic
+    delta_tail on a stack with abs_deriv_tail but no integrals, whose bound
+    is the whole tail's). error_parts names what error_bound is made of, in
+    order (_solve): for x^-s the counted errors of "integral_tail" (not for
+    euler_constant), "partial_sum" and "regularized_tail" D(p) and the
+    "rounding" of their sum; for other stacks the bounds of "e_tail" and
+    "delta_tail" and the "rounding" slack of the mpf sum. None of these
+    four is part of as_dict.
     """
 
     value: object
@@ -883,50 +888,52 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
     level m at p solved for its left side, with the component `name` = lead;
     lead None stands for int_p^inf f.
 
-    The tails are rho_tail's and delta_tail's. For x^-s one
-    _power_identity_tails call gives both, summing e_r(p) once, and S(p-1)
-    and int_p^inf x^-s too, each an integer in the tails' unit, rounded
-    once, with its counted error. Generic stacks take partial_sum and
-    exact_tail_integral at prec. The pieces are summed in mpf at prec in
-    this order; the error bound is the sum of error_parts: the bounds of
-    the certified pieces plus _rounding_slack of the sum. tol_met compares
-    it with tol.
+    For x^-s, delta(p) = sigma~(p) - e(p) - D(p) (_power_identity_tails), so
+    sigma~ and e cancel exactly and, with sigma(inf) = 0, the value is
+    lead + S(p-1) + D(p): one integer in the tails' unit 2^-W, the sum of
+    the pieces' integers (lead = lambda0 = 0 for euler_constant, which
+    leaves out the integral), within the sum of their counted errors, and
+    rounded once (_certified). error_parts holds those counted errors and
+    the rounding, (|V| >> prec) + 1 units for the sum V, each rounded up at
+    prec: error_bound is their integer sum rounded up once, so it equals
+    their sum while every integer fits in prec bits (as in every cell the
+    tests and checks take) and is at most their exact sum otherwise. The
+    components are the same integers rounded, and rho_tail's and
+    delta_tail's values; sigma~ is the float sigma_tilde, not certified.
+    caps_hit is D's, the only far sum in the value.
+
+    Generic stacks take the tails from rho_tail and delta_tail, partial_sum
+    and exact_tail_integral at prec, and sum the pieces in mpf at prec in
+    this order; the error bound is the sum of error_parts: the tails' bounds
+    plus _rounding_slack of the sum. tol_met compares the bound with tol.
     """
     with mp.workprec(prec):
         if tol is None:
             tol = _default_tol(prec)
-        st = sigma_tilde(fs, m, r, p, prec)
-        si = sigma_infinity(fs, m, r, prec)
+        st, si = sigma_tilde(fs, m, r, p, prec), sigma_infinity(fs, m, r, prec)
         if isinstance(fs, PowerFunction):
-            e, d, ps, integral = _power_identity_tails(fs, m, r, p, tol, prec, pieces=True)
-            psum, parts = ps.value, {"partial_sum": ps.bound}
-            if lead is None:
-                lead, parts["integral_tail"] = integral.value, integral.bound
+            e, d, W, ints, capped = _power_identity_tails(fs, m, r, p, tol, prec, pieces=True)
+            if lead is not None:
+                ints.pop("integral_tail", None)
+            V, err = map(sum, zip(*ints.values()))
+            cv = _certified(V, err, capped, W, prec)
+            comps = {k: _round_fixed(x, W, prec) for k, (x, _) in ints.items()}
+            psum, lead = comps["partial_sum"], comps.get("integral_tail", lead)
+            ints["rounding"] = (0, (abs(V) >> prec) + 1)  # as _certified counts it
+            parts = {k: _round_fixed(n, W, prec, round_ceiling) for k, (_, n) in ints.items()}
         else:
-            psum, parts = partial_sum(fs, p - 1, prec), {}
+            psum = partial_sum(fs, p - 1, prec)
             e, d = rho_tail(fs, m, r, p, tol, prec), delta_tail(fs, m, r, p, tol, prec)
             if lead is None:
                 lead = fs.exact_tail_integral(p, prec)
-        value = lead + psum - si + st - e.value - d.value
-        parts = {"e_tail": e.bound, "delta_tail": d.bound, **parts,
-                 "rounding": _rounding_slack(value, prec)}
-        bound = sum(parts.values())
-        return SeriesEstimate(
-            value=+value,
-            components={
-                name: +lead,
-                "partial_sum": +psum,
-                "sigma_tilde": +st,
-                "sigma_inf": +si,
-                "e_tail": +e.value,
-                "delta_tail": +d.value,
-            },
-            error_bound=bound,
-            tol=tol,
-            tol_met=bound <= tol,
-            caps_hit=tuple(dict.fromkeys(e.caps_hit + d.caps_hit)),
-            error_parts=parts,
-        )
+            value = +(lead + psum - si + st - e.value - d.value)
+            parts = {"e_tail": e.bound, "delta_tail": d.bound,
+                     "rounding": _rounding_slack(value, prec)}
+            cv = CertifiedValue(value, sum(parts.values()), e.caps_hit + d.caps_hit)
+        components = {name: +lead, "partial_sum": +psum, "sigma_tilde": +st, "sigma_inf": +si,
+                      "e_tail": +e.value, "delta_tail": +d.value}
+        return SeriesEstimate(cv.value, components, cv.bound, tol, cv.bound <= tol,
+                              tuple(dict.fromkeys(cv.caps_hit)), parts)
 
 
 def estimate_series(fs: FunctionStack, m: int, r: int, p: int,
@@ -934,9 +941,10 @@ def estimate_series(fs: FunctionStack, m: int, r: int, p: int,
     """S(inf) = int_p^inf f + S(p-1) - sigma(inf) + sigma~(p) - e(p) - delta(p).
 
     This is the convergent identity solved for the series value, with the
-    component "integral_tail" = int_p^inf f; the error bound collects the
-    certified pieces (for x^-s also S(p-1) and the integral, in the tails'
-    unit _tail_unit, which tol sets) plus a rounding budget (_solve).
+    component "integral_tail" = int_p^inf f. For x^-s the value is the one
+    integer int_p^inf x^-s + S(p-1) + D(p) in the tails' unit _tail_unit,
+    which tol sets, rounded once; for other stacks the error bound collects
+    the certified tails plus a rounding budget (_solve).
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -952,8 +960,10 @@ def euler_constant(fs: FunctionStack, m: int, r: int,
     gamma(f) = lambda0 + sigma~_r(1) - sigma_r(inf) - e_r(1) - delta_r(1),
     lambda0 = lim f, the identity of estimate_series at p = 1 with lambda0 in
     place of the tail integral (S(0) = 0). The components name lambda0
-    "limit_at_infinity"; error_bound is the bounds of e_r(1) and delta_r(1)
-    plus the rounding slack of the mpf sum (error_parts).
+    "limit_at_infinity". For x^-s, lambda0 = 0 and gamma(f) = D(1), one
+    integer rounded once; for other stacks error_bound is the bounds of
+    e_r(1) and delta_r(1) plus the rounding slack of the mpf sum
+    (error_parts).
     """
     if fs.limit_at_infinity is None:
         raise TailNotCertifiableError("limit of f at infinity is unknown")

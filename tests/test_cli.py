@@ -280,6 +280,20 @@ def test_zeta_odd_p1_value_within_its_bound(capsys):
         assert err <= mp.mpf(payload["error_bound"])
 
 
+def test_zeta_odd_large_s_value_within_its_bound():
+    # at s = 101, p = 1 the printed value lies within its printed bound of
+    # zeta(101), plus the last printed digit (10^-74 at 75 digits), where
+    # the mpf sum of six pieces once missed by 3.4e-67 against a bound of
+    # 1.5e-67; tol is met, so stderr stays empty
+    proc = run_cli("zeta-odd", "--s", "101", "--m", "3", "--r", "12", "--p", "1",
+                   "--digits", "75")
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    with mp.workprec(320):
+        err = abs(mp.mpf(payload["value"]) - mp.zeta(101))
+        assert err <= mp.mpf(payload["error_bound"]) + mp.mpf(10) ** -74
+
+
 def test_uncertifiable_tail_exits_three():
     # s = 1: the tail integral diverges, the estimator must refuse
     proc = run_cli("zeta-odd", "--s", "1", "--m", "2", "--r", "2", "--p", "10")

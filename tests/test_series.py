@@ -15,6 +15,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import round_ceiling
 
 from gbzeta import bernoulli, bigfloat, quadrature, series
 from gbzeta.bigfloat import scaled_power, to_mpf
@@ -752,12 +753,20 @@ def test_estimate_zeta3_example_one(pf3):
 
 
 def test_estimate_components_recombine(pf3):
+    # the value is int + S(p-1) + D(p), one integer rounded once, and no
+    # longer the mpf sum of the six components; the components still close
+    # the identity on zeta(3), within the bounds of the certified ones (the
+    # integral and S(p-1) as _certified takes them, rho_tail's and
+    # delta_tail's) and the rounding of the float sigma~ and of the sum
     est = estimate_series(pf3, 5, 2, 100, P)
     c = est.components
-    with mp.workprec(P):
+    W, ints = _estimate_integers(pf3, 5, 2, 100, est.tol, P)
+    bounds = [series._certified(*ints[k], False, W, P).bound for k in ("integral_tail", "partial_sum")]
+    bounds += [rho_tail(pf3, 5, 2, 100, None, P).bound, delta_tail(pf3, 5, 2, 100, None, P).bound]
+    with mp.workprec(P + 64):
         recomb = (c["integral_tail"] + c["partial_sum"] - c["sigma_inf"]
                   + c["sigma_tilde"] - c["e_tail"] - c["delta_tail"])
-        assert abs(est.value - recomb) <= abs(est.value) * mp.mpf(2) ** (8 - P)
+        assert abs(recomb - mp.zeta(3)) <= sum(bounds) + abs(est.value) * mp.mpf(2) ** (8 - P)
 
 
 def test_estimate_zeta3_example_two(pf3):
@@ -826,14 +835,16 @@ def test_estimate_contains_zeta_on_the_grid(s, prec, zeta_sweep_refs):
 def test_estimate_meets_tol_at_large_s_and_high_order(prec):
     # the cells where the jump tails carry weights |w_k| (s)_(k-1) far above
     # 1: each far sum is asked for its weighted share of tol (_jump_tail),
-    # whatever cut _cut plans, so every cell meets tol with a true bound
+    # whatever cut _cut plans, so every cell meets tol with a true bound.
+    # At r = 80, p = 1 the jump tail's own bound misses tol (its far sums
+    # cap), but the value is int + S(p-1) + D(p), which reads no jump tail
     tol = series._default_tol(prec)
     misses = []
     for s in (F(21), F(51)):
         with mp.workprec(prec + 64):
             ref = mp.zeta(s.numerator)
         for m in (2, 5):
-            for r in (12, 20, 40):
+            for r in (12, 20, 40, 80):
                 for p in (1, 100):
                     est = estimate_series(PowerFunction(s, prec), m, r, p, prec)
                     with mp.workprec(prec + 64):
@@ -842,6 +853,19 @@ def test_estimate_meets_tol_at_large_s_and_high_order(prec):
                         misses.append((s, m, r, p, mp.nstr(est.error_bound, 5), est.caps_hit))
                     assert est.tol == tol
     assert misses == []
+
+
+@pytest.mark.parametrize("s,m,r,p,prec", [
+    (101, 3, 12, 1, 256), (51, 3, 40, 1, 256), (201, 2, 12, 1, 512), (101, 2, 80, 3, 256),
+    (201, 5, 80, 2, 256), (101, 5, 12, 1, 256), (51, 2, 80, 2, 256), (201, 5, 40, 1, 512)])
+def test_estimate_at_large_s_lands_within_its_bound(s, m, r, p, prec):
+    # cells whose value, as the mpf sum of six pieces with a slack scaled by
+    # |value|, missed zeta(s) by up to 4.4 times its bound: the value is now
+    # one integer, int + S(p-1) + D(p), rounded once, and meets tol
+    est = estimate_series(PowerFunction(s, prec), m, r, p, prec)
+    with mp.workprec(prec + 64):
+        assert abs(est.value - mp.zeta(s)) <= est.error_bound
+    assert est.tol_met and est.caps_hit == ()
 
 
 def test_tol_missed_is_reported():
@@ -984,14 +1008,24 @@ def test_far_out_tails_keep_their_digits():
     assert payload["delta_tail"].startswith("1.83320500147")
 
 
+def _estimate_integers(pf, m, r, p, tol, prec):
+    # the pieces of an x^-s estimate as _solve takes them: W and
+    # {name: (integer, counted error)}
+    with mp.workprec(prec):
+        _, _, W, ints, _ = series._power_identity_tails(pf, m, r, p, tol, prec, pieces=True)
+    return W, ints
+
+
 @pytest.mark.parametrize("prec", [256, 1024])
 def test_estimate_tails_are_the_standalone_tails(prec):
     # estimate_series and euler_constant take both x^-s tails from one
     # shared pass at one cut; each is exactly rho_tail's and delta_tail's,
-    # value, bound and caps. So are S(p-1) and the tail integral, from the
-    # same pass with pieces, and error_bound is exactly the bounds of the
-    # four certified pieces plus the rounding slack, in that order (S(0) = 0
-    # and no integral for euler_constant). m = 1 and r = 1 have no jump
+    # value, bound and caps. S(p-1) and the tail integral come from the
+    # same pass with pieces, rounded once each. The value is one integer,
+    # int + S(p-1) + D(p) (no integral for euler_constant), rounded once:
+    # value and error_bound are exactly _certified's, and error_parts holds
+    # the counted error of each piece and the rounding, each rounded up, in
+    # that order, and sums to error_bound. m = 1 and r = 1 have no jump
     # order, so e and its bound are exactly 0. The cut is past p, also at
     # p = 100, where the far sums of D (from p) and of e (from p + 1) once
     # started at different cuts
@@ -1007,23 +1041,27 @@ def test_estimate_tails_are_the_standalone_tails(prec):
                     e, d = rho_tail(pf, m, r, p, None, prec), delta_tail(pf, m, r, p, None, prec)
                     with mp.workprec(prec):
                         shared = series._power_identity_tails(pf, m, r, p, est.tol, prec)
-                        _, _, ps, integral = series._power_identity_tails(
-                            pf, m, r, p, est.tol, prec, pieces=True)
-                        parts = {"e_tail": e.bound, "delta_tail": d.bound, "partial_sum": ps.bound}
-                        bound = e.bound + d.bound + ps.bound
-                        if s != 1:
-                            parts["integral_tail"] = integral.bound
-                            bound += integral.bound
-                        parts["rounding"] = series._rounding_slack(est.value, prec)
-                        bound += parts["rounding"]
+                    W, ints = _estimate_integers(pf, m, r, p, est.tol, prec)
+                    names = ["integral_tail", "partial_sum", "regularized_tail"][s == 1:]
+                    assert list(ints) == names, (s, m, r, p)
+                    V, err = map(sum, zip(*ints.values()))
+                    total = series._certified(V, err, False, W, prec)
+                    ps = series._certified(*ints["partial_sum"], False, W, prec)
                     assert shared == (e, d), (s, m, r, p)
                     assert est.components["e_tail"] == e.value, (s, m, r, p)
                     assert est.components["delta_tail"] == d.value, (s, m, r, p)
                     assert est.components["partial_sum"] == ps.value, (s, m, r, p)
                     if s != 1:
+                        integral = series._certified(*ints["integral_tail"], False, W, prec)
                         assert est.components["integral_tail"] == integral.value, (s, m, r, p)
+                    assert (est.value, est.error_bound) == (total.value, total.bound), (s, m, r, p)
+                    parts = {k: series._round_fixed(n, W, prec, round_ceiling)
+                             for k, (_, n) in ints.items()}
+                    parts["rounding"] = series._round_fixed((abs(V) >> prec) + 1, W, prec,
+                                                            round_ceiling)
                     assert est.error_parts == parts, (s, m, r, p)
-                    assert est.error_bound == bound, (s, m, r, p)
+                    with mp.workprec(prec):
+                        assert est.error_bound == sum(parts.values()), (s, m, r, p)
                     assert est.caps_hit == e.caps_hit == d.caps_hit == (), (s, m, r, p)
                     if m == 1 or r == 1:
                         assert e.value == 0 and e.bound == 0, (s, m, r, p)
@@ -1033,12 +1071,13 @@ def test_estimate_tails_are_the_standalone_tails(prec):
 @pytest.mark.parametrize("prec", [256, 1024])
 def test_estimate_pieces_in_the_tolerance_unit(prec):
     # an x^-s estimate takes S(p-1) and int_p^inf x^-s as integers in the
-    # tails' unit W, which tol sets: each piece lies within its counted
-    # bound of the mpmath reference at prec + 64, also at the coarse unit of
-    # tol = 1e-20, and error_bound is exactly the sum of its named parts.
-    # A tol at or below 2^-prec keeps the unit prec + 64 + bitlen(p)
-    # (ceil(s) + r + 2); the default tol takes prec/2 in place of prec, and
-    # the counted errors of both pieces stay far below tol
+    # tails' unit W, which tol sets: each printed piece lies within its own
+    # certified bound (_certified of its integer and counted error) of the
+    # mpmath reference at prec + 64, also at the coarse unit of tol = 1e-20,
+    # and error_bound is exactly the sum of its named parts. A tol at or
+    # below 2^-prec keeps the unit prec + 64 + bitlen(p) (ceil(s) + r + 2);
+    # the default tol takes prec/2 in place of prec, and the counted errors
+    # of both pieces stay far below tol
     wp, m, r = prec + 64, 5, 6
     for s in (F(1), F(3, 2), F(3), F(21), F(10001, 10000)):
         pf = PowerFunction(s, prec)
@@ -1054,23 +1093,25 @@ def test_estimate_pieces_in_the_tolerance_unit(prec):
                 else:
                     est = estimate_series(pf, m, r, p, prec, tol)
                 parts, c = est.error_parts, est.components
+                W, ints = _estimate_integers(pf, m, r, p, est.tol, prec)
+                own = {k: series._certified(*ints[k], False, W, prec).bound for k in ints}
                 with mp.workprec(prec):
                     assert est.error_bound == sum(parts.values()), (s, p, tol)
                 assert est.tol_met and parts["rounding"] > 0, (s, p, tol)
                 with mp.workprec(wp):
                     t = to_mpf(s, wp)
                     ref = mp.fsum(mp.mpf(j) ** -t for j in range(1, p))
-                    assert abs(c["partial_sum"] - ref) <= parts["partial_sum"], (s, p, tol)
+                    assert abs(c["partial_sum"] - ref) <= own["partial_sum"], (s, p, tol)
                     if s == 1:
                         assert c["partial_sum"] == parts["partial_sum"] == 0
                         assert "integral_tail" not in parts
                     else:
                         ref = mp.mpf(p) ** (1 - t) / (t - 1)
-                        assert abs(c["integral_tail"] - ref) <= parts["integral_tail"], (s, p, tol)
+                        assert abs(c["integral_tail"] - ref) <= own["integral_tail"], (s, p, tol)
                     # p - 1 and ceil(v/u) + 1 < 2^14 units (v/u = 10^4 at s =
                     # 10001/10000) of 2^-W <= tol 2^-73, and the rounding
-                    assert parts["partial_sum"] <= est.tol * mp.ldexp(1, -56), (s, p, tol)
-                    assert parts.get("integral_tail", 0) <= est.tol * mp.ldexp(1, -56), (s, p, tol)
+                    assert own["partial_sum"] <= est.tol * mp.ldexp(1, -56), (s, p, tol)
+                    assert own.get("integral_tail", 0) <= est.tol * mp.ldexp(1, -56), (s, p, tol)
 
 
 @pytest.mark.parametrize("prec,p", [(256, 2), (256, 100), (1024, 1), (1024, 100)])
