@@ -670,10 +670,9 @@ def _tail_start(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> tuple:
     of the jump tail, each asked for tol/2.
     """
     c, _ = bernoulli.family(m)._weights("jump", r)
+    N = max((k - 1 for k in range(2, r + 1) if c[k]), default=0)
     W = _tail_unit(s, r, q1, tol, prec)
-    seq = _ScaledRising(s, _cut(s, m, r, q1, tol, prec), W,
-                        max((k - 1 for k in range(2, r + 1) if c[k]), default=0))
-    return int(mp.ldexp(tol / 2, W - 2)), seq
+    return int(mp.ldexp(tol / 2, W - 2)), _ScaledRising(s, _cut(s, m, r, q1, tol, prec), W, N)
 
 
 def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
@@ -895,12 +894,11 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
     leaves out the integral), within the sum of their counted errors, and
     rounded once (_certified). error_parts holds those counted errors and
     the rounding, (|V| >> prec) + 1 units for the sum V, each rounded up at
-    prec: error_bound is their integer sum rounded up once, so it equals
-    their sum while every integer fits in prec bits (as in every cell the
-    tests and checks take) and is at most their exact sum otherwise. The
-    components are the same integers rounded, and rho_tail's and
-    delta_tail's values; sigma~ is the float sigma_tilde, not certified.
-    caps_hit is D's, the only far sum in the value.
+    prec; error_bound is their integer total rounded up once, so they sum
+    to it exactly whenever that total fits in prec bits. The components are
+    the same integers rounded, and rho_tail's and delta_tail's values;
+    sigma~ is the float sigma_tilde, not certified, and the value does not
+    read it. caps_hit is D's, the only far sum in the value.
 
     Generic stacks take the tails from rho_tail and delta_tail, partial_sum
     and exact_tail_integral at prec, and sum the pieces in mpf at prec in
@@ -913,12 +911,13 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
         st, si = sigma_tilde(fs, m, r, p, prec), sigma_infinity(fs, m, r, prec)
         if isinstance(fs, PowerFunction):
             e, d, W, ints, capped = _power_identity_tails(fs, m, r, p, tol, prec, pieces=True)
-            if lead is not None:
+            if lead is None:
+                lead = _round_fixed(ints["integral_tail"][0], W, prec)
+            else:
                 ints.pop("integral_tail", None)
+            psum = _round_fixed(ints["partial_sum"][0], W, prec)
             V, err = map(sum, zip(*ints.values()))
             cv = _certified(V, err, capped, W, prec)
-            comps = {k: _round_fixed(x, W, prec) for k, (x, _) in ints.items()}
-            psum, lead = comps["partial_sum"], comps.get("integral_tail", lead)
             ints["rounding"] = (0, (abs(V) >> prec) + 1)  # as _certified counts it
             parts = {k: _round_fixed(n, W, prec, round_ceiling) for k, (_, n) in ints.items()}
         else:
@@ -932,8 +931,9 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
             cv = CertifiedValue(value, sum(parts.values()), e.caps_hit + d.caps_hit)
         components = {name: +lead, "partial_sum": +psum, "sigma_tilde": +st, "sigma_inf": +si,
                       "e_tail": +e.value, "delta_tail": +d.value}
-        return SeriesEstimate(cv.value, components, cv.bound, tol, cv.bound <= tol,
-                              tuple(dict.fromkeys(cv.caps_hit)), parts)
+        return SeriesEstimate(value=cv.value, components=components, error_bound=cv.bound,
+                              tol=tol, tol_met=cv.bound <= tol,
+                              caps_hit=tuple(dict.fromkeys(cv.caps_hit)), error_parts=parts)
 
 
 def estimate_series(fs: FunctionStack, m: int, r: int, p: int,

@@ -761,7 +761,8 @@ def test_estimate_components_recombine(pf3):
     est = estimate_series(pf3, 5, 2, 100, P)
     c = est.components
     W, ints = _estimate_integers(pf3, 5, 2, 100, est.tol, P)
-    bounds = [series._certified(*ints[k], False, W, P).bound for k in ("integral_tail", "partial_sum")]
+    bounds = [series._certified(*ints[k], False, W, P).bound
+              for k in ("integral_tail", "partial_sum")]
     bounds += [rho_tail(pf3, 5, 2, 100, None, P).bound, delta_tail(pf3, 5, 2, 100, None, P).bound]
     with mp.workprec(P + 64):
         recomb = (c["integral_tail"] + c["partial_sum"] - c["sigma_inf"]
