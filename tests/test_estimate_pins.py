@@ -1,7 +1,8 @@
 """The exact bits of estimate_series on x^-s, pinned.
 
 tests/data/estimate_pins.json holds the mpf (man, exp) of `value` and
-`error_bound` for 50 cells: five (s, m, r) triples, s = 10001/10000 and
+`error_bound`, and of the value and bound of the standalone `rho_tail` and
+`delta_tail` at p, for 50 cells: five (s, m, r) triples, s = 10001/10000 and
 s = 21 among them, at p in {1, 2, 10, 100} and 256 and 1024 bits; three
 fractional s at p in {1, 2, 100} and 2048 bits; and (3/2, 5, 6, 100) at
 4096 bits, whose near blocks run to the cut at j = 4096. A change
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from gbzeta.series import PowerFunction, estimate_series
+from gbzeta.series import PowerFunction, delta_tail, estimate_series, rho_tail
 
 PINS = Path(__file__).parent / "data" / "estimate_pins.json"
 
@@ -34,9 +35,14 @@ def _cells():
 
 
 def _pin(s, m, r, p, prec):
-    est = estimate_series(PowerFunction(s, prec), m, r, p, prec)
-    return {"s": str(s), "m": m, "r": r, "p": p, "prec": prec,
-            "value": list(est.value.man_exp), "error_bound": list(est.error_bound.man_exp)}
+    pf = PowerFunction(s, prec)
+    est = estimate_series(pf, m, r, p, prec)
+    pin = {"s": str(s), "m": m, "r": r, "p": p, "prec": prec,
+           "value": list(est.value.man_exp), "error_bound": list(est.error_bound.man_exp)}
+    for name, tail in (("rho_tail", rho_tail), ("delta_tail", delta_tail)):
+        cv = tail(pf, m, r, p, None, prec)
+        pin[name] = [list(cv.value.man_exp), list(cv.bound.man_exp)]
+    return pin
 
 
 def _load():
