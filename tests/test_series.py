@@ -559,6 +559,10 @@ def test_rho_tail_example_two_start_index(pf3):
         # rounding in the alternate figure
         assert abs(e.value + mp.mpf(20) ** -4 / 2 - alt) <= mp.mpf("1e-19")
         assert abs(e.value - alt) > mp.mpf("3e-6")
+    # at q1 = 0 the series starts at j = 1: e_2^[1](0) = zeta(4)/2
+    e = rho_tail(pf3, 2, 2, 0, None, P)
+    with mp.workprec(300):
+        assert abs(e.value - mp.zeta(4) / 2) <= e.bound
 
 
 def test_rho_tail_r1_is_zero(pf3):
@@ -1121,7 +1125,8 @@ def test_one_estimate_sums_its_jump_tail_once(prec, p, monkeypatch):
     # for the jump orders, serving both tails, and one U_n sequence at the
     # cut for D and every jump order, read only up to U_(r-1), the largest
     # k - 1 (U_0 without jumps). So no scaled power (s, j, W) runs more than
-    # twice: D's near block still repeats the jump tails' powers
+    # twice: D's near block still repeats the jump tails' powers. The
+    # standalone rho_tail and delta_tail build one cut and one sequence each
     powers, seqs, tails, cuts = Counter(), [], [], []
     real_power, real_tails, real_cut = series.scaled_power, series._power_tails, series._cut
 
@@ -1161,6 +1166,13 @@ def test_one_estimate_sums_its_jump_tail_once(prec, p, monkeypatch):
             assert len(tails) == jumps, (s, m, r)
             assert len(cuts) == 1 and [q.J for q in seqs] == cuts, (s, m, r)
             assert len(seqs[0].U) == (r if jumps else 1), (s, m, r)
+            # the standalone tails: one cut and one sequence per call, none
+            # for a jump tail that is exactly 0
+            for tail, calls in ((rho_tail, int(jumps)), (delta_tail, 1)):
+                seqs.clear()
+                cuts.clear()
+                tail(pf, m, r, p, None, prec)
+                assert len(cuts) == calls and [q.J for q in seqs] == cuts, (tail, s, m, r)
 
 
 @pytest.mark.parametrize("s", [F(1), F(10001, 10000), F(3, 2), F(5, 3), F(3), F(21)])
