@@ -284,8 +284,7 @@ def partial_sum(fs: FunctionStack, l: int, prec: int = DEFAULT_PRECISION):
     of 2^-W (per-term scaled_power floors for integer s, the sieved row for
     fractional s), so within l 2^-W < 2^-(prec+64) before one rounding to
     nearest at prec. Others are summed in ascending order at prec. An x^-s
-    estimate takes its S(p-1) in its tails' unit instead
-    (_power_identity_tails).
+    estimate takes its S(p-1) in its tails' unit instead (_solve).
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
@@ -394,16 +393,16 @@ _LN2 = log(2)
 _LOG2_CAP_COEFF = 1 - _TAIL_ORDERS[-1] * log2(2 * pi)
 
 
-def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
-    """J0 = max(q1 + 1, 64, min(J_tol, prec)): where every x^-s tail of the
-    identity of level m at q1, D(q1) and each jump order's, starts its far
-    sum.
+def _cut(s: Fraction, ks, q1: int, tol, prec: int) -> int:
+    """J0 = max(q1 + 1, 64, min(J_tol, prec)): where every x^-s tail of an
+    identity at q1, D(q1) and that of each live jump order k in ks, starts
+    its far sum (_tail_start).
 
     J_tol is the least cut at which the order cap R = 192 meets each tail's
     share of tol. D's tail sum_{j>=J} j^-t has t = s and the share tol/2; jump
-    order k's has t = s+k-1 and tol/(2n), over the n orders with a nonzero
-    jump weight (_jump_tail also divides each share by its weight, where that
-    exceeds 1; the cut leaves the weights out). _far_bound's bound of order R
+    order k's has t = s+k-1 and tol/(2n), over the n live orders (_jump_tail
+    also divides each share by its weight, where that exceeds 1; the cut
+    leaves the weights out). _far_bound's bound of order R
     is A_R (t)_R J^(1-t-R)/(t+R-1) <= A_R (t)_R J^(1-t-R), with
     A_R = |B_R|/R! (_LOG2_CAP_COEFF), and it must be within a quarter of the
     share tau. So R meets tau at J once
@@ -416,8 +415,6 @@ def _cut(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> int:
     bounds. A tol below 2^-prec, which no estimate meets (its rounding slack
     alone is 2^-prec), counts as 2^-prec here, so tol = 0 gives a finite cut.
     """
-    c, _ = bernoulli.family(m)._weights("jump", r)
-    ks = [k for k in range(2, r + 1) if c[k]]
     man, exp = mp.mpf(tol).man_exp
     R, sf = _TAIL_ORDERS[-1], s.numerator / s.denominator
 
@@ -448,16 +445,13 @@ def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:
     order meets it when ceil(X/Y) b^(k-1) <= limit P_(k-1), that is
     ceil(X/Y) <= M = floor(limit P_(k-1) / b^(k-1)), that is X <= M Y. The
     first order in _TAIL_ORDERS that meets it is taken; if none does, the
-    smallest bound, the first on ties.
+    smallest bound, the first on ties, from every order's exact ceil(X/Y).
 
-    Floats choose which orders get their exact integers: est_r = log2(X/Y),
+    Floats choose which orders are checked against M: est_r = log2(X/Y),
     from log2 of N, D and Z and lgamma, is off by far less than 1/64. An
     order with est_r > log2 M + 1/64 fails, so only the others are checked
-    exactly, in order. When none meets, the smallest bound is at most
-    max(1, 2^(e+1)) for the least estimate e, below X/Y <= ceil(X/Y) of any
-    order with est_r > max(e + 1, 0) + 1/64, so only the others are divided
-    out. The floats steer the choice only: the bound returned is always
-    ceil(X/Y) of the order returned.
+    exactly, in order. The floats steer the choice only: the bound returned
+    is always ceil(X/Y) of the order returned.
     """
     a, b, J = seq.a, seq.b, seq.J
     a1 = a + (k - 1) * b
@@ -470,7 +464,6 @@ def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:
         N, D = _far_coeff(r)
         return N * Z * prod(range(a1, a1 + r * b, b)), D * (b * J) ** r * (a1 + (r - 1) * b)
 
-    tried = []
     for r in _TAIL_ORDERS:
         N, D = _far_coeff(r)
         est = base + log2(N) - log2(D) + lgamma(t + r) / _LN2 - r * lJ - log2(a1 + (r - 1) * b)
@@ -478,10 +471,7 @@ def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:
             X, Y = exact(r)
             if X <= M * Y:
                 return r, _cdiv(X, Y), True
-        tried.append((est, r))
-    top = max(min(tried)[0] + 1, 0) + 1 / 64
-    r, bound = min(((r, _cdiv(*exact(r))) for est, r in tried if est <= top),
-                   key=lambda rb: rb[1])
+    r, bound = min(((r, _cdiv(*exact(r))) for r in _TAIL_ORDERS), key=lambda rb: rb[1])
     return r, bound, False
 
 
@@ -597,25 +587,24 @@ def _regularized_tail(seq: _ScaledRising, J: int, limit: int, at_J) -> tuple:
     return near - integral + far, J0 - J + _cdiv(2 * v, u) + 1 + far_err, capped
 
 
-def _jump_tail(seq: _ScaledRising, m: int, orders, J: int, limit: int) -> tuple:
-    """(V, err, capped): sum_k w_k sum_{j>=J} f^(k-1)(j) over `orders`, for
-    f = x^-s, within err units of V 2^-W, cut at seq.J; capped if any
-    order's far sum is.
+def _jump_tail(seq: _ScaledRising, c, e: int, ks, J: int, limit: int) -> tuple:
+    """(V, err, capped): sum_k w_k sum_{j>=J} f^(k-1)(j) over the live orders
+    ks, for f = x^-s, within err units of V 2^-W, cut at seq.J; capped if
+    any order's far sum is.
 
-    w_k are the jump weights of rho, (B_k(1)-B_k)/(m! k!) = c_k/e from the
-    level's integer table, and f^(k-1)(j) = (-1)^(k-1) |f^(k-1)(j)|, so an
-    order adds w_k times its tail of |f^(k-1)|. The n orders with a nonzero
-    jump take those tails from one _power_tails call on seq. limit =
+    w_k are the jump weights of rho, (B_k(1)-B_k)/(m! k!) = c[k]/e from the
+    level's integer table, nonzero for each k in ks, and f^(k-1)(j) =
+    (-1)^(k-1) |f^(k-1)(j)|, so an order adds w_k times its tail of
+    |f^(k-1)|. The n live orders take those tails from one _power_tails call
+    on seq. limit =
     floor(2^W tol/4) for the jump tail's tol; order k's far bound on
     sum_{j>=J} j^-(s+k-1) is asked for the share tol/(n max(1, |w_k|
     (s)_(k-1))), so its part of the sum, that bound times |w_k| (s)_(k-1), is
     within tol/n; the max keeps a factor below 1 from loosening the bound.
     V = (sum_k c_k T_k) // e, within sum |c_k| err_k / e units, rounded up,
-    plus one for the floor. With no such order (level 1, or r = 1) the sum
+    plus one for the floor. With no live order (level 1, or r = 1) the sum
     is exactly 0.
     """
-    c, e = bernoulli.family(m)._weights("jump", max(orders, default=0))
-    ks = [k for k in orders if c[k]]
     if not ks:
         return 0, 0, False
     limits = []
@@ -662,26 +651,33 @@ def _tail_unit(s: Fraction, r: int, q1: int, tol, prec: int) -> int:
 
 
 def _tail_start(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> tuple:
-    """(limit, seq): where the x^-s tails of the identity of level m at q1,
-    D(q1) and each jump order's, start. seq is the _ScaledRising at the cut
-    _cut(s, m, r, q1, tol, prec) in the unit W = _tail_unit(s, r, q1, tol,
-    prec), built up to U_(k-1) for the largest order k with a jump (U_0
-    without one); limit = floor(2^(W-2) tol/2) is the far-sum limit of D and
-    of the jump tail, each asked for tol/2.
+    """(limit, seq, e): the one set-up of the x^-s tails of the identity of
+    level m at q1, D(q1) and the jump tail e_r(q1), and that jump tail.
+
+    It reads the level's jump weights c_k/e once, for the live orders: the
+    k = 2..r with c_k != 0. seq is the _ScaledRising at the cut _cut(s, ks,
+    q1, tol, prec) in the unit W = _tail_unit(s, r, q1, tol, prec), built up
+    to U_(k-1) for the largest live order k (U_0 without one); limit =
+    floor(2^(W-2) tol/2) is the far-sum limit of D and of the jump tail,
+    each asked for tol/2. e = (V, err, capped) is _jump_tail at j >= q1 + 1,
+    in units of 2^-W.
     """
-    c, _ = bernoulli.family(m)._weights("jump", r)
-    N = max((k - 1 for k in range(2, r + 1) if c[k]), default=0)
+    c, e = bernoulli.family(m)._weights("jump", r)
+    ks = [k for k in range(2, r + 1) if c[k]]
     W = _tail_unit(s, r, q1, tol, prec)
-    return int(mp.ldexp(tol / 2, W - 2)), _ScaledRising(s, _cut(s, m, r, q1, tol, prec), W, N)
+    limit = int(mp.ldexp(tol / 2, W - 2))
+    seq = _ScaledRising(s, _cut(s, ks, q1, tol, prec), W, max(ks, default=1) - 1)
+    return limit, seq, _jump_tail(seq, c, e, ks, q1 + 1, limit)
 
 
 def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
              tol=None, prec: int = DEFAULT_PRECISION) -> CertifiedValue:
     """e_r(q1) = rho(q1, infinity), with a certified error bound.
 
-    Power stacks reduce to certified power tail sums (_jump_tail) cut at
-    _cut(s, m, r, q1, tol, prec), the cut of the estimate at q1, one integer
-    in units of 2^-W, W = _tail_unit(s, r, q1, tol, prec), rounded once.
+    Power stacks certify the jump tail of _tail_start, the set-up of an
+    estimate at q1: certified power tail sums (_jump_tail), one integer in
+    units of 2^-W, W = _tail_unit(s, r, q1, tol, prec), rounded once. They
+    compute neither sigma~ nor D.
     Generic stacks take the block rho(q1, J) directly, up to the first J whose
     decreasing-envelope integral-test bound meets tol, and need abs_deriv_tail
     for every order below r.
@@ -696,8 +692,8 @@ def rho_tail(fs: FunctionStack, m: int, r: int, q1: int,
         if not any(c[k] for k in orders):
             return CertifiedValue(mp.mpf(0), mp.mpf(0))
         if isinstance(fs, PowerFunction):
-            limit, seq = _tail_start(fs.s, m, r, q1, tol, prec)
-            return _certified(*_jump_tail(seq, m, orders, q1 + 1, limit), seq.W, prec)
+            _, seq, e = _tail_start(fs.s, m, r, q1, tol, prec)
+            return _certified(*e, seq.W, prec)
         # generic: direct summation with an integral-test envelope
         if fs.abs_deriv_tail is None:
             raise TailNotCertifiableError("tail not certifiable")
@@ -738,50 +734,36 @@ def remainder_R(fs: FunctionStack, m: int, r: int, q1: int, q2: int,
 
 
 def _power_identity_tails(fs: PowerFunction, m: int, r: int, q1: int, tol,
-                          prec: int, pieces: bool = False) -> tuple:
-    """(e_r(q1), delta_r(q1)) for f = x^-s, both tails of the identity of
-    level m at q1; called at working precision prec. With pieces, also W,
-    {name: (integer, counted error)} in units of 2^-W for the pieces of an
-    estimate at p = q1, "integral_tail" (not at s = 1), "partial_sum" and
-    "regularized_tail", in that order, and whether D's far sum was capped.
+                          prec: int) -> tuple:
+    """(e_r(q1), delta_r(q1), W, D, x) for f = x^-s: both tails of the
+    identity of level m at q1, and what an estimate at p = q1 reads besides
+    (_solve); called at working precision prec.
 
-    delta_r(q1) = sigma~_r(q1) - e_r(q1) - D(q1), the identity solved for
-    it, with the regularized tail D(q1) = sum_{j>=q1} j^-s - int_q1^inf x^-s
-    (_regularized_tail, to tol/2) and e_r(q1) as rho_tail takes it
-    (_jump_tail, to tol/2). sigma~_r(q1) is f(q1) plus the sigma~
-    coefficients Ct_k/Dn (PowerFunction._sigma_ints) on _power_sums at q1,
-    within 1 + sum|Ct_k|/Dn units, rounded up, and one more for the floor.
-    The three are integers in units of 2^-W, W = _tail_unit(s, r, q1, tol,
-    prec) as in rho_tail, and D and every jump order start their far sums
-    at the one cut J0 = _cut(s, m, r, q1, tol, prec), from one _ScaledRising
-    there (_tail_start). Each piece is rounded on its own (_certified),
-    e_r(q1) exactly 0 with bound 0 when no order has a jump; delta_r(q1) is
-    rounded once from the sum, and carries the caps of both.
-
-    The pieces are integers in the same unit: D(q1) as above, S(q1-1) from
-    _power_sums of 1 <= j < q1, within q1 - 1 units (exactly 0 at q1 = 1),
-    and, for s - 1 = u/v, int_q1^inf x^-s = 2^W q1^(1-s) v/u from D's own
-    x = scaled_power(s-1, q1, W): x v // u is within v/u + 1 units.
+    e_r(q1) is the jump tail of _tail_start, the one set-up, and delta_r(q1)
+    = sigma~_r(q1) - e_r(q1) - D(q1) is the identity solved for it. This adds
+    the regularized tail D = D(q1) = sum_{j>=q1} j^-s - int_q1^inf x^-s
+    (_regularized_tail, to tol/2, from the set-up's sequence and limit) and
+    sigma~_r(q1): f(q1) plus the sigma~ coefficients Ct_k/Dn
+    (PowerFunction._sigma_ints) on _power_sums at q1, within 1 +
+    sum|Ct_k|/Dn units, rounded up, and one more for the floor. The three
+    are integers in units of 2^-W, W = _tail_unit(s, r, q1, tol, prec) as in
+    rho_tail. Each tail is rounded on its own (_certified): e_r(q1) exactly
+    0 with bound 0 when no order is live, delta_r(q1) once from the sum,
+    with the caps of both. D is (V, err, capped) as _regularized_tail gives
+    it, and x = scaled_power(s-1, q1, W) the power its integral reads (None
+    at s = 1).
     """
     s, orders = fs.s, range(1, r + 1)
-    limit, seq = _tail_start(s, m, r, q1, tol, prec)
+    limit, seq, (e, e_err, e_cap) = _tail_start(s, m, r, q1, tol, prec)
     W = seq.W
     ctil, _, Dn = fs._sigma_ints(m, r)
     at_q1 = _power_sums(s, [q1], orders, W)
     st = at_q1[1] + sum(c * at_q1[k] for k, c in zip(orders, ctil)) // Dn
     st_err = 2 + _cdiv(sum(map(abs, ctil)), Dn)
     x = scaled_power(s - 1, q1, W) if s > 1 else None
-    e, e_err, e_cap = _jump_tail(seq, m, orders[1:], q1 + 1, limit)
-    d, d_err, d_cap = _regularized_tail(seq, q1, limit, x)
-    tails = (_certified(e, e_err, e_cap, W, prec),
-             _certified(st - e - d, st_err + e_err + d_err, e_cap or d_cap, W, prec))
-    if not pieces:
-        return tails
-    u, v = (s - 1).numerator, (s - 1).denominator
-    ints = {} if x is None else {"integral_tail": (x * v // u, _cdiv(v, u) + 1)}
-    ints["partial_sum"] = (_power_sums(s, range(1, q1), [1], W)[1], q1 - 1)
-    ints["regularized_tail"] = (d, d_err)
-    return tails + (W, ints, d_cap)
+    D = d, d_err, d_cap = _regularized_tail(seq, q1, limit, x)
+    return (_certified(e, e_err, e_cap, W, prec),
+            _certified(st - e - d, st_err + e_err + d_err, e_cap or d_cap, W, prec), W, D, x)
 
 
 def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
@@ -792,7 +774,7 @@ def delta_tail(fs: FunctionStack, m: int, r: int, q1: int,
     delta_r(q1) = sigma~_r(q1) - e_r(q1) - D(q1), in integers in units of
     2^-W, W = _tail_unit(s, r, q1, tol, prec) as in rho_tail, rounded once
     (_power_identity_tails, which estimate_series and euler_constant call
-    for both tails at once).
+    for both tails and D at once).
     Generic stacks need abs_deriv_tail, whose bound C int_Q^inf |f^(r)|,
     C = mu_r/(m! r!), covers delta_r(Q). With exact_integral and
     abs_deriv_integral (exp(-x)) they step Q by 16 cells (at most 4096) until
@@ -892,7 +874,11 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
     lead + S(p-1) + D(p): one integer in the tails' unit 2^-W, the sum of
     the pieces' integers (lead = lambda0 = 0 for euler_constant, which
     leaves out the integral), within the sum of their counted errors, and
-    rounded once (_certified). error_parts holds those counted errors and
+    rounded once (_certified). Besides D(p), the pieces are S(p-1), from
+    _power_sums of 1 <= j < p in the same unit, within p - 1 units (exactly
+    0 at p = 1), and, for s - 1 = u/v, int_p^inf x^-s = 2^W p^(1-s) v/u from
+    the power x = scaled_power(s-1, p, W) that D's integral reads: x v // u
+    is within v/u + 1 units. error_parts holds those counted errors and
     the rounding, (|V| >> prec) + 1 units for the sum V, each rounded up at
     prec; error_bound is their integer total rounded up once, so they sum
     to it exactly whenever that total fits in prec bits. The components are
@@ -910,14 +896,16 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
             tol = _default_tol(prec)
         st, si = sigma_tilde(fs, m, r, p, prec), sigma_infinity(fs, m, r, prec)
         if isinstance(fs, PowerFunction):
-            e, d, W, ints, capped = _power_identity_tails(fs, m, r, p, tol, prec, pieces=True)
+            e, d, W, D, x = _power_identity_tails(fs, m, r, p, tol, prec)
+            u, v = (fs.s - 1).numerator, (fs.s - 1).denominator
+            ints = {} if lead is not None else {"integral_tail": (x * v // u, _cdiv(v, u) + 1)}
+            ints["partial_sum"] = (_power_sums(fs.s, range(1, p), [1], W)[1], p - 1)
+            ints["regularized_tail"] = D[:2]
             if lead is None:
                 lead = _round_fixed(ints["integral_tail"][0], W, prec)
-            else:
-                ints.pop("integral_tail", None)
             psum = _round_fixed(ints["partial_sum"][0], W, prec)
             V, err = map(sum, zip(*ints.values()))
-            cv = _certified(V, err, capped, W, prec)
+            cv = _certified(V, err, D[2], W, prec)
             ints["rounding"] = (0, (abs(V) >> prec) + 1)  # as _certified counts it
             parts = {k: _round_fixed(n, W, prec, round_ceiling) for k, (_, n) in ints.items()}
         else:

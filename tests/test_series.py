@@ -191,9 +191,17 @@ def test_sigma_infinity(pf3):
     assert sigma_infinity(pf3, 5, 2, P) == 0
 
 
+def _live(m, r):
+    # the level's jump weights (c, e) and its live orders, the k = 2..r with
+    # c_k != 0, as _tail_start reads them
+    c, e = bernoulli.family(m)._weights("jump", r)
+    return c, e, [k for k in range(2, r + 1) if c[k]]
+
+
 def _cut_at(t, J, tol, prec):
-    # the cut of a lone tail sum_{j>=J} j^-t: D's at q1 = J - 1 at level 1
-    return series._cut(t, 1, 1, J - 1, tol, prec)
+    # the cut of a lone tail sum_{j>=J} j^-t: D's at q1 = J - 1 with no
+    # live jump order, as at level 1
+    return series._cut(t, [], J - 1, tol, prec)
 
 
 def _limits(tol, W, ks):
@@ -486,7 +494,8 @@ def _rounded_jump_tail(s, m, orders, J, J0, tol, prec):
     # the batched jump tail as rho_tail takes it: one integer, rounded once
     W = prec + 64 + J.bit_length()
     seq = series._ScaledRising(s, J0, W, max(orders) - 1)
-    return series._certified(*series._jump_tail(seq, m, orders, J, int(mp.ldexp(tol, W - 2))),
+    c, e, ks = _live(m, max(orders))
+    return series._certified(*series._jump_tail(seq, c, e, ks, J, int(mp.ldexp(tol, W - 2))),
                              W, prec)
 
 
@@ -500,7 +509,7 @@ def test_batched_jump_tail_matches_per_exponent_route(s, prec):
     with mp.workprec(prec):
         tol = series._default_tol(prec)
         for J in (2, 21, 165):
-            J0 = series._cut(s, 2, 40, J - 1, tol, prec)
+            J0 = series._cut(s, _live(2, 40)[2], J - 1, tol, prec)
             got = _rounded_jump_tail(s, 2, orders, J, J0, tol / 2, prec)
             ref = _jump_tail_hurwitz(s, 2, orders, J, prec + 64)
             with mp.workprec(prec + 64):
@@ -898,10 +907,11 @@ def test_tolerance_below_the_floor_keeps_a_finite_cut(prec):
     floor = mp.ldexp(1, -prec)
     for s, m, r in ((F(3), 1, 2), (F(3, 2), 5, 6), (F(1), 2, 3)):
         pf = PowerFunction(s, prec)
-        J0 = series._cut(s, m, r, 1, floor, prec)
+        ks = _live(m, r)[2]
+        J0 = series._cut(s, ks, 1, floor, prec)
         assert J0 >= 64
         for tol in (0, mp.ldexp(1, -2 * prec)):
-            assert series._cut(s, m, r, 1, tol, prec) == J0
+            assert series._cut(s, ks, 1, tol, prec) == J0
             if s == 1:
                 est = euler_constant(pf, m, r, prec, tol=tol)
             else:
@@ -919,8 +929,8 @@ def test_cut_stays_within_the_precision():
     # true bound
     for prec in (4096, 8192):
         tol = series._default_tol(prec)
-        assert series._cut(F(3, 2), 5, 6, 100, tol, prec) == prec
-        assert series._cut(F(3), 1, 2, 10**6, tol, prec) == 10**6 + 1
+        assert series._cut(F(3, 2), _live(5, 6)[2], 100, tol, prec) == prec
+        assert series._cut(F(3), _live(1, 2)[2], 10**6, tol, prec) == 10**6 + 1
     prec = 4096
     est = estimate_series(PowerFunction(3, prec), 1, 2, 100, prec)
     with mp.workprec(prec + 64):
@@ -1015,9 +1025,15 @@ def test_far_out_tails_keep_their_digits():
 
 def _estimate_integers(pf, m, r, p, tol, prec):
     # the pieces of an x^-s estimate as _solve takes them: W and
-    # {name: (integer, counted error)}
+    # {name: (integer, counted error)}, the tail integral from the power x
+    # that D's integral reads (not at s = 1), S(p-1) from _power_sums in the
+    # same unit, and D
     with mp.workprec(prec):
-        _, _, W, ints, _ = series._power_identity_tails(pf, m, r, p, tol, prec, pieces=True)
+        _, _, W, D, x = series._power_identity_tails(pf, m, r, p, tol, prec)
+    u, v = (pf.s - 1).numerator, (pf.s - 1).denominator
+    ints = {} if x is None else {"integral_tail": (x * v // u, series._cdiv(v, u) + 1)}
+    ints["partial_sum"] = (series._power_sums(pf.s, range(1, p), [1], W)[1], p - 1)
+    ints["regularized_tail"] = D[:2]
     return W, ints
 
 
@@ -1025,8 +1041,8 @@ def _estimate_integers(pf, m, r, p, tol, prec):
 def test_estimate_tails_are_the_standalone_tails(prec):
     # estimate_series and euler_constant take both x^-s tails from one
     # shared pass at one cut; each is exactly rho_tail's and delta_tail's,
-    # value, bound and caps. S(p-1) and the tail integral come from the
-    # same pass with pieces, rounded once each. The value is one integer,
+    # value, bound and caps. S(p-1) and the tail integral are integers in
+    # the tails' unit, rounded once each. The value is one integer,
     # int + S(p-1) + D(p) (no integral for euler_constant), rounded once:
     # value and error_bound are exactly _certified's, and error_parts holds
     # the counted error of each piece and the rounding, each rounded up, in
@@ -1052,7 +1068,7 @@ def test_estimate_tails_are_the_standalone_tails(prec):
                     V, err = map(sum, zip(*ints.values()))
                     total = series._certified(V, err, False, W, prec)
                     ps = series._certified(*ints["partial_sum"], False, W, prec)
-                    assert shared == (e, d), (s, m, r, p)
+                    assert shared[:2] == (e, d), (s, m, r, p)
                     assert est.components["e_tail"] == e.value, (s, m, r, p)
                     assert est.components["delta_tail"] == d.value, (s, m, r, p)
                     assert est.components["partial_sum"] == ps.value, (s, m, r, p)
@@ -1070,7 +1086,7 @@ def test_estimate_tails_are_the_standalone_tails(prec):
                     assert est.caps_hit == e.caps_hit == d.caps_hit == (), (s, m, r, p)
                     if m == 1 or r == 1:
                         assert e.value == 0 and e.bound == 0, (s, m, r, p)
-                    assert series._cut(s, m, r, p, est.tol, prec) >= max(p + 1, 64)
+                    assert series._cut(s, _live(m, r)[2], p, est.tol, prec) >= max(p + 1, 64)
 
 
 @pytest.mark.parametrize("prec", [256, 1024])
