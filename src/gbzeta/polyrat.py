@@ -48,10 +48,6 @@ class Poly:
         return cls(())
 
     @classmethod
-    def constant(cls, c: RationalLike) -> "Poly":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, k: int, c: RationalLike = 1) -> "Poly":
         return cls([0] * k + [c])
 

@@ -124,9 +124,9 @@ class PowerFunction(FunctionStack):
 
     _derivs = _make_deriv  # the factory FunctionStack.deriv calls
 
+    # the tails to b = inf, where b's power is exactly 0
     def exact_tail_integral(self, p, prec: int = DEFAULT_PRECISION):
-        with mp.workprec(prec):
-            return +(self._pow(p, 1 - self.s) / to_mpf(self.s - 1, prec))
+        return self.exact_integral(p, mp.inf, prec)
 
     def exact_integral(self, a, b, prec: int = DEFAULT_PRECISION):
         with mp.workprec(prec):
@@ -145,10 +145,7 @@ class PowerFunction(FunctionStack):
             return +(to_mpf(self.pochhammer(k - 1), prec) * (self._pow(a, e) - self._pow(b, e)))
 
     def abs_deriv_tail(self, k: int, p, prec: int = DEFAULT_PRECISION):
-        # int_p^inf |f^(k)| = (s)_k p^(1-s-k) / (s+k-1)
-        with mp.workprec(prec):
-            c = Fraction(self.pochhammer(k), 1) / (self.s + k - 1)
-            return +(to_mpf(c, prec) * self._pow(p, 1 - self.s - k))
+        return self.abs_deriv_integral(k, p, mp.inf, prec)
 
     def partial_sum(self, l: int, prec: int = DEFAULT_PRECISION):
         # within l units of 2^-W: per-term floors for integer s, the sieved
