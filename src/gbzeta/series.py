@@ -894,12 +894,13 @@ def _solve(fs: FunctionStack, m: int, r: int, p: int, name: str, lead,
         st, si = sigma_tilde(fs, m, r, p, prec), sigma_infinity(fs, m, r, prec)
         if isinstance(fs, PowerFunction):
             e, d, W, D, x = _power_identity_tails(fs, m, r, p, tol, prec)
-            u, v = (fs.s - 1).numerator, (fs.s - 1).denominator
-            ints = {} if lead is not None else {"integral_tail": (x * v // u, _cdiv(v, u) + 1)}
+            ints = {}
+            if lead is None:
+                u, v = (fs.s - 1).numerator, (fs.s - 1).denominator
+                ints["integral_tail"] = (x * v // u, _cdiv(v, u) + 1)
+                lead = _round_fixed(ints["integral_tail"][0], W, prec)
             ints["partial_sum"] = (_power_sums(fs.s, range(1, p), [1], W)[1], p - 1)
             ints["regularized_tail"] = D[:2]
-            if lead is None:
-                lead = _round_fixed(ints["integral_tail"][0], W, prec)
             psum = _round_fixed(ints["partial_sum"][0], W, prec)
             V, err = map(sum, zip(*ints.values()))
             cv = _certified(V, err, D[2], W, prec)
