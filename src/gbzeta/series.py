@@ -399,10 +399,10 @@ def _cut(s: Fraction, ks, q1: int, tol, prec: int) -> int:
     share of tol. D's tail sum_{j>=J} j^-t has t = s and the share tol/2; jump
     order k's has t = s+k-1 and tol/(2n), over the n live orders (_jump_tail
     also divides each share by its weight, where that exceeds 1; the cut
-    leaves the weights out). _far_bound's bound of order R
-    is A_R (t)_R J^(1-t-R)/(t+R-1) <= A_R (t)_R J^(1-t-R), with
-    A_R = |B_R|/R! (_LOG2_CAP_COEFF), and it must be within a quarter of the
-    share tau. So R meets tau at J once
+    leaves the weights out). _far_bound's bound of order R is A_R (t)_R
+    J^(1-t-R)/(t+R-1) <= A_R (t)_R J^(1-t-R), with A_R = |B_R|/R!
+    (_LOG2_CAP_COEFF), and it must be within a quarter of the share tau. So
+    R meets tau at J once
         (t+R-1) log2 J >= 2 + log2 A_R + log2 (t)_R - log2 tau,
     which floats (lgamma) solve for J. They only choose the cut; _far_bound
     certifies every far bound at whatever cut. J_tol grows like
@@ -593,11 +593,11 @@ def _jump_tail(seq: _ScaledRising, c, e: int, ks, J: int, limit: int) -> tuple:
     level's integer table, nonzero for each k in ks, and f^(k-1)(j) =
     (-1)^(k-1) |f^(k-1)(j)|, so an order adds w_k times its tail of
     |f^(k-1)|. The n live orders take those tails from one _power_tails call
-    on seq. limit =
-    floor(2^W tol/4) for the jump tail's tol; order k's far bound on
-    sum_{j>=J} j^-(s+k-1) is asked for the share tol/(n max(1, |w_k|
-    (s)_(k-1))), so its part of the sum, that bound times |w_k| (s)_(k-1), is
-    within tol/n; the max keeps a factor below 1 from loosening the bound.
+    on seq. limit = floor(2^W tol/4) for the jump tail's tol; order k's far
+    bound on sum_{j>=J} j^-(s+k-1) is asked for the share tol/(n max(1,
+    |w_k| (s)_(k-1))), so its part of the sum, that bound times |w_k|
+    (s)_(k-1), is within tol/n; the max keeps a factor below 1 from
+    loosening the bound.
     V = (sum_k c_k T_k) // e, within sum |c_k| err_k / e units, rounded up,
     plus one for the floor. With no live order (level 1, or r = 1) the sum
     is exactly 0.
