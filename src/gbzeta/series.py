@@ -648,16 +648,16 @@ def _tail_unit(s: Fraction, r: int, q1: int, tol, prec: int) -> int:
 
 
 def _tail_start(s: Fraction, m: int, r: int, q1: int, tol, prec: int) -> tuple:
-    """(limit, seq, e): the one set-up of the x^-s tails of the identity of
-    level m at q1, D(q1) and the jump tail e_r(q1), and that jump tail.
+    """(limit, seq, jump): the one set-up of the x^-s tails of the identity
+    of level m at q1, D(q1) and the jump tail e_r(q1), and that jump tail.
 
     It reads the level's jump weights c_k/e once, for the live orders: the
     k = 2..r with c_k != 0. seq is the _ScaledRising at the cut _cut(s, ks,
     q1, tol, prec) in the unit W = _tail_unit(s, r, q1, tol, prec), built up
     to U_(k-1) for the largest live order k (U_0 without one); limit =
     floor(2^(W-2) tol/2) is the far-sum limit of D and of the jump tail,
-    each asked for tol/2. e = (V, err, capped) is _jump_tail at j >= q1 + 1,
-    in units of 2^-W.
+    each asked for tol/2. jump = (V, err, capped) is e_r(q1), _jump_tail at
+    j >= q1 + 1, in units of 2^-W.
     """
     c, e = bernoulli.family(m)._weights("jump", r)
     ks = [k for k in range(2, r + 1) if c[k]]
