@@ -143,6 +143,43 @@ def check_fourier(prec: int = DEFAULT_PRECISION) -> list:
                 ze = periodic.zeta_expansion(m, n, prec)
                 ok &= ze.c_exact == periodic.zeta_expansion_exact_oracle(m, n)
         out.append(_result("zeta-built expansion equals exact subtraction", ok))
+
+    # the rounded path of fourier_partial_sum: its stated bound
+    #     2^-W sum_{k<=K} [(n + 2)(k + 1) + k^2 (|a_k| + k |b_k|)] + 2^-prec |sum|
+    # against a direct sum at prec + 64 bits; the phase of 1/3 comes from
+    # k mod 3, and that of the binary 1/7 from rotating e^(2 pi i x) at
+    # prec + 80 bits (within K 2^-(prec+76) of exact)
+    K, wp = 1000, prec + 64
+    ok, worst = True, mp.mpf(0)
+    x7 = to_mpf(Fraction(1, 7), prec)
+    with mp.workprec(wp + 16):
+        z, w, rot = mp.expjpi(2 * x7), mp.mpc(1), []
+        for _ in range(K):
+            w *= z
+            rot.append((w.real, w.imag))
+    with mp.workprec(wp):
+        cs = [(mp.cospi(mp.mpf(2 * j) / 3), mp.sinpi(mp.mpf(2 * j) / 3)) for j in range(3)]
+        third = [cs[k % 3] for k in range(1, K + 1)]
+        for m, n in ((2, 2), (5, 6)):
+            W = periodic._fixed_kernel(m, n, K, prec + 2 * K.bit_length())[0]
+            terms = [[(p, to_mpf(c, wp)) for p, c in t] for t in periodic.jump_terms(m, n)]
+            coeffs = []
+            for k in range(1, K + 1):
+                inv = 1 / (2 * mp.pi * k)
+                coeffs.append([[c * inv**p for p, c in t] for t in terms])
+            units = mp.fsum((n + 2) * (k + 1) + k * k * (abs(mp.fsum(ta)) + k * abs(mp.fsum(tb)))
+                            for k, (ta, tb) in enumerate(coeffs, 1))
+            mass = mp.fsum(abs(v) for ta, tb in coeffs for v in ta + tb)
+            for x, phase in ((Fraction(1, 3), third), (x7, rot)):
+                ref = to_mpf(periodic.fourier_a0(m, n), wp) / 2 + mp.fsum(
+                    mp.fsum(ta) * c + mp.fsum(tb) * s for (ta, tb), (c, s) in zip(coeffs, phase))
+                bound = (mp.ldexp(units, -W) + abs(ref) * mp.mpf(2) ** -prec
+                         + (1 + mass) * mp.mpf(2) ** -(prec + 48))
+                err = abs(periodic.fourier_partial_sum(m, n, x, K, prec) - ref)
+                ok &= err <= bound
+                worst = max(worst, err / bound)
+    out.append(_result("partial sums off the quarter angles lie within their stated bound",
+                       ok, f"worst err/bound {mp.nstr(worst, 3)}"))
     return out
 
 

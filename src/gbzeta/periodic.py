@@ -12,9 +12,10 @@ cached per (m, n) and the integer tables per (m, n, W); W takes one value
 per bitlen(K). The a_k and the b_k are each built as a whole row of K
 integers, and fourier_coeffs converts each row to mpf in one pass. A
 partial sum takes cos and sin of 2 pi x once, with exact argument
-reduction, advances the phase of k x by an integer rotation over the same
-rows, and sums exactly in integers; fourier_partial_sum states the
-resulting bound. Each returned value is rounded once, to nearest at prec.
+reduction, and sums each row by Goertzel's backward (Clenshaw) recurrence
+in integers, at a width with 2 bitlen(K) more guard bits;
+fourier_partial_sum states the resulting bound. Each returned value is
+rounded once, to nearest at prec.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cache
 from math import factorial
 
 import mpmath as mp
-from mpmath.libmp import MPZ, from_rational, fzero, normalize, round_nearest
+from mpmath.libmp import from_rational, fzero, normalize, round_nearest
 
 from . import bernoulli, zeta_even
 from .bigfloat import DEFAULT_PRECISION, frac_part, to_mpf
@@ -193,12 +194,14 @@ def _int_row(table: tuple, K: int, last: int) -> list:
 
 def _mpf_row(row: list, W: int, prec: int) -> list:
     # each t 2^-W rounded once, to nearest at prec, as _round_fixed does;
-    # the mpf is made as mp.make_mpf makes it, without a call per value
+    # the mpf is made as mp.make_mpf makes it, with no call per value but
+    # normalize (the mantissa is a Python int, which MPZ is on mpmath's
+    # pure-Python backend)
     new, cls, out = object.__new__, mp.mpf, []
     for t in row:
-        u = -t if t < 0 else t
+        sign, u = (1, -t) if t < 0 else (0, t)
         v = new(cls)
-        v._mpf_ = normalize(int(t < 0), MPZ(u), -W, u.bit_length(), prec, round_nearest)
+        v._mpf_ = normalize(sign, u, -W, u.bit_length(), prec, round_nearest)
         out.append(v)
     return out
 
@@ -224,48 +227,72 @@ def fourier_partial_sum(m: int, n: int, x, K: int, prec: int = DEFAULT_PRECISION
 
     An int or Fraction x is reduced mod 1 exactly before its angle is rounded
     (at W + 32 bits); any other x is rounded to prec bits, and the sum is that
-    of the binary x. cos and sin of 2 pi x are taken once, with exact argument
-    reduction, and the phase of k x
-    advances by an integer rotation at the kernel's width W; a_k c_k + b_k s_k
-    is summed exactly as an integer, and the one rounding is the last. The
-    result is within
-        2^-W sum_{k<=K} [2 (n + 1) + 3 k (|a_k| + |b_k|)] + 2^-prec |sum|
-    of the exact partial sum; quarter angles x in {0, 1/4, 1/2, 3/4} rotate
-    exactly.
+    of the binary x. X and Y, cos and sin of 2 pi x scaled by 2^W, are taken
+    once, with exact argument reduction, at the kernel's width W for
+    prec + 2 bitlen(K). Two backward recurrences (Goertzel; Clenshaw) run over
+    the integer rows a_k, b_k in units of 2^-W, from u_(K+1) = u_(K+2) = 0:
+        u_k = a_k + floor(2 X u_(k+1) / 2^W) - u_(k+2),  and v_k likewise on b_k;
+    the sum is the integer floor(u_1 X / 2^W) - u_2 + floor(v_1 Y / 2^W), and
+    the one rounding is the last. The result is within
+        2^-W sum_{k<=K} [(n + 2)(k + 1) + k^2 (|a_k| + k |b_k|)] + 2^-prec |sum|
+    of the exact partial sum: the row errors, the rounding of X and Y and each
+    floor, amplified by |U_(k-1)| <= k. At the quarter angles x in
+    {0, 1/4, 1/2, 3/4}, where X and Y are exact, it is within
+    2^-W (2 n + 1) K + 2^-prec |sum|. Neither bound is looser than the rotation
+    bound 2^-W0 sum_{k<=K} [2 (n + 1) + 3 k (|a_k| + |b_k|)] + 2^-prec |sum|
+    at the width W0 = W - 2 bitlen(K) for prec.
     """
-    W, a_tab, b_tab = _fixed_kernel(m, n, K, prec)
+    W, a_tab, b_tab = _fixed_kernel(m, n, K, prec + 2 * K.bit_length())
     if isinstance(x, (int, Fraction)):
         t = to_mpf(2 * (x % 1), W + 32)
     else:
         t = mp.ldexp(_finite(x, prec), 1)
-    # Error bound. The unit is 2^-W. X, Y are within 1/2 + 2^-14 of
-    # 2^W cos(2 pi x), 2^W sin(2 pi x) (cospi/sinpi of t = 2 x at W + 16
-    # bits; an exact x puts t within 2^-(W+30) of 2 (x mod 1), which moves
-    # them by under 2^-28 units), so the vector error
-    # |(X, Y) - 2^W e^(2 pi i x)| is below 0.71, and the rotation
-    # M = (X + iY)/2^W has norm below 1 + 0.71 2^-W. The first step from
-    # (2^W, 0) gives (X, Y) exactly; each later step multiplies the error e_k
-    # of (c_k, s_k) by |M|, adds |M - e^(2 pi i x)| 2^W < 0.71 and adds the
-    # two floors, |.| < sqrt(2). So e_(k+1) <= (1 + 2^-W) e_k + 2.13 and
-    # e_k <= 3 k for k <= K, far below 2^W. Then, with the coefficient
-    # errors of _int_row (|alpha| <= n, |beta| <= n + 1 units),
-    # |a^ c^ + b^ s^ - 2^2W (a cos + b sin)|
-    #     <= |(alpha, beta)| |(c^, s^)| + 2^W |(a, b)| e_k
-    #     <= sqrt(2) (n + 1) (2^W + 3k) + 2^W 3k (|a_k| + |b_k|),
-    # which is 2^-W [2 (n + 1) + 3 k (|a_k| + |b_k|)] once divided by 2^2W.
-    # The integer sum and a0/2 are exact; rounding to nearest at prec adds
-    # 2^-prec |sum|. At quarter angles X, Y are 0 or +-2^W, so e_k = 0.
+    # Error bound. The unit is 2^-W; c, s are cos, sin of 2 pi x, and
+    # c' = X/2^W, s' = Y/2^W. X, Y are within d = 1/2 + 2^-13 of 2^W c, 2^W s
+    # (cospi/sinpi of t = 2 x at W + 16 bits; an exact x puts t within
+    # 2^-(W+30) of 2 (x mod 1), which moves them by under 2^-28 units), and
+    # |c'|, |s'| <= 1. A floor errs by e in (-1, 0], and the recurrence is
+    # linear, so a floor error in u_k acts as e added to row entry k; by
+    # Clenshaw's identities, with A, B the integer rows,
+    #     u_1 c' - u_2 = sum_k (A_k + e_k) T_k(c'),
+    #     v_1 = sum_k (B_k + e'_k) U_(k-1)(c'),
+    # where |T_k| <= 1 and |U_(k-1)| <= k on [-1, 1], and the step at k = K
+    # floors 0 exactly. The row errors of _int_row (|A_k - 2^W a_k| <= n,
+    # |B_k - 2^W b_k| <= n + 1) and the K floors of the a part cost at most
+    # (n + 1) K; those of the b part, amplified by |s' U_(k-1)(c')| <= k,
+    # and its last floor cost at most (n + 2) sum_k k - K + 1. Together that
+    # is below sum_k (n + 2)(k + 1). What remains is 2^W sum_k of
+    # a_k (T_k(c') - T_k(c)) + b_k (s' U_(k-1)(c') - s U_(k-1)(c)), since
+    # T_k(c) = cos(2 pi k x) and s U_(k-1)(c) = sin(2 pi k x). On [-1, 1],
+    # |T_k'| <= k^2 (Markov) and |U_(k-1)'| <= U_(k-1)'(1) = (k^3 - k)/3, so
+    # term k is at most d (k^2 |a_k| + (k + (k^3 - k)/3) |b_k|), which is
+    # below k^2 |a_k| + k^3 |b_k|. a0/2 and the sum are exact; rounding to
+    # nearest at prec adds 2^-prec |sum|. At quarter angles X, Y are 0 or
+    # +-2^W, so c' = c and s' = s, every floor is exact, and only the row
+    # errors remain: n K in the a part and (n + 1) K in the b part, as s' is
+    # nonzero only at c' = 0, where |U_(k-1)(0)| <= 1.
+    # Guard bits. Against the rotation bound at W0 = W - g, term by term for
+    # k <= K: (n + 2)(k + 1) 2^-g <= 2 (n + 1) holds once 2^g >= 3 (K + 1)/4,
+    # k^2 |a_k| 2^-g <= 3 k |a_k| once 2^g >= K/3, and k^3 |b_k| 2^-g <=
+    # 3 k |b_k| once 2^g >= K^2/3. g = 2 bitlen(K) gives 2^g >= (K + 1)^2.
     with mp.workprec(W + 16):
         X = int(mp.nint(mp.ldexp(mp.cospi(t), W)))
         Y = int(mp.nint(mp.ldexp(mp.sinpi(t), W)))
-    c, s, total = 1 << W, 0, 0
-    for a, b in zip(_int_row(a_tab, K, 2), _int_row(b_tab, K, 1)):
-        c, s = (c * X - s * Y) >> W, (s * X + c * Y) >> W
-        total += a * c + b * s
+    (u1, u2), (v1, _) = (_clenshaw(_int_row(tab, K, last), 2 * X, W) if tab else (0, 0)
+                         for tab, last in ((a_tab, 2), (b_tab, 1)))
     a0 = fourier_a0(m, n)
-    num = (a0.numerator << 2 * W) + 2 * a0.denominator * total
+    num = (a0.numerator << W) + 2 * a0.denominator * ((u1 * X >> W) - u2 + (v1 * Y >> W))
     with mp.workprec(prec):
-        return mp.make_mpf(from_rational(num, a0.denominator << (2 * W + 1), prec, round_nearest))
+        return mp.make_mpf(from_rational(num, a0.denominator << (W + 1), prec, round_nearest))
+
+
+def _clenshaw(row: list, X2: int, W: int) -> tuple:
+    # (u_1, u_2) of u_k = row[k-1] + floor(X2 u_(k+1) / 2^W) - u_(k+2), from
+    # u_(K+1) = u_(K+2) = 0 with K = len(row)
+    u1 = u2 = 0
+    for t in reversed(row):
+        u1, u2 = t + (X2 * u1 >> W) - u2, u1
+    return u1, u2
 
 
 @dataclass

@@ -47,10 +47,19 @@ def _derivative_sum(fs: FunctionStack, row: list, orders, xs, h=1):
     """sum_{k in orders} (-1)^(k+1) row[k] h^k sum_{x in xs} f^(k-1)(x).
 
     At the working precision; an order with a zero weight is skipped, any
-    other fetches its evaluator f^(k-1) once.
+    other fetches its evaluator f^(k-1) once. Each distinct evaluator is
+    summed over xs once, so orders that share one (exp_stack gives mp.exp
+    for every order) evaluate it once per node, with the same sums.
     """
-    return mp.fsum((-1) ** (k + 1) * row[k] * h**k * mp.fsum(map(fs.deriv(k - 1), xs))
-                   for k in orders if row[k])
+    sums: dict = {}
+    terms = []
+    for k in orders:
+        if row[k]:
+            f = fs.deriv(k - 1)
+            if f not in sums:
+                sums[f] = mp.fsum(map(f, xs))
+            terms.append((-1) ** (k + 1) * row[k] * h**k * sums[f])
+    return mp.fsum(terms)
 
 
 def _check_order(fs: FunctionStack, r: int) -> None:

@@ -426,3 +426,53 @@ def test_tables_are_cached_tuples_per_width():
     # the exact jump row is cached too; jump_terms still hands out new lists
     assert periodic._jumps(3, 5) is periodic._jumps(3, 5)
     assert jump_terms(3, 5) == jump_terms(3, 5) and jump_terms(3, 5)[0] is not jump_terms(3, 5)[0]
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_partial_sum_within_recurrence_bound(prec):
+    # fourier_partial_sum's stated bound at its width W for prec + 2 bitlen(K),
+    #     2^-W sum_{k<=K} [(n + 2)(k + 1) + k^2 (|a_k| + k |b_k|)] + 2^-prec |S_K|,
+    # against a direct sum at prec + 64 bits, and never above the rotation
+    # bound 2^-W0 sum_{k<=K} [2 (n + 1) + 3 k (|a_k| + |b_k|)] at the width W0
+    # for prec. The mpf angles next to 0 and 1/2 are where |U_k(cos 2 pi x)|
+    # peaks; their phases come from rotating e^(2 pi i x) at prec + 80 bits
+    wp = prec + 64
+    ks = (0, 1, 2, 37, 1000, 3000)
+    tiny = mp.ldexp(mp.mpf(1), -30)
+    xs = [tiny, mp.mpf(0.5) + tiny, 1 - tiny, to_mpf(F(1, 7), prec),
+          F(1, 3), F(-3, 7), 10**6 + F(2, 5)]
+    phases = []
+    for x in xs:
+        if isinstance(x, F):
+            p, q = x.numerator, x.denominator
+            with mp.workprec(wp):
+                cs = [(mp.cospi(mp.mpf(2 * j) / q), mp.sinpi(mp.mpf(2 * j) / q)) for j in range(q)]
+            phases.append([cs[k * p % q] for k in range(1, ks[-1] + 1)])
+        else:
+            with mp.workprec(wp + 16):
+                z, w, row = mp.expjpi(2 * x), mp.mpc(1), []
+                for _ in range(ks[-1]):
+                    w *= z
+                    row.append((w.real, w.imag))
+            phases.append(row)
+    for m, n in ((1, 1), (1, 2), (3, 4), (5, 6)):
+        coeffs = _ref_coeffs(m, n, range(1, ks[-1] + 1), wp)
+        for K in ks:
+            W = periodic._fixed_kernel(m, n, K, prec + 2 * K.bit_length())[0]
+            W0 = periodic._fixed_kernel(m, n, K, prec)[0]
+            with mp.workprec(wp):
+                ab = [(abs(coeffs[k][0]), abs(coeffs[k][1])) for k in range(1, K + 1)]
+                new = mp.ldexp(mp.fsum((n + 2) * (k + 1) + k * k * (a + k * b)
+                                       for k, (a, b) in enumerate(ab, 1)), -W)
+                old = mp.ldexp(mp.fsum(2 * (n + 1) + 3 * k * (a + b)
+                                       for k, (a, b) in enumerate(ab, 1)), -W0)
+                assert new <= old, (m, n, K)
+                mass = mp.fsum(coeffs[k][2] for k in range(1, K + 1))
+            for x, phase in zip(xs, phases):
+                with mp.workprec(wp):
+                    ref = to_mpf(fourier_a0(m, n), wp) / 2 + mp.fsum(
+                        coeffs[k][0] * c + coeffs[k][1] * s
+                        for k, (c, s) in enumerate(phase[:K], 1))
+                    bound = new + abs(ref) * mp.mpf(2) ** -prec + (1 + mass) * mp.mpf(2) ** -(prec + 48)
+                got = fourier_partial_sum(m, n, x, K, prec)
+                assert abs(got - ref) <= bound, (m, n, K, x)

@@ -415,3 +415,19 @@ def test_em_rejects_excessive_order():
         em_composite(fs, 0, 1, 2, 2, 2, P)
     with pytest.raises(ValueError, match="at least 1"):
         em_composite(fs, 0, 1, 2, 2, 0, P)
+
+
+@pytest.mark.parametrize("n_sub", [1, 8])
+@pytest.mark.parametrize("r", [2, 6])
+@pytest.mark.parametrize("m", [1, 3])
+def test_em_composite_evaluates_exp_once_per_node(monkeypatch, m, r, n_sub):
+    # exp_stack gives mp.exp for every order, and _derivative_sum sums each
+    # distinct evaluator once per node set: once at b, once at a and once at
+    # each of the n_sub - 1 inner nodes. The closed-form integrals
+    # (exact_integral and abs_deriv_integral) take exp at a and b twice more
+    calls = []
+    exp = mp.exp
+    monkeypatch.setattr(mp, "exp", lambda x: calls.append(x) or exp(x))
+    em_composite(exp_stack(256), 0, 1, n_sub, m, r, 256)
+    assert len(calls) == n_sub + 1 + 4, (m, r, n_sub, len(calls))
+    assert len(set(calls)) == n_sub + 1
