@@ -161,7 +161,7 @@ def check_fourier(prec: int = DEFAULT_PRECISION) -> list:
         cs = [(mp.cospi(mp.mpf(2 * j) / 3), mp.sinpi(mp.mpf(2 * j) / 3)) for j in range(3)]
         third = [cs[k % 3] for k in range(1, K + 1)]
         for m, n in ((2, 2), (5, 6)):
-            W = periodic._fixed_kernel(m, n, K, prec + 2 * K.bit_length())[0]
+            W = periodic._partial_sum_kernel(m, n, K, prec)[0]
             terms = [[(p, to_mpf(c, wp)) for p, c in t] for t in periodic.jump_terms(m, n)]
             coeffs = []
             for k in range(1, K + 1):

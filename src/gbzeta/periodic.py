@@ -26,7 +26,7 @@ from functools import cache
 from math import factorial
 
 import mpmath as mp
-from mpmath.libmp import from_rational, fzero, normalize, round_nearest
+from mpmath.libmp import MPZ, from_rational, fzero, normalize, round_nearest
 
 from . import bernoulli, zeta_even
 from .bigfloat import DEFAULT_PRECISION, frac_part, to_mpf
@@ -176,6 +176,12 @@ def _fixed_kernel(m: int, n: int, K: int, prec: int) -> tuple:
     return (W, *_fixed_tables(m, n, W))
 
 
+def _partial_sum_kernel(m: int, n: int, K: int, prec: int) -> tuple:
+    # _fixed_kernel at prec + 2 bitlen(K): the width of fourier_partial_sum,
+    # whose guard bits its bound derives
+    return _fixed_kernel(m, n, K, prec + 2 * K.bit_length())
+
+
 def _int_row(table: tuple, K: int, last: int) -> list:
     # [t_1, ..., t_K], t_k = sum_i table[i] k^-(2i + last) in units of 2^-W
     # (last = 2 for a, 1 for b): Horner in 1/k^2 over the whole row with
@@ -194,12 +200,11 @@ def _int_row(table: tuple, K: int, last: int) -> list:
 
 def _mpf_row(row: list, W: int, prec: int) -> list:
     # each t 2^-W rounded once, to nearest at prec, as _round_fixed does;
-    # the mpf is made as mp.make_mpf makes it, with no call per value but
-    # normalize (the mantissa is a Python int, which MPZ is on mpmath's
-    # pure-Python backend)
+    # the mpf is made as mp.make_mpf makes it, without a call per value
+    # beyond normalize and the mantissa's MPZ (gmpy2's normalize takes an mpz)
     new, cls, out = object.__new__, mp.mpf, []
     for t in row:
-        sign, u = (1, -t) if t < 0 else (0, t)
+        sign, u = (1, MPZ(-t)) if t < 0 else (0, MPZ(t))
         v = new(cls)
         v._mpf_ = normalize(sign, u, -W, u.bit_length(), prec, round_nearest)
         out.append(v)
@@ -242,7 +247,7 @@ def fourier_partial_sum(m: int, n: int, x, K: int, prec: int = DEFAULT_PRECISION
     bound 2^-W0 sum_{k<=K} [2 (n + 1) + 3 k (|a_k| + |b_k|)] + 2^-prec |sum|
     at the width W0 = W - 2 bitlen(K) for prec.
     """
-    W, a_tab, b_tab = _fixed_kernel(m, n, K, prec + 2 * K.bit_length())
+    W, a_tab, b_tab = _partial_sum_kernel(m, n, K, prec)
     if isinstance(x, (int, Fraction)):
         t = to_mpf(2 * (x % 1), W + 32)
     else:
