@@ -201,12 +201,11 @@ def _int_row(table: tuple, K: int, last: int) -> list:
 def _mpf_row(row: list, W: int, prec: int) -> list:
     # each t 2^-W rounded once, to nearest at prec, as _round_fixed does;
     # the mpf is made as mp.make_mpf makes it, without a call per value
-    # beyond normalize and the mantissa's MPZ (gmpy2's normalize takes an mpz)
     new, cls, out = object.__new__, mp.mpf, []
     for t in row:
-        sign, u = (1, MPZ(-t)) if t < 0 else (0, MPZ(t))
+        u = -t if t < 0 else t
         v = new(cls)
-        v._mpf_ = normalize(sign, u, -W, u.bit_length(), prec, round_nearest)
+        v._mpf_ = normalize(int(t < 0), MPZ(u), -W, u.bit_length(), prec, round_nearest)
         out.append(v)
     return out
 
