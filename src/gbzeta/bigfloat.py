@@ -8,7 +8,9 @@ runs one process; see README). Sums that need more than rounding per
 operation are done in scaled integers (fixed point) with one rounding at the
 end: the exact kernel scaled_power, summed by _power_sums, feeds series'
 partial sums of x^-s, power tails and regularized tail and the Parseval sums
-of quadrature; periodic's Fourier kernel is the other fixed-point user.
+of quadrature; periodic's Fourier kernel is the other fixed-point user. For
+an integer s, _power_sums takes scaled_power's exact floors floor(2^W/j^s)
+in one pass, and sums a lone order 1 as it goes, holding no row.
 
 _power_sums takes a block J <= j < J0 of a fractional s with 2J <= J0 from
 a sieve: j^-s is completely multiplicative, so only the primes take
@@ -142,16 +144,27 @@ def _power_sums(s, js, ks, W: int) -> dict:
     2^W X for n >= 2 (E >= 3), and exact for js = [1]. Integer s keeps
     the direct floors (one division per term beats a W-bit product), and so
     do blocks with 2J > J0, where the row would cost over twice the terms.
+
+    For s = a/1 the direct floors are floor(2^W / j^a), scaled_power's
+    b = 1 case, taken in one pass without a call per term. When order 1 is
+    the only one asked, the terms are summed as they come, so no list of
+    len(js) W-bit integers is held.
     """
     g = 0
-    if s.denominator > 1 and js and 2 * js[0] <= js[-1] + 1:
+    if s.denominator == 1:
+        one, a = 1 << W, s.numerator
+        V = (one // j**a for j in js)
+    elif js and 2 * js[0] <= js[-1] + 1:
         g = 2 * (3 * js[-1].bit_length()).bit_length()
         row = _power_row(s, js[-1], W + g)
-        V = [row[j] for j in js]
+        V = (row[j] for j in js)
     else:
-        V = [scaled_power(s, j, W) for j in js]
-    out, k_prev = {}, 1
-    for k in sorted(set(ks)):
+        V = (scaled_power(s, j, W) for j in js)
+    ks = sorted(set(ks))
+    if ks == [1]:
+        return {1: sum(V) >> g}
+    V, out, k_prev = list(V), {}, 1
+    for k in ks:
         if k > k_prev:
             V = [v // j ** (k - k_prev) for v, j in zip(V, js)]
         out[k], k_prev = sum(V) >> g, k

@@ -16,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial, gcd, inf, lgamma, log, log2, pi, prod
+from itertools import accumulate
+from math import ceil, factorial, fsum, gcd, inf, lgamma, log, log2, pi, prod
+from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import round_ceiling
+from mpmath.libmp import from_rational, round_ceiling, round_nearest
 
 from . import bernoulli
 from .bigfloat import (DEFAULT_PRECISION, _power_sums, _round_fixed, decimal_str, scaled_power,
@@ -70,6 +72,20 @@ def _exponent(e: Fraction, prec: int):
     return int(e) if e.denominator == 1 else to_mpf(e, prec)
 
 
+@cache
+def _deriv_consts(a: int, b: int, k: int, prec: int) -> tuple:
+    # (c, e) with f^(k) = c x^e for f = x^-s, s = a/b: c = (-1)^k (s)_k and
+    # e = -(s+k), each rounded once to nearest at prec, and e an int for
+    # b = 1 (_exponent). from_rational rounds p/q as to_mpf rounds the
+    # reduced fraction, with no public call, so a cache miss adds no call
+    # that a warm caller's traced counts would see
+    def rounded(p, q):
+        return mp.make_mpf(from_rational(p, q, prec, round_nearest))
+
+    c, e = rounded((-1) ** k * prod(range(a, a + k * b, b)), b ** k), -(a + k * b)
+    return c, e if b == 1 else rounded(e, b)
+
+
 class PowerFunction(FunctionStack):
     """f(x) = x^(-s) for rational s >= 1, with everything in closed form.
 
@@ -79,6 +95,8 @@ class PowerFunction(FunctionStack):
     The stack's capabilities are its own methods and class attributes, so it
     holds no bound method of itself and dies with its last reference; it
     skips FunctionStack.__init__, which only stores callables and spot-checks.
+    Its evaluators hold s as two ints and read their constants from the
+    module's _deriv_consts, built once per (s, k, prec) for every stack.
     """
 
     r_max = 10**9
@@ -109,16 +127,15 @@ class PowerFunction(FunctionStack):
         return to_mpf(x, mp.mp.prec) ** _exponent(e, mp.mp.prec)
 
     def _make_deriv(self, k: int):
-        c = (-1) ** k * self.pochhammer(k)
-        e = -(self.s + k)
-        consts: dict = {}  # working precision -> (c, e) converted once
+        """The evaluator of f^(k) = (-1)^k (s)_k x^(-s-k) at the working
+        precision. Its constants come from _deriv_consts, built once per
+        (s, k, prec) for all stacks; it captures a, b and k, never the
+        stack, so the stack stays free of reference cycles."""
+        a, b = self.s.numerator, self.s.denominator
 
         def ev(x):
-            prec = mp.mp.prec
-            ce = consts.get(prec)
-            if ce is None:
-                ce = consts[prec] = (to_mpf(c, prec), _exponent(e, prec))
-            return ce[0] * mp.mpf(x) ** ce[1]
+            c, e = _deriv_consts(a, b, k, mp.mp.prec)
+            return c * mp.mpf(x) ** e
 
         return ev
 
@@ -148,8 +165,9 @@ class PowerFunction(FunctionStack):
         return self.abs_deriv_integral(k, p, mp.inf, prec)
 
     def partial_sum(self, l: int, prec: int = DEFAULT_PRECISION):
-        # within l units of 2^-W: per-term floors for integer s, the sieved
-        # row for fractional s (_power_sums; see the module's partial_sum)
+        # within l units of 2^-W: floor(2^W/j^s) in one pass, summed as they
+        # come, for integer s, the sieved row for fractional s (_power_sums;
+        # see the module's partial_sum)
         W = prec + 64 + l.bit_length()
         return _round_fixed(_power_sums(self.s, range(1, l + 1), [1], W)[1], W, prec)
 
@@ -278,8 +296,9 @@ def partial_sum(fs: FunctionStack, l: int, prec: int = DEFAULT_PRECISION):
 
     A stack's partial_sum entry takes it if present: for x^-s the
     _power_sums of 1 <= j <= l at W = prec + 64 + bitlen(l), within l units
-    of 2^-W (per-term scaled_power floors for integer s, the sieved row for
-    fractional s), so within l 2^-W < 2^-(prec+64) before one rounding to
+    of 2^-W (the exact floors floor(2^W/j^s) for integer s, in one pass
+    that holds no list of l integers, the sieved row for fractional s),
+    so within l 2^-W < 2^-(prec+64) before one rounding to
     nearest at prec. Others are summed in ascending order at prec. An x^-s
     estimate takes its S(p-1) in its tails' unit instead (_solve).
     """
@@ -356,8 +375,9 @@ def _cdiv(x: int, y: int) -> int:
 
 
 class _ScaledRising:
-    """U_n within err_n units of 2^W (s)_n J^-(s+n), and P_n = b^n (s)_n, s = a/b,
-    for n = 0..N, built at construction.
+    """U_n within err_n units of 2^W (s)_n J^-(s+n) for n = 0..N, built at
+    construction, and the exact row P_n = b^n (s)_n = prod_{i<n} (a+ib),
+    s = a/b, built to N and grown on demand (rising).
 
     U_n 2^-W is |f^(n)(J)| for f = x^-s, the one value the far sum of order
     k = n + 1 at J starts from (_far_bound, _em_far), so N is the largest
@@ -365,29 +385,53 @@ class _ScaledRising:
     unit, and U_(n+1) = U_n (a+nb) // (bJ): if U_n is within err_n of x, then
     U_n (a+nb)/(bJ) is within err_n (a+nb)/(bJ) of x (a+nb)/(bJ), and the
     floor takes under one unit more, so err_(n+1) = ceil(err_n (a+nb)/(bJ)) + 1.
-    P_n is exact. One sequence serves every tail of one estimate, all of
-    which start their far sums at the one cut J, in the one unit 2^-W.
+    One sequence serves every tail of one estimate, all of which start their
+    far sums at the one cut J, in the one unit 2^-W; their far sums read
+    the rising products of t = s+k-1 from the one row P, as ratios
+    P_(k-1+n)/P_(k-1), so it grows as far as the largest k - 1 + r they ask.
     """
 
     def __init__(self, s: Fraction, J: int, W: int, N: int):
         self.s, self.J, self.W = s, J, W
         a, b = self.a, self.b = s.numerator, s.denominator
-        U, err, P = self.U, self.err, self.P = [scaled_power(s, J, W)], [1], [1]
-        bJ = b * J
+        U, err = self.U, self.err = [scaled_power(s, J, W)], [1]
+        self.P, bJ = [1], b * J
         for i in range(N):
             c = a + i * b
             U.append(U[i] * c // bJ)
             err.append(_cdiv(err[i] * c, bJ) + 1)
-            P.append(P[i] * c)
+        self.rising(N)
+
+    def rising(self, n: int) -> int:
+        """P_n, the row grown as far as n."""
+        P, i = self.P, len(self.P) - 1
+        if n > i:
+            # P_i, ..., P_n: the factors a+ib, ..., a+(n-1)b accumulated from P_i
+            P[i:] = accumulate(range(self.a + i * self.b, self.a + n * self.b, self.b), mul,
+                               initial=P[i])
+        return P[n]
 
 
 _TAIL_ORDERS = range(8, 193, 8)
 _LN2 = log(2)
-# log2 A_R at the order cap R, from the level-1 identity |B_R|/R! =
-# 2 zeta(R) (2 pi)^-R with log2 zeta(R) < 2^-190 dropped: in double precision
-# it equals log2(N) - log2(D) of the exact _far_coeff(R), so _cut builds no
-# level-1 row up to R
-_LOG2_CAP_COEFF = 1 - _TAIL_ORDERS[-1] * log2(2 * pi)
+
+
+def _log2_far_coeff(r: int) -> float:
+    """log2 A_r for even r >= 8, in doubles, from the level-1 identity
+    |B_r|/r! = 2 zeta(r) (2 pi)^-r: 1 - r log2(2 pi) + log2 zeta(r).
+
+    zeta(r) is summed to j = 63; the rest is below 63^(1-r)/(r-1) < 2^-44.
+    log2 zeta(8) is 0.0059, so the term is kept; at the cap R = 192 it is
+    below 2^-190 and leaves the double 1 - R log2(2 pi) as it is. The
+    orders' values are _LOG2_FAR_COEFFS, which _far_bound and _cut read, so
+    neither builds a level-1 row nor takes the log2 of an exact _far_coeff.
+    """
+    return 1 - r * log2(2 * pi) + log2(fsum(j ** -r for j in range(1, 64)))
+
+
+# log2 A_r at each order of _TAIL_ORDERS, and at the order cap
+_LOG2_FAR_COEFFS = tuple(map(_log2_far_coeff, _TAIL_ORDERS))
+_LOG2_CAP_COEFF = _LOG2_FAR_COEFFS[-1]
 
 
 def _cut(s: Fraction, ks, q1: int, tol, prec: int) -> int:
@@ -401,8 +445,8 @@ def _cut(s: Fraction, ks, q1: int, tol, prec: int) -> int:
     also divides each share by its weight, where that exceeds 1; the cut
     leaves the weights out). _far_bound's bound of order R is A_R (t)_R
     J^(1-t-R)/(t+R-1) <= A_R (t)_R J^(1-t-R), with A_R = |B_R|/R!
-    (_LOG2_CAP_COEFF), and it must be within a quarter of the share tau. So
-    R meets tau at J once
+    (_LOG2_CAP_COEFF, from _log2_far_coeff), and it must be within a
+    quarter of the share tau. So R meets tau at J once
         (t+R-1) log2 J >= 2 + log2 A_R + log2 (t)_R - log2 tau,
     which floats (lgamma) solve for J. They only choose the cut; _far_bound
     certifies every far bound at whatever cut. J_tol grows like
@@ -435,35 +479,42 @@ def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:
     bound of order r is A_r int_J^inf |f^(k-1+r)| = A_r J |f^(k-1)(J)| (t)_r
     J^-r/(t+r-1), with the exact A_r = N/D of _far_coeff. U_(k-1) + err_(k-1)
     is at least 2^W |f^(k-1)(J)|, and (t)_r J^-r = Q_r/(bJ)^r with the exact
-    rising product Q_r = prod_{i<r} (a'+ib), so ceil(X/Y) with
+    rising product Q_r = prod_{i<r} (a'+ib) = P_(k-1+r)/P_(k-1) of seq's row,
+    so ceil(X/Y) with
         X = N Z Q_r, Z = J b (U_(k-1) + err_(k-1)), Y = D (bJ)^r (a'+(r-1)b)
-    is an upper bound. limit = floor(2^W tol/4), where tol applies to
-    sum_{j>=J} j^-t, the tail divided by (s)_(k-1) = P_(k-1)/b^(k-1): an
-    order meets it when ceil(X/Y) b^(k-1) <= limit P_(k-1), that is
-    ceil(X/Y) <= M = floor(limit P_(k-1) / b^(k-1)), that is X <= M Y. The
-    first order in _TAIL_ORDERS that meets it is taken; if none does, the
-    smallest bound, the first on ties, from every order's exact ceil(X/Y).
+    is an upper bound, taken as ceil(X P_(k-1) / (Y P_(k-1))) with
+    X P_(k-1) = N Z P_(k-1+r), so no Q_r is built. limit = floor(2^W tol/4),
+    where tol applies to sum_{j>=J} j^-t, the tail divided by (s)_(k-1) =
+    P_(k-1)/b^(k-1): an order meets it when ceil(X/Y) b^(k-1) <= limit
+    P_(k-1), that is ceil(X/Y) <= M = floor(limit P_(k-1) / b^(k-1)), that is
+    X <= M Y, or N Z P_(k-1+r) <= M Y P_(k-1). The first order in
+    _TAIL_ORDERS that meets it is taken; if none does, the smallest bound,
+    the first on ties, from every order's exact ceil(X/Y).
 
     Floats choose which orders are checked against M: est_r = log2(X/Y),
-    from log2 of N, D and Z and lgamma, is off by far less than 1/64. An
-    order with est_r > log2 M + 1/64 fails, so only the others are checked
-    exactly, in order. The floats steer the choice only: the bound returned
-    is always ceil(X/Y) of the order returned.
+    from log2 Z, the closed-form log2 A_r of _LOG2_FAR_COEFFS and lgamma,
+    is off by far less than 1/64. An order with est_r > log2 M + 1/64 fails,
+    so only the others are checked exactly, in order, and only those read
+    _far_coeff. An order that meets M has log2(X/Y) <= log2 M, so any float
+    within much less than 1/64 of log2(X/Y) keeps it among those checked:
+    the floats steer which orders are checked, never which one is taken,
+    and the bound returned is always ceil(X/Y) of the order returned.
     """
     a, b, J = seq.a, seq.b, seq.J
     a1 = a + (k - 1) * b
     Z = J * b * (seq.U[k - 1] + seq.err[k - 1])
-    M = limit * seq.P[k - 1] // b ** (k - 1)
+    P0 = seq.P[k - 1]
+    M = limit * P0 // b ** (k - 1)
     lm, t, lJ = (log2(M) if M else -inf) + 1 / 64, a1 / b, log2(J)
     base = log2(Z) - lgamma(t) / _LN2
 
     def exact(r):
+        # (X P_(k-1), Y P_(k-1))
         N, D = _far_coeff(r)
-        return N * Z * prod(range(a1, a1 + r * b, b)), D * (b * J) ** r * (a1 + (r - 1) * b)
+        return N * Z * seq.rising(k - 1 + r), D * (b * J) ** r * (a1 + (r - 1) * b) * P0
 
-    for r in _TAIL_ORDERS:
-        N, D = _far_coeff(r)
-        est = base + log2(N) - log2(D) + lgamma(t + r) / _LN2 - r * lJ - log2(a1 + (r - 1) * b)
+    for r, log2_A in zip(_TAIL_ORDERS, _LOG2_FAR_COEFFS):
+        est = base + log2_A + lgamma(t + r) / _LN2 - r * lJ - log2(a1 + (r - 1) * b)
         if est <= lm:
             X, Y = exact(r)
             if X <= M * Y:
@@ -502,7 +553,8 @@ def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
     factors of the steps after it, F_2 ... F_(i-2)/L^((i-2)/2); the factors
     grow with i, and exceed 1 once t+i > J, so of these products, one for
     each of the n = (r-2)/2 floors, the largest is 1 or the longest,
-    g = prod_{m=1}^{r-4} (a'+mb) / (bJ)^(r-4). So h_2 is within
+    g = prod_{m=1}^{r-4} (a'+mb) / (bJ)^(r-4) = P_(k+r-4) / (P_k (bJ)^(r-4)),
+    from seq's rising row (a'+mb = a+(k-1+m)b). So h_2 is within
     eta = ceil(n max(1, g)) of 2^G H_2, every floor counted. With
     Hn = c'_1 bJ 2^G + a' h_2, e V is x Ht/(bJ 2^G) for an Ht within a' eta
     of Hn, so
@@ -519,7 +571,8 @@ def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
     n = (r - 2) // 2
     eta = n  # g <= 1 when its largest factor (a'+(r-4)b)/(bJ) is
     if a1 + (r - 4) * b > bJ:
-        eta = max(n, _cdiv(n * prod(range(a1 + b, a1 + (r - 3) * b, b)), bJ ** (r - 4)))
+        top = seq.rising(k + r - 4)
+        eta = max(n, _cdiv(n * top, seq.P[k] * bJ ** (r - 4)))
     G = max(0, X.bit_length() + a1.bit_length() + eta.bit_length() + 7
             - e.bit_length() - bJ.bit_length())
     L, h = bJ * bJ, g_even[-1] << G

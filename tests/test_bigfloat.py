@@ -100,9 +100,23 @@ def test_power_sums_within_one_unit_per_term(s, js, ks, W):
             assert abs(sums[k] - ref) < len(js) if js else sums[k] == 0, k
 
 
+@pytest.mark.parametrize("s", [Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2),
+                               Fraction(10001, 10000)])
+def test_power_sums_of_order_one_are_the_kernel_terms(s):
+    # a lone order 1, summed as it comes, is the sum of the direct terms:
+    # the kernel's own floors for integer s and for a block past half its
+    # end, within one unit per term of them on the sieved row
+    for js in (range(1, 1), range(1, 2), range(1, 300), range(200, 300)):
+        got = _power_sums(s, js, [1], 700)[1]
+        direct = sum(scaled_power(s, j, 700) for j in js)
+        sieved = s.denominator > 1 and js and 2 * js[0] <= js[-1] + 1
+        assert abs(got - direct) <= 2 * len(js) if sieved else got == direct, js
+
+
 def test_power_sums_take_a_root_per_prime(monkeypatch):
     # a fractional s builds the row from 1 up: a root per prime, pi(99) = 25
-    # for S(99); integer s and blocks past half their end take one per term
+    # for S(99); integer s takes its floors floor(2^W/j^s) in one pass with
+    # no kernel call, and blocks past half their end take one per term
     calls = []
 
     def power(s, j, W):
@@ -110,7 +124,7 @@ def test_power_sums_take_a_root_per_prime(monkeypatch):
         return scaled_power(s, j, W)
 
     monkeypatch.setattr(bigfloat, "scaled_power", power)
-    for s, l, n in ((Fraction(3, 2), 99, 25), (Fraction(2), 99, 99)):
+    for s, l, n in ((Fraction(3, 2), 99, 25), (Fraction(2), 99, 0)):
         calls.clear()
         PowerFunction(s).partial_sum(l, 1024)
         assert len(calls) == n, s

@@ -1,5 +1,6 @@
 """Series estimator: notation pieces, certified tails, worked examples."""
 
+import ast
 import gc
 import math
 import os
@@ -350,10 +351,33 @@ def test_tail_rows_are_exact_and_least():
 
 def test_cut_reads_the_cap_coefficient_from_its_closed_form():
     # _cut takes log2 A_R at the order cap R = 192 from 1 - R log2(2 pi),
-    # the level-1 identity |B_R|/R! = 2 zeta(R) (2 pi)^-R without zeta(R);
-    # that double is log2(N) - log2(D) of the exact pair, so no cut moves
+    # the level-1 identity |B_R|/R! = 2 zeta(R) (2 pi)^-R, where zeta(R)
+    # leaves the double as it is; that double is log2(N) - log2(D) of the
+    # exact pair, so no cut moves
     N, D = series._far_coeff(series._TAIL_ORDERS[-1])
     assert series._LOG2_CAP_COEFF == math.log2(N) - math.log2(D) == -508.08725685868524
+    cap = series._TAIL_ORDERS[-1]
+    assert series._LOG2_CAP_COEFF == series._log2_far_coeff(cap) == 1 - cap * math.log2(2 * math.pi)
+
+
+def test_far_order_floats_match_the_exact_coefficients():
+    # the closed form 1 - r log2(2 pi) + log2 zeta(r) is within 2^-20 of
+    # log2(N) - log2(D) of the exact A_r = N/D at every order, far inside the
+    # 1/64 margin of _far_bound's filter; zeta(r) is kept, as log2 zeta(8)
+    # is 0.0059; the scan reads the orders' values from one table
+    assert series._LOG2_FAR_COEFFS == tuple(map(series._log2_far_coeff, series._TAIL_ORDERS))
+    for r in series._TAIL_ORDERS:
+        N, D = series._far_coeff(r)
+        assert abs(series._log2_far_coeff(r) - (math.log2(N) - math.log2(D))) <= 2 ** -20, r
+    assert abs(series._log2_far_coeff(8) - (1 - 8 * math.log2(2 * math.pi)) - 0.0059) < 1e-4
+
+
+def _run_fresh(code):
+    # stdout of code run in a fresh interpreter that imports this package
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
 
 
 def test_cold_estimate_grows_level_one_rows_to_the_order_taken():
@@ -363,11 +387,28 @@ def test_cold_estimate_grows_level_one_rows_to_the_order_taken():
     code = ("from gbzeta import bernoulli, series\n"
             "series.estimate_series(series.PowerFunction(3), 5, 2, 100)\n"
             "print(len(bernoulli.family(1)._table[0]) - 1)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert int(proc.stdout) == 24
+    assert int(_run_fresh(code)) == 24
+
+
+def test_cold_scan_reads_exact_coefficients_only_where_it_checks():
+    # a first 1024-bit estimate in a fresh interpreter reads _far_coeff only
+    # for the orders its far sums check exactly, here the one each takes,
+    # not for every order its scans pass from 8 to 144
+    code = ("from gbzeta import series\n"
+            "real_coeff, real_bound = series._far_coeff, series._far_bound\n"
+            "coeffs, taken = [], []\n"
+            "def coeff(r):\n"
+            "    coeffs.append(r)\n"
+            "    return real_coeff(r)\n"
+            "def far_bound(*args):\n"
+            "    taken.append(real_bound(*args))\n"
+            "    return taken[-1]\n"
+            "series._far_coeff, series._far_bound = coeff, far_bound\n"
+            "series.estimate_series(series.PowerFunction('3/2', 1024), 5, 6, 100, 1024)\n"
+            "print([coeffs, [(r, met) for r, _, met in taken]])\n")
+    coeffs, taken = ast.literal_eval(_run_fresh(code))
+    assert taken == [(152, True)] + [(144, True)] * 5
+    assert coeffs == [r for r, _ in taken]
 
 
 def _far_bound_reference(seq, k, limit):
@@ -400,7 +441,8 @@ def _far_bound_cases():
 
 def _pin_orders(monkeypatch, seq, k, targets):
     # give each order r of _far_bound at (seq, k) the unrounded bound X/Y =
-    # targets[r], and every other order 2^4000, through _far_coeff's N/D
+    # targets[r], and every other order 2^4000, through _far_coeff's N/D,
+    # and the scan's float log2 A_r the log2 of that N/D
     a1, b, J = seq.a + (k - 1) * seq.b, seq.b, seq.J
     Z = J * b * (seq.U[k - 1] + seq.err[k - 1])
 
@@ -410,6 +452,8 @@ def _pin_orders(monkeypatch, seq, k, targets):
         return x.numerator * (b * J) ** r * (a1 + (r - 1) * b), x.denominator * Z * Q
 
     monkeypatch.setattr(series, "_far_coeff", coeff)
+    monkeypatch.setattr(series, "_LOG2_FAR_COEFFS", tuple(
+        math.log2(N) - math.log2(D) for N, D in map(coeff, series._TAIL_ORDERS)))
 
 
 def _pinned_far_bound_cases():
@@ -449,6 +493,57 @@ def test_far_bound_matches_divide_every_order_reference(W, monkeypatch):
         _pin_orders(monkeypatch, seq, 1, targets)
         assert _far_bound_reference(seq, 1, limit) == expected
         assert series._far_bound(seq, 1, limit) == expected
+
+
+def test_rising_row_grows_to_the_product_of_its_factors():
+    # P_n = prod_{i<n} (a+ib), s = a/b, for n <= 200, from a row built to
+    # N = 0 and grown on demand in uneven steps, over the exponents of
+    # _far_bound_cases
+    for s in dict.fromkeys(s for s, _ in _far_bound_cases()):
+        a, b = s.numerator, s.denominator
+        seq = series._ScaledRising(s, 64, 320, 0)
+        assert seq.P == [1]
+        for n in (3, 1, 40, 200, 17):
+            assert seq.rising(n) == math.prod(range(a, a + n * b, b)), (s, n)
+        assert seq.P == [math.prod(range(a, a + n * b, b)) for n in range(201)], s
+
+
+def _em_far_reference(seq, k, limit):
+    # _em_far with its eta taken from the rising product itself,
+    # prod_{m=1}^{r-4} (a'+mb), built with math.prod for every call
+    r, far, met = series._far_bound(seq, k, limit)
+    g1, g_even, e = series._tail_row(r)
+    a, b = seq.a, seq.b
+    a1, X, X_err, bJ = a + (k - 1) * b, seq.U[k - 1], seq.err[k - 1], b * seq.J
+    n = eta = (r - 2) // 2
+    if a1 + (r - 4) * b > bJ:
+        eta = max(n, -(-n * math.prod(range(a1 + b, a1 + (r - 3) * b, b)) // bJ ** (r - 4)))
+    G = max(0, X.bit_length() + a1.bit_length() + eta.bit_length() + 7
+            - e.bit_length() - bJ.bit_length())
+    h = g_even[-1] << G
+    for i in range(r - 2, 0, -2):
+        h = (g_even[i // 2 - 1] << G) + h * ((a1 + (i - 1) * b) * (a1 + i * b)) // (bJ * bJ)
+    Hn, den = (g1 * bJ << G) + a1 * h, e * bJ << G
+    err = -(-(X_err * abs(Hn) + (X + X_err) * a1 * eta) // den)
+    return X * Hn // den, far + err + 1, not met
+
+
+@pytest.mark.parametrize("W", [320, 1088])
+def test_em_far_matches_its_rising_product_reference(W):
+    # _em_far, whose eta reads the rising row P_(k+r-4)/P_k, equals the
+    # reference that multiplies the factors out, at the estimator's limit
+    # and at limit 0 (every order scanned, the smallest bound taken); the
+    # rising-product branch of eta is taken in some cases and not in others
+    branches = set()
+    for s, k in _far_bound_cases():
+        for J in (64, 613):
+            for limit in (int(mp.ldexp(series._default_tol(W - 64), W - 2)), 0):
+                seq = series._ScaledRising(s, J, W, k - 1)
+                ref = _em_far_reference(seq, k, limit)
+                assert series._em_far(series._ScaledRising(s, J, W, k - 1), k, limit) == ref
+                r = series._far_bound(seq, k, limit)[0]
+                branches.add(s + k - 1 + r - 4 > J)
+    assert branches == {True, False}
 
 
 def test_far_bound_meets_a_limit_equal_to_its_bound(monkeypatch):
@@ -522,7 +617,7 @@ def test_batched_jump_tail_over_delta_tail_orders(s, monkeypatch):
     # a jump tail over the 101 orders 2 to 102 from J = J0 = 613, as wide as
     # the former order rewrite of delta_tail took, within its bound of the
     # Hurwitz zeta route. Its one sequence runs only to U_101, the largest
-    # k - 1, since the far bounds take exact rising products. At the default
+    # k - 1, since the far bounds grow only its exact rising row. At the default
     # tolerance no far sum is capped; at 2^-1325, below the unit 2^-1098,
     # every order takes its smallest bound
     prec = 1024
