@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import ceil, factorial, fsum, gcd, inf, lgamma, log, log2, pi, prod
+from math import ceil, factorial, fsum, gcd, inf, lgamma, log, log2, pi
 from operator import mul
 
 import mpmath as mp
@@ -67,22 +67,43 @@ def _certified(V: int, err: int, capped: bool, W: int, prec: int) -> CertifiedVa
                           ("order_cap",) if capped else ())
 
 
-def _exponent(e: Fraction, prec: int):
-    # an integer exponent stays an int, so x**e takes mpmath's integer power
-    return int(e) if e.denominator == 1 else to_mpf(e, prec)
+_RISING = {}  # (a, b) -> the row of _rising
+
+
+def _rising(a: int, b: int, n: int) -> tuple:
+    """(P_0, P_1, ...) through at least P_n, with P_i = prod_{j<i} (a+jb) =
+    b^i (s)_i for s = a/b: the one exact rising row of f = x^-s, whose
+    derivatives are f^(k) = (-1)^k (s)_k x^-(s+k). Every x^-s constant reads
+    it (_deriv_consts, PowerFunction._sigma_ints, the far sums of the
+    tails).
+
+    Each (a, b) keeps one tuple in _RISING, grown only as far as the
+    largest n asked. Growing replaces the tuple as a whole, so a reader
+    always holds a consistent row, and a miss calls no public function;
+    two threads that grow one row at once each return a correct row, and
+    the later store is kept.
+    """
+    row = _RISING.get((a, b), (1,))
+    i = len(row) - 1
+    if n > i:
+        # P_i, ..., P_n: the factors a+ib, ..., a+(n-1)b accumulated from P_i
+        row = _RISING[a, b] = row[:i] + tuple(
+            accumulate(range(a + i * b, a + n * b, b), mul, initial=row[i]))
+    return row
 
 
 @cache
 def _deriv_consts(a: int, b: int, k: int, prec: int) -> tuple:
-    # (c, e) with f^(k) = c x^e for f = x^-s, s = a/b: c = (-1)^k (s)_k and
-    # e = -(s+k), each rounded once to nearest at prec, and e an int for
-    # b = 1 (_exponent). from_rational rounds p/q as to_mpf rounds the
-    # reduced fraction, with no public call, so a cache miss adds no call
-    # that a warm caller's traced counts would see
+    # (c, e) with f^(k) = c x^e for f = x^-s, s = a/b: c = (-1)^k (s)_k =
+    # (-1)^k P_k/b^k of the rising row and e = -(s+k), each rounded once to
+    # nearest at prec, and e an int for b = 1, so x**e takes mpmath's
+    # integer power. from_rational rounds p/q as to_mpf rounds the reduced
+    # fraction, with no public call, so a cache miss adds no call that a
+    # warm caller's traced counts would see
     def rounded(p, q):
         return mp.make_mpf(from_rational(p, q, prec, round_nearest))
 
-    c, e = rounded((-1) ** k * prod(range(a, a + k * b, b)), b ** k), -(a + k * b)
+    c, e = rounded((-1) ** k * _rising(a, b, k)[k], b ** k), -(a + k * b)
     return c, e if b == 1 else rounded(e, b)
 
 
@@ -90,13 +111,17 @@ class PowerFunction(FunctionStack):
     """f(x) = x^(-s) for rational s >= 1, with everything in closed form.
 
     Derivatives are (-1)^k (s)_k x^(-s-k) with the rising factorial (s)_k
-    kept exact; tail integrals and the sigma coefficient lists are exact
-    rationals, so the estimator's boundary sums can be reported exactly.
+    kept exact in the module's rising row (_rising); tail integrals and the
+    sigma coefficient lists are exact rationals, so the estimator's boundary
+    sums can be reported exactly.
     The stack's capabilities are its own methods and class attributes, so it
     holds no bound method of itself and dies with its last reference; it
     skips FunctionStack.__init__, which only stores callables and spot-checks.
-    Its evaluators hold s as two ints and read their constants from the
-    module's _deriv_consts, built once per (s, k, prec) for every stack.
+    Its evaluators and closed forms hold s as two ints and read their
+    constants from the module's _deriv_consts, built once per (s, k, prec)
+    for every stack. The evaluators work at the ambient precision, and each
+    closed form at the prec it is given, so the constructor's prec is not
+    kept.
     """
 
     r_max = 10**9
@@ -109,22 +134,10 @@ class PowerFunction(FunctionStack):
         if s < 1:
             raise ValueError("need exponent s >= 1")
         self.s = s
-        self.prec = prec
-        self._poch_cache = [Fraction(1)]
         self.f = self._make_deriv(0)
         self.integral_converges = s > 1
         if s == 1:
             self.exact_tail_integral = None  # the harmonic tail diverges
-
-    def pochhammer(self, k: int) -> Fraction:
-        """(s)_k = s (s+1) ... (s+k-1)."""
-        while len(self._poch_cache) <= k:
-            i = len(self._poch_cache)
-            self._poch_cache.append(self._poch_cache[-1] * (self.s + i - 1))
-        return self._poch_cache[k]
-
-    def _pow(self, x, e: Fraction):
-        return to_mpf(x, mp.mp.prec) ** _exponent(e, mp.mp.prec)
 
     def _make_deriv(self, k: int):
         """The evaluator of f^(k) = (-1)^k (s)_k x^(-s-k) at the working
@@ -149,8 +162,9 @@ class PowerFunction(FunctionStack):
         with mp.workprec(prec):
             if self.s == 1:
                 return +(mp.log(to_mpf(b, prec)) - mp.log(to_mpf(a, prec)))
-            e = 1 - self.s
-            return +((self._pow(a, e) - self._pow(b, e)) / to_mpf(self.s - 1, prec))
+            # 1 - s is the exponent of x^-(s-1) = x^(1-s)
+            _, e = _deriv_consts(self.s.numerator - self.s.denominator, self.s.denominator, 0, prec)
+            return +((to_mpf(a, prec) ** e - to_mpf(b, prec) ** e) / to_mpf(self.s - 1, prec))
 
     def abs_deriv_integral(self, k: int, a, b, prec: int = DEFAULT_PRECISION):
         # f^(k) keeps one sign on x > 0, so for k >= 1 int_a^b |f^(k)| is
@@ -158,8 +172,8 @@ class PowerFunction(FunctionStack):
         if k == 0:
             return self.exact_integral(a, b, prec)
         with mp.workprec(prec):
-            e = -(self.s + k - 1)
-            return +(to_mpf(self.pochhammer(k - 1), prec) * (self._pow(a, e) - self._pow(b, e)))
+            c, e = _deriv_consts(self.s.numerator, self.s.denominator, k - 1, prec)
+            return +(abs(c) * (to_mpf(a, prec) ** e - to_mpf(b, prec) ** e))
 
     def abs_deriv_tail(self, k: int, p, prec: int = DEFAULT_PRECISION):
         return self.abs_deriv_integral(k, p, mp.inf, prec)
@@ -184,17 +198,16 @@ class PowerFunction(FunctionStack):
         """(Ct, Cb, D): the sigma~ and sigma coefficients of sigma_coefficients
         as integers over one denominator, Ct[k-1]/D and Cb[k-1]/D for k = 1..r.
 
-        With s = a/b and P_n = b^n (s)_n, (s)_(k-1) W_k/(m! k!) is
-        P_(k-1) b^(r-k) w_k / D, D = m! (m-1)! d b^(r-1), where
-        w_k = (m-1)! d W_k/k! is the level's boundary row for W_k = B_k(1) and
-        (m-1)! a_k for W_k = B_k, from one read of the level's table.
+        With s = a/b and the rising row P_n = b^n (s)_n (_rising),
+        (s)_(k-1) W_k/(m! k!) is P_(k-1) b^(r-k) w_k / D, D = m! (m-1)! d
+        b^(r-1), where w_k = (m-1)! d W_k/k! is the level's boundary row for
+        W_k = B_k(1) and (m-1)! a_k for W_k = B_k, from one read of the
+        level's table.
         """
         a, d, _, bnd = bernoulli.family(m)._grown(r)
-        sa, b, mm1f = self.s.numerator, self.s.denominator, factorial(m - 1)
-        scale, P = [], 1
-        for k in range(1, r + 1):
-            scale.append(P * b ** (r - k))  # P_(k-1) b^(r-k)
-            P *= sa + (k - 1) * b
+        b, mm1f = self.s.denominator, factorial(m - 1)
+        P = _rising(self.s.numerator, b, r - 1)
+        scale = [P[k - 1] * b ** (r - k) for k in range(1, r + 1)]
         return ([x * mm1f * a[k] for k, x in enumerate(scale, 1)],
                 [x * bnd[k] for k, x in enumerate(scale, 1)],
                 factorial(m) * mm1f * d * b ** (r - 1))
@@ -376,8 +389,7 @@ def _cdiv(x: int, y: int) -> int:
 
 class _ScaledRising:
     """U_n within err_n units of 2^W (s)_n J^-(s+n) for n = 0..N, built at
-    construction, and the exact row P_n = b^n (s)_n = prod_{i<n} (a+ib),
-    s = a/b, built to N and grown on demand (rising).
+    construction.
 
     U_n 2^-W is |f^(n)(J)| for f = x^-s, the one value the far sum of order
     k = n + 1 at J starts from (_far_bound, _em_far), so N is the largest
@@ -387,29 +399,19 @@ class _ScaledRising:
     floor takes under one unit more, so err_(n+1) = ceil(err_n (a+nb)/(bJ)) + 1.
     One sequence serves every tail of one estimate, all of which start their
     far sums at the one cut J, in the one unit 2^-W; their far sums read
-    the rising products of t = s+k-1 from the one row P, as ratios
-    P_(k-1+n)/P_(k-1), so it grows as far as the largest k - 1 + r they ask.
+    the rising products of t = s+k-1 as ratios P_(k-1+n)/P_(k-1) of the
+    exact rising row of s (_rising).
     """
 
     def __init__(self, s: Fraction, J: int, W: int, N: int):
         self.s, self.J, self.W = s, J, W
         a, b = self.a, self.b = s.numerator, s.denominator
         U, err = self.U, self.err = [scaled_power(s, J, W)], [1]
-        self.P, bJ = [1], b * J
+        bJ = b * J
         for i in range(N):
             c = a + i * b
             U.append(U[i] * c // bJ)
             err.append(_cdiv(err[i] * c, bJ) + 1)
-        self.rising(N)
-
-    def rising(self, n: int) -> int:
-        """P_n, the row grown as far as n."""
-        P, i = self.P, len(self.P) - 1
-        if n > i:
-            # P_i, ..., P_n: the factors a+ib, ..., a+(n-1)b accumulated from P_i
-            P[i:] = accumulate(range(self.a + i * self.b, self.a + n * self.b, self.b), mul,
-                               initial=P[i])
-        return P[n]
 
 
 _TAIL_ORDERS = range(8, 193, 8)
@@ -479,8 +481,8 @@ def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:
     bound of order r is A_r int_J^inf |f^(k-1+r)| = A_r J |f^(k-1)(J)| (t)_r
     J^-r/(t+r-1), with the exact A_r = N/D of _far_coeff. U_(k-1) + err_(k-1)
     is at least 2^W |f^(k-1)(J)|, and (t)_r J^-r = Q_r/(bJ)^r with the exact
-    rising product Q_r = prod_{i<r} (a'+ib) = P_(k-1+r)/P_(k-1) of seq's row,
-    so ceil(X/Y) with
+    rising product Q_r = prod_{i<r} (a'+ib) = P_(k-1+r)/P_(k-1) of the
+    rising row of s (_rising), so ceil(X/Y) with
         X = N Z Q_r, Z = J b (U_(k-1) + err_(k-1)), Y = D (bJ)^r (a'+(r-1)b)
     is an upper bound, taken as ceil(X P_(k-1) / (Y P_(k-1))) with
     X P_(k-1) = N Z P_(k-1+r), so no Q_r is built. limit = floor(2^W tol/4),
@@ -503,15 +505,15 @@ def _far_bound(seq: _ScaledRising, k: int, limit: int) -> tuple:
     a, b, J = seq.a, seq.b, seq.J
     a1 = a + (k - 1) * b
     Z = J * b * (seq.U[k - 1] + seq.err[k - 1])
-    P0 = seq.P[k - 1]
+    P0 = _rising(a, b, k - 1)[k - 1]
     M = limit * P0 // b ** (k - 1)
     lm, t, lJ = (log2(M) if M else -inf) + 1 / 64, a1 / b, log2(J)
     base = log2(Z) - lgamma(t) / _LN2
 
     def exact(r):
         # (X P_(k-1), Y P_(k-1))
-        N, D = _far_coeff(r)
-        return N * Z * seq.rising(k - 1 + r), D * (b * J) ** r * (a1 + (r - 1) * b) * P0
+        N, D, n = *_far_coeff(r), k - 1 + r
+        return N * Z * _rising(a, b, n)[n], D * (b * J) ** r * (a1 + (r - 1) * b) * P0
 
     for r, log2_A in zip(_TAIL_ORDERS, _LOG2_FAR_COEFFS):
         est = base + log2_A + lgamma(t + r) / _LN2 - r * lJ - log2(a1 + (r - 1) * b)
@@ -554,7 +556,7 @@ def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
     grow with i, and exceed 1 once t+i > J, so of these products, one for
     each of the n = (r-2)/2 floors, the largest is 1 or the longest,
     g = prod_{m=1}^{r-4} (a'+mb) / (bJ)^(r-4) = P_(k+r-4) / (P_k (bJ)^(r-4)),
-    from seq's rising row (a'+mb = a+(k-1+m)b). So h_2 is within
+    from the rising row of s (_rising; a'+mb = a+(k-1+m)b). So h_2 is within
     eta = ceil(n max(1, g)) of 2^G H_2, every floor counted. With
     Hn = c'_1 bJ 2^G + a' h_2, e V is x Ht/(bJ 2^G) for an Ht within a' eta
     of Hn, so
@@ -571,8 +573,8 @@ def _em_far(seq: _ScaledRising, k: int, limit: int) -> tuple:
     n = (r - 2) // 2
     eta = n  # g <= 1 when its largest factor (a'+(r-4)b)/(bJ) is
     if a1 + (r - 4) * b > bJ:
-        top = seq.rising(k + r - 4)
-        eta = max(n, _cdiv(n * top, seq.P[k] * bJ ** (r - 4)))
+        P = _rising(a, b, k + r - 4)
+        eta = max(n, _cdiv(n * P[k + r - 4], P[k] * bJ ** (r - 4)))
     G = max(0, X.bit_length() + a1.bit_length() + eta.bit_length() + 7
             - e.bit_length() - bJ.bit_length())
     L, h = bJ * bJ, g_even[-1] << G
@@ -601,10 +603,10 @@ def _power_tails(seq: _ScaledRising, ks, J: int, limits) -> list[tuple]:
     """
     a, b, J0 = seq.a, seq.b, seq.J
     near = _power_sums(seq.s, range(J, J0), ks, seq.W)
-    out = []
+    row, out = _rising(a, b, max(ks) - 1), []
     for k, limit in zip(ks, limits):
         V, V_err, capped = _em_far(seq, k, limit)
-        P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
+        P, bk, d = row[k - 1], b ** (k - 1), a + (k - 2) * b
         T = P * near[k] // bk + J0 * b * seq.U[k - 1] // d + V
         err = V_err + _cdiv(P * (J0 - J), bk) + _cdiv(J0 * b * seq.err[k - 1], d) + 2
         out.append((T, err, capped))
@@ -657,11 +659,11 @@ def _jump_tail(seq: _ScaledRising, c, e: int, ks, J: int, limit: int) -> tuple:
     """
     if not ks:
         return 0, 0, False
-    limits = []
+    limits, P = [], _rising(seq.a, seq.b, max(ks) - 1)
     for k in ks:
         # |w_k| (s)_(k-1) = x/y, with b^(k-1) (s)_(k-1) = P_(k-1), and the
         # limit floor(limit/(n max(1, x/y)))
-        x, y = abs(c[k]) * seq.P[k - 1], e * seq.b ** (k - 1)
+        x, y = abs(c[k]) * P[k - 1], e * seq.b ** (k - 1)
         limits.append(limit * y // (len(ks) * max(x, y)))
     tails = _power_tails(seq, ks, J, limits)
     V = sum(c[k] * T for k, (T, _, _) in zip(ks, tails)) // e

@@ -8,6 +8,18 @@ import mpmath as mp
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _tables_run_on(text: str) -> list[str]:
+    # the first line after each Markdown table that is neither blank nor the
+    # end of the text; GitHub renders such a line as one more table row
+    lines, fenced, out = text.split("\n"), False, []
+    for line, after in zip(lines, lines[1:]):
+        fenced ^= line.lstrip().startswith("```")
+        if (not fenced and line.lstrip().startswith("|") and after.strip()
+                and not after.lstrip().startswith("|")):
+            out.append(after)
+    return out
+
+
 def _tour() -> str:
     text = README.read_text()
     section = text[text.index("## Library tour"):]
@@ -26,3 +38,9 @@ def test_library_tour_runs():
     assert g.tol_met
     with mp.workprec(320):
         assert abs(g.value - mp.euler) <= g.error_bound
+
+
+def test_tables_end_before_the_next_paragraph():
+    assert _tables_run_on("| a |\n|---|\n| 1 |\nnext\n") == ["next"]
+    assert _tables_run_on("| a |\n|---|\n| 1 |\n\nnext\n| b |") == []
+    assert _tables_run_on(README.read_text()) == []

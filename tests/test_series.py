@@ -75,6 +75,42 @@ def test_power_function_derivatives_match_finite_differences():
     )
 
 
+def _former_abs_deriv_integral(s, k, a, b, prec):
+    # int_a^b |f^(k)| for f = x^-s as the closed forms took it before the
+    # rising row: (s)_(k-1) as a Fraction, an integer exponent kept an int,
+    # any other converted with to_mpf; k = 0 is the exact integral
+    def power(x, e):
+        return to_mpf(x, prec) ** (int(e) if e.denominator == 1 else to_mpf(e, prec))
+
+    with mp.workprec(prec):
+        if k > 0:
+            e = -(s + k - 1)
+            return +(to_mpf(_rising_factorial(s, k - 1), prec) * (power(a, e) - power(b, e)))
+        if s == 1:
+            return +(mp.log(to_mpf(b, prec)) - mp.log(to_mpf(a, prec)))
+        return +((power(a, 1 - s) - power(b, 1 - s)) / to_mpf(s - 1, prec))
+
+
+@pytest.mark.parametrize("prec", [256, 288, 1024])
+@pytest.mark.parametrize("s", [F(1), F(3, 2), F(5, 3), F(2), F(21), F(10001, 10000)])
+def test_closed_forms_equal_the_former_route(s, prec):
+    # the four closed forms of PowerFunction, whose constants come from the
+    # rising row, are bit for bit the former route's, for k <= 8 on two
+    # finite intervals and one tail; 288 bits is em_composite's prec + 32
+    # at the default precision
+    pf = PowerFunction(s, prec)
+    for a, b in ((1, 2), (F(1, 10), 1), (100, mp.inf)):
+        for k in range(9):
+            ref = _former_abs_deriv_integral(s, k, a, b, prec)
+            assert pf.abs_deriv_integral(k, a, b, prec) == ref, (a, b, k)
+            if b == mp.inf:
+                assert pf.abs_deriv_tail(k, a, prec) == ref, k
+        ref = _former_abs_deriv_integral(s, 0, a, b, prec)
+        assert pf.exact_integral(a, b, prec) == ref, (a, b)
+        if b == mp.inf and s > 1:
+            assert pf.exact_tail_integral(a, prec) == ref
+
+
 def test_partial_sums_match_references(pf3, pf5):
     with mp.workprec(P):
         assert abs(partial_sum(pf3, 99, P) - mp.mpf(S99_REF)) <= mp.mpf("1e-19")
@@ -192,6 +228,12 @@ def test_sigma_infinity(pf3):
     assert sigma_infinity(pf3, 5, 2, P) == 0
 
 
+def _rising_factorial(s, n):
+    # (s)_n = s (s+1) ... (s+n-1), exact: the tests' own product, never the
+    # library's rising row
+    return math.prod((s + i for i in range(n)), start=F(1))
+
+
 def _live(m, r):
     # the level's jump weights (c, e) and its live orders, the k = 2..r with
     # c_k != 0, as _tail_start reads them
@@ -249,13 +291,13 @@ def test_power_tail_sum_certified():
 def test_scaled_rising_within_its_error_count(s, W):
     # U_n against 2^W (s)_n J^-(s+n) at W + 64 bits, for n <= 200; the
     # exponents take both scaled_power routes (exact floor, and mpf for b > 4)
-    pf = PowerFunction(s)
+    a, b = s.numerator, s.denominator
     for J in (64, 165, 613):
         seq = series._ScaledRising(s, J, W, 200)
         with mp.workprec(W + 64):
-            sv = mp.mpf(s.numerator) / s.denominator
+            sv = mp.mpf(a) / b
             for n in range(201):
-                assert seq.P[n] == s.denominator ** n * pf.pochhammer(n)
+                assert series._rising(a, b, n)[n] == b ** n * _rising_factorial(s, n)
                 x = mp.ldexp(mp.rf(sv, n) * mp.mpf(J) ** -(sv + n), W)
                 assert abs(seq.U[n] - x) <= seq.err[n], (J, n)
 
@@ -277,7 +319,6 @@ def test_power_tails_near_block_to_order_40():
     # every order k <= 40 from J = 1, 2, 63, so the near block J <= j < J0
     # carries the tail, against Hurwitz zeta at prec + 64
     s, prec = F(3, 2), 1024
-    pf = PowerFunction(s, prec)
     ks = range(1, 41)
     for J in (1, 2, 63):
         with mp.workprec(prec):
@@ -287,7 +328,7 @@ def test_power_tails_near_block_to_order_40():
                      for tail in series._power_tails(seq, ks, J, _limits(tol, W, ks))]
         with mp.workprec(prec + 64):
             for k, cv in zip(ks, tails):
-                ref = to_mpf(pf.pochhammer(k - 1), prec + 64) * mp.zeta(mp.mpf(1) / 2 + k, J)
+                ref = to_mpf(_rising_factorial(s, k - 1), prec + 64) * mp.zeta(mp.mpf(1) / 2 + k, J)
                 assert abs(cv.value - ref) <= cv.bound, (J, k)
 
 
@@ -312,7 +353,7 @@ def _power_tails_reference(s, ks, J, J0, tol, W):
         for i in range(1, r + 1):
             num = num * L + (c[i] + (e if i == 1 else 0)) * Q
             Q *= a1 + (i - 1) * b
-        P, bk, d = seq.P[k - 1], b ** (k - 1), a + (k - 2) * b
+        P, bk, d = math.prod(range(a, a + (k - 1) * b, b)), b ** (k - 1), a + (k - 2) * b
         T = P * near[k] // bk + J0 * b * X // d + Fraction(X * num, e * L ** (r - 1))
         out.append((T, far))
     return out
@@ -419,7 +460,7 @@ def _far_bound_reference(seq, k, limit):
     # first on ties; (order, bound, met)
     a, b, J = seq.a, seq.b, seq.J
     t, x = F(a, b) + k - 1, seq.U[k - 1] + seq.err[k - 1]
-    lim, scale = limit * seq.P[k - 1], b ** (k - 1)
+    lim, scale = limit * math.prod(range(a, a + (k - 1) * b, b)), b ** (k - 1)
     best = None
     for r in series._TAIL_ORDERS:
         N, D = series._far_coeff(r)
@@ -495,17 +536,25 @@ def test_far_bound_matches_divide_every_order_reference(W, monkeypatch):
         assert series._far_bound(seq, 1, limit) == expected
 
 
-def test_rising_row_grows_to_the_product_of_its_factors():
-    # P_n = prod_{i<n} (a+ib), s = a/b, for n <= 200, from a row built to
-    # N = 0 and grown on demand in uneven steps, over the exponents of
-    # _far_bound_cases
-    for s in dict.fromkeys(s for s, _ in _far_bound_cases()):
+def test_rising_row_grows_to_the_product_of_its_factors(monkeypatch):
+    # the row of s = a/b is one tuple of P_n = prod_{i<n} (a+ib), n <= 200,
+    # grown only as far as asked, over the exponents of _far_bound_cases:
+    # grown to 5 and then to 200 it equals the row grown to 200 at once, and
+    # building the row of another s leaves it as it is
+    exponents = list(dict.fromkeys(s for s, _ in _far_bound_cases()))
+    for s in exponents:
         a, b = s.numerator, s.denominator
-        seq = series._ScaledRising(s, 64, 320, 0)
-        assert seq.P == [1]
-        for n in (3, 1, 40, 200, 17):
-            assert seq.rising(n) == math.prod(range(a, a + n * b, b)), (s, n)
-        assert seq.P == [math.prod(range(a, a + n * b, b)) for n in range(201)], s
+        monkeypatch.setattr(series, "_RISING", {})
+        at_once = series._rising(a, b, 200)
+        monkeypatch.setattr(series, "_RISING", {})
+        assert len(series._rising(a, b, 5)) == 6
+        row = series._rising(a, b, 200)
+        assert type(row) is tuple and row == at_once, s
+        assert row == tuple(math.prod(range(a, a + n * b, b)) for n in range(201)), s
+        for t in exponents:
+            if t != s:
+                series._rising(t.numerator, t.denominator, 200)
+        assert series._rising(a, b, 17) is row, s
 
 
 def _em_far_reference(seq, k, limit):
@@ -552,7 +601,7 @@ def test_far_bound_meets_a_limit_equal_to_its_bound(monkeypatch):
     for k in (1, 3):
         seq = series._ScaledRising(F(3, 2), 64, 320, k - 1)
         limit = 1 << 200
-        M = limit * seq.P[k - 1] // seq.b ** (k - 1)  # exact: P_2/b^2 = 15/4
+        M = math.floor(limit * _rising_factorial(F(3, 2), k - 1))  # exact: (3/2)_2 = 15/4
         _pin_orders(monkeypatch, seq, k, {8: F(M)})
         for far_bound in (_far_bound_reference, series._far_bound):
             assert far_bound(seq, k, limit) == (8, M, True)
@@ -578,8 +627,8 @@ def _hurwitz(t, J, wp):
 def _jump_tail_hurwitz(s, m, orders, J, wp):
     # sum_k (B_k(1)-B_k)/(m! k!) (s)_(k-1) zeta(s+k-1, J): the per-exponent
     # route through mpmath's Hurwitz zeta at wp bits
-    pf, fam = PowerFunction(s, wp), bernoulli.family(m)
-    terms = [(F(fam.jump(k), factorial(m) * factorial(k)) * pf.pochhammer(k - 1), s + k - 1)
+    fam = bernoulli.family(m)
+    terms = [(F(fam.jump(k), factorial(m) * factorial(k)) * _rising_factorial(s, k - 1), s + k - 1)
              for k in orders]
     with mp.workprec(wp):
         return mp.fsum(to_mpf(w, wp) * _hurwitz(t, J, wp) for w, t in terms)
@@ -1072,7 +1121,7 @@ def _tail_references(s, m, r, q1, wp):
         sv, q = to_mpf(s, wp), mp.mpf(q1)
         e = mp.mpf(0)
         for k in range(2, r + 1):
-            w = Fraction(fam.jump(k), factorial(m) * factorial(k)) * pf.pochhammer(k - 1)
+            w = Fraction(fam.jump(k), factorial(m) * factorial(k)) * _rising_factorial(s, k - 1)
             e += to_mpf(w, wp) * mp.zeta(sv + k - 1, q1 + 1)
         st = q ** -sv + sum(to_mpf(c, wp) * q ** -(sv + k - 1)
                             for k, c in pf.sigma_coefficients(m, r, boundary=False))
@@ -1295,7 +1344,8 @@ def test_sigma_coefficients_match_the_level_numbers(s):
     for m in (1, 2, 3, 5):
         fam = bernoulli.family(m)
         for r in (1, 2, 3, 6):
-            w = [pf.pochhammer(k - 1) / (factorial(m) * factorial(k)) for k in range(1, r + 1)]
+            w = [_rising_factorial(s, k - 1) / (factorial(m) * factorial(k))
+                 for k in range(1, r + 1)]
             assert (pf.sigma_coefficients(m, r, boundary=False)
                     == [(k, x * fam.number(k)) for k, x in enumerate(w, 1)]), (m, r)
             assert (pf.sigma_coefficients(m, r, boundary=True)
