@@ -117,9 +117,9 @@ class PowerFunction(FunctionStack):
     The stack's capabilities are its own methods and class attributes, so it
     holds no bound method of itself and dies with its last reference; it
     skips FunctionStack.__init__, which only stores callables and spot-checks.
-    Its evaluators and closed forms hold s as two ints and read their
+    Its evaluators hold s as two ints; they and the closed forms read their
     constants from the module's _deriv_consts, built once per (s, k, prec)
-    for every stack. The evaluators work at the ambient precision, and each
+    for every stack. The evaluators work at the ambient precision and each
     closed form at the prec it is given, so the constructor's prec is not
     kept.
     """

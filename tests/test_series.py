@@ -75,6 +75,12 @@ def test_power_function_derivatives_match_finite_differences():
     )
 
 
+def _rising_factorial(s, n):
+    # (s)_n = s (s+1) ... (s+n-1), exact: the tests' own product, never the
+    # library's rising row
+    return math.prod((s + i for i in range(n)), start=F(1))
+
+
 def _former_abs_deriv_integral(s, k, a, b, prec):
     # int_a^b |f^(k)| for f = x^-s as the closed forms took it before the
     # rising row: (s)_(k-1) as a Fraction, an integer exponent kept an int,
@@ -226,12 +232,6 @@ def test_sigma_coefficients_example_three(pf5):
 
 def test_sigma_infinity(pf3):
     assert sigma_infinity(pf3, 5, 2, P) == 0
-
-
-def _rising_factorial(s, n):
-    # (s)_n = s (s+1) ... (s+n-1), exact: the tests' own product, never the
-    # library's rising row
-    return math.prod((s + i for i in range(n)), start=F(1))
 
 
 def _live(m, r):
